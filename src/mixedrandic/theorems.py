@@ -59,6 +59,8 @@ class CheckRecord:
 
 def _inequality(name: str, lhs: float, rhs: float, tol: float = TOL_INEQ,
                 reason: str = "") -> CheckRecord:
+    # plain float and bool: numpy scalars are not report scalars
+    lhs, rhs = float(lhs), float(rhs)
     slack = rhs - lhs
     ok = slack >= -tol * max(1.0, abs(rhs))
     return CheckRecord(name, ok, lhs=lhs, rhs=rhs, slack=slack, reason=reason)
@@ -123,7 +125,7 @@ def interlacing_check(g: MixedGraph, pair: tuple[int, int],
     for k in range(n):
         low = -1.0 if k == 0 else lam[k - 1]
         high = 1.0 if k == n - 1 else lam[k + 1]
-        violation = max(low - theta[k], theta[k] - high, 0.0)
+        violation = float(max(low - theta[k], theta[k] - high, 0.0))
         worst = max(worst, violation)
         verdicts.append(violation <= tol)
     return InterlacingResult(edge, Spectrum(lam), Spectrum(theta),

@@ -1,15 +1,20 @@
 import csv
+import hashlib
 import io
 import json
 import random
 
+import numpy as np
 import pytest
 
-from mixedrandic import ParseError, directed_cycle, population
+from mixedrandic import ParseError, directed_cycle, population, randic_spectrum
 from mixedrandic.campaign import (
     CampaignConfig,
+    CampaignResult,
+    GraphResult,
     edge_list_label,
     format_float,
+    json_scalar,
     parse_campaign_config,
     render_csv,
     render_json,
@@ -17,6 +22,7 @@ from mixedrandic.campaign import (
     summary_text,
     with_overrides,
 )
+from mixedrandic.theorems import TheoremSuite, _inequality
 
 
 def test_population_sizes():
@@ -168,3 +174,31 @@ def test_summary_text():
     assert lines[1] == "checks 84"
     assert lines[2] == "failures 0"
     assert any(line.startswith("max_abs_slack ") for line in lines)
+
+
+def test_numpy_inputs_give_report_scalars():
+    rec = _inequality("probe", np.float64(0.25), np.float64(0.5))
+    assert type(rec.satisfied) is bool
+    for value in (rec.lhs, rec.rhs, rec.slack, rec.satisfied, rec.skipped,
+                  rec.reason):
+        json_scalar(value)
+    g = directed_cycle(3)
+    suite = TheoremSuite(g, randic_spectrum(g), (rec,))
+    result = CampaignResult(CampaignConfig(n_min=3, n_max=3),
+                            (GraphResult(0, g, suite),))
+    doc = json.loads(render_json(result))
+    assert doc["graphs"][0]["checks"]["probe"] == {
+        "lhs": 0.25, "rhs": 0.5, "slack": 0.25, "satisfied": True,
+        "skipped": False, "reason": ""}
+
+
+def test_report_digests_are_pinned():
+    # Any change to these bytes must be deliberate: update the digests in
+    # the same change and say why.
+    result = run_campaign(CampaignConfig(n_min=2, n_max=3))
+    digests = {fmt: hashlib.sha256(render(result).encode()).hexdigest()
+               for fmt, render in (("csv", render_csv), ("json", render_json))}
+    assert digests == {
+        "csv": "f5688f5d19637e63e504b975c1674ed34ab83c2d010792bea04d48ca50a2c3f0",
+        "json": "f494142b5881cb845ef88f5e2a0a74e30c1a4f52ba2712d1f7c72db070a0de61",
+    }

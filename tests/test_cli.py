@@ -5,6 +5,9 @@ import pytest
 from mixedrandic import cycle_graph, directed_cycle, serialize_graph
 from mixedrandic.cli import main
 
+#: A path on which float noise in the interlacing checks yields numpy scalars.
+P4 = "mixedgraph v1\nvertices 4\n1 -- 4\n2 -- 3\n3 -- 4\n"
+
 SYMMETRIC_NON_BIPARTITE = (
     "mixedgraph v1\nvertices 4\n1 -> 2\n1 -> 3\n2 -- 3\n2 -> 4\n4 -> 1\n"
 )
@@ -93,6 +96,15 @@ def test_check_prints_divergence_note(dc3_file, capsys):
     out = capsys.readouterr().out
     assert "divergence" in out
     assert "failures: 0" in out
+
+
+def test_check_json_on_p4(tmp_path, capsys):
+    path = tmp_path / "p4.txt"
+    path.write_text(P4)
+    assert main(["check", str(path), "--format", "json"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["failures"] == 0
+    assert all(type(r["satisfied"]) is bool for r in doc["checks"].values())
 
 
 def test_check_reports_failures_with_exit_1(tmp_path, capsys):
