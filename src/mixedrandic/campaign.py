@@ -285,15 +285,17 @@ def _csv_cell(v) -> str:
 
 
 def render_csv(result: CampaignResult) -> str:
-    lines = [_CSV_HEADER]
+    out = StringIO()
+    out.write(_CSV_HEADER + "\n")
     for r in result.results:
         prefix = [_csv_cell(r.index), _csv_cell(r.graph.n),
                   _csv_cell(edge_list_label(r.graph))]
         for rec in r.suite.records:
             cells = prefix + [_csv_cell(rec.name)]
             cells += [_csv_cell(v) for _, v in _record_fields(rec)]
-            lines.append(",".join(cells))
-    return "\n".join(lines) + "\n"
+            out.write(",".join(cells))
+            out.write("\n")
+    return out.getvalue()
 
 
 def render_report(result: CampaignResult) -> str:

@@ -27,6 +27,7 @@ from .campaign import (
 )
 from .graphs import MixedGraph, ParseError, parse_graph
 from .spectra import (
+    Spectrum,
     char_poly_combinatorial,
     char_poly_numeric,
     randic_spectrum,
@@ -180,9 +181,10 @@ def _record_line(rec) -> str:
     return f"pass {rec.name}{detail}{note}"
 
 
-def _bounds_payload(g: MixedGraph, report: BoundsReport, fmt: str) -> str:
-    extra = list(entry_sum_bounds(g).records)
-    extra.append(smallest_eigenvalue_bound(g))
+def _bounds_payload(g: MixedGraph, spectrum: Spectrum, report: BoundsReport,
+                    fmt: str) -> str:
+    extra = list(entry_sum_bounds(g, spectrum).records)
+    extra.append(smallest_eigenvalue_bound(g, spectrum, report.randic_inverse))
     records = extra + list(report.records)
     meta = [
         ("n", report.n),
@@ -208,8 +210,10 @@ def _bounds_payload(g: MixedGraph, report: BoundsReport, fmt: str) -> str:
 
 def _cmd_bounds(args: argparse.Namespace) -> int:
     g = _load_graph(args.file)
-    report = energy_bounds_report(g)
-    _write_payload(_bounds_payload(g, report, args.format), args.output)
+    spectrum = randic_spectrum(g)
+    report = energy_bounds_report(g, spectrum)
+    _write_payload(_bounds_payload(g, spectrum, report, args.format),
+                   args.output)
     return 0
 
 

@@ -6,6 +6,13 @@ polynomial formulas need: component counts, cycle classes and the exact
 rational weight Q = prod 1/d_i over covered vertices, with degrees taken in
 the *host* graph.
 
+``elementary_weight_numerators`` sums the signed weights of every order in
+one recursion: it finds and classifies each cycle once and keeps each
+order's sum as an integer numerator over the common denominator prod d_i,
+since Q = prod_{uncovered} d_i / prod_all d_i.  ``enumerate_elementary_subgraphs``
+lists the subgraphs of one order one by one and is the reference the sums
+are tested against.
+
 Everything here is desk scale: the combinatorial routines assume n <= ~10
 and graph enumeration is capped (default 6) because the number of labeled
 mixed graphs grows as 4**C(n, 2).
@@ -23,6 +30,11 @@ from .gains import CycleClass, GainView, classify_cycle, gain_view
 from .graphs import EdgeKind, EdgeRecord, MixedGraph
 
 DEFAULT_GRAPH_CAP = 6
+
+#: Cycle classes whose gain flips the sign of a weight, and those that
+#: double it (see ElementarySubgraph.signed_weight).
+_SIGN_FLIPPING = (CycleClass.NEGATIVE, CycleClass.SEMI_NEGATIVE)
+_DOUBLED = (CycleClass.POSITIVE, CycleClass.NEGATIVE)
 
 #: Per-pair states when enumerating mixed graphs, in stream order.
 _PAIR_STATES = ("absent", "undirected", "forward", "backward")
@@ -169,6 +181,53 @@ def enumerate_elementary_subgraphs(g: MixedGraph, k: int) -> list[ElementarySubg
 
     recurse(set(g.vertices()), 0, [], [])
     return results
+
+
+def elementary_weight_numerators(g: MixedGraph) -> tuple[int, ...]:
+    """Per order k = 0..n, the signed weights of the order-k elementary
+    subgraphs summed over the common denominator prod d_i.
+
+    Entry k, divided by prod d_i, equals the sum of ``signed_weight()`` over
+    ``enumerate_elementary_subgraphs(g, k)``.  Each component contributes a
+    factor of its own: -1 for an edge (r grows by 1), and
+    (-1)**(length - 1 + [negative or semi-negative]) * 2**[positive or
+    negative] for a cycle; each uncovered vertex contributes its degree.
+    The recursion decides the lowest undecided vertex (uncovered, or the
+    minimum of an edge or cycle), so the sums over a set of undecided
+    vertices depend on that set alone and are tabled by it.
+    """
+    view = gain_view(g)
+    degrees = g.degrees()
+    # components[i]: (vertex mask, size, factor) of each edge or cycle whose
+    # minimum vertex is i + 1
+    components: list[list[tuple[int, int, int]]] = [[] for _ in range(g.n)]
+    for u, v in g.underlying_pairs():
+        components[u - 1].append(((1 << (u - 1)) | (1 << (v - 1)), 2, -1))
+    for cycle in enumerate_cycles(g):
+        cls_ = classify_cycle(view, cycle)
+        flip = (len(cycle) - 1 + (cls_ in _SIGN_FLIPPING)) % 2
+        factor = (-1 if flip else 1) * (2 if cls_ in _DOUBLED else 1)
+        mask = sum(1 << (v - 1) for v in cycle)
+        components[cycle[0] - 1].append((mask, len(cycle), factor))
+
+    table: dict[int, list[int]] = {0: [1]}
+
+    def sums(undecided: int) -> list[int]:
+        # entry k: weight numerators of the order-k elementary subgraphs of
+        # the subgraph induced on `undecided`, host degrees throughout
+        if undecided in table:
+            return table[undecided]
+        low = undecided & -undecided
+        i = low.bit_length() - 1
+        out = [degrees[i] * x for x in sums(undecided ^ low)] + [0]
+        for mask, size, factor in components[i]:
+            if mask & undecided == mask:
+                for k, x in enumerate(sums(undecided ^ mask)):
+                    out[k + size] += factor * x
+        table[undecided] = out
+        return out
+
+    return tuple(sums((1 << g.n) - 1))
 
 
 def spanning_elementary_subgraphs(g: MixedGraph) -> list[ElementarySubgraph]:

@@ -9,18 +9,21 @@ elementary subgraphs of the mixed graph:
 
 with a_0 = 1, r = order - components, the l counters classifying cycle
 components by gain, and Q the product of reciprocal host degrees over the
-covered vertices.  k = n specializes to an exact rational determinant.  The
-two routes are kept independent so each can check the other.
+covered vertices.  One recursion (``elementary_weight_numerators``) yields
+every order's sum as an integer over the common denominator prod d_i, and
+k = n specializes to the exact rational determinant (-1)**n a_n.  The two
+routes are kept independent so each can check the other.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
 import numpy as np
 
-from .enumeration import enumerate_elementary_subgraphs
+from .enumeration import elementary_weight_numerators
 from .graphs import MixedGraph
 from .matrices import is_hermitian, randic_matrix
 
@@ -134,9 +137,14 @@ class CharPoly:
         )
 
 
-def char_poly_numeric(mat: np.ndarray) -> CharPoly:
-    """Characteristic polynomial expanded from the eigenvalues."""
-    spectrum = eigendecompose(mat)
+def char_poly_numeric(mat: np.ndarray,
+                      spectrum: Spectrum | None = None) -> CharPoly:
+    """Characteristic polynomial expanded from the eigenvalues.
+
+    ``spectrum``, when given, must be the spectrum of ``mat``.
+    """
+    if spectrum is None:
+        spectrum = eigendecompose(mat)
     coeffs = np.array([1.0])
     for lam in spectrum.eigenvalues:
         coeffs = np.convolve(coeffs, np.array([1.0, -lam]))
@@ -148,8 +156,9 @@ def char_poly_combinatorial(
 ) -> CharPoly:
     """Exact rational characteristic polynomial of the Randic matrix.
 
-    Sums the signed elementary-subgraph weights order by order.  Needs every
-    degree >= 1 and n <= cap; beyond the cap use char_poly_numeric.
+    Sums the signed elementary-subgraph weights of every order in one pass.
+    Needs every degree >= 1 and n <= cap; beyond the cap use
+    char_poly_numeric.
     """
     if g.n > cap:
         raise ValueError(
@@ -157,25 +166,19 @@ def char_poly_combinatorial(
         )
     if min(g.degrees()) == 0:
         raise ValueError("isolated vertex: Randic matrix undefined")
-    coeffs = []
-    for k in range(g.n + 1):
-        total = sum(
-            (sub.signed_weight() for sub in enumerate_elementary_subgraphs(g, k)),
-            Fraction(0),
-        )
-        sign = -1 if k % 2 else 1
-        coeffs.append(sign * total)
-    return CharPoly(tuple(coeffs), exact=True)
+    denominator = math.prod(g.degrees())
+    return CharPoly(tuple(
+        Fraction(-total if k % 2 else total, denominator)
+        for k, total in enumerate(elementary_weight_numerators(g))
+    ), exact=True)
 
 
 def determinant_combinatorial(g: MixedGraph) -> Fraction:
-    """Exact determinant of the Randic matrix via spanning elementary subgraphs."""
+    """Exact determinant of the Randic matrix, (-1)**n a_n: the signed
+    weights of the spanning elementary subgraphs."""
     if min(g.degrees()) == 0:
         raise ValueError("isolated vertex: Randic matrix undefined")
-    return sum(
-        (sub.signed_weight() for sub in enumerate_elementary_subgraphs(g, g.n)),
-        Fraction(0),
-    )
+    return Fraction(elementary_weight_numerators(g)[-1], math.prod(g.degrees()))
 
 
 def eigenvalue_residuals(mat: np.ndarray) -> float:

@@ -1,6 +1,9 @@
 """Checkers for the structural results and the inequality suite.
 
-Every checker is a pure function of the graph.  Numeric inequalities follow
+Every checker is a pure function of the graph.  Optional keywords
+(``spectrum``, ``positive``, ``r_inv``) hand in per-graph facts the caller
+already holds; they must be the graph's own, and run_theorem_suite computes
+each of them once per graph.  Numeric inequalities follow
 one convention: a claim lhs <= rhs is reported with slack = rhs - lhs and
 counts as satisfied when slack >= -tol * max(1, |rhs|), with tol = 1e-9
 unless a check documents otherwise.  Membership tests (is 1 an eigenvalue,
@@ -29,7 +32,7 @@ from .spectra import (
     Spectrum,
     char_poly_combinatorial,
     char_poly_numeric,
-    determinant_combinatorial,
+    eigendecompose,
     randic_spectrum,
 )
 
@@ -40,7 +43,7 @@ TOL_INEQ = 1e-9
 TOL_EIG = 1e-8
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CheckRecord:
     """Outcome of a single named check.
 
@@ -104,8 +107,10 @@ class InterlacingResult:
 
 
 def interlacing_check(g: MixedGraph, pair: tuple[int, int],
-                      tol: float = TOL_INEQ) -> InterlacingResult:
-    """Bracketing of the edge-deleted spectrum by the original spectrum."""
+                      tol: float = TOL_INEQ,
+                      spectrum: Spectrum | None = None) -> InterlacingResult:
+    """Bracketing of the edge-deleted spectrum by the original spectrum,
+    which ``spectrum`` supplies when given."""
     edge = g.edge_between(*pair)
     if edge is None:
         raise ValueError(f"no edge between {pair[0]} and {pair[1]}")
@@ -117,8 +122,9 @@ def interlacing_check(g: MixedGraph, pair: tuple[int, int],
                 f"removing {edge} isolates vertex {v}; the normalized matrix "
                 "needs every degree >= 1"
             )
-    lam = randic_spectrum(g).eigenvalues
-    theta = randic_spectrum(reduced_graph).eigenvalues
+    original = randic_spectrum(g) if spectrum is None else spectrum
+    reduced = randic_spectrum(reduced_graph)
+    lam, theta = original.eigenvalues, reduced.eigenvalues
     n = len(lam)
     verdicts = []
     worst = 0.0
@@ -128,8 +134,7 @@ def interlacing_check(g: MixedGraph, pair: tuple[int, int],
         violation = float(max(low - theta[k], theta[k] - high, 0.0))
         worst = max(worst, violation)
         verdicts.append(violation <= tol)
-    return InterlacingResult(edge, Spectrum(lam), Spectrum(theta),
-                             tuple(verdicts), worst)
+    return InterlacingResult(edge, original, reduced, tuple(verdicts), worst)
 
 
 @dataclass(frozen=True)
@@ -139,8 +144,8 @@ class EigenvalueOneCheck:
     graph_positive: bool
 
 
-def check_eigenvalue_one(g: MixedGraph,
-                         spectrum: Spectrum | None = None) -> EigenvalueOneCheck:
+def check_eigenvalue_one(g: MixedGraph, spectrum: Spectrum | None = None,
+                         positive: bool | None = None) -> EigenvalueOneCheck:
     """Is 1 an eigenvalue, with what multiplicity, and is every cycle gain 1.
 
     For connected graphs the three answers are tied together: eigenvalue 1
@@ -149,7 +154,9 @@ def check_eigenvalue_one(g: MixedGraph,
     _require_connected(g)
     s = randic_spectrum(g) if spectrum is None else spectrum
     mult = s.multiplicity(1.0, TOL_EIG)
-    return EigenvalueOneCheck(mult > 0, mult, is_positive(g))
+    if positive is None:
+        positive = is_positive(g)
+    return EigenvalueOneCheck(mult > 0, mult, positive)
 
 
 @dataclass(frozen=True)
@@ -176,8 +183,8 @@ class MinusOneCheck:
     antibalanced: bool
 
 
-def check_minus_one(g: MixedGraph,
-                    spectrum: Spectrum | None = None) -> MinusOneCheck:
+def check_minus_one(g: MixedGraph, spectrum: Spectrum | None = None,
+                    positive: bool | None = None) -> MinusOneCheck:
     """Is -1 an eigenvalue, against two candidate structural certificates.
 
     Antibalance (switchable to the constant gain -1) is the criterion this
@@ -187,7 +194,9 @@ def check_minus_one(g: MixedGraph,
     _require_connected(g)
     s = randic_spectrum(g) if spectrum is None else spectrum
     anti = switching_certificate_to_constant(gain_view(g), MINUS_ONE) is not None
-    pos_bip = is_positive(g) and g.is_bipartite()
+    if positive is None:
+        positive = is_positive(g)
+    pos_bip = positive and g.is_bipartite()
     return MinusOneCheck(s.contains(-1.0, TOL_EIG), pos_bip, anti)
 
 
@@ -199,7 +208,8 @@ class UnderlyingSpectrumCheck:
 
 
 def check_spectrum_equals_underlying(
-    g: MixedGraph, spectrum: Spectrum | None = None
+    g: MixedGraph, spectrum: Spectrum | None = None,
+    positive: bool | None = None,
 ) -> UnderlyingSpectrumCheck:
     """Does the spectrum coincide with the all-un-oriented version's spectrum,
     and is the graph switching-equivalent to that version (every cycle gain 1)."""
@@ -207,7 +217,9 @@ def check_spectrum_equals_underlying(
     s = randic_spectrum(g) if spectrum is None else spectrum
     plain = randic_spectrum(g.underlying_graph())
     diff = float(np.max(np.abs(s.eigenvalues - plain.eigenvalues)))
-    return UnderlyingSpectrumCheck(diff <= TOL_EIG, is_positive(g), diff)
+    if positive is None:
+        positive = is_positive(g)
+    return UnderlyingSpectrumCheck(diff <= TOL_EIG, positive, diff)
 
 
 def entry_sum(g: MixedGraph) -> float:
@@ -263,13 +275,15 @@ def entry_sum_bounds(g: MixedGraph,
 
 
 def smallest_eigenvalue_bound(g: MixedGraph,
-                              spectrum: Spectrum | None = None) -> CheckRecord:
+                              spectrum: Spectrum | None = None,
+                              r_inv: float | None = None) -> CheckRecord:
     """lambda_min**2 is at least twice the inverse-degree-product edge sum
-    divided by n(n-1)."""
+    r_inv divided by n(n-1)."""
     if g.n < 2:
         raise ValueError("bound needs at least two vertices")
     s = randic_spectrum(g) if spectrum is None else spectrum
-    r_inv = float(general_randic_index(g, -1))
+    if r_inv is None:
+        r_inv = float(general_randic_index(g, -1))
     bound = 2.0 * r_inv / (g.n * (g.n - 1))
     lam_min_sq = float(s.eigenvalues[0]) ** 2
     return _inequality("min_eigenvalue_square", bound, lam_min_sq)
@@ -300,8 +314,8 @@ class BoundsReport:
         return all(r.satisfied for r in self.records if not r.skipped)
 
 
-def energy_bounds_report(g: MixedGraph,
-                         spectrum: Spectrum | None = None) -> BoundsReport:
+def energy_bounds_report(g: MixedGraph, spectrum: Spectrum | None = None,
+                         r_inv: float | None = None) -> BoundsReport:
     """Evaluate the energy bounds.
 
     Naming scheme: energy_lower_* are claims bound <= energy, energy_upper_*
@@ -320,7 +334,8 @@ def energy_bounds_report(g: MixedGraph,
         raise ValueError("energy bounds need at least two vertices")
     s = randic_spectrum(g) if spectrum is None else spectrum
     n = g.n
-    r_inv = float(general_randic_index(g, -1))
+    if r_inv is None:
+        r_inv = float(general_randic_index(g, -1))
     eps = s.energy
     rho = s.rho
     sigma = s.sigma
@@ -429,15 +444,21 @@ def _edge_label(e: EdgeRecord) -> str:
 
 def run_theorem_suite(g: MixedGraph, include_interlacing: bool = True,
                       cap: int = DEFAULT_COMBINATORIAL_CAP) -> TheoremSuite:
-    """Evaluate every checker on one connected graph with all degrees >= 1."""
+    """Evaluate every checker on one connected graph with all degrees >= 1.
+
+    The per-graph facts (matrix, spectrum, positivity, r_inv and the exact
+    characteristic polynomial) are computed here once and handed to the
+    checkers.
+    """
     _require_connected(g)
     degrees = g.degrees()
     if min(degrees) == 0:
         raise ValueError("isolated vertex: the normalized matrix is undefined")
 
     mat = randic_matrix(g)
-    s = randic_spectrum(g)
+    s = eigendecompose(mat)
     vals = s.eigenvalues
+    positive = is_positive(g)
     r_inv = float(general_randic_index(g, -1))
     records: list[CheckRecord] = []
 
@@ -468,11 +489,11 @@ def run_theorem_suite(g: MixedGraph, include_interlacing: bool = True,
         exact = char_poly_combinatorial(g, cap)
         records.append(_inequality(
             "charpoly_agreement",
-            exact.max_difference(char_poly_numeric(mat)),
+            exact.max_difference(char_poly_numeric(mat, s)),
             0.0,
             tol=TOL_EIG,
         ))
-        det_exact = determinant_combinatorial(g)
+        det_exact = (-1) ** g.n * exact.coefficients[-1]
         records.append(_inequality(
             "determinant_identity", abs(float(det_exact) - s.determinant), 0.0
         ))
@@ -486,10 +507,10 @@ def run_theorem_suite(g: MixedGraph, include_interlacing: bool = True,
             if degrees[e.u - 1] == 1 or degrees[e.v - 1] == 1:
                 records.append(_skip(name, "removal isolates a vertex"))
                 continue
-            result = interlacing_check(g, e.pair)
+            result = interlacing_check(g, e.pair, spectrum=s)
             records.append(_inequality(name, result.worst_violation, 0.0))
 
-    one = check_eigenvalue_one(g, s)
+    one = check_eigenvalue_one(g, s, positive)
     one_ok = (not one.has_one) or (one.graph_positive and one.multiplicity == 1)
     records.append(_flag(
         "one_implies_positive_simple",
@@ -512,7 +533,7 @@ def run_theorem_suite(g: MixedGraph, include_interlacing: bool = True,
                f"max_asymmetry={sym.max_asymmetry:.3e}",
     ))
 
-    minus = check_minus_one(g, s)
+    minus = check_minus_one(g, s, positive)
     records.append(_flag(
         "minus_one_iff_antibalanced",
         minus.has_minus_one == minus.antibalanced,
@@ -528,7 +549,7 @@ def run_theorem_suite(g: MixedGraph, include_interlacing: bool = True,
                f"positive_bipartite={minus.positive_bipartite}",
     ))
 
-    under = check_spectrum_equals_underlying(g, s)
+    under = check_spectrum_equals_underlying(g, s, positive)
     records.append(_flag(
         "underlying_spectrum_iff_all_ones",
         under.spectra_equal == under.switch_equiv_allones,
@@ -549,7 +570,7 @@ def run_theorem_suite(g: MixedGraph, include_interlacing: bool = True,
         ))
 
     records.extend(entry_sum_bounds(g, s).records)
-    records.append(smallest_eigenvalue_bound(g, s))
-    records.extend(energy_bounds_report(g, s).records)
+    records.append(smallest_eigenvalue_bound(g, s, r_inv))
+    records.extend(energy_bounds_report(g, s, r_inv).records)
 
     return TheoremSuite(g, s, tuple(records))

@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import pytest
@@ -13,6 +14,7 @@ from mixedrandic import (
     sample_mixed_graphs,
     spanning_elementary_subgraphs,
 )
+from mixedrandic.enumeration import elementary_weight_numerators
 
 
 def complete_graph(n):
@@ -50,10 +52,27 @@ def test_no_spanning_elementary_subgraph_of_p3():
     assert enumerate_elementary_subgraphs(path_graph(3), 3) == []
 
 
+def assert_one_pass_matches(g, by_order):
+    """Each order's one-pass sum equals the summed reference weights of
+    by_order[k], the order-k elementary subgraphs."""
+    numerators = elementary_weight_numerators(g)
+    assert len(numerators) == len(by_order) == g.n + 1
+    denominator = math.prod(g.degrees())
+    for k, (numerator, subs) in enumerate(zip(numerators, by_order)):
+        reference = sum((sub.signed_weight() for sub in subs), Fraction(0))
+        assert Fraction(numerator, denominator) == reference, (g, k)
+
+
+def reference_subgraphs(g):
+    return [enumerate_elementary_subgraphs(g, k) for k in range(g.n + 1)]
+
+
 def test_counter_invariants_exhaustive(exhaustive_population):
     for g in exhaustive_population:
-        for k in range(g.n + 1):
-            for sub in enumerate_elementary_subgraphs(g, k):
+        by_order = reference_subgraphs(g)
+        assert_one_pass_matches(g, by_order)
+        for subs in by_order:
+            for sub in subs:
                 assert sub.l_pos + sub.l_neg + sub.l_semi_pos + sub.l_semi_neg == sub.s
                 assert sub.r == sub.order - sub.c
                 degrees = g.degrees()
@@ -63,6 +82,12 @@ def test_counter_invariants_exhaustive(exhaustive_population):
                 for v in covered:
                     q /= degrees[v - 1]
                 assert q == sub.q
+
+
+@pytest.mark.parametrize("n", [5, 6])
+def test_one_pass_weights_on_sample(n):
+    for g in sample_mixed_graphs(n, 25, seed=31):
+        assert_one_pass_matches(g, reference_subgraphs(g))
 
 
 def test_single_edge_weight():

@@ -14,6 +14,7 @@ from mixedrandic import (
     path_graph,
     randic_matrix,
     randic_spectrum,
+    sample_mixed_graphs,
 )
 from mixedrandic.spectra import eigenvalue_residuals
 
@@ -106,10 +107,15 @@ def test_determinant_combinatorial(g, expected):
     assert determinant_combinatorial(g) == expected
 
 
-def test_determinant_matches_eigenvalue_product():
-    for g in (cycle_graph(5), directed_cycle(5), path_graph(4)):
+def test_determinant_matches_eigenvalue_product(exhaustive_population):
+    graphs = [cycle_graph(5), directed_cycle(5), path_graph(4)]
+    graphs += [g for g in exhaustive_population if g.n <= 3]
+    graphs += sample_mixed_graphs(5, 25, seed=31) + sample_mixed_graphs(6, 25, seed=31)
+    for g in graphs:
+        det = determinant_combinatorial(g)
+        assert det == (-1) ** g.n * char_poly_combinatorial(g).coefficients[-1]
         product = float(np.prod(randic_spectrum(g).eigenvalues))
-        assert abs(float(determinant_combinatorial(g)) - product) < 1e-12
+        assert abs(float(det) - product) < 1e-12
 
 
 def test_combinatorial_route_guards():
