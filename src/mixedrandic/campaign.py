@@ -7,14 +7,12 @@ n in {5, 6}, where the 4-states-per-pair space is out of reach.
 
 Reports are byte-deterministic for a fixed configuration: all floats are
 rendered with 17 significant digits by one formatter shared between the JSON
-and CSV encoders, records keep enumeration order, and worker threads only
-ever compute (the writer consumes results in submission order).
+and CSV encoders, and records keep enumeration order.
 """
 
 from __future__ import annotations
 
 import json
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from io import StringIO
 
@@ -54,7 +52,6 @@ class CampaignConfig:
     seed: int = DEFAULT_SEED
     format: str = "json"
     output: str | None = None
-    jobs: int = 1
 
     def __post_init__(self) -> None:
         if self.n_min < 2 or self.n_max < self.n_min:
@@ -63,8 +60,8 @@ class CampaignConfig:
             raise ValueError(f"unknown report format {self.format!r}")
         if self.min_degree < 0:
             raise ValueError("min_degree must be >= 0")
-        if self.jobs < 1:
-            raise ValueError("jobs must be >= 1")
+        if self.sample_limit is not None and self.sample_limit < 0:
+            raise ValueError("sample_limit must be >= 0")
 
 
 _CONFIG_KEYS = {
@@ -76,7 +73,6 @@ _CONFIG_KEYS = {
     "seed": int,
     "format": str,
     "output": str,
-    "jobs": int,
 }
 
 
@@ -172,15 +168,8 @@ def run_campaign(config: CampaignConfig) -> CampaignResult:
             n, connected_only=config.connected_only,
             min_degree=config.min_degree, sample_limit=config.sample_limit,
             seed=config.seed))
-    if config.jobs == 1:
-        suites = [run_theorem_suite(g) for g in graphs]
-    else:
-        with ThreadPoolExecutor(max_workers=config.jobs) as pool:
-            suites = list(pool.map(run_theorem_suite, graphs))
-    results = tuple(
-        GraphResult(i, g, suite)
-        for i, (g, suite) in enumerate(zip(graphs, suites))
-    )
+    results = tuple(GraphResult(i, g, run_theorem_suite(g))
+                    for i, g in enumerate(graphs))
     return CampaignResult(config, results)
 
 
@@ -218,9 +207,18 @@ def json_object(items: list[tuple[str, str]]) -> str:
     return "{" + ", ".join(f"{json.dumps(k)}: {v}" for k, v in items) + "}"
 
 
+def json_checks(records) -> str:
+    """The JSON object mapping each record's name to its fields."""
+    return json_object([
+        (rec.name, json_object([(k, json_scalar(v))
+                                for k, v in _record_fields(rec)]))
+        for rec in records
+    ])
+
+
 def _config_items(config: CampaignConfig) -> list[tuple[str, str]]:
-    # output path and thread count deliberately left out: reports must be
-    # byte-identical regardless of where they land or how many workers ran
+    # output path deliberately left out: reports must be byte-identical
+    # regardless of where they land
     return [
         ("n_min", json_scalar(config.n_min)),
         ("n_max", json_scalar(config.n_max)),
@@ -238,17 +236,11 @@ def render_json(result: CampaignResult) -> str:
     out.write(f'"config": {json_object(_config_items(result.config))},\n')
     out.write('"graphs": [\n')
     for i, r in enumerate(result.results):
-        checks = ", ".join(
-            f"{json.dumps(rec.name)}: "
-            + json_object([(k, json_scalar(v))
-                            for k, v in _record_fields(rec)])
-            for rec in r.suite.records
-        )
         line = json_object([
             ("index", json_scalar(r.index)),
             ("n", json_scalar(r.graph.n)),
             ("edges", json_scalar(edge_list_label(r.graph))),
-            ("checks", "{" + checks + "}"),
+            ("checks", json_checks(r.suite.records)),
         ])
         out.write(line)
         out.write(",\n" if i + 1 < len(result.results) else "\n")

@@ -17,6 +17,7 @@ from pathlib import Path
 from .campaign import (
     CampaignConfig,
     format_float,
+    json_checks,
     json_object,
     json_scalar,
     parse_campaign_config,
@@ -47,8 +48,16 @@ class _WriteError(Exception):
     pass
 
 
+def _read_text(path: str) -> str:
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path}: not UTF-8 text ({exc.reason} at byte "
+                         f"{exc.start})") from None
+
+
 def _load_graph(path: str) -> MixedGraph:
-    return parse_graph(Path(path).read_text(encoding="utf-8"))
+    return parse_graph(_read_text(path))
 
 
 def _write_payload(text: str, path: str | None) -> None:
@@ -155,18 +164,6 @@ def _cmd_energy(args: argparse.Namespace) -> int:
     return 0
 
 
-def _record_json(rec) -> tuple[str, str]:
-    body = json_object([
-        ("lhs", json_scalar(rec.lhs)),
-        ("rhs", json_scalar(rec.rhs)),
-        ("slack", json_scalar(rec.slack)),
-        ("satisfied", json_scalar(rec.satisfied)),
-        ("skipped", json_scalar(rec.skipped)),
-        ("reason", json_scalar(rec.reason)),
-    ])
-    return rec.name, body
-
-
 def _record_line(rec) -> str:
     if rec.skipped:
         return f"skip {rec.name} ({rec.reason})"
@@ -197,10 +194,8 @@ def _bounds_payload(g: MixedGraph, spectrum: Spectrum, report: BoundsReport,
         ("energy", report.energy),
     ]
     if fmt == "json":
-        checks = ", ".join(f"{json_scalar(name)}: {body}"
-                           for name, body in map(_record_json, records))
         items = [(k, json_scalar(v)) for k, v in meta]
-        items.append(("checks", "{" + checks + "}"))
+        items.append(("checks", json_checks(records)))
         return json_object(items) + "\n"
     lines = [f"{k}: {v if isinstance(v, int) else format_float(v)}"
              for k, v in meta]
@@ -260,10 +255,8 @@ def _cmd_check(args: argparse.Namespace) -> int:
     suite = run_theorem_suite(g)
     failures = suite.failures
     if args.format == "json":
-        checks = ", ".join(f"{json_scalar(name)}: {body}" for name, body
-                           in map(_record_json, suite.records))
         payload = json_object([
-            ("checks", "{" + checks + "}"),
+            ("checks", json_checks(suite.records)),
             ("failures", json_scalar(len(failures))),
             ("skips", json_scalar(len(suite.skips))),
             ("notes", json_scalar(len(suite.notes))),
@@ -279,7 +272,7 @@ def _cmd_check(args: argparse.Namespace) -> int:
 
 def _cmd_enumerate(args: argparse.Namespace) -> int:
     if args.config:
-        config = parse_campaign_config(Path(args.config).read_text("utf-8"))
+        config = parse_campaign_config(_read_text(args.config))
     else:
         config = CampaignConfig()
     connected = None if args.connected_only is None \
@@ -289,7 +282,6 @@ def _cmd_enumerate(args: argparse.Namespace) -> int:
         n_min=args.n_min, n_max=args.n_max, connected_only=connected,
         min_degree=args.min_degree, sample_limit=args.sample_limit,
         seed=args.seed, format=args.format, output=args.output,
-        jobs=args.jobs,
     )
     result = run_campaign(config)
     report = render_report(result)
@@ -362,7 +354,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int)
     p.add_argument("--format", choices=("json", "csv"))
     p.add_argument("--output", metavar="PATH")
-    p.add_argument("--jobs", type=int)
     p.set_defaults(func=_cmd_enumerate, config=None)
 
     return parser

@@ -258,7 +258,6 @@ def enumerate_mixed_graphs(
     n: int,
     connected_only: bool = False,
     min_degree: int = 0,
-    cap: int = DEFAULT_GRAPH_CAP,
 ) -> Iterator[MixedGraph]:
     """Stream every labeled mixed graph on n vertices matching the filter.
 
@@ -268,8 +267,8 @@ def enumerate_mixed_graphs(
     isomorphism reduction.  The full stream has 4**C(n, 2) members, hence
     the cap (exhausting n = 6 is already around 10**9 graphs).
     """
-    if n > cap:
-        raise ValueError(f"n = {n} above enumeration cap {cap}")
+    if n > DEFAULT_GRAPH_CAP:
+        raise ValueError(f"n = {n} above enumeration cap {DEFAULT_GRAPH_CAP}")
     pairs = list(combinations(range(1, n + 1), 2))
     state_vector = [0] * len(pairs)
     while True:

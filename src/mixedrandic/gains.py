@@ -3,9 +3,9 @@
 A mixed graph induces a gain on every oriented edge of its underlying graph:
 1 on an un-oriented edge, ``omega = (1 + i*sqrt(3))/2`` along an arc and its
 conjugate against it.  Since omega is a primitive sixth root of unity, every
-gain and every cycle gain of such a view is a sixth root of unity; those are
-kept symbolically (an exponent mod 6) so that cycle classification and
-switching certificates never touch floating point.
+gain and every cycle gain of such a view is a sixth root of unity.  Gains are
+held only as such roots, symbolically (an exponent mod 6), so that cycle
+classification and switching certificates never touch floating point.
 
 Switching by a vertex function zeta maps the gain g(i, j) to
 ``zeta(i)**-1 * g(i, j) * zeta(j)``; it preserves every cycle gain and the
@@ -25,8 +25,6 @@ from .graphs import EdgeKind, MixedGraph
 
 OMEGA = complex(0.5, math.sqrt(3.0) / 2.0)
 OMEGA_BAR = OMEGA.conjugate()
-
-_ROOT_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -64,32 +62,6 @@ W = SixthRoot(1)          # omega itself
 W_BAR = SixthRoot(5)
 MINUS_ONE = SixthRoot(3)
 
-Gain = SixthRoot | complex
-
-
-def _as_complex(g: Gain) -> complex:
-    return g.value if isinstance(g, SixthRoot) else complex(g)
-
-
-def _mul(a: Gain, b: Gain) -> Gain:
-    if isinstance(a, SixthRoot) and isinstance(b, SixthRoot):
-        return a * b
-    return _as_complex(a) * _as_complex(b)
-
-
-def _inv(a: Gain) -> Gain:
-    if isinstance(a, SixthRoot):
-        return a.inverse()
-    return 1.0 / complex(a)
-
-
-def nearest_sixth_root(z: complex, tol: float = _ROOT_TOL) -> SixthRoot | None:
-    """The sixth root of unity within tol of z, or None."""
-    for k in range(6):
-        if abs(z - SixthRoot(k).value) <= tol:
-            return SixthRoot(k)
-    return None
-
 
 class CycleClass(Enum):
     """Cycle classification by gain: 1, -1, {w, w-bar}, {-w, -w-bar}."""
@@ -119,17 +91,13 @@ class GainView:
     """
 
     base: MixedGraph
-    gains: Mapping[tuple[int, int], Gain]
+    gains: Mapping[tuple[int, int], SixthRoot]
 
-    def gain(self, i: int, j: int) -> Gain:
+    def gain(self, i: int, j: int) -> SixthRoot:
         try:
             return self.gains[(i, j)]
         except KeyError:
             raise ValueError(f"no edge between {i} and {j}") from None
-
-    @property
-    def is_exact(self) -> bool:
-        return all(isinstance(g, SixthRoot) for g in self.gains.values())
 
 
 def gain_view(g: MixedGraph) -> GainView:
@@ -138,7 +106,7 @@ def gain_view(g: MixedGraph) -> GainView:
     Un-oriented edges carry gain 1; an arc u -> v carries omega along the
     arc and its conjugate against it.
     """
-    gains: dict[tuple[int, int], Gain] = {}
+    gains: dict[tuple[int, int], SixthRoot] = {}
     for e in g.edges:
         if e.kind is EdgeKind.UNDIRECTED:
             gains[(e.u, e.v)] = ONE
@@ -158,44 +126,34 @@ def _check_cycle(view: GainView, cycle: tuple[int, ...]) -> None:
             raise ValueError(f"{cycle} is not a cycle: {a} and {b} not adjacent")
 
 
-def cycle_gain(view: GainView, cycle: tuple[int, ...]) -> Gain:
+def cycle_gain(view: GainView, cycle: tuple[int, ...]) -> SixthRoot:
     """Product of gains along the cycle in the order given.
 
     Reversing the traversal direction conjugates the result.
     """
     _check_cycle(view, cycle)
     closed = list(cycle) + [cycle[0]]
-    out: Gain = ONE
+    out = ONE
     for a, b in zip(closed, closed[1:]):
-        out = _mul(out, view.gains[(a, b)])
+        out = out * view.gains[(a, b)]
     return out
 
 
 def classify_cycle(view: GainView, cycle: tuple[int, ...]) -> CycleClass:
-    """Classify a cycle by its gain; independent of traversal direction.
+    """Classify a cycle by its gain; independent of traversal direction."""
+    return _CLASS_BY_EXPONENT[cycle_gain(view, cycle).k]
 
-    Gains that are not sixth roots of unity (possible only for hand-built
-    views) are rejected rather than forced into a class.
+
+def is_positive(g: MixedGraph) -> bool:
+    """True iff every cycle of the mixed graph has gain 1.
+
+    Tree-propagation: potentials theta with theta(root) = 1 and
+    g(i, j) = theta(i)/theta(j) are pushed over a spanning forest, and every
+    co-tree edge must close a gain-1 cycle.
     """
-    g = cycle_gain(view, cycle)
-    if not isinstance(g, SixthRoot):
-        root = nearest_sixth_root(g)
-        if root is None:
-            raise ValueError(f"cycle gain {g} is not a sixth root of unity; unclassified")
-        g = root
-    return _CLASS_BY_EXPONENT[g.k]
-
-
-def _propagate(view: GainView) -> tuple[dict[int, Gain], bool]:
-    """BFS potentials with theta(root) = 1 and g(i, j) = theta(i)/theta(j).
-
-    Returns (theta, consistent): consistent is False when some non-tree edge
-    contradicts the propagated potentials, i.e. some cycle has gain != 1.
-    """
-    g = view.base
+    view = gain_view(g)
     adj = g.adjacency_sets()
-    theta: dict[int, Gain] = {}
-    consistent = True
+    theta: dict[int, SixthRoot] = {}
     for start in g.vertices():
         if start in theta:
             continue
@@ -206,30 +164,10 @@ def _propagate(view: GainView) -> tuple[dict[int, Gain], bool]:
             for w in adj[v]:
                 if w not in theta:
                     # g(v, w) = theta(v)/theta(w)  =>  theta(w) = theta(v)/g(v, w)
-                    theta[w] = _mul(theta[v], _inv(view.gains[(v, w)]))
+                    theta[w] = theta[v] * view.gains[(v, w)].inverse()
                     queue.append(w)
-    for (i, j), gij in view.gains.items():
-        expected = _mul(theta[i], _inv(theta[j]))
-        if isinstance(gij, SixthRoot) and isinstance(expected, SixthRoot):
-            if gij != expected:
-                consistent = False
-        elif abs(_as_complex(gij) - _as_complex(expected)) > _ROOT_TOL:
-            consistent = False
-    return theta, consistent
-
-
-def view_is_positive(view: GainView) -> bool:
-    """True iff every cycle of the view has gain 1 (acyclic views qualify)."""
-    return _propagate(view)[1]
-
-
-def is_positive(g: MixedGraph) -> bool:
-    """True iff every cycle of the mixed graph has gain 1.
-
-    Tree-propagation: potentials are pushed over a spanning forest and every
-    co-tree edge must close a gain-1 cycle.
-    """
-    return view_is_positive(gain_view(g))
+    return all(gij == theta[i] * theta[j].inverse()
+               for (i, j), gij in view.gains.items())
 
 
 def is_positive_by_paths(g: MixedGraph) -> bool:
@@ -252,9 +190,7 @@ def is_positive_by_paths(g: MixedGraph) -> bool:
                 return
             for w in sorted(adj[v]):
                 if w not in seen:
-                    step = view.gains[(v, w)]
-                    assert isinstance(step, SixthRoot)
-                    extend(w, seen | {w}, acc * step)
+                    extend(w, seen | {w}, acc * view.gains[(v, w)])
 
         extend(s, {s}, ONE)
         return found
@@ -265,25 +201,24 @@ def is_positive_by_paths(g: MixedGraph) -> bool:
     return True
 
 
-def apply_switching(view: GainView, zeta: Mapping[int, Gain]) -> GainView:
+def apply_switching(view: GainView, zeta: Mapping[int, SixthRoot]) -> GainView:
     """Switch a gain view: g(i, j) becomes zeta(i)**-1 * g(i, j) * zeta(j).
 
-    Cycle gains are preserved.  The result stays exact when both the view
-    and zeta are sixth-root valued.
+    Cycle gains are preserved.
     """
     missing = [v for v in view.base.vertices() if v not in zeta]
     if missing:
         raise ValueError(f"switching function undefined on vertices {missing}")
     new_gains = {
-        (i, j): _mul(_inv(zeta[i]), _mul(g, zeta[j]))
+        (i, j): zeta[i].inverse() * g * zeta[j]
         for (i, j), g in view.gains.items()
     }
     return GainView(view.base, new_gains)
 
 
 def switching_certificate_to_constant(
-    view: GainView, target: Gain | int
-) -> dict[int, Gain] | None:
+    view: GainView, target: SixthRoot | int
+) -> dict[int, SixthRoot] | None:
     """A switching function taking every gain to the constant target, if any.
 
     target must be 1 or -1.  The certificate is gauged with zeta(1) = 1 and
@@ -299,22 +234,18 @@ def switching_certificate_to_constant(
     if not g.is_connected():
         raise ValueError("switching certificates require a connected graph")
     adj = g.adjacency_sets()
-    zeta: dict[int, Gain] = {1: ONE}
+    zeta: dict[int, SixthRoot] = {1: ONE}
     queue = [1]
     while queue:
         v = queue.pop()
         for w in adj[v]:
             if w not in zeta:
                 # want zeta(v)**-1 g(v, w) zeta(w) = target
-                zeta[w] = _mul(target, _mul(zeta[v], _inv(view.gains[(v, w)])))
+                zeta[w] = target * zeta[v] * view.gains[(v, w)].inverse()
                 queue.append(w)
     switched = apply_switching(view, zeta)
-    for gain in switched.gains.values():
-        if isinstance(gain, SixthRoot):
-            if gain != target:
-                return None
-        elif abs(_as_complex(gain) - target.value) > _ROOT_TOL:
-            return None
+    if any(gain != target for gain in switched.gains.values()):
+        return None
     return zeta
 
 
@@ -330,6 +261,6 @@ def are_switching_equivalent(v1: GainView, v2: GainView) -> bool:
         raise ValueError("views live on different underlying graphs")
     quotient = GainView(
         g1,
-        {key: _mul(v1.gains[key], _inv(v2.gains[key])) for key in v1.gains},
+        {key: v1.gains[key] * v2.gains[key].inverse() for key in v1.gains},
     )
     return switching_certificate_to_constant(quotient, ONE) is not None

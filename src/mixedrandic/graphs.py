@@ -128,22 +128,12 @@ class MixedGraph:
         """Edges of the underlying graph as sorted (u, v) pairs, u < v."""
         return [e.pair for e in self.edges]
 
-    def neighbors(self, v: int) -> list[int]:
-        """Neighbors of v in the underlying graph, ascending."""
-        out = [e.u if e.v == v else e.v for e in self.edges if v in (e.u, e.v)]
-        return sorted(out)
-
     def adjacency_sets(self) -> dict[int, set[int]]:
         adj: dict[int, set[int]] = {v: set() for v in self.vertices()}
         for e in self.edges:
             adj[e.u].add(e.v)
             adj[e.v].add(e.u)
         return adj
-
-    def has_pair(self, u: int, v: int) -> bool:
-        """True if the underlying graph joins u and v."""
-        pair = (u, v) if u < v else (v, u)
-        return any(e.pair == pair for e in self.edges)
 
     def edge_between(self, u: int, v: int) -> EdgeRecord | None:
         pair = (u, v) if u < v else (v, u)
@@ -159,9 +149,6 @@ class MixedGraph:
             d[e.u - 1] += 1
             d[e.v - 1] += 1
         return tuple(d)
-
-    def degree(self, v: int) -> int:
-        return self.degrees()[v - 1]
 
     def without_edge(self, e: EdgeRecord) -> "MixedGraph":
         """A copy with the given edge removed (other edges keep their order)."""
@@ -256,7 +243,8 @@ def parse_graph(text: str) -> MixedGraph:
         raise ParseError("missing 'vertices <n>' line")
     no, line = content[1]
     tokens = line.split()
-    if len(tokens) != 2 or tokens[0] != "vertices" or not tokens[1].isdigit():
+    if (len(tokens) != 2 or tokens[0] != "vertices"
+            or not (tokens[1].isascii() and tokens[1].isdigit())):
         raise ParseError(f"line {no}: expected 'vertices <n>'")
     n = int(tokens[1])
     if n < 1:

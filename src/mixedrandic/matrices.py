@@ -84,11 +84,6 @@ def normalized_laplacian(g: MixedGraph) -> np.ndarray:
     return np.eye(g.n, dtype=complex) - randic_matrix(g)
 
 
-def laplacians(g: MixedGraph) -> tuple[np.ndarray, np.ndarray]:
-    """The Laplacian D - H and its degree-normalized companion."""
-    return laplacian(g), normalized_laplacian(g)
-
-
 def incidence_matrix(g: MixedGraph) -> np.ndarray:
     """A vertex-by-edge incidence matrix S; columns follow g.edges order.
 
@@ -121,23 +116,6 @@ def randic_via_incidence(g: MixedGraph, incidence: np.ndarray | None = None) -> 
     scaling = np.diag([1.0 / math.sqrt(dv) for dv in d])
     half = scaling @ incidence
     return np.eye(g.n, dtype=complex) - half @ half.conj().T
-
-
-def walk_value(g: MixedGraph, walk: tuple[int, ...]) -> complex:
-    """Product of Randic-matrix entries along a walk.
-
-    Consecutive vertices must be adjacent in the underlying graph; the value
-    of the reversed walk is the conjugate.
-    """
-    if len(walk) == 0:
-        raise ValueError("walk must contain at least one vertex")
-    r = randic_matrix(g)
-    out = 1.0 + 0.0j
-    for a, b in zip(walk, walk[1:]):
-        if not g.has_pair(a, b):
-            raise ValueError(f"walk step {a} -> {b} is not an edge")
-        out *= r[a - 1, b - 1]
-    return out
 
 
 def quadratic_form(g: MixedGraph, y: np.ndarray) -> float:

@@ -40,7 +40,6 @@ class Spectrum:
     """Sorted real eigenvalues of a Hermitian matrix plus derived scalars."""
 
     eigenvalues: np.ndarray
-    tol_zero: float = TOL_ZERO
 
     def __post_init__(self) -> None:
         vals = np.asarray(self.eigenvalues, dtype=float)
@@ -67,8 +66,8 @@ class Spectrum:
 
     @property
     def negative_count(self) -> int:
-        """Number of eigenvalues below -tol_zero."""
-        return int(np.sum(self.eigenvalues < -self.tol_zero))
+        """Number of eigenvalues below -TOL_ZERO."""
+        return int(np.sum(self.eigenvalues < -TOL_ZERO))
 
     @property
     def determinant(self) -> float:
@@ -77,7 +76,7 @@ class Spectrum:
 
     @property
     def is_singular(self) -> bool:
-        return self.sigma <= self.tol_zero
+        return self.sigma <= TOL_ZERO
 
     def multiplicity(self, value: float, tol: float = 1e-8) -> int:
         return int(np.sum(np.abs(self.eigenvalues - value) <= tol))
@@ -86,17 +85,14 @@ class Spectrum:
         return self.multiplicity(value, tol) > 0
 
 
-def eigendecompose(mat: np.ndarray, vectors: bool = False):
-    """Spectrum of a Hermitian matrix, optionally with orthonormal eigenvectors.
+def eigendecompose(mat: np.ndarray) -> Spectrum:
+    """Spectrum of a Hermitian matrix.
 
     Rejects non-Hermitian input instead of silently symmetrizing.
     """
     mat = np.asarray(mat, dtype=complex)
     if not is_hermitian(mat):
         raise ValueError("matrix is not Hermitian")
-    if vectors:
-        vals, vecs = np.linalg.eigh(mat)
-        return Spectrum(vals), vecs
     return Spectrum(np.linalg.eigvalsh(mat))
 
 
@@ -151,18 +147,17 @@ def char_poly_numeric(mat: np.ndarray,
     return CharPoly(tuple(float(c) for c in coeffs), exact=False)
 
 
-def char_poly_combinatorial(
-    g: MixedGraph, cap: int = DEFAULT_COMBINATORIAL_CAP
-) -> CharPoly:
+def char_poly_combinatorial(g: MixedGraph) -> CharPoly:
     """Exact rational characteristic polynomial of the Randic matrix.
 
     Sums the signed elementary-subgraph weights of every order in one pass.
-    Needs every degree >= 1 and n <= cap; beyond the cap use
-    char_poly_numeric.
+    Needs every degree >= 1 and n <= DEFAULT_COMBINATORIAL_CAP; beyond the
+    cap use char_poly_numeric.
     """
-    if g.n > cap:
+    if g.n > DEFAULT_COMBINATORIAL_CAP:
         raise ValueError(
-            f"n = {g.n} above combinatorial cap {cap}; use the numeric route"
+            f"n = {g.n} above combinatorial cap {DEFAULT_COMBINATORIAL_CAP}; "
+            "use the numeric route"
         )
     if min(g.degrees()) == 0:
         raise ValueError("isolated vertex: Randic matrix undefined")
@@ -179,10 +174,3 @@ def determinant_combinatorial(g: MixedGraph) -> Fraction:
     if min(g.degrees()) == 0:
         raise ValueError("isolated vertex: Randic matrix undefined")
     return Fraction(elementary_weight_numerators(g)[-1], math.prod(g.degrees()))
-
-
-def eigenvalue_residuals(mat: np.ndarray) -> float:
-    """max over eigenpairs of the infinity norm of H v - lambda v."""
-    spectrum, vecs = eigendecompose(mat, vectors=True)
-    residual = mat @ vecs - vecs * spectrum.eigenvalues[np.newaxis, :]
-    return float(np.max(np.abs(residual)))

@@ -442,8 +442,8 @@ def _edge_label(e: EdgeRecord) -> str:
     return str(e).replace(" ", "")
 
 
-def run_theorem_suite(g: MixedGraph, include_interlacing: bool = True,
-                      cap: int = DEFAULT_COMBINATORIAL_CAP) -> TheoremSuite:
+def run_theorem_suite(g: MixedGraph,
+                      include_interlacing: bool = True) -> TheoremSuite:
     """Evaluate every checker on one connected graph with all degrees >= 1.
 
     The per-graph facts (matrix, spectrum, positivity, r_inv and the exact
@@ -485,8 +485,8 @@ def run_theorem_suite(g: MixedGraph, include_interlacing: bool = True,
         tol=1e-14,
     ))
 
-    if g.n <= cap:
-        exact = char_poly_combinatorial(g, cap)
+    if g.n <= DEFAULT_COMBINATORIAL_CAP:
+        exact = char_poly_combinatorial(g)
         records.append(_inequality(
             "charpoly_agreement",
             exact.max_difference(char_poly_numeric(mat, s)),
@@ -498,8 +498,9 @@ def run_theorem_suite(g: MixedGraph, include_interlacing: bool = True,
             "determinant_identity", abs(float(det_exact) - s.determinant), 0.0
         ))
     else:
-        records.append(_skip("charpoly_agreement", f"n = {g.n} above cap {cap}"))
-        records.append(_skip("determinant_identity", f"n = {g.n} above cap {cap}"))
+        reason = f"n = {g.n} above cap {DEFAULT_COMBINATORIAL_CAP}"
+        records.append(_skip("charpoly_agreement", reason))
+        records.append(_skip("determinant_identity", reason))
 
     if include_interlacing:
         for e in g.edges:

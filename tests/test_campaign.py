@@ -48,13 +48,12 @@ def test_population_truncation():
 
 def test_parse_campaign_config():
     cfg = parse_campaign_config(
-        "# campaign\nn_min 2\nn_max 3\nmin_degree 1\nsample_limit 20\nseed 99\nformat csv\njobs 2\n"
+        "# campaign\nn_min 2\nn_max 3\nmin_degree 1\nsample_limit 20\nseed 99\nformat csv\n"
     )
     assert cfg.n_min == 2 and cfg.n_max == 3
     assert cfg.sample_limit == 20
     assert cfg.seed == 99
     assert cfg.format == "csv"
-    assert cfg.jobs == 2
 
 
 @pytest.mark.parametrize(
@@ -80,7 +79,7 @@ def test_config_validation():
     with pytest.raises(ValueError):
         CampaignConfig(n_min=3, n_max=2)
     with pytest.raises(ValueError):
-        CampaignConfig(jobs=0)
+        CampaignConfig(sample_limit=-1)
     with pytest.raises(ValueError):
         CampaignConfig(format="yaml")
 
@@ -123,7 +122,7 @@ def test_n3_campaign_divergences():
 
 def test_report_bytes_do_not_depend_on_output_or_jobs():
     plain = run_campaign(CampaignConfig(n_min=2, n_max=3))
-    routed = run_campaign(CampaignConfig(n_min=2, n_max=3, output="elsewhere.json", jobs=3))
+    routed = run_campaign(CampaignConfig(n_min=2, n_max=3, output="elsewhere.json"))
     assert render_json(plain) == render_json(routed)
     assert render_csv(plain) == render_csv(routed)
 

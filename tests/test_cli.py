@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -115,12 +116,36 @@ def test_check_reports_failures_with_exit_1(tmp_path, capsys):
     assert "FAIL bipartite_iff_symmetric" in out
 
 
+def test_single_graph_json_digests_are_pinned(c3_file, tmp_path, capsys):
+    # Any change to these bytes must be deliberate: update the digests in
+    # the same change and say why.
+    p4 = tmp_path / "p4.txt"
+    p4.write_text(P4)
+    digests = {}
+    for name, path in (("c3", c3_file), ("p4", str(p4))):
+        for command in ("check", "bounds"):
+            assert main([command, path, "--format", "json"]) == 0
+            out = capsys.readouterr().out
+            digests[f"{command} {name}"] = hashlib.sha256(out.encode()).hexdigest()
+    assert digests == {
+        "check c3": "fbbcf324bd696864b8ca70ad1f1241dc2ab444cae59772e6e5b882ae861242be",
+        "bounds c3": "578f3dccf56b2e6c1f4990c8d6457ab8d218197142148335bcd33f4c62be2e67",
+        "check p4": "47c6cacccb142ca0c86ac098bb33359728ad864f803af46924eea3ba0f181891",
+        "bounds p4": "b81802d2c2fd202ec3c8af0f153c957320f05c45973aeeaef005837b8c6e0569",
+    }
+
+
 def test_missing_and_malformed_files(tmp_path, capsys):
     assert main(["spectrum", str(tmp_path / "absent.txt")]) == 2
     bad = tmp_path / "bad.txt"
     bad.write_text("mixedgraph v1\nvertices 2\n1 -- 1\n")
     assert main(["spectrum", str(bad)]) == 2
-    capsys.readouterr()
+    binary = tmp_path / "binary.txt"
+    binary.write_bytes(b"mixedgraph v1\nvertices 2\n\xff\n")
+    assert main(["spectrum", str(binary)]) == 2
+    assert str(binary) in capsys.readouterr().err
+    assert main(["enumerate", "--config", str(binary)]) == 2
+    assert str(binary) in capsys.readouterr().err
 
 
 def test_isolated_vertex_is_a_precondition_error(tmp_path, capsys):

@@ -25,7 +25,6 @@ from mixedrandic.gains import (
     W_BAR,
     SixthRoot,
     is_positive_by_paths,
-    nearest_sixth_root,
 )
 
 ROOTS = [SixthRoot(k) for k in range(6)]
@@ -53,7 +52,6 @@ def test_sixth_root_arithmetic():
     assert abs(W.value - (0.5 + 0.8660254037844386j)) < 1e-15
     for root in ROOTS:
         assert abs(root.value * root.conjugate().value - 1) < 1e-15
-        assert nearest_sixth_root(root.value) == root
 
 
 def test_cycle_gain():

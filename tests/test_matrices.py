@@ -23,7 +23,6 @@ from mixedrandic.matrices import (
     format_matrix,
     is_hermitian,
     quadratic_form,
-    walk_value,
 )
 
 w = W.value
@@ -115,14 +114,6 @@ def test_incidence_column_structure():
 def test_incidence_factorization_small():
     for g in population(3):
         assert np.max(np.abs(randic_via_incidence(g) - randic_matrix(g))) <= 1e-12
-
-
-def test_walk_value():
-    value = walk_value(directed_cycle(3), (1, 2, 3))
-    assert abs(value - (w * w) / 4) < 1e-15
-    assert abs(abs(value) - 1 / 4) < 1e-15  # product of 1/sqrt(d d') factors
-    with pytest.raises(ValueError):
-        walk_value(path_graph(3), (1, 3))
 
 
 def test_quadratic_form_matches_matrix_product():
