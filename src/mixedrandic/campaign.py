@@ -58,8 +58,8 @@ class CampaignConfig:
             raise ValueError(f"bad vertex range {self.n_min}..{self.n_max}")
         if self.format not in ("json", "csv"):
             raise ValueError(f"unknown report format {self.format!r}")
-        if self.min_degree < 0:
-            raise ValueError("min_degree must be >= 0")
+        if not 0 <= self.min_degree <= self.n_min - 1:
+            raise ValueError(f"min_degree must be in 0..n_min - 1 = {self.n_min - 1}")
         if self.sample_limit is not None and self.sample_limit < 0:
             raise ValueError("sample_limit must be >= 0")
 

@@ -297,7 +297,12 @@ def sample_mixed_graphs(
 
     Draws edge-state vectors uniformly and keeps those passing the filter
     until count graphs are collected; deterministic for a fixed seed.
+    Raises if min_degree exceeds n - 1, which no graph on n vertices meets.
     """
+    if min_degree > n - 1:
+        raise ValueError(
+            f"min_degree {min_degree} above n - 1 = {n - 1}: no graph passes"
+        )
     rng = random.Random(seed)
     pairs = list(combinations(range(1, n + 1), 2))
     out: list[MixedGraph] = []

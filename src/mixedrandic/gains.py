@@ -127,16 +127,15 @@ def _check_cycle(view: GainView, cycle: tuple[int, ...]) -> None:
 
 
 def cycle_gain(view: GainView, cycle: tuple[int, ...]) -> SixthRoot:
-    """Product of gains along the cycle in the order given.
+    """Product of gains along the cycle in the order given: the sum of
+    their exponents, mod 6.
 
     Reversing the traversal direction conjugates the result.
     """
     _check_cycle(view, cycle)
-    closed = list(cycle) + [cycle[0]]
-    out = ONE
-    for a, b in zip(closed, closed[1:]):
-        out = out * view.gains[(a, b)]
-    return out
+    gains = view.gains
+    return SixthRoot(sum(gains[(a, b)].k
+                         for a, b in zip(cycle, cycle[1:] + cycle[:1])))
 
 
 def classify_cycle(view: GainView, cycle: tuple[int, ...]) -> CycleClass:

@@ -256,10 +256,10 @@ def parse_graph(text: str) -> MixedGraph:
         tokens = line.split()
         if len(tokens) != 3 or tokens[1] not in ("--", "->"):
             raise ParseError(f"line {no}: expected '<u> -- <v>' or '<u> -> <v>'")
-        try:
-            u, v = int(tokens[0]), int(tokens[2])
-        except ValueError:
-            raise ParseError(f"line {no}: vertex labels must be integers") from None
+        a, b = tokens[0], tokens[2]
+        if not (a.isascii() and a.isdigit() and b.isascii() and b.isdigit()):
+            raise ParseError(f"line {no}: vertex labels must be ASCII digits")
+        u, v = int(a), int(b)
         if not (1 <= u <= n and 1 <= v <= n):
             raise ParseError(f"line {no}: vertex out of range 1..{n}")
         if u == v:

@@ -85,15 +85,21 @@ class Spectrum:
         return self.multiplicity(value, tol) > 0
 
 
-def eigendecompose(mat: np.ndarray) -> Spectrum:
-    """Spectrum of a Hermitian matrix.
+def eigendecompose_stack(stack: np.ndarray) -> tuple[Spectrum, ...]:
+    """Spectra of a (k, n, n) stack of Hermitian matrices, from one solve.
 
-    Rejects non-Hermitian input instead of silently symmetrizing.
+    Rejects the stack if any matrix in it is not Hermitian, instead of
+    silently symmetrizing.
     """
-    mat = np.asarray(mat, dtype=complex)
-    if not is_hermitian(mat):
+    stack = np.asarray(stack, dtype=complex)
+    if stack.ndim != 3 or not is_hermitian(stack):
         raise ValueError("matrix is not Hermitian")
-    return Spectrum(np.linalg.eigvalsh(mat))
+    return tuple(Spectrum(vals) for vals in np.linalg.eigvalsh(stack))
+
+
+def eigendecompose(mat: np.ndarray) -> Spectrum:
+    """Spectrum of a Hermitian matrix."""
+    return eigendecompose_stack(np.asarray(mat, dtype=complex)[np.newaxis])[0]
 
 
 def randic_spectrum(g: MixedGraph) -> Spectrum:

@@ -1,14 +1,14 @@
 """Checkers for the structural results and the inequality suite.
 
 Every checker is a pure function of the graph.  Optional keywords
-(``spectrum``, ``positive``, ``r_inv``) hand in per-graph facts the caller
-already holds; they must be the graph's own, and run_theorem_suite computes
-each of them once per graph.  Numeric inequalities follow
-one convention: a claim lhs <= rhs is reported with slack = rhs - lhs and
-counts as satisfied when slack >= -tol * max(1, |rhs|), with tol = 1e-9
-unless a check documents otherwise.  Membership tests (is 1 an eigenvalue,
-do two spectra agree) use the looser 1e-8 because they compare independently
-computed floating-point spectra.
+(``spectrum``, ``positive``, ``r_inv``, ``plain``) hand in per-graph facts
+the caller already holds; they must be the graph's own, and
+run_theorem_suite computes each of them once per graph.  Numeric
+inequalities follow one convention: a claim lhs <= rhs is reported with
+slack = rhs - lhs and counts as satisfied when slack >= -tol * max(1, |rhs|),
+with tol = 1e-9 unless a check documents otherwise.  Membership tests (is 1
+an eigenvalue, do two spectra agree) use the looser 1e-8 because they
+compare independently computed floating-point spectra.
 
 The checks named ``*_iff_*`` assert equivalences between a spectral fact and
 a combinatorial certificate; ``minus_one_vs_positive_bipartite`` is the one
@@ -20,19 +20,20 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
 from .gains import MINUS_ONE, gain_view, is_positive, switching_certificate_to_constant
 from .graphs import EdgeKind, EdgeRecord, MixedGraph, general_randic_index
-from .matrices import laplacian, randic_matrix, randic_via_incidence
+from .matrices import laplacian, randic_matrices, randic_via_incidence
 from .spectra import (
     DEFAULT_COMBINATORIAL_CAP,
     TOL_ZERO,
     Spectrum,
     char_poly_combinatorial,
     char_poly_numeric,
-    eigendecompose,
+    eigendecompose_stack,
     randic_spectrum,
 )
 
@@ -106,35 +107,34 @@ class InterlacingResult:
         return all(self.verdicts)
 
 
+def _interlacing_violations(original: Spectrum,
+                            reduced: Sequence[Spectrum]) -> np.ndarray:
+    """Entry [s, k]: how far eigenvalue k of the s-th edge-deleted spectrum
+    lies outside [original k - 1, original k + 1] (with -1 below position 0
+    and 1 above position n - 1), or 0 inside it."""
+    lam = original.eigenvalues
+    theta = np.array([r.eigenvalues for r in reduced]).reshape(-1, len(lam))
+    bracket = np.concatenate(([-1.0], lam, [1.0]))
+    return np.maximum(np.maximum(bracket[:-2] - theta, theta - bracket[2:]), 0.0)
+
+
+def _worst(violations: np.ndarray) -> list[float]:
+    """Per row, the largest violation as a plain float (0.0, not -0.0, when
+    nothing is violated)."""
+    return [max(0.0, w) for w in violations.max(axis=-1).tolist()]
+
+
 def interlacing_check(g: MixedGraph, pair: tuple[int, int],
-                      tol: float = TOL_INEQ,
-                      spectrum: Spectrum | None = None) -> InterlacingResult:
-    """Bracketing of the edge-deleted spectrum by the original spectrum,
-    which ``spectrum`` supplies when given."""
+                      tol: float = TOL_INEQ) -> InterlacingResult:
+    """Bracketing of the edge-deleted spectrum by the original spectrum."""
     edge = g.edge_between(*pair)
     if edge is None:
         raise ValueError(f"no edge between {pair[0]} and {pair[1]}")
-    reduced_graph = g.without_edge(edge)
-    degrees = reduced_graph.degrees()
-    for v in reduced_graph.vertices():
-        if degrees[v - 1] == 0:
-            raise ValueError(
-                f"removing {edge} isolates vertex {v}; the normalized matrix "
-                "needs every degree >= 1"
-            )
-    original = randic_spectrum(g) if spectrum is None else spectrum
-    reduced = randic_spectrum(reduced_graph)
-    lam, theta = original.eigenvalues, reduced.eigenvalues
-    n = len(lam)
-    verdicts = []
-    worst = 0.0
-    for k in range(n):
-        low = -1.0 if k == 0 else lam[k - 1]
-        high = 1.0 if k == n - 1 else lam[k + 1]
-        violation = float(max(low - theta[k], theta[k] - high, 0.0))
-        worst = max(worst, violation)
-        verdicts.append(violation <= tol)
-    return InterlacingResult(edge, original, reduced, tuple(verdicts), worst)
+    original, reduced = eigendecompose_stack(randic_matrices(g, (edge,)))
+    violations = _interlacing_violations(original, (reduced,))
+    verdicts = tuple(x <= tol for x in violations[0].tolist())
+    return InterlacingResult(edge, original, reduced, verdicts,
+                             _worst(violations)[0])
 
 
 @dataclass(frozen=True)
@@ -209,13 +209,15 @@ class UnderlyingSpectrumCheck:
 
 def check_spectrum_equals_underlying(
     g: MixedGraph, spectrum: Spectrum | None = None,
-    positive: bool | None = None,
+    positive: bool | None = None, plain: Spectrum | None = None,
 ) -> UnderlyingSpectrumCheck:
-    """Does the spectrum coincide with the all-un-oriented version's spectrum,
-    and is the graph switching-equivalent to that version (every cycle gain 1)."""
+    """Does the spectrum coincide with the all-un-oriented version's spectrum
+    (``plain`` when given), and is the graph switching-equivalent to that
+    version (every cycle gain 1)."""
     _require_connected(g)
     s = randic_spectrum(g) if spectrum is None else spectrum
-    plain = randic_spectrum(g.underlying_graph())
+    if plain is None:
+        plain = randic_spectrum(g.underlying_graph())
     diff = float(np.max(np.abs(s.eigenvalues - plain.eigenvalues)))
     if positive is None:
         positive = is_positive(g)
@@ -448,15 +450,22 @@ def run_theorem_suite(g: MixedGraph,
 
     The per-graph facts (matrix, spectrum, positivity, r_inv and the exact
     characteristic polynomial) are computed here once and handed to the
-    checkers.
+    checkers.  The spectra of the graph, of its underlying graph and of
+    every edge deletion that interlacing checks come from one stacked solve.
     """
     _require_connected(g)
     degrees = g.degrees()
     if min(degrees) == 0:
         raise ValueError("isolated vertex: the normalized matrix is undefined")
 
-    mat = randic_matrix(g)
-    s = eigendecompose(mat)
+    # one solve for R(g), R(g - e) for every edge whose removal isolates no
+    # vertex, and R of the underlying graph
+    removable = [e for e in g.edges if include_interlacing
+                 and degrees[e.u - 1] > 1 and degrees[e.v - 1] > 1]
+    stack = np.concatenate((randic_matrices(g, removable),
+                            randic_matrices(g.underlying_graph())))
+    s, *reduced, plain = eigendecompose_stack(stack)
+    mat = stack[0]
     vals = s.eigenvalues
     positive = is_positive(g)
     r_inv = float(general_randic_index(g, -1))
@@ -503,13 +512,13 @@ def run_theorem_suite(g: MixedGraph,
         records.append(_skip("determinant_identity", reason))
 
     if include_interlacing:
+        worst = iter(_worst(_interlacing_violations(s, reduced)))
         for e in g.edges:
             name = f"interlacing:{_edge_label(e)}"
             if degrees[e.u - 1] == 1 or degrees[e.v - 1] == 1:
                 records.append(_skip(name, "removal isolates a vertex"))
                 continue
-            result = interlacing_check(g, e.pair, spectrum=s)
-            records.append(_inequality(name, result.worst_violation, 0.0))
+            records.append(_inequality(name, next(worst), 0.0))
 
     one = check_eigenvalue_one(g, s, positive)
     one_ok = (not one.has_one) or (one.graph_positive and one.multiplicity == 1)
@@ -550,7 +559,7 @@ def run_theorem_suite(g: MixedGraph,
                f"positive_bipartite={minus.positive_bipartite}",
     ))
 
-    under = check_spectrum_equals_underlying(g, s, positive)
+    under = check_spectrum_equals_underlying(g, s, positive, plain=plain)
     records.append(_flag(
         "underlying_spectrum_iff_all_ones",
         under.spectra_equal == under.switch_equiv_allones,

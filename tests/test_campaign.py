@@ -82,6 +82,13 @@ def test_config_validation():
         CampaignConfig(sample_limit=-1)
     with pytest.raises(ValueError):
         CampaignConfig(format="yaml")
+    # no graph on 5 vertices has degree 5
+    with pytest.raises(ValueError, match="min_degree"):
+        CampaignConfig(n_min=5, n_max=5, min_degree=5)
+    with pytest.raises(ValueError, match="min_degree"):
+        CampaignConfig(min_degree=-1)
+    with pytest.raises(ParseError, match="min_degree"):
+        parse_campaign_config("n_min 5\nn_max 6\nmin_degree 5\n")
 
 
 def test_with_overrides_skips_none():
@@ -200,4 +207,18 @@ def test_report_digests_are_pinned():
     assert digests == {
         "csv": "f5688f5d19637e63e504b975c1674ed34ab83c2d010792bea04d48ca50a2c3f0",
         "json": "f494142b5881cb845ef88f5e2a0a74e30c1a4f52ba2712d1f7c72db070a0de61",
+    }
+
+
+def test_sampled_report_digests_are_pinned():
+    # As above, any change to these bytes must be deliberate.  The n = 2..3
+    # pin has few non-pendant edges, so few interlacing records; seeded
+    # n = 5, 6 samples have many.
+    result = run_campaign(CampaignConfig(n_min=5, n_max=6, sample_limit=60,
+                                         seed=1729))
+    digests = {fmt: hashlib.sha256(render(result).encode()).hexdigest()
+               for fmt, render in (("csv", render_csv), ("json", render_json))}
+    assert digests == {
+        "csv": "38a576b19437090f2e6056204fd6fcfcdc0ddf2792d0aa7c006c8914f6d559d7",
+        "json": "d97cfb290ad5e63912bbafaff4d320c4c3b94667698273a5af799e079843eadd",
     }

@@ -1,5 +1,9 @@
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -146,6 +150,26 @@ def test_missing_and_malformed_files(tmp_path, capsys):
     assert str(binary) in capsys.readouterr().err
     assert main(["enumerate", "--config", str(binary)]) == 2
     assert str(binary) in capsys.readouterr().err
+
+
+def test_enumerate_with_unreachable_min_degree_exits_promptly(tmp_path):
+    # A 5-vertex graph has no degree 5: the sampler used to draw forever.
+    # In a subprocess with a timeout, so that a regression fails, not hangs.
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    argv = [sys.executable, "-m", "mixedrandic.cli", "enumerate"]
+    done = subprocess.run(
+        argv + ["--n-min", "5", "--n-max", "5", "--min-degree", "5",
+                "--sample-limit", "1"],
+        env=env, capture_output=True, text=True, timeout=60)
+    assert done.returncode == 3
+    assert "min_degree" in done.stderr
+    config = tmp_path / "campaign.cfg"
+    config.write_text("n_min 5\nn_max 5\nmin_degree 5\nsample_limit 1\n")
+    done = subprocess.run(argv + ["--config", str(config)], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 2
+    assert "min_degree" in done.stderr
 
 
 def test_isolated_vertex_is_a_precondition_error(tmp_path, capsys):

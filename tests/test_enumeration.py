@@ -152,3 +152,11 @@ def test_sampling_determinism():
         assert g.n == 5
         assert g.is_connected()
         assert min(g.degrees()) >= 1
+
+
+def test_sampling_rejects_an_unreachable_min_degree():
+    with pytest.raises(ValueError, match="min_degree"):
+        sample_mixed_graphs(5, 1, seed=1, min_degree=5)
+    # n - 1 is reachable: only complete underlying graphs pass
+    for g in sample_mixed_graphs(4, 5, seed=1, min_degree=3):
+        assert g.degrees() == (3, 3, 3, 3)

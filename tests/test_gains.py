@@ -16,6 +16,7 @@ from mixedrandic import (
     is_positive,
     path_graph,
     population,
+    sample_mixed_graphs,
     switching_certificate_to_constant,
 )
 from mixedrandic.gains import (
@@ -61,6 +62,27 @@ def test_cycle_gain():
     assert cycle_gain(v, (1, 2, 3)) == W
     # the reversed traversal conjugates
     assert cycle_gain(v, (1, 3, 2)) == W_BAR
+
+
+def product_cycle_gain(view, cycle):
+    """Reference: the SixthRoot product along the closed walk."""
+    closed = list(cycle) + [cycle[0]]
+    out = ONE
+    for a, b in zip(closed, closed[1:]):
+        out = out * view.gain(a, b)
+    return out
+
+
+@pytest.mark.parametrize("n,seed", [(5, 21), (6, 22)])
+def test_cycle_gain_matches_product_reference(n, seed):
+    cycles = 0
+    for g in sample_mixed_graphs(n, 80, seed=seed):
+        v = gain_view(g)
+        for cyc in enumerate_cycles(g):
+            for walk in (cyc, cyc[::-1], cyc[1:] + cyc[:1]):
+                assert cycle_gain(v, walk) == product_cycle_gain(v, walk)
+            cycles += 1
+    assert cycles > 1000
 
 
 def test_cycle_gain_rejects_non_cycles():

@@ -53,7 +53,12 @@ def test_parse_rejects_bad_edges(text, fragment):
 
 def test_parse_rejects_garbage():
     for text in ("", "mixedgraph v2\nvertices 2", "mixedgraph v1\nvertices 2\n1 ~ 2",
-                 "mixedgraph v1\nvertices zero", "mixedgraph v1\nvertices ²"):
+                 "mixedgraph v1\nvertices zero", "mixedgraph v1\nvertices ²",
+                 # edge labels that int() would accept
+                 "mixedgraph v1\nvertices 2\n١ -- 2",
+                 "mixedgraph v1\nvertices 10\n1_0 -- 2",
+                 "mixedgraph v1\nvertices 2\n+1 -- 2",
+                 "mixedgraph v1\nvertices 2\n1 -> ２"):
         with pytest.raises(ParseError):
             parse_graph(text)
 

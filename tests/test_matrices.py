@@ -1,9 +1,11 @@
+import math
 import random
 
 import numpy as np
 import pytest
 
 from mixedrandic import (
+    EdgeKind,
     MixedGraph,
     cycle_graph,
     directed_cycle,
@@ -17,12 +19,13 @@ from mixedrandic import (
     randic_matrix,
     randic_via_incidence,
 )
-from mixedrandic.gains import W, W_BAR
+from mixedrandic.gains import OMEGA, W, W_BAR
 from mixedrandic.matrices import (
     format_complex,
     format_matrix,
     is_hermitian,
     quadratic_form,
+    randic_matrices,
 )
 
 w = W.value
@@ -53,6 +56,54 @@ def test_randic_entries():
     np.testing.assert_allclose(
         randic_matrix(directed_cycle(3)), hermitian_adjacency(directed_cycle(3)) / 2
     )
+
+
+def loop_randic_matrix(g):
+    """Reference builder: one Python complex per edge, conjugate written
+    into the transposed slot."""
+    d = g.degrees()
+    r = np.zeros((g.n, g.n), dtype=complex)
+    for e in g.edges:
+        i, j = e.u - 1, e.v - 1
+        val = (1.0 / math.sqrt(d[i] * d[j])) * (
+            1.0 + 0.0j if e.kind is EdgeKind.UNDIRECTED else OMEGA)
+        r[i, j] = val
+        r[j, i] = val.conjugate()
+    return r
+
+
+def same_bits(a, b):
+    # np.array_equal, and also equal signs of zero
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+def test_randic_matrices_rows_are_the_edge_deleted_matrices(graphs_with_deletions):
+    for g, deleted in graphs_with_deletions:
+        stack = randic_matrices(g, deleted)
+        assert stack.shape == (1 + len(deleted), g.n, g.n)
+        assert same_bits(stack[0], loop_randic_matrix(g))
+        assert same_bits(randic_matrix(g), loop_randic_matrix(g))
+        for row, e in zip(stack[1:], deleted):
+            assert np.array_equal(row, randic_matrix(g.without_edge(e)))
+            assert same_bits(row, loop_randic_matrix(g.without_edge(e)))
+
+
+def test_randic_matrices_guards():
+    with pytest.raises(ValueError, match="not in graph"):
+        randic_matrices(path_graph(3), (cycle_graph(3).edges[-1],))
+    with pytest.raises(ValueError, match="isolates vertex 1"):
+        randic_matrices(path_graph(3), path_graph(3).edges[:1])
+    iso = parse_graph("mixedgraph v1\nvertices 3\n1 -- 2")
+    with pytest.raises(ValueError, match="vertex 3 is isolated"):
+        randic_matrices(iso)
+
+
+def test_is_hermitian_on_stacks():
+    stack = randic_matrices(cycle_graph(4), cycle_graph(4).edges)
+    assert is_hermitian(stack)
+    stack[2, 0, 1] += 1e-6
+    assert not is_hermitian(stack)
+    assert not is_hermitian(np.zeros(3))
 
 
 def test_randic_matches_sandwich_product():

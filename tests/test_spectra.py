@@ -16,6 +16,8 @@ from mixedrandic import (
     randic_spectrum,
     sample_mixed_graphs,
 )
+from mixedrandic.matrices import randic_matrices
+from mixedrandic.spectra import eigendecompose_stack
 
 
 def single_arc_triangle():
@@ -48,6 +50,29 @@ def test_spectrum_of_path3():
 def test_eigendecompose_rejects_non_hermitian():
     with pytest.raises(ValueError):
         eigendecompose(np.array([[0.0, 1.0], [0.0, 0.0]]))
+
+
+def test_eigendecompose_stack_matches_single_solves(graphs_with_deletions):
+    for g, deleted in graphs_with_deletions:
+        stack = randic_matrices(g, deleted)
+        spectra = eigendecompose_stack(stack)
+        assert len(spectra) == len(stack)
+        for mat, s in zip(stack, spectra):
+            single = eigendecompose(mat).eigenvalues
+            assert np.array_equal(s.eigenvalues, single)
+            # bit for bit, against a solve of the one matrix alone
+            reference = np.sort(np.linalg.eigvalsh(mat.copy()))
+            assert s.eigenvalues.tobytes() == reference.tobytes()
+
+
+def test_eigendecompose_stack_rejects_one_non_hermitian_slice():
+    stack = randic_matrices(cycle_graph(4), cycle_graph(4).edges)
+    assert len(eigendecompose_stack(stack)) == 5
+    stack[3, 1, 2] = 0.5j
+    with pytest.raises(ValueError, match="not Hermitian"):
+        eigendecompose_stack(stack)
+    with pytest.raises(ValueError, match="not Hermitian"):
+        eigendecompose_stack(stack[0])  # one matrix, not a stack
 
 
 def test_char_poly_numeric_triangle():

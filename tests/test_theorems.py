@@ -50,6 +50,41 @@ def test_interlacing_on_c4():
         assert interlacing_check(cycle_graph(4), pair).holds
 
 
+def loop_interlacing(original, reduced, tol=1e-9):
+    """Reference: the per-position loop, one Python max per position."""
+    lam, theta = original.eigenvalues, reduced.eigenvalues
+    n = len(lam)
+    verdicts = []
+    worst = 0.0
+    for k in range(n):
+        low = -1.0 if k == 0 else lam[k - 1]
+        high = 1.0 if k == n - 1 else lam[k + 1]
+        violation = float(max(low - theta[k], theta[k] - high, 0.0))
+        worst = max(worst, violation)
+        verdicts.append(violation <= tol)
+    return tuple(verdicts), worst
+
+
+@pytest.mark.parametrize("tol", [1e-9, 0.0, -1e-3])
+def test_interlacing_matches_per_position_loop(tol, graphs_with_deletions):
+    checked = 0
+    for g, deleted in graphs_with_deletions:
+        records = run_theorem_suite(g).as_dict()
+        original = randic_spectrum(g)
+        for e in deleted:
+            verdicts, worst = loop_interlacing(
+                original, randic_spectrum(g.without_edge(e)), tol)
+            result = interlacing_check(g, e.pair, tol=tol)
+            assert result.verdicts == verdicts
+            assert all(type(v) is bool for v in result.verdicts)
+            assert result.worst_violation == worst
+            assert str(result.worst_violation) == str(worst)  # also sign of 0
+            record = records[f"interlacing:{str(e).replace(' ', '')}"]
+            assert record.lhs == worst and str(record.lhs) == str(worst)
+            checked += 1
+    assert checked > 500
+
+
 def test_interlacing_guards():
     with pytest.raises(ValueError):
         interlacing_check(cycle_graph(3), (1, 4))
