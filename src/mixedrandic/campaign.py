@@ -18,7 +18,7 @@ from io import StringIO
 
 from .enumeration import enumerate_mixed_graphs, sample_mixed_graphs
 from .graphs import MixedGraph, ParseError
-from .theorems import CheckRecord, TheoremSuite, run_theorem_suite
+from .theorems import CheckRecord, TheoremSuite, run_theorem_suites
 
 #: Largest n enumerated exhaustively; larger sizes are sampled.
 EXHAUSTIVE_LIMIT = 4
@@ -168,8 +168,8 @@ def run_campaign(config: CampaignConfig) -> CampaignResult:
             n, connected_only=config.connected_only,
             min_degree=config.min_degree, sample_limit=config.sample_limit,
             seed=config.seed))
-    results = tuple(GraphResult(i, g, run_theorem_suite(g))
-                    for i, g in enumerate(graphs))
+    results = tuple(GraphResult(i, g, suite) for i, (g, suite)
+                    in enumerate(zip(graphs, run_theorem_suites(graphs))))
     return CampaignResult(config, results)
 
 

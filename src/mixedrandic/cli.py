@@ -3,13 +3,15 @@
 Subcommands: spectrum, charpoly, energy, bounds, interlace, check, enumerate.
 Exit codes: 0 success, 1 a `check` run found failing assertions, 2 input
 could not be parsed or read, 3 a precondition was violated (isolated vertex,
-disconnected graph, size cap), 4 the output path could not be written.
-All numbers are printed with 17 significant digits.
+disconnected graph, size cap), 4 the output path could not be written, 5 an
+internal error (any other exception, reported in one line on stderr without
+a traceback).  All numbers are printed with 17 significant digits.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -359,8 +361,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    # built on the first request, not at import; parse_args leaves it as
+    # it was, so every request can share it
+    return build_parser()
+
+
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except _WriteError as exc:
@@ -372,6 +381,9 @@ def main(argv: list[str] | None = None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
+    except Exception as exc:
+        print(f"error: internal: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 5
 
 
 if __name__ == "__main__":

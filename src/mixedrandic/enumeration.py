@@ -63,6 +63,9 @@ def enumerate_cycles(g: MixedGraph) -> list[tuple[int, ...]]:
 
     for start in g.vertices():
         extend(start, [start])
+    # extend refers to itself: dropping it breaks the reference cycle that
+    # would keep `cycles` alive until the collector's next full pass
+    del extend
     return sorted(cycles, key=lambda c: (len(c), c))
 
 
@@ -227,7 +230,11 @@ def elementary_weight_numerators(g: MixedGraph) -> tuple[int, ...]:
         table[undecided] = out
         return out
 
-    return tuple(sums((1 << g.n) - 1))
+    out = tuple(sums((1 << g.n) - 1))
+    # sums refers to itself: dropping it breaks the reference cycle that
+    # would keep the table alive until the collector's next full pass
+    del sums
+    return out
 
 
 def spanning_elementary_subgraphs(g: MixedGraph) -> list[ElementarySubgraph]:

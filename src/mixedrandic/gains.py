@@ -143,30 +143,55 @@ def classify_cycle(view: GainView, cycle: tuple[int, ...]) -> CycleClass:
     return _CLASS_BY_EXPONENT[cycle_gain(view, cycle).k]
 
 
-def is_positive(g: MixedGraph) -> bool:
-    """True iff every cycle of the mixed graph has gain 1.
+def _balance(view: GainView) -> tuple[dict[int, tuple[int, int]], bool, bool]:
+    """Switching potentials of a gain view and the two verdicts they decide.
 
-    Tree-propagation: potentials theta with theta(root) = 1 and
-    g(i, j) = theta(i)/theta(j) are pushed over a spanning forest, and every
-    co-tree edge must close a gain-1 cycle.
+    One traversal of each component of the underlying graph, from its
+    smallest vertex, gives every vertex v an exponent z(v) mod 6 (0 at the
+    root, z(w) = z(v) - k(v, w) along each tree edge v -> w of gain
+    omega**k) and the parity p(v) of its depth.  Switching by omega**z takes
+    every tree edge to gain 1, and switching by omega**(z + 3p) takes every
+    tree edge to gain -1.  Every oriented edge is then checked against both:
+    the graph is positive iff each k(v, w) - z(v) + z(w) is 0 mod 6, and
+    antibalanced iff it is 3 where p(v) = p(w) and 0 where they differ.
     """
-    view = gain_view(g)
-    adj = g.adjacency_sets()
-    theta: dict[int, SixthRoot] = {}
-    for start in g.vertices():
-        if start in theta:
+    adj = view.base.adjacency_sets()
+    gains = view.gains
+    potentials: dict[int, tuple[int, int]] = {}
+    for start in view.base.vertices():
+        if start in potentials:
             continue
-        theta[start] = ONE
-        queue = [start]
-        while queue:
-            v = queue.pop()
+        potentials[start] = (0, 0)
+        stack = [start]
+        while stack:
+            v = stack.pop()
+            z, p = potentials[v]
             for w in adj[v]:
-                if w not in theta:
-                    # g(v, w) = theta(v)/theta(w)  =>  theta(w) = theta(v)/g(v, w)
-                    theta[w] = theta[v] * view.gains[(v, w)].inverse()
-                    queue.append(w)
-    return all(gij == theta[i] * theta[j].inverse()
-               for (i, j), gij in view.gains.items())
+                if w not in potentials:
+                    potentials[w] = ((z - gains[(v, w)].k) % 6, 1 - p)
+                    stack.append(w)
+    positive = antibalanced = True
+    for (v, w), gain in gains.items():
+        zv, pv = potentials[v]
+        zw, pw = potentials[w]
+        rest = (gain.k - zv + zw) % 6
+        positive = positive and rest == 0
+        antibalanced = antibalanced and rest == (3 if pv == pw else 0)
+    return potentials, positive, antibalanced
+
+
+def gain_balance(g: MixedGraph) -> tuple[bool, bool]:
+    """Whether the mixed graph is positive (every cycle gain 1) and whether
+    it is antibalanced (every cycle gain (-1)**length, i.e. switchable to
+    the constant gain -1), from one integer traversal; a disconnected graph
+    is decided per component."""
+    _, positive, antibalanced = _balance(gain_view(g))
+    return positive, antibalanced
+
+
+def is_positive(g: MixedGraph) -> bool:
+    """True iff every cycle of the mixed graph has gain 1."""
+    return gain_balance(g)[0]
 
 
 def is_positive_by_paths(g: MixedGraph) -> bool:
@@ -221,31 +246,22 @@ def switching_certificate_to_constant(
     """A switching function taking every gain to the constant target, if any.
 
     target must be 1 or -1.  The certificate is gauged with zeta(1) = 1 and
-    built by BFS propagation; existence for target 1 means every cycle gain
-    is 1, and for target -1 that every cycle gain is (-1)**length.  Requires
-    a connected underlying graph.
+    read off the switching potentials of one traversal (see _balance);
+    existence for target 1 means every cycle gain is 1, and for target -1
+    that every cycle gain is (-1)**length.  Requires a connected underlying
+    graph.
     """
     if target in (1, -1):
         target = ONE if target == 1 else MINUS_ONE
     if not isinstance(target, SixthRoot) or target.k not in (0, 3):
         raise ValueError("target gain must be 1 or -1")
-    g = view.base
-    if not g.is_connected():
+    if not view.base.is_connected():
         raise ValueError("switching certificates require a connected graph")
-    adj = g.adjacency_sets()
-    zeta: dict[int, SixthRoot] = {1: ONE}
-    queue = [1]
-    while queue:
-        v = queue.pop()
-        for w in adj[v]:
-            if w not in zeta:
-                # want zeta(v)**-1 g(v, w) zeta(w) = target
-                zeta[w] = target * zeta[v] * view.gains[(v, w)].inverse()
-                queue.append(w)
-    switched = apply_switching(view, zeta)
-    if any(gain != target for gain in switched.gains.values()):
+    potentials, positive, antibalanced = _balance(view)
+    if not (antibalanced if target.k else positive):
         return None
-    return zeta
+    shift = 3 if target.k else 0
+    return {v: SixthRoot(z + shift * p) for v, (z, p) in potentials.items()}
 
 
 def are_switching_equivalent(v1: GainView, v2: GainView) -> bool:

@@ -10,14 +10,16 @@ Four matrices are built from a mixed graph X with underlying degrees d_i:
 - ``incidence_matrix`` S with I - (D^-1/2 S)(D^-1/2 S)* equal to the Randic
   matrix, giving an independent route to it
 
-All matrices are plain complex ndarrays, Hermitian exactly by construction
-(the (j, i) entry is written as the conjugate of the (i, j) entry).  Vertex
-v occupies row/column v - 1.
+Each builder takes a population of graphs of one order and fills one
+(G, n, n) stack with one fancy index (``randic_stack`` also adds the
+edge-deleted and underlying matrices); the one-graph functions are the
+population of one.  All matrices are plain complex ndarrays, Hermitian
+exactly by construction (the (j, i) entry is written as the conjugate of the
+(i, j) entry).  Vertex v occupies row/column v - 1.
 """
 
 from __future__ import annotations
 
-import math
 from typing import Sequence
 
 import numpy as np
@@ -46,62 +48,106 @@ def is_hermitian(mat: np.ndarray, tol: float = 1e-12) -> bool:
     return bool((asym <= tol * abs(mat).max(axis=axes, initial=1.0)).all())
 
 
+def _edge_arrays(graphs: Sequence[MixedGraph]) -> tuple[np.ndarray, ...]:
+    """Every edge of a population of one order, concatenated in order: the
+    index of its graph, its 0-based ends u and v, and whether it is an arc."""
+    table = np.array([(i, e.u - 1, e.v - 1, e.kind is EdgeKind.ARC)
+                      for i, g in enumerate(graphs) for e in g.edges],
+                     dtype=np.intp).reshape(-1, 4)
+    return table[:, 0], table[:, 1], table[:, 2], table[:, 3].astype(bool)
+
+
+def _filled(count: int, n: int, where: np.ndarray, u: np.ndarray,
+            v: np.ndarray, upper: np.ndarray) -> np.ndarray:
+    """A (count, n, n) stack, zero but for upper[j] at [where[j], u[j], v[j]]
+    and its conjugate at [where[j], v[j], u[j]]: Hermitian by construction."""
+    stack = np.zeros((count, n, n), dtype=complex)
+    stack[where, u, v] = upper
+    stack[where, v, u] = upper.conj()
+    return stack
+
+
+def hermitian_adjacencies(graphs: Sequence[MixedGraph]) -> np.ndarray:
+    """The sixth-root Hermitian adjacency matrices of a population of one
+    order, as one (G, n, n) stack."""
+    owner, u, v, arc = _edge_arrays(graphs)
+    return _filled(len(graphs), graphs[0].n, owner, u, v,
+                   np.where(arc, OMEGA, 1.0 + 0.0j))
+
+
 def hermitian_adjacency(g: MixedGraph) -> np.ndarray:
     """The sixth-root Hermitian adjacency matrix of a mixed graph."""
-    h = np.zeros((g.n, g.n), dtype=complex)
-    for e in g.edges:
-        i, j = e.u - 1, e.v - 1
-        val = 1.0 + 0.0j if e.kind is EdgeKind.UNDIRECTED else OMEGA
-        h[i, j] = val
-        h[j, i] = val.conjugate()
-    return h
+    return hermitian_adjacencies([g])[0]
+
+
+def randic_stack(graphs: Sequence[MixedGraph],
+                 deleted: Sequence[Sequence[EdgeRecord]],
+                 underlying: bool = False) -> np.ndarray:
+    """Degree-normalized matrices D^-1/2 H D^-1/2 of a population of one
+    order, as one (sum k, n, n) stack filled by one fancy index per
+    triangle.  For each graph in turn: R(g), then R(g - e) for each edge e
+    of its ``deleted`` list (degrees recomputed), then, with ``underlying``,
+    R of its underlying graph.
+
+    Raises if a deletion or a graph itself leaves a vertex isolated (the
+    normalization is undefined); each graph's deletions are checked first.
+    """
+    owner, u, v, arc = _edge_arrays(graphs)
+    start = np.searchsorted(owner, np.arange(len(graphs)))
+    # per slice: its graph, its deleted edge (-1: none) and whether it
+    # holds the underlying graph
+    degrees, slices = [], []
+    for i, (g, cut) in enumerate(zip(graphs, deleted)):
+        d = g.degrees()
+        degrees.append(d)
+        slices.append((i, -1, False))
+        for e in cut:
+            try:
+                j = g.edges.index(e)
+            except ValueError:
+                raise ValueError(f"edge {e} not in graph") from None
+            if 0 in d or d[e.u - 1] == 1 or d[e.v - 1] == 1:
+                reduced = list(d)
+                reduced[e.u - 1] -= 1
+                reduced[e.v - 1] -= 1
+                raise ValueError(
+                    f"removing {e} isolates vertex {reduced.index(0) + 1}; "
+                    "the normalized matrix needs every degree >= 1"
+                )
+            slices.append((i, start[i] + j, False))
+        _require_positive_degrees(d)
+        if underlying:
+            slices.append((i, -1, True))
+    graph_of, cut_of, plain_of = np.array(slices, dtype=np.intp).reshape(-1, 3).T
+    plain_of = plain_of.astype(bool)
+
+    # float degrees: their products stay exact integers
+    slice_degrees = np.array(degrees, dtype=float)[graph_of]
+    cuts = np.flatnonzero(cut_of >= 0)
+    slice_degrees[cuts, u[cut_of[cuts]]] -= 1.0
+    slice_degrees[cuts, v[cut_of[cuts]]] -= 1.0
+
+    # every slice holds every edge of its graph but its deleted one
+    counts = np.bincount(owner, minlength=len(graphs))[graph_of]
+    where = np.repeat(np.arange(len(graph_of)), counts)
+    edge = (np.arange(len(where)) + np.repeat(start[graph_of] - np.cumsum(counts)
+                                              + counts, counts))
+    keep = edge != cut_of[where]
+    where, edge = where[keep], edge[keep]
+    plain = plain_of[where]
+    # the underlying graph stores each edge with its smaller end first
+    a, b = u[edge], v[edge]
+    a, b = np.where(plain, np.minimum(a, b), a), np.where(plain, np.maximum(a, b), b)
+    gain = np.where(arc[edge] & ~plain, OMEGA, 1.0 + 0.0j)
+    upper = 1.0 / np.sqrt(slice_degrees[where, a] * slice_degrees[where, b]) * gain
+    return _filled(len(graph_of), graphs[0].n, where, a, b, upper)
 
 
 def randic_matrices(g: MixedGraph,
                     deleted: Sequence[EdgeRecord] = ()) -> np.ndarray:
     """R(g) followed by R(g - e) for each edge e of ``deleted``, as one
-    (1 + len(deleted), n, n) stack of degree-normalized matrices
-    D^-1/2 H D^-1/2, with the degrees recomputed for each deletion.
-
-    Raises if a deletion or g itself leaves a vertex isolated (the
-    normalization is undefined); deletions are checked first.
-    """
-    d = g.degrees()
-    slices = [d]
-    cut = []
-    for e in deleted:
-        if e not in g.edges:
-            raise ValueError(f"edge {e} not in graph")
-        cut.append(g.edges.index(e))
-        reduced = list(d)
-        reduced[e.u - 1] -= 1
-        reduced[e.v - 1] -= 1
-        if 0 in reduced:
-            raise ValueError(
-                f"removing {e} isolates vertex {reduced.index(0) + 1}; the "
-                "normalized matrix needs every degree >= 1"
-            )
-        slices.append(reduced)
-    _require_positive_degrees(d)
-    # float degrees: their products stay exact integers, as in math.sqrt(d_i * d_j)
-    degrees = np.array(slices, dtype=float)
-    # ends[0], ends[1]: the 0-based endpoints of every edge
-    ends = np.array([[e.u - 1 for e in g.edges], [e.v - 1 for e in g.edges]],
-                    dtype=np.intp).reshape(2, g.m)
-    gain = np.array([1.0 + 0.0j if e.kind is EdgeKind.UNDIRECTED else OMEGA
-                     for e in g.edges], dtype=complex)
-    upper = 1.0 / np.sqrt(degrees[:, ends].prod(axis=1)) * gain
-    lower = upper.conj()
-    if cut:
-        # zeroed after the conjugate is taken, so that both entries of a
-        # deleted edge read +0.0 + 0.0j, as in the matrix of g - e
-        upper[range(1, len(slices)), cut] = 0.0
-        lower[range(1, len(slices)), cut] = 0.0
-    u, v = ends
-    r = np.zeros((len(slices), g.n, g.n), dtype=complex)
-    r[:, u, v] = upper
-    r[:, v, u] = lower
-    return r
+    (1 + len(deleted), n, n) stack: the one-graph case of randic_stack."""
+    return randic_stack([g], [deleted])
 
 
 def randic_matrix(g: MixedGraph) -> np.ndarray:
@@ -112,13 +158,18 @@ def randic_matrix(g: MixedGraph) -> np.ndarray:
     return randic_matrices(g)[0]
 
 
+def laplacians(graphs: Sequence[MixedGraph]) -> np.ndarray:
+    """D - H for a population of one order, D the diagonal degree matrix of
+    the underlying graph, as one (G, n, n) stack."""
+    lap = -hermitian_adjacencies(graphs)
+    diagonal = np.arange(graphs[0].n)
+    lap[:, diagonal, diagonal] = [g.degrees() for g in graphs]
+    return lap
+
+
 def laplacian(g: MixedGraph) -> np.ndarray:
     """D - H with D the diagonal degree matrix of the underlying graph."""
-    lap = -hermitian_adjacency(g)
-    d = g.degrees()
-    for i in range(g.n):
-        lap[i, i] = d[i]
-    return lap
+    return laplacians([g])[0]
 
 
 def normalized_laplacian(g: MixedGraph) -> np.ndarray:
@@ -126,8 +177,10 @@ def normalized_laplacian(g: MixedGraph) -> np.ndarray:
     return np.eye(g.n, dtype=complex) - randic_matrix(g)
 
 
-def incidence_matrix(g: MixedGraph) -> np.ndarray:
-    """A vertex-by-edge incidence matrix S; columns follow g.edges order.
+def incidence_matrices(graphs: Sequence[MixedGraph]) -> np.ndarray:
+    """Vertex-by-edge incidence matrices S of a population of one order, as
+    one (G, n, max m) stack; columns follow each graph's edge order, and a
+    graph with fewer edges has zero columns after its own.
 
     Unit entries at the two endpoints of each edge, constrained so that the
     endpoint entries of an un-oriented edge are negatives of each other and
@@ -135,30 +188,44 @@ def incidence_matrix(g: MixedGraph) -> np.ndarray:
     un-oriented edge (u < v) gets (1, -1); an arc u -> v gets (-omega, 1).
     Any per-column unit rescaling satisfies the same constraints.
     """
-    s = np.zeros((g.n, g.m), dtype=complex)
-    for col, e in enumerate(g.edges):
-        if e.kind is EdgeKind.UNDIRECTED:
-            s[e.u - 1, col] = 1.0
-            s[e.v - 1, col] = -1.0
-        else:
-            s[e.v - 1, col] = 1.0
-            s[e.u - 1, col] = -OMEGA
+    owner, u, v, arc = _edge_arrays(graphs)
+    start = np.searchsorted(owner, np.arange(len(graphs)))
+    column = np.arange(len(owner)) - start[owner]
+    width = int(column.max()) + 1 if len(column) else 0
+    s = np.zeros((len(graphs), graphs[0].n, width), dtype=complex)
+    s[owner, u, column] = np.where(arc, -OMEGA, 1.0)
+    s[owner, v, column] = np.where(arc, 1.0, -1.0)
     return s
 
 
-def randic_via_incidence(g: MixedGraph, incidence: np.ndarray | None = None) -> np.ndarray:
-    """The Randic matrix recovered as I - (D^-1/2 S)(D^-1/2 S)*.
+def incidence_matrix(g: MixedGraph) -> np.ndarray:
+    """The vertex-by-edge incidence matrix S of incidence_matrices; columns
+    follow g.edges order."""
+    return incidence_matrices([g])[0]
+
+
+def randic_via_incidences(graphs: Sequence[MixedGraph]) -> np.ndarray:
+    """The Randic matrices of a population of one order recovered as
+    I - (D^-1/2 S)(D^-1/2 S)*, as one (G, n, n) stack.
 
     Independent of the per-column gauge of S; used as the second route when
     verifying the incidence factorization.
     """
-    d = g.degrees()
-    _require_positive_degrees(d)
-    if incidence is None:
-        incidence = incidence_matrix(g)
-    scaling = np.diag([1.0 / math.sqrt(dv) for dv in d])
-    half = scaling @ incidence
-    return np.eye(g.n, dtype=complex) - half @ half.conj().T
+    degrees = [g.degrees() for g in graphs]
+    for d in degrees:
+        _require_positive_degrees(d)
+    n = graphs[0].n
+    scaling = np.zeros((len(graphs), n, n))
+    diagonal = np.arange(n)
+    scaling[:, diagonal, diagonal] = 1.0 / np.sqrt(np.array(degrees, dtype=float))
+    half = scaling @ incidence_matrices(graphs)
+    return np.eye(n, dtype=complex) - half @ half.conj().swapaxes(-2, -1)
+
+
+def randic_via_incidence(g: MixedGraph) -> np.ndarray:
+    """The Randic matrix recovered as I - (D^-1/2 S)(D^-1/2 S)*: the
+    one-graph case of randic_via_incidences."""
+    return randic_via_incidences([g])[0]
 
 
 def quadratic_form(g: MixedGraph, y: np.ndarray) -> float:

@@ -35,9 +35,20 @@ TOL_ZERO = 1e-9
 DEFAULT_COMBINATORIAL_CAP = 10
 
 
+def _scalar(x):
+    """A Python number for a one-spectrum reduction, the array for rows."""
+    return x.item() if np.ndim(x) == 0 else x
+
+
 @dataclass(frozen=True)
 class Spectrum:
-    """Sorted real eigenvalues of a Hermitian matrix plus derived scalars."""
+    """Sorted real eigenvalues of a Hermitian matrix plus derived scalars.
+
+    ``eigenvalues`` may also hold one row per matrix of a stack, shape
+    (G, n); every derived scalar is then a (G,) array, from the same
+    reduction along the last axis that gives a Python number for one
+    spectrum.
+    """
 
     eigenvalues: np.ndarray
 
@@ -47,46 +58,47 @@ class Spectrum:
 
     @property
     def n(self) -> int:
-        return len(self.eigenvalues)
+        return self.eigenvalues.shape[-1]
 
     @property
-    def energy(self) -> float:
+    def energy(self):
         """Sum of absolute values of the eigenvalues."""
-        return float(np.sum(np.abs(self.eigenvalues)))
+        return _scalar(np.abs(self.eigenvalues).sum(axis=-1))
 
     @property
-    def rho(self) -> float:
+    def rho(self):
         """Spectral radius: the largest |eigenvalue|."""
-        return float(np.max(np.abs(self.eigenvalues)))
+        return _scalar(np.abs(self.eigenvalues).max(axis=-1))
 
     @property
-    def sigma(self) -> float:
+    def sigma(self):
         """The smallest |eigenvalue|."""
-        return float(np.min(np.abs(self.eigenvalues)))
+        return _scalar(np.abs(self.eigenvalues).min(axis=-1))
 
     @property
-    def negative_count(self) -> int:
+    def negative_count(self):
         """Number of eigenvalues below -TOL_ZERO."""
-        return int(np.sum(self.eigenvalues < -TOL_ZERO))
+        return _scalar((self.eigenvalues < -TOL_ZERO).sum(axis=-1))
 
     @property
-    def determinant(self) -> float:
+    def determinant(self):
         """Product of the eigenvalues."""
-        return float(np.prod(self.eigenvalues))
+        return _scalar(self.eigenvalues.prod(axis=-1))
 
     @property
-    def is_singular(self) -> bool:
+    def is_singular(self):
         return self.sigma <= TOL_ZERO
 
-    def multiplicity(self, value: float, tol: float = 1e-8) -> int:
-        return int(np.sum(np.abs(self.eigenvalues - value) <= tol))
+    def multiplicity(self, value: float, tol: float = 1e-8):
+        return _scalar((np.abs(self.eigenvalues - value) <= tol).sum(axis=-1))
 
-    def contains(self, value: float, tol: float = 1e-8) -> bool:
+    def contains(self, value: float, tol: float = 1e-8):
         return self.multiplicity(value, tol) > 0
 
 
-def eigendecompose_stack(stack: np.ndarray) -> tuple[Spectrum, ...]:
-    """Spectra of a (k, n, n) stack of Hermitian matrices, from one solve.
+def eigenvalue_rows(stack: np.ndarray) -> np.ndarray:
+    """Sorted eigenvalues of a (k, n, n) stack of Hermitian matrices, one
+    row per matrix, from one solve.
 
     Rejects the stack if any matrix in it is not Hermitian, instead of
     silently symmetrizing.
@@ -94,7 +106,12 @@ def eigendecompose_stack(stack: np.ndarray) -> tuple[Spectrum, ...]:
     stack = np.asarray(stack, dtype=complex)
     if stack.ndim != 3 or not is_hermitian(stack):
         raise ValueError("matrix is not Hermitian")
-    return tuple(Spectrum(vals) for vals in np.linalg.eigvalsh(stack))
+    return np.linalg.eigvalsh(stack)
+
+
+def eigendecompose_stack(stack: np.ndarray) -> tuple[Spectrum, ...]:
+    """Spectra of a (k, n, n) stack of Hermitian matrices, from one solve."""
+    return tuple(Spectrum(vals) for vals in eigenvalue_rows(stack))
 
 
 def eigendecompose(mat: np.ndarray) -> Spectrum:
@@ -139,6 +156,25 @@ class CharPoly:
         )
 
 
+def expand_roots(roots: np.ndarray) -> np.ndarray:
+    """Coefficients a_0 = 1, ..., a_n of prod (x - lambda) for each row of
+    a (G, n) array of roots, as a (G, n + 1) array.
+
+    Multiplies in one root at a time, with the arithmetic of
+    ``np.convolve(a, [1, -lambda])``: a_k + a_(k-1) * (-lambda), and a zero
+    sum read as +0.0.
+    """
+    roots = np.asarray(roots, dtype=float)
+    coeffs = np.ones((len(roots), 1))
+    for lam in (-roots).T:
+        grown = np.empty((len(roots), coeffs.shape[1] + 1))
+        grown[:, 0] = 1.0
+        grown[:, 1:-1] = coeffs[:, 1:] + coeffs[:, :-1] * lam[:, np.newaxis]
+        grown[:, -1] = coeffs[:, -1] * lam
+        coeffs = grown + 0.0
+    return coeffs
+
+
 def char_poly_numeric(mat: np.ndarray,
                       spectrum: Spectrum | None = None) -> CharPoly:
     """Characteristic polynomial expanded from the eigenvalues.
@@ -147,10 +183,8 @@ def char_poly_numeric(mat: np.ndarray,
     """
     if spectrum is None:
         spectrum = eigendecompose(mat)
-    coeffs = np.array([1.0])
-    for lam in spectrum.eigenvalues:
-        coeffs = np.convolve(coeffs, np.array([1.0, -lam]))
-    return CharPoly(tuple(float(c) for c in coeffs), exact=False)
+    coeffs = expand_roots(spectrum.eigenvalues[np.newaxis])[0]
+    return CharPoly(tuple(coeffs.tolist()), exact=False)
 
 
 def char_poly_combinatorial(g: MixedGraph) -> CharPoly:

@@ -1,14 +1,19 @@
 """Checkers for the structural results and the inequality suite.
 
 Every checker is a pure function of the graph.  Optional keywords
-(``spectrum``, ``positive``, ``r_inv``, ``plain``) hand in per-graph facts
-the caller already holds; they must be the graph's own, and
-run_theorem_suite computes each of them once per graph.  Numeric
-inequalities follow one convention: a claim lhs <= rhs is reported with
-slack = rhs - lhs and counts as satisfied when slack >= -tol * max(1, |rhs|),
-with tol = 1e-9 unless a check documents otherwise.  Membership tests (is 1
-an eigenvalue, do two spectra agree) use the looser 1e-8 because they
-compare independently computed floating-point spectra.
+(``spectrum``, ``r_inv``) hand in per-graph facts the caller already holds;
+they must be the graph's own.  Numeric inequalities follow one convention: a
+claim lhs <= rhs is reported with slack = rhs - lhs and counts as satisfied
+when slack >= -tol * max(1, |rhs|), with tol = 1e-9 unless a check documents
+otherwise.  Membership tests (is 1 an eigenvalue, do two spectra agree) use
+the looser 1e-8 because they compare independently computed floating-point
+spectra.
+
+The bounds are evaluated on a population of one order at a time, as
+arrays over its graphs; the one-graph functions (``entry_sum_bounds``,
+``energy_bounds_report``, ...) are the population of one, so every formula
+exists once.  ``run_theorem_suites`` runs the whole suite that way and
+``run_theorem_suite`` is its one-graph case.
 
 The checks named ``*_iff_*`` assert equivalences between a spectral fact and
 a combinatorial certificate; ``minus_one_vs_positive_bipartite`` is the one
@@ -18,22 +23,25 @@ some graphs (an all-arcs triangle has eigenvalue -1 without being bipartite).
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from itertools import repeat
+from typing import Iterable, Sequence
 
 import numpy as np
 
-from .gains import MINUS_ONE, gain_view, is_positive, switching_certificate_to_constant
-from .graphs import EdgeKind, EdgeRecord, MixedGraph, general_randic_index
-from .matrices import laplacian, randic_matrices, randic_via_incidence
+from .gains import gain_balance, is_positive
+from .graphs import EdgeKind, EdgeRecord, MixedGraph
+from .matrices import laplacians, randic_matrices, randic_stack, randic_via_incidences
 from .spectra import (
     DEFAULT_COMBINATORIAL_CAP,
     TOL_ZERO,
     Spectrum,
     char_poly_combinatorial,
-    char_poly_numeric,
     eigendecompose_stack,
+    eigenvalue_rows,
+    expand_roots,
     randic_spectrum,
 )
 
@@ -42,6 +50,10 @@ TOL_INEQ = 1e-9
 
 #: Tolerance for eigenvalue membership and spectra comparison.
 TOL_EIG = 1e-8
+
+#: Most graphs in one stacked build and solve: an order with more is taken
+#: in blocks of this many, which bounds the memory its temporaries take.
+SUITE_BLOCK = 256
 
 
 @dataclass(frozen=True, slots=True)
@@ -61,19 +73,45 @@ class CheckRecord:
     reason: str = ""
 
 
-def _inequality(name: str, lhs: float, rhs: float, tol: float = TOL_INEQ,
-                reason: str = "") -> CheckRecord:
-    # plain float and bool: numpy scalars are not report scalars
-    lhs, rhs = float(lhs), float(rhs)
-    slack = rhs - lhs
-    ok = slack >= -tol * max(1.0, abs(rhs))
-    return CheckRecord(name, ok, lhs=lhs, rhs=rhs, slack=slack, reason=reason)
+def _inequalities(names: str | Iterable[str], lhs, rhs,
+                  tol: float = TOL_INEQ) -> list[CheckRecord]:
+    """One record per graph of a population: the claim lhs <= rhs, named by
+    ``names`` (one name for all, or one each).  lhs and rhs are arrays or
+    lists of plain floats with one entry per graph, or one float for all;
+    the records hold plain floats and bools, since numpy scalars are not
+    report scalars, and share the float objects of a list or a float."""
+    slack = np.atleast_1d(np.subtract(rhs, lhs, dtype=float))
+    ok = slack >= -tol * np.maximum(1.0, np.abs(np.asarray(rhs, dtype=float)))
+    if isinstance(names, str):
+        names = repeat(names)
+    count = len(slack)
+    return [CheckRecord(name, o, lhs=a, rhs=b, slack=c) for name, a, b, c, o
+            in zip(names, _floats(lhs, count), _floats(rhs, count),
+                   slack.tolist(), ok.tolist())]
+
+
+def _floats(values, count: int) -> list:
+    """values as a list of count plain floats: a list as it is, an array
+    converted, one float repeated."""
+    if isinstance(values, list):
+        return values
+    if np.ndim(values):
+        return values.tolist()
+    return [float(values)] * count
 
 
 def _flag(name: str, ok: bool, reason: str = "") -> CheckRecord:
-    return CheckRecord(name, ok, reason=reason)
+    return CheckRecord(name, ok, reason=reason) if reason else _bare_flag(name, ok)
 
 
+# Records are immutable, so the ones that carry nothing particular to a graph
+# are made once and shared: a campaign holds every record of every graph.
+@functools.cache
+def _bare_flag(name: str, ok: bool) -> CheckRecord:
+    return CheckRecord(name, ok)
+
+
+@functools.cache
 def _skip(name: str, reason: str) -> CheckRecord:
     return CheckRecord(name, True, skipped=True, reason=reason)
 
@@ -83,10 +121,35 @@ def _require_connected(g: MixedGraph) -> None:
         raise ValueError("graph is not connected")
 
 
+def _largest_entries(stack: np.ndarray) -> np.ndarray:
+    """Per matrix of a (G, n, n) stack, the largest entry modulus."""
+    return np.abs(stack).max(axis=(-2, -1))
+
+
+def _distance(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Per row, the largest |a - b|."""
+    return np.abs(a - b).max(axis=-1)
+
+
+def _asymmetry(vals: np.ndarray) -> np.ndarray:
+    """Per row of sorted eigenvalues, how far the spectrum is from being
+    symmetric about 0: the largest |lambda_k + lambda_(n-1-k)|."""
+    return np.abs(vals + vals[..., ::-1]).max(axis=-1)
+
+
+def randic_inverse(g: MixedGraph) -> float:
+    """The inverse-degree-product edge sum r_inv = sum 1/(d_u d_v) over the
+    edges, correctly rounded: summed exactly as an integer over a common
+    denominator, then divided once."""
+    d = g.degrees()
+    products = [d[u - 1] * d[v - 1] for u, v in g.underlying_pairs()]
+    common = math.lcm(*products)
+    return sum(common // p for p in products) / common
+
+
 def check_unit_interval(s: Spectrum, tol: float = TOL_INEQ) -> bool:
     """All eigenvalues within [-1 - tol, 1 + tol]."""
-    vals = s.eigenvalues
-    return bool(len(vals) == 0 or np.max(np.abs(vals)) <= 1.0 + tol)
+    return bool(s.n == 0 or s.rho <= 1.0 + tol)
 
 
 @dataclass(frozen=True)
@@ -107,15 +170,14 @@ class InterlacingResult:
         return all(self.verdicts)
 
 
-def _interlacing_violations(original: Spectrum,
-                            reduced: Sequence[Spectrum]) -> np.ndarray:
-    """Entry [s, k]: how far eigenvalue k of the s-th edge-deleted spectrum
-    lies outside [original k - 1, original k + 1] (with -1 below position 0
-    and 1 above position n - 1), or 0 inside it."""
-    lam = original.eigenvalues
-    theta = np.array([r.eigenvalues for r in reduced]).reshape(-1, len(lam))
-    bracket = np.concatenate(([-1.0], lam, [1.0]))
-    return np.maximum(np.maximum(bracket[:-2] - theta, theta - bracket[2:]), 0.0)
+def _interlacing_violations(lam: np.ndarray, theta: np.ndarray) -> np.ndarray:
+    """Entry [s, k]: how far eigenvalue k of the edge-deleted spectrum
+    theta[s] lies outside [lam[s, k - 1], lam[s, k + 1]] (with -1 below
+    position 0 and 1 above position n - 1), or 0 inside it; lam[s] is the
+    spectrum of the graph that edge was deleted from."""
+    ones = np.ones((len(lam), 1))
+    bracket = np.concatenate((-ones, lam, ones), axis=1)
+    return np.maximum(np.maximum(bracket[:, :-2] - theta, theta - bracket[:, 2:]), 0.0)
 
 
 def _worst(violations: np.ndarray) -> list[float]:
@@ -131,7 +193,8 @@ def interlacing_check(g: MixedGraph, pair: tuple[int, int],
     if edge is None:
         raise ValueError(f"no edge between {pair[0]} and {pair[1]}")
     original, reduced = eigendecompose_stack(randic_matrices(g, (edge,)))
-    violations = _interlacing_violations(original, (reduced,))
+    violations = _interlacing_violations(original.eigenvalues[np.newaxis],
+                                         reduced.eigenvalues[np.newaxis])
     verdicts = tuple(x <= tol for x in violations[0].tolist())
     return InterlacingResult(edge, original, reduced, verdicts,
                              _worst(violations)[0])
@@ -144,8 +207,8 @@ class EigenvalueOneCheck:
     graph_positive: bool
 
 
-def check_eigenvalue_one(g: MixedGraph, spectrum: Spectrum | None = None,
-                         positive: bool | None = None) -> EigenvalueOneCheck:
+def check_eigenvalue_one(g: MixedGraph,
+                         spectrum: Spectrum | None = None) -> EigenvalueOneCheck:
     """Is 1 an eigenvalue, with what multiplicity, and is every cycle gain 1.
 
     For connected graphs the three answers are tied together: eigenvalue 1
@@ -154,9 +217,7 @@ def check_eigenvalue_one(g: MixedGraph, spectrum: Spectrum | None = None,
     _require_connected(g)
     s = randic_spectrum(g) if spectrum is None else spectrum
     mult = s.multiplicity(1.0, TOL_EIG)
-    if positive is None:
-        positive = is_positive(g)
-    return EigenvalueOneCheck(mult > 0, mult, positive)
+    return EigenvalueOneCheck(mult > 0, mult, is_positive(g))
 
 
 @dataclass(frozen=True)
@@ -171,8 +232,7 @@ def check_spectral_symmetry(g: MixedGraph,
     """Is the spectrum symmetric about 0, and is the underlying graph bipartite."""
     _require_connected(g)
     s = randic_spectrum(g) if spectrum is None else spectrum
-    vals = s.eigenvalues
-    asym = float(np.max(np.abs(vals + vals[::-1]))) if len(vals) else 0.0
+    asym = float(_asymmetry(s.eigenvalues))
     return SymmetryCheck(asym <= TOL_EIG, g.is_bipartite(), asym)
 
 
@@ -183,8 +243,8 @@ class MinusOneCheck:
     antibalanced: bool
 
 
-def check_minus_one(g: MixedGraph, spectrum: Spectrum | None = None,
-                    positive: bool | None = None) -> MinusOneCheck:
+def check_minus_one(g: MixedGraph,
+                    spectrum: Spectrum | None = None) -> MinusOneCheck:
     """Is -1 an eigenvalue, against two candidate structural certificates.
 
     Antibalance (switchable to the constant gain -1) is the criterion this
@@ -193,11 +253,9 @@ def check_minus_one(g: MixedGraph, spectrum: Spectrum | None = None,
     """
     _require_connected(g)
     s = randic_spectrum(g) if spectrum is None else spectrum
-    anti = switching_certificate_to_constant(gain_view(g), MINUS_ONE) is not None
-    if positive is None:
-        positive = is_positive(g)
-    pos_bip = positive and g.is_bipartite()
-    return MinusOneCheck(s.contains(-1.0, TOL_EIG), pos_bip, anti)
+    positive, anti = gain_balance(g)
+    return MinusOneCheck(s.contains(-1.0, TOL_EIG),
+                         positive and g.is_bipartite(), anti)
 
 
 @dataclass(frozen=True)
@@ -209,19 +267,15 @@ class UnderlyingSpectrumCheck:
 
 def check_spectrum_equals_underlying(
     g: MixedGraph, spectrum: Spectrum | None = None,
-    positive: bool | None = None, plain: Spectrum | None = None,
 ) -> UnderlyingSpectrumCheck:
-    """Does the spectrum coincide with the all-un-oriented version's spectrum
-    (``plain`` when given), and is the graph switching-equivalent to that
-    version (every cycle gain 1)."""
+    """Does the spectrum coincide with the all-un-oriented version's
+    spectrum, and is the graph switching-equivalent to that version (every
+    cycle gain 1)."""
     _require_connected(g)
     s = randic_spectrum(g) if spectrum is None else spectrum
-    if plain is None:
-        plain = randic_spectrum(g.underlying_graph())
-    diff = float(np.max(np.abs(s.eigenvalues - plain.eigenvalues)))
-    if positive is None:
-        positive = is_positive(g)
-    return UnderlyingSpectrumCheck(diff <= TOL_EIG, positive, diff)
+    plain = randic_spectrum(g.underlying_graph())
+    diff = float(_distance(s.eigenvalues, plain.eigenvalues))
+    return UnderlyingSpectrumCheck(diff <= TOL_EIG, is_positive(g), diff)
 
 
 def entry_sum(g: MixedGraph) -> float:
@@ -256,24 +310,43 @@ class EntrySumBounds:
         return all(r.satisfied for r in self.records)
 
 
+def _entry_sum_bounds(n: int, total: np.ndarray,
+                      s: Spectrum) -> list[EntrySumBounds]:
+    """entry_sum_bounds for a population of order n: entry sums (G,) and
+    spectra with one row per graph."""
+    lam_min = s.eigenvalues[:, 0]
+    lam_max = s.eigenvalues[:, -1]
+    lower = -total / (n * (n - 1))
+    upper = total / n
+    # lists, so that records and bounds share the float objects
+    totals, low, up, least, most = (
+        x.tolist() for x in (total, lower, upper, lam_min, lam_max))
+    records = zip(
+        _inequalities("entry_sum_lower", least, low),
+        _inequalities("entry_sum_order", low, up),
+        _inequalities("entry_sum_upper", up, most),
+        _inequalities("entry_sum_spread", total / (n - 1), lam_max - lam_min),
+    )
+    return [EntrySumBounds(*values, recs) for *values, recs
+            in zip(totals, low, up, least, most, records)]
+
+
 def entry_sum_bounds(g: MixedGraph,
                      spectrum: Spectrum | None = None) -> EntrySumBounds:
     if g.n < 2:
         raise ValueError("entry-sum bounds need at least two vertices")
     s = randic_spectrum(g) if spectrum is None else spectrum
-    total = entry_sum(g)
-    n = g.n
-    lower = -total / (n * (n - 1))
-    upper = total / n
-    lam_min = float(s.eigenvalues[0])
-    lam_max = float(s.eigenvalues[-1])
-    records = (
-        _inequality("entry_sum_lower", lam_min, lower),
-        _inequality("entry_sum_order", lower, upper),
-        _inequality("entry_sum_upper", upper, lam_max),
-        _inequality("entry_sum_spread", total / (n - 1), lam_max - lam_min),
-    )
-    return EntrySumBounds(total, lower, upper, lam_min, lam_max, records)
+    return _entry_sum_bounds(g.n, np.array([entry_sum(g)]),
+                             Spectrum(s.eigenvalues[np.newaxis]))[0]
+
+
+def _smallest_eigenvalue_bounds(n: int, r_inv: np.ndarray,
+                                s: Spectrum) -> list[CheckRecord]:
+    """smallest_eigenvalue_bound for a population of order n."""
+    bound = 2.0 * r_inv / (n * (n - 1))
+    # Python's float power: numpy's rounds differently
+    squares = [x ** 2 for x in s.eigenvalues[:, 0].tolist()]
+    return _inequalities("min_eigenvalue_square", bound, squares)
 
 
 def smallest_eigenvalue_bound(g: MixedGraph,
@@ -285,10 +358,9 @@ def smallest_eigenvalue_bound(g: MixedGraph,
         raise ValueError("bound needs at least two vertices")
     s = randic_spectrum(g) if spectrum is None else spectrum
     if r_inv is None:
-        r_inv = float(general_randic_index(g, -1))
-    bound = 2.0 * r_inv / (g.n * (g.n - 1))
-    lam_min_sq = float(s.eigenvalues[0]) ** 2
-    return _inequality("min_eigenvalue_square", bound, lam_min_sq)
+        r_inv = randic_inverse(g)
+    return _smallest_eigenvalue_bounds(g.n, np.array([r_inv]),
+                                       Spectrum(s.eigenvalues[np.newaxis]))[0]
 
 
 @dataclass(frozen=True)
@@ -316,6 +388,87 @@ class BoundsReport:
         return all(r.satisfied for r in self.records if not r.skipped)
 
 
+def _energy_bounds(graphs: Sequence[MixedGraph], r_inv: np.ndarray,
+                   s: Spectrum) -> list[BoundsReport]:
+    """energy_bounds_report for a population of one order, with r_inv (G,)
+    and spectra with one row per graph.
+
+    |det|**(2/n), ratio**(1/(n-k)), the exponential and squares stay Python
+    float arithmetic: numpy's power and exp round differently.
+    """
+    n = graphs[0].n
+    eps, rho, sigma, det = s.energy, s.rho, s.sigma, s.determinant
+    k = s.negative_count
+    singular = s.is_singular
+    eps_list = eps.tolist()
+
+    det_root = np.array([abs(x) ** (2.0 / n) for x in det.tolist()])
+
+    # the geometric mean of the positive eigenvalues, over graphs with
+    # eigenvalues of both signs and a nonsingular matrix
+    mixed = (k > 0) & (k < n) & ~singular
+    negatives = np.where(np.arange(n) < k[:, np.newaxis], s.eigenvalues, 1.0)
+    with np.errstate(all="ignore"):
+        ratio = det / negatives.prod(axis=-1)
+    roots = np.array([r ** (1.0 / (n - kk)) if ok else 0.0 for r, kk, ok
+                      in zip(ratio.tolist(), k.tolist(), mixed.tolist())])
+    geometric = _inequalities("energy_lower_geometric",
+                              2.0 * (n - k) * roots, eps_list)
+    for i in np.flatnonzero(~mixed).tolist():
+        kk = int(k[i])
+        geometric[i] = _skip(
+            "energy_lower_geometric",
+            f"needs eigenvalues of both signs (negative count {kk} of {n})"
+            if kk == 0 or kk == n else "singular matrix: geometric mean is zero",
+        )
+
+    with np.errstate(all="ignore"):
+        polya_lhs = np.sqrt(8.0 * n * rho * sigma * r_inv) / (rho + sigma)
+    polya = _inequalities("energy_lower_polya_szego", polya_lhs, eps_list)
+    for i in np.flatnonzero(sigma <= TOL_ZERO).tolist():
+        polya[i] = CheckRecord(
+            "energy_lower_polya_szego", True, lhs=0.0, rhs=eps_list[i],
+            slack=eps_list[i],
+            reason="minimal modulus is zero; bound degenerates to 0",
+        )
+
+    spread = np.array([x ** 2 for x in (rho - sigma).tolist()])
+    radicand = 8.0 * n * r_inv - n * n * spread
+    ozeki = _inequalities("energy_lower_ozeki",
+                          np.sqrt(np.maximum(radicand, 0.0)) / 2.0, eps_list)
+    for i in np.flatnonzero(radicand < 0.0).tolist():
+        ozeki[i] = CheckRecord(
+            "energy_lower_ozeki", True, skipped=True, lhs=0.0,
+            rhs=eps_list[i], slack=eps_list[i],
+            reason=f"negative radicand {radicand[i]:.6g}; bound vacuous",
+        )
+
+    records = zip(
+        _inequalities("energy_lower_determinant",
+                      np.sqrt(2.0 * r_inv + n * (n - 1) * det_root), eps_list),
+        _inequalities("energy_upper_moment", eps_list, np.sqrt(2.0 * n * r_inv)),
+        geometric,
+        _inequalities("energy_upper_exponential", eps_list,
+                      [math.exp(x) for x in np.sqrt(2.0 * r_inv).tolist()]),
+        _inequalities(
+            "energy_upper_radius", eps_list,
+            0.5 * (rho * (n - 2) + np.sqrt(rho * rho * (n - 2) ** 2
+                                           + 16.0 * r_inv)),
+        ),
+        _inequalities(
+            "energy_lower_min_modulus",
+            0.5 * (sigma * (n - 2) + np.sqrt(sigma * sigma * (n - 2) ** 2
+                                             + 16.0 * r_inv)),
+            eps_list,
+        ),
+        polya,
+        ozeki,
+    )
+    return [BoundsReport(n, g.m, *scalars, recs) for g, *scalars, recs in zip(
+        graphs, r_inv.tolist(), det.tolist(), rho.tolist(), sigma.tolist(),
+        k.tolist(), eps_list, records)]
+
+
 def energy_bounds_report(g: MixedGraph, spectrum: Spectrum | None = None,
                          r_inv: float | None = None) -> BoundsReport:
     """Evaluate the energy bounds.
@@ -335,83 +488,10 @@ def energy_bounds_report(g: MixedGraph, spectrum: Spectrum | None = None,
     if g.n < 2:
         raise ValueError("energy bounds need at least two vertices")
     s = randic_spectrum(g) if spectrum is None else spectrum
-    n = g.n
     if r_inv is None:
-        r_inv = float(general_randic_index(g, -1))
-    eps = s.energy
-    rho = s.rho
-    sigma = s.sigma
-    k = s.negative_count
-    det = s.determinant
-
-    records = [
-        _inequality(
-            "energy_lower_determinant",
-            math.sqrt(2.0 * r_inv + n * (n - 1) * abs(det) ** (2.0 / n)),
-            eps,
-        ),
-        _inequality("energy_upper_moment", eps, math.sqrt(2.0 * n * r_inv)),
-    ]
-
-    if k == 0 or k == n:
-        records.append(_skip(
-            "energy_lower_geometric",
-            f"needs eigenvalues of both signs (negative count {k} of {n})",
-        ))
-    elif s.is_singular:
-        records.append(_skip(
-            "energy_lower_geometric", "singular matrix: geometric mean is zero"
-        ))
-    else:
-        negatives = s.eigenvalues[:k]
-        ratio = det / float(np.prod(negatives))
-        records.append(_inequality(
-            "energy_lower_geometric",
-            2.0 * (n - k) * ratio ** (1.0 / (n - k)),
-            eps,
-        ))
-
-    records.append(_inequality(
-        "energy_upper_exponential", eps, math.exp(math.sqrt(2.0 * r_inv))
-    ))
-    records.append(_inequality(
-        "energy_upper_radius",
-        eps,
-        0.5 * (rho * (n - 2) + math.sqrt(rho * rho * (n - 2) ** 2
-                                         + 16.0 * r_inv)),
-    ))
-    records.append(_inequality(
-        "energy_lower_min_modulus",
-        0.5 * (sigma * (n - 2) + math.sqrt(sigma * sigma * (n - 2) ** 2
-                                           + 16.0 * r_inv)),
-        eps,
-    ))
-
-    if sigma <= TOL_ZERO:
-        records.append(CheckRecord(
-            "energy_lower_polya_szego", True, lhs=0.0, rhs=eps, slack=eps,
-            reason="minimal modulus is zero; bound degenerates to 0",
-        ))
-    else:
-        records.append(_inequality(
-            "energy_lower_polya_szego",
-            math.sqrt(8.0 * n * rho * sigma * r_inv) / (rho + sigma),
-            eps,
-        ))
-
-    radicand = 8.0 * n * r_inv - n * n * (rho - sigma) ** 2
-    if radicand < 0.0:
-        records.append(CheckRecord(
-            "energy_lower_ozeki", True, skipped=True, lhs=0.0, rhs=eps,
-            slack=eps, reason=f"negative radicand {radicand:.6g}; bound vacuous",
-        ))
-    else:
-        records.append(_inequality(
-            "energy_lower_ozeki", math.sqrt(radicand) / 2.0, eps
-        ))
-
-    return BoundsReport(n, g.m, r_inv, det, rho, sigma, k, eps,
-                        tuple(records))
+        r_inv = randic_inverse(g)
+    return _energy_bounds([g], np.array([r_inv]),
+                          Spectrum(s.eigenvalues[np.newaxis]))[0]
 
 
 @dataclass(frozen=True)
@@ -444,143 +524,161 @@ def _edge_label(e: EdgeRecord) -> str:
     return str(e).replace(" ", "")
 
 
+def _structural_records(positive: bool, antibalanced: bool, bipartite: bool,
+                        mult_one: int, has_minus_one: bool, asymmetry: float,
+                        underlying_difference: float) -> tuple[CheckRecord, ...]:
+    """The biconditional records of one graph, from its per-graph facts."""
+    has_one = mult_one > 0
+    one_ok = (not has_one) or (positive and mult_one == 1)
+    symmetric = asymmetry <= TOL_EIG
+    positive_bipartite = positive and bipartite
+    spectra_equal = underlying_difference <= TOL_EIG
+    return (
+        _flag("one_implies_positive_simple", one_ok,
+              reason="" if one_ok else
+              f"has_one={has_one} positive={positive} "
+              f"multiplicity={mult_one}"),
+        _flag("positive_implies_one", (not positive) or has_one),
+        _flag("bipartite_iff_symmetric", bipartite == symmetric,
+              reason="" if bipartite == symmetric else
+              f"bipartite={bipartite} symmetric={symmetric} "
+              f"max_asymmetry={asymmetry:.3e}"),
+        _flag("minus_one_iff_antibalanced", has_minus_one == antibalanced,
+              reason="" if has_minus_one == antibalanced else
+              f"has_minus_one={has_minus_one} antibalanced={antibalanced}"),
+        _flag("minus_one_vs_positive_bipartite", True,
+              reason="" if has_minus_one == positive_bipartite else
+              f"divergence: has_minus_one={has_minus_one} "
+              f"positive_bipartite={positive_bipartite}"),
+        _flag("underlying_spectrum_iff_all_ones", spectra_equal == positive,
+              reason="" if spectra_equal == positive else
+              f"spectra_equal={spectra_equal} switch_equiv_allones={positive}"),
+        _flag("bipartite_positive_unit_eigenvalues",
+              has_one and has_minus_one)
+        if positive and bipartite else
+        _skip("bipartite_positive_unit_eigenvalues",
+              "not a positive bipartite graph"),
+    )
+
+
+def _order_suites(graphs: Sequence[MixedGraph],
+                  include_interlacing: bool) -> list[TheoremSuite]:
+    """The suite on graphs of one order, each connected with every degree
+    >= 1: one stacked build and solve, the residuals and bounds as array
+    reductions over the graphs, and the structural facts per graph."""
+    n = graphs[0].n
+    degrees = [g.degrees() for g in graphs]
+    # R(g), R(g - e) for every edge whose removal isolates no vertex, and R
+    # of the underlying graph, for every graph, in one solve
+    removable = [[e for e in g.edges if d[e.u - 1] > 1 and d[e.v - 1] > 1]
+                 if include_interlacing else [] for g, d in zip(graphs, degrees)]
+    stack = randic_stack(graphs, removable, underlying=True)
+    rows = eigenvalue_rows(stack)
+    sizes = np.array([2 + len(cut) for cut in removable])
+    first = np.cumsum(sizes) - sizes
+    last = first + sizes - 1
+    s = Spectrum(rows[first])
+    vals = s.eigenvalues
+    mats = stack[first]
+    r_inv = np.array([randic_inverse(g) for g in graphs])
+
+    head = [
+        _inequalities("unit_interval", s.rho, 1.0),
+        _inequalities("trace_zero", np.abs(vals.sum(axis=-1)), 0.0),
+        _inequalities("second_moment",
+                      np.abs((vals ** 2).sum(axis=-1) - 2.0 * r_inv), 0.0),
+        _inequalities("incidence_factorization",
+                      _largest_entries(mats - randic_via_incidences(graphs)),
+                      0.0, tol=1e-12),
+    ]
+    scale = 1.0 / np.sqrt(np.array(degrees, dtype=float))
+    triple = scale[:, :, np.newaxis] * laplacians(graphs) * scale[:, np.newaxis, :]
+    head.append(_inequalities("laplacian_complement",
+                              _largest_entries(np.eye(n) - triple - mats),
+                              0.0, tol=1e-14))
+    if n <= DEFAULT_COMBINATORIAL_CAP:
+        exact = np.array([[float(c) for c in char_poly_combinatorial(g).coefficients]
+                          for g in graphs])
+        head.append(_inequalities("charpoly_agreement",
+                                  _distance(exact, expand_roots(vals)),
+                                  0.0, tol=TOL_EIG))
+        head.append(_inequalities(
+            "determinant_identity",
+            np.abs((-1) ** n * exact[:, -1] - s.determinant), 0.0))
+    else:
+        reason = f"n = {n} above cap {DEFAULT_COMBINATORIAL_CAP}"
+        head.append([_skip("charpoly_agreement", reason)] * len(graphs))
+        head.append([_skip("determinant_identity", reason)] * len(graphs))
+
+    interlacing = [()] * len(graphs)
+    if include_interlacing:
+        deletions = np.ones(len(rows), dtype=bool)
+        deletions[first] = deletions[last] = False
+        owner = np.repeat(np.arange(len(graphs)), sizes - 2)
+        worst = iter(_inequalities(
+            [f"interlacing:{_edge_label(e)}" for cut in removable for e in cut],
+            _worst(_interlacing_violations(vals[owner], rows[deletions])),
+            0.0))
+        interlacing = [
+            tuple(_skip(f"interlacing:{_edge_label(e)}", "removal isolates a vertex")
+                  if d[e.u - 1] == 1 or d[e.v - 1] == 1 else next(worst)
+                  for e in g.edges)
+            for g, d in zip(graphs, degrees)
+        ]
+
+    structural = [
+        _structural_records(*balance, g.is_bipartite(), *facts)
+        for g, balance, facts in zip(graphs, map(gain_balance, graphs), zip(
+            s.multiplicity(1.0, TOL_EIG).tolist(),
+            s.contains(-1.0, TOL_EIG).tolist(),
+            _asymmetry(vals).tolist(),
+            _distance(vals, rows[last]).tolist()))
+    ]
+    entry = _entry_sum_bounds(n, np.array([entry_sum(g) for g in graphs]), s)
+    smallest = _smallest_eigenvalue_bounds(n, r_inv, s)
+    energy = _energy_bounds(graphs, r_inv, s)
+    return [
+        TheoremSuite(g, Spectrum(row), first_records + interlaced + facts
+                     + entries.records + (least,) + bounds.records)
+        for g, row, first_records, interlaced, facts, entries, least, bounds
+        in zip(graphs, vals, zip(*head), interlacing, structural, entry,
+               smallest, energy)
+    ]
+
+
+def run_theorem_suites(graphs: Iterable[MixedGraph],
+                       include_interlacing: bool = True) -> list[TheoremSuite]:
+    """Evaluate every checker on each graph, each connected with all
+    degrees >= 1; the suites come back in input order.
+
+    The graphs are taken one order at a time, in blocks of at most
+    SUITE_BLOCK graphs.  Each block's matrices R(g), R(g - e) for every edge
+    whose removal isolates no vertex, and R of the underlying graph are
+    built as one stack and solved by one eigvalsh call; the residuals and
+    bounds are row reductions over the block's eigenvalue array.  The exact
+    characteristic polynomial, positivity, antibalance, bipartiteness and
+    the records are computed per graph.
+    """
+    graphs = list(graphs)
+    orders: dict[int, list[int]] = {}
+    for i, g in enumerate(graphs):
+        _require_connected(g)
+        if 0 in g.degrees():
+            raise ValueError("isolated vertex: the normalized matrix is undefined")
+        orders.setdefault(g.n, []).append(i)
+    suites: list[TheoremSuite] = [None] * len(graphs)  # type: ignore[list-item]
+    for members in orders.values():
+        for start in range(0, len(members), SUITE_BLOCK):
+            block = members[start:start + SUITE_BLOCK]
+            block_suites = _order_suites([graphs[i] for i in block],
+                                         include_interlacing)
+            for i, suite in zip(block, block_suites):
+                suites[i] = suite
+    return suites
+
+
 def run_theorem_suite(g: MixedGraph,
                       include_interlacing: bool = True) -> TheoremSuite:
-    """Evaluate every checker on one connected graph with all degrees >= 1.
-
-    The per-graph facts (matrix, spectrum, positivity, r_inv and the exact
-    characteristic polynomial) are computed here once and handed to the
-    checkers.  The spectra of the graph, of its underlying graph and of
-    every edge deletion that interlacing checks come from one stacked solve.
-    """
-    _require_connected(g)
-    degrees = g.degrees()
-    if min(degrees) == 0:
-        raise ValueError("isolated vertex: the normalized matrix is undefined")
-
-    # one solve for R(g), R(g - e) for every edge whose removal isolates no
-    # vertex, and R of the underlying graph
-    removable = [e for e in g.edges if include_interlacing
-                 and degrees[e.u - 1] > 1 and degrees[e.v - 1] > 1]
-    stack = np.concatenate((randic_matrices(g, removable),
-                            randic_matrices(g.underlying_graph())))
-    s, *reduced, plain = eigendecompose_stack(stack)
-    mat = stack[0]
-    vals = s.eigenvalues
-    positive = is_positive(g)
-    r_inv = float(general_randic_index(g, -1))
-    records: list[CheckRecord] = []
-
-    records.append(_inequality(
-        "unit_interval", float(np.max(np.abs(vals))), 1.0
-    ))
-    records.append(_inequality("trace_zero", abs(float(np.sum(vals))), 0.0))
-    records.append(_inequality(
-        "second_moment", abs(float(np.sum(vals ** 2)) - 2.0 * r_inv), 0.0
-    ))
-    records.append(_inequality(
-        "incidence_factorization",
-        float(np.max(np.abs(mat - randic_via_incidence(g)))),
-        0.0,
-        tol=1e-12,
-    ))
-
-    scale = 1.0 / np.sqrt(np.array(degrees, dtype=float))
-    triple = scale[:, np.newaxis] * laplacian(g) * scale[np.newaxis, :]
-    records.append(_inequality(
-        "laplacian_complement",
-        float(np.max(np.abs(np.eye(g.n) - triple - mat))),
-        0.0,
-        tol=1e-14,
-    ))
-
-    if g.n <= DEFAULT_COMBINATORIAL_CAP:
-        exact = char_poly_combinatorial(g)
-        records.append(_inequality(
-            "charpoly_agreement",
-            exact.max_difference(char_poly_numeric(mat, s)),
-            0.0,
-            tol=TOL_EIG,
-        ))
-        det_exact = (-1) ** g.n * exact.coefficients[-1]
-        records.append(_inequality(
-            "determinant_identity", abs(float(det_exact) - s.determinant), 0.0
-        ))
-    else:
-        reason = f"n = {g.n} above cap {DEFAULT_COMBINATORIAL_CAP}"
-        records.append(_skip("charpoly_agreement", reason))
-        records.append(_skip("determinant_identity", reason))
-
-    if include_interlacing:
-        worst = iter(_worst(_interlacing_violations(s, reduced)))
-        for e in g.edges:
-            name = f"interlacing:{_edge_label(e)}"
-            if degrees[e.u - 1] == 1 or degrees[e.v - 1] == 1:
-                records.append(_skip(name, "removal isolates a vertex"))
-                continue
-            records.append(_inequality(name, next(worst), 0.0))
-
-    one = check_eigenvalue_one(g, s, positive)
-    one_ok = (not one.has_one) or (one.graph_positive and one.multiplicity == 1)
-    records.append(_flag(
-        "one_implies_positive_simple",
-        one_ok,
-        reason="" if one_ok else
-               f"has_one={one.has_one} positive={one.graph_positive} "
-               f"multiplicity={one.multiplicity}",
-    ))
-    records.append(_flag(
-        "positive_implies_one",
-        (not one.graph_positive) or one.has_one,
-    ))
-
-    sym = check_spectral_symmetry(g, s)
-    records.append(_flag(
-        "bipartite_iff_symmetric",
-        sym.bipartite == sym.symmetric,
-        reason="" if sym.bipartite == sym.symmetric else
-               f"bipartite={sym.bipartite} symmetric={sym.symmetric} "
-               f"max_asymmetry={sym.max_asymmetry:.3e}",
-    ))
-
-    minus = check_minus_one(g, s, positive)
-    records.append(_flag(
-        "minus_one_iff_antibalanced",
-        minus.has_minus_one == minus.antibalanced,
-        reason="" if minus.has_minus_one == minus.antibalanced else
-               f"has_minus_one={minus.has_minus_one} "
-               f"antibalanced={minus.antibalanced}",
-    ))
-    records.append(_flag(
-        "minus_one_vs_positive_bipartite",
-        True,
-        reason="" if minus.has_minus_one == minus.positive_bipartite else
-               f"divergence: has_minus_one={minus.has_minus_one} "
-               f"positive_bipartite={minus.positive_bipartite}",
-    ))
-
-    under = check_spectrum_equals_underlying(g, s, positive, plain=plain)
-    records.append(_flag(
-        "underlying_spectrum_iff_all_ones",
-        under.spectra_equal == under.switch_equiv_allones,
-        reason="" if under.spectra_equal == under.switch_equiv_allones else
-               f"spectra_equal={under.spectra_equal} "
-               f"switch_equiv_allones={under.switch_equiv_allones}",
-    ))
-
-    if one.graph_positive and sym.bipartite:
-        records.append(_flag(
-            "bipartite_positive_unit_eigenvalues",
-            one.has_one and minus.has_minus_one,
-        ))
-    else:
-        records.append(_skip(
-            "bipartite_positive_unit_eigenvalues",
-            "not a positive bipartite graph",
-        ))
-
-    records.extend(entry_sum_bounds(g, s).records)
-    records.append(smallest_eigenvalue_bound(g, s, r_inv))
-    records.extend(energy_bounds_report(g, s, r_inv).records)
-
-    return TheoremSuite(g, s, tuple(records))
+    """Evaluate every checker on one connected graph with all degrees >= 1:
+    the one-graph case of run_theorem_suites."""
+    return run_theorem_suites([g], include_interlacing)[0]

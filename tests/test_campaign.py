@@ -22,7 +22,7 @@ from mixedrandic.campaign import (
     summary_text,
     with_overrides,
 )
-from mixedrandic.theorems import TheoremSuite, _inequality
+from mixedrandic.theorems import TheoremSuite, _inequalities
 
 
 def test_population_sizes():
@@ -183,7 +183,7 @@ def test_summary_text():
 
 
 def test_numpy_inputs_give_report_scalars():
-    rec = _inequality("probe", np.float64(0.25), np.float64(0.5))
+    rec, = _inequalities("probe", np.float64(0.25), np.float64(0.5))
     assert type(rec.satisfied) is bool
     for value in (rec.lhs, rec.rhs, rec.slack, rec.satisfied, rec.skipped,
                   rec.reason):
@@ -221,4 +221,19 @@ def test_sampled_report_digests_are_pinned():
     assert digests == {
         "csv": "38a576b19437090f2e6056204fd6fcfcdc0ddf2792d0aa7c006c8914f6d559d7",
         "json": "d97cfb290ad5e63912bbafaff4d320c4c3b94667698273a5af799e079843eadd",
+    }
+
+
+def test_default_report_digests_are_pinned():
+    # The default n <= 4 campaign, whose bytes gate every speedup; any
+    # change to them must be deliberate, as above.
+    result = run_campaign(CampaignConfig())
+    assert (len(result.results), result.checks) == (3891, 123015)
+    assert sum(rec.name == "bipartite_iff_symmetric"
+               for _, rec in result.failures) == 540
+    digests = {fmt: hashlib.sha256(render(result).encode()).hexdigest()
+               for fmt, render in (("csv", render_csv), ("json", render_json))}
+    assert digests == {
+        "csv": "c13a24e98e1428da9c8930a51580bb396c3b6d4cdfc52b2efeeadc2e7def0a72",
+        "json": "00d09b68993766d1804da60e83e07ace8a438b5a61ec2d24376bb2f704624c83",
     }

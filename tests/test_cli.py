@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from mixedrandic import cycle_graph, directed_cycle, serialize_graph
+from mixedrandic import cli, cycle_graph, directed_cycle, serialize_graph
 from mixedrandic.cli import main
 
 #: A path on which float noise in the interlacing checks yields numpy scalars.
@@ -218,3 +218,40 @@ def test_unknown_command_exits_via_argparse(capsys):
     with pytest.raises(SystemExit):
         main(["frobnicate"])
     capsys.readouterr()
+
+
+def test_successive_requests_share_no_state(c3_file, tmp_path, capsys):
+    # one parser serves every request, so nothing may carry over
+    assert main(["charpoly", c3_file, "--method", "numeric"]) == 0
+    assert "method combinatorial" not in capsys.readouterr().out
+    assert main(["charpoly", c3_file]) == 0
+    out = capsys.readouterr().out
+    assert "method combinatorial" in out and "method numeric" in out
+
+    config = tmp_path / "campaign.cfg"
+    config.write_text("n_min 2\nn_max 2\nseed 99\n")
+    report = tmp_path / "report.json"
+    assert main(["enumerate", "--config", str(config), "--output", str(report)]) == 0
+    assert json.loads(report.read_text())["config"]["seed"] == 99
+    assert main(["enumerate", "--n-max", "2", "--output", str(report)]) == 0
+    assert json.loads(report.read_text())["config"]["seed"] == 1729
+    assert cli._parser().parse_args(["enumerate"]).config is None
+    capsys.readouterr()
+
+    for _ in range(2):
+        with pytest.raises(SystemExit) as exited:
+            main(["spectrum", c3_file, "--format", "yaml"])
+        assert exited.value.code == 2
+        assert "invalid choice" in capsys.readouterr().err
+
+
+def test_unexpected_error_is_one_line_and_exit_5(c3_file, capsys, monkeypatch):
+    def broken(g):
+        raise RuntimeError("solver gave up")
+
+    monkeypatch.setattr(cli, "randic_spectrum", broken)
+    assert main(["spectrum", c3_file]) == 5
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: internal: RuntimeError: solver gave up\n"
+    assert "Traceback" not in captured.err

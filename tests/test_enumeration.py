@@ -1,3 +1,4 @@
+import gc
 import math
 from fractions import Fraction
 
@@ -11,6 +12,7 @@ from mixedrandic import (
     enumerate_elementary_subgraphs,
     enumerate_mixed_graphs,
     path_graph,
+    run_theorem_suite,
     sample_mixed_graphs,
     spanning_elementary_subgraphs,
 )
@@ -160,3 +162,14 @@ def test_sampling_rejects_an_unreachable_min_degree():
     # n - 1 is reachable: only complete underlying graphs pass
     for g in sample_mixed_graphs(4, 5, seed=1, min_degree=3):
         assert g.degrees() == (3, 3, 3, 3)
+
+
+def test_cycles_charpoly_and_suite_leave_no_reference_cycles():
+    # garbage in a reference cycle waits for the collector, and a graph's
+    # cycle list and charpoly table are large: all of it must go at once
+    g = sample_mixed_graphs(6, 1, seed=3)[0]
+    gc.collect()
+    enumerate_cycles(g)
+    elementary_weight_numerators(g)
+    run_theorem_suite(g)
+    assert gc.collect() == 0

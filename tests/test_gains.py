@@ -25,6 +25,7 @@ from mixedrandic.gains import (
     W,
     W_BAR,
     SixthRoot,
+    gain_balance,
     is_positive_by_paths,
 )
 
@@ -156,6 +157,51 @@ def test_certificate_to_minus_one():
     for e in directed_cycle(3).edges:
         assert switched.gain(e.u, e.v) == MINUS_ONE
     assert switching_certificate_to_constant(gain_view(single_arc_triangle()), MINUS_ONE) is None
+
+
+def certificate_by_switching(view, target):
+    """Reference: propagate a switching function over a traversal from
+    vertex 1, switch the whole view and compare every gain to the target."""
+    adj = view.base.adjacency_sets()
+    zeta = {1: ONE}
+    queue = [1]
+    while queue:
+        v = queue.pop()
+        for w in adj[v]:
+            if w not in zeta:
+                zeta[w] = target * zeta[v] * view.gains[(v, w)].inverse()
+                queue.append(w)
+    switched = apply_switching(view, zeta)
+    if any(gain != target for gain in switched.gains.values()):
+        return None
+    return zeta
+
+
+def test_balance_matches_switching_reference(exhaustive_population):
+    graphs = exhaustive_population + population(5)[:200] + population(6)[:100]
+    counts = {True: 0, False: 0}
+    for g in graphs:
+        view = gain_view(g)
+        positive, antibalanced = gain_balance(g)
+        assert is_positive(g) == positive
+        for target, verdict in ((ONE, positive), (MINUS_ONE, antibalanced)):
+            reference = certificate_by_switching(view, target)
+            assert (reference is not None) == verdict
+            certificate = switching_certificate_to_constant(view, target)
+            assert certificate == reference
+            # the same traversal: the same keys in the same order
+            assert list(certificate or ()) == list(reference or ())
+        counts[antibalanced] += 1
+    assert counts[True] > 100 and counts[False] > 100
+
+
+def test_balance_is_decided_per_component():
+    # an all-arc triangle (gain -1) beside an un-oriented one (gain 1)
+    g = MixedGraph.build(6, undirected_pairs=[(4, 5), (5, 6), (4, 6)],
+                         arcs=[(1, 2), (2, 3), (3, 1)])
+    assert gain_balance(g) == (False, False)
+    assert gain_balance(directed_cycle(3)) == (False, True)
+    assert gain_balance(cycle_graph(4)) == (True, True)
 
 
 def test_certificate_requires_connected():

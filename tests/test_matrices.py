@@ -23,9 +23,14 @@ from mixedrandic.gains import OMEGA, W, W_BAR
 from mixedrandic.matrices import (
     format_complex,
     format_matrix,
+    hermitian_adjacencies,
+    incidence_matrices,
     is_hermitian,
+    laplacians,
     quadratic_form,
     randic_matrices,
+    randic_stack,
+    randic_via_incidences,
 )
 
 w = W.value
@@ -86,6 +91,92 @@ def test_randic_matrices_rows_are_the_edge_deleted_matrices(graphs_with_deletion
         for row, e in zip(stack[1:], deleted):
             assert np.array_equal(row, randic_matrix(g.without_edge(e)))
             assert same_bits(row, loop_randic_matrix(g.without_edge(e)))
+
+
+def removable_edges(g):
+    d = g.degrees()
+    return [e for e in g.edges if d[e.u - 1] > 1 and d[e.v - 1] > 1]
+
+
+def orders(graphs):
+    by_order = {}
+    for g, deleted in graphs:
+        by_order.setdefault(g.n, []).append((g, deleted))
+    return by_order.values()
+
+
+@pytest.fixture(scope="module")
+def populations(graphs_with_deletions):
+    """Stacks that span graphs: every order of graphs_with_deletions, and
+    every n = 4 graph with its removable edges."""
+    return list(orders(graphs_with_deletions)) + [
+        [(g, removable_edges(g)) for g in population(4)]]
+
+
+def test_population_stack_is_the_per_graph_stacks(populations):
+    for order in populations:
+        graphs, deleted = zip(*order)
+        stack = randic_stack(graphs, deleted, underlying=True)
+        per_graph = np.concatenate([
+            np.concatenate((randic_matrices(g, cut),
+                            randic_matrices(g.underlying_graph())))
+            for g, cut in order])
+        assert same_bits(stack, per_graph)
+        assert same_bits(randic_stack(graphs, deleted),
+                         np.concatenate([randic_matrices(g, cut) for g, cut in order]))
+        # one solve of the population, row for row the per-graph solves
+        rows = np.linalg.eigvalsh(stack)
+        start = 0
+        for g, cut in order:
+            single = np.linalg.eigvalsh(np.concatenate(
+                (randic_matrices(g, cut), randic_matrices(g.underlying_graph()))))
+            assert rows[start:start + len(single)].tobytes() == single.tobytes()
+            start += len(single)
+        assert start == len(rows)
+
+
+def loop_hermitian_adjacency(g):
+    """Reference: one Python complex per edge."""
+    h = np.zeros((g.n, g.n), dtype=complex)
+    for e in g.edges:
+        val = 1.0 + 0.0j if e.kind is EdgeKind.UNDIRECTED else OMEGA
+        h[e.u - 1, e.v - 1] = val
+        h[e.v - 1, e.u - 1] = val.conjugate()
+    return h
+
+
+def loop_randic_via_incidence(g):
+    """Reference: the incidence matrix column by column, one graph at a
+    time through the same products."""
+    s = np.zeros((g.n, g.m), dtype=complex)
+    for col, e in enumerate(g.edges):
+        if e.kind is EdgeKind.UNDIRECTED:
+            s[e.u - 1, col], s[e.v - 1, col] = 1.0, -1.0
+        else:
+            s[e.v - 1, col], s[e.u - 1, col] = 1.0, -OMEGA
+    half = np.diag([1.0 / math.sqrt(d) for d in g.degrees()]) @ s
+    return s, np.eye(g.n, dtype=complex) - half @ half.conj().T
+
+
+def test_population_builders_match_per_graph_loops(populations):
+    for order in populations:
+        graphs = [g for g, _ in order]
+        adjacency = hermitian_adjacencies(graphs)
+        lap = laplacians(graphs)
+        incidence = incidence_matrices(graphs)
+        via = randic_via_incidences(graphs)
+        width = max(g.m for g in graphs)
+        assert incidence.shape == (len(graphs), graphs[0].n, width)
+        for i, g in enumerate(graphs):
+            h = loop_hermitian_adjacency(g)
+            assert same_bits(adjacency[i], h)
+            expected = -h
+            expected[range(g.n), range(g.n)] = g.degrees()
+            assert same_bits(lap[i], expected)
+            s, reference = loop_randic_via_incidence(g)
+            assert same_bits(incidence[i, :, :g.m], s)
+            assert not incidence[i, :, g.m:].any()
+            assert same_bits(via[i], reference)
 
 
 def test_randic_matrices_guards():

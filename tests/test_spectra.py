@@ -17,7 +17,12 @@ from mixedrandic import (
     sample_mixed_graphs,
 )
 from mixedrandic.matrices import randic_matrices
-from mixedrandic.spectra import eigendecompose_stack
+from mixedrandic.spectra import (
+    Spectrum,
+    eigendecompose_stack,
+    eigenvalue_rows,
+    expand_roots,
+)
 
 
 def single_arc_triangle():
@@ -73,6 +78,48 @@ def test_eigendecompose_stack_rejects_one_non_hermitian_slice():
         eigendecompose_stack(stack)
     with pytest.raises(ValueError, match="not Hermitian"):
         eigendecompose_stack(stack[0])  # one matrix, not a stack
+
+
+def convolve_roots(roots):
+    """Reference: the product of (x - lambda) one np.convolve at a time."""
+    coeffs = np.array([1.0])
+    for lam in roots:
+        coeffs = np.convolve(coeffs, np.array([1.0, -lam]))
+    return coeffs
+
+
+def test_expand_roots_matches_convolution():
+    rng = np.random.default_rng(7)
+    for n in range(1, 13):
+        roots = np.sort(rng.uniform(-1, 1, (400, n)), axis=1)
+        roots[::5, 0] = 0.0          # signed zeros in the products
+        roots[::7, -1] = -0.0
+        roots[::3] = np.round(roots[::3] * 4) / 4   # exact cancellations
+        expanded = expand_roots(roots)
+        assert expanded.shape == (400, n + 1)
+        for row, coeffs in zip(roots, expanded):
+            assert coeffs.tobytes() == convolve_roots(row).tobytes()
+
+
+def test_spectrum_rows_match_single_spectra(graphs_with_deletions):
+    by_order = {}
+    for g, deleted in graphs_with_deletions:
+        by_order.setdefault(g.n, []).append(randic_matrices(g, deleted))
+    for stacks in by_order.values():
+        rows = Spectrum(eigenvalue_rows(np.concatenate(stacks)))
+        for i, vals in enumerate(rows.eigenvalues):
+            one = Spectrum(vals)
+            for name in ("energy", "rho", "sigma", "determinant"):
+                value = getattr(one, name)
+                assert type(value) is float
+                assert getattr(rows, name)[i].tobytes() == np.float64(value).tobytes()
+            assert rows.negative_count[i] == one.negative_count
+            assert type(one.negative_count) is int
+            assert rows.is_singular[i] == one.is_singular
+            assert type(one.is_singular) is bool
+            for value in (1.0, -1.0):
+                assert rows.multiplicity(value)[i] == one.multiplicity(value)
+                assert rows.contains(value)[i] == one.contains(value)
 
 
 def test_char_poly_numeric_triangle():

@@ -19,7 +19,8 @@ from mixedrandic import (
     run_theorem_suite,
     smallest_eigenvalue_bound,
 )
-from mixedrandic.theorems import entry_sum
+from mixedrandic import theorems
+from mixedrandic.theorems import entry_sum, run_theorem_suites
 
 # Non-bipartite mixed graph whose two triangles carry gains 1 and -1, so the
 # odd-order coefficients vanish and the spectrum is symmetric about zero.
@@ -215,3 +216,34 @@ def test_suite_flags_symmetric_non_bipartite_graph():
     suite = run_theorem_suite(parse_graph(SYMMETRIC_NON_BIPARTITE))
     failed = [record.name for record in suite.failures]
     assert failed == ["bipartite_iff_symmetric"]
+
+
+def fields(suite):
+    # repr keeps the sign of zero that == ignores
+    return [repr(record) for record in suite.records]
+
+
+@pytest.mark.parametrize("interlacing", [True, False])
+def test_suites_match_one_graph_suites(interlacing, graphs_with_deletions,
+                                       monkeypatch):
+    # mixed orders, out of order, across the charpoly cap and a repeat
+    graphs = [g for g, _ in graphs_with_deletions][::-1]
+    graphs[40:40] = [path_graph(11), cycle_graph(11), graphs[3]]
+    whole = run_theorem_suites(graphs, include_interlacing=interlacing)
+    monkeypatch.setattr(theorems, "SUITE_BLOCK", 7)
+    blocked = run_theorem_suites(iter(graphs), include_interlacing=interlacing)
+    assert len(whole) == len(blocked) == len(graphs)
+    for g, a, b in zip(graphs, whole, blocked):
+        single = run_theorem_suite(g, include_interlacing=interlacing)
+        assert a.graph is g and b.graph is g
+        assert fields(a) == fields(b) == fields(single)
+        assert a.spectrum.eigenvalues.tobytes() == single.spectrum.eigenvalues.tobytes()
+        assert a.spectrum.eigenvalues.tobytes() == randic_spectrum(g).eigenvalues.tobytes()
+
+
+def test_suites_reject_disconnected_and_isolated_graphs():
+    with pytest.raises(ValueError, match="not connected"):
+        run_theorem_suites([cycle_graph(3), MixedGraph.build(4, [(1, 2), (3, 4)])])
+    with pytest.raises(ValueError, match="isolated vertex"):
+        run_theorem_suites([cycle_graph(3), MixedGraph(1, ())])
+    assert run_theorem_suites([]) == []
