@@ -35,19 +35,42 @@ TOL_ZERO = 1e-9
 DEFAULT_COMBINATORIAL_CAP = 10
 
 
-def _scalar(x):
-    """A Python number for a one-spectrum reduction, the array for rows."""
-    return x.item() if np.ndim(x) == 0 else x
+def energies(vals: np.ndarray) -> np.ndarray:
+    """Per row of eigenvalues, the sum of their absolute values."""
+    return np.abs(vals).sum(axis=-1)
+
+
+def spectral_radii(vals: np.ndarray) -> np.ndarray:
+    """Per row of eigenvalues, the largest |eigenvalue|."""
+    return np.abs(vals).max(axis=-1)
+
+
+def min_moduli(vals: np.ndarray) -> np.ndarray:
+    """Per row of eigenvalues, the smallest |eigenvalue|."""
+    return np.abs(vals).min(axis=-1)
+
+
+def negative_counts(vals: np.ndarray) -> np.ndarray:
+    """Per row of eigenvalues, how many lie below -TOL_ZERO."""
+    return (vals < -TOL_ZERO).sum(axis=-1)
+
+
+def determinants(vals: np.ndarray) -> np.ndarray:
+    """Per row of eigenvalues, their product."""
+    return vals.prod(axis=-1)
+
+
+def multiplicities(vals: np.ndarray, value: float, tol: float = 1e-8) -> np.ndarray:
+    """Per row of eigenvalues, how many lie within tol of value."""
+    return (np.abs(vals - value) <= tol).sum(axis=-1)
 
 
 @dataclass(frozen=True)
 class Spectrum:
     """Sorted real eigenvalues of a Hermitian matrix plus derived scalars.
 
-    ``eigenvalues`` may also hold one row per matrix of a stack, shape
-    (G, n); every derived scalar is then a (G,) array, from the same
-    reduction along the last axis that gives a Python number for one
-    spectrum.
+    Each scalar is the one-row case of the row reduction above it, which
+    the theorem suite runs on a whole population's eigenvalue array.
     """
 
     eigenvalues: np.ndarray
@@ -58,41 +81,41 @@ class Spectrum:
 
     @property
     def n(self) -> int:
-        return self.eigenvalues.shape[-1]
+        return len(self.eigenvalues)
 
     @property
-    def energy(self):
+    def energy(self) -> float:
         """Sum of absolute values of the eigenvalues."""
-        return _scalar(np.abs(self.eigenvalues).sum(axis=-1))
+        return float(energies(self.eigenvalues))
 
     @property
-    def rho(self):
+    def rho(self) -> float:
         """Spectral radius: the largest |eigenvalue|."""
-        return _scalar(np.abs(self.eigenvalues).max(axis=-1))
+        return float(spectral_radii(self.eigenvalues))
 
     @property
-    def sigma(self):
+    def sigma(self) -> float:
         """The smallest |eigenvalue|."""
-        return _scalar(np.abs(self.eigenvalues).min(axis=-1))
+        return float(min_moduli(self.eigenvalues))
 
     @property
-    def negative_count(self):
+    def negative_count(self) -> int:
         """Number of eigenvalues below -TOL_ZERO."""
-        return _scalar((self.eigenvalues < -TOL_ZERO).sum(axis=-1))
+        return int(negative_counts(self.eigenvalues))
 
     @property
-    def determinant(self):
+    def determinant(self) -> float:
         """Product of the eigenvalues."""
-        return _scalar(self.eigenvalues.prod(axis=-1))
+        return float(determinants(self.eigenvalues))
 
     @property
-    def is_singular(self):
+    def is_singular(self) -> bool:
         return self.sigma <= TOL_ZERO
 
-    def multiplicity(self, value: float, tol: float = 1e-8):
-        return _scalar((np.abs(self.eigenvalues - value) <= tol).sum(axis=-1))
+    def multiplicity(self, value: float, tol: float = 1e-8) -> int:
+        return int(multiplicities(self.eigenvalues, value, tol))
 
-    def contains(self, value: float, tol: float = 1e-8):
+    def contains(self, value: float, tol: float = 1e-8) -> bool:
         return self.multiplicity(value, tol) > 0
 
 

@@ -11,9 +11,11 @@ spectra.
 
 The bounds are evaluated on a population of one order at a time, as
 arrays over its graphs; the one-graph functions (``entry_sum_bounds``,
-``energy_bounds_report``, ...) are the population of one, so every formula
-exists once.  ``run_theorem_suites`` runs the whole suite that way and
-``run_theorem_suite`` is its one-graph case.
+``energy_bounds_report``, ...) are the population of one, and the suite
+builds the ``check_*`` results from the same per-graph facts, so every
+formula and every tolerance comparison exists once.  ``run_theorem_suites``
+runs the whole suite that way and ``run_theorem_suite`` is its one-graph
+case.
 
 The checks named ``*_iff_*`` assert equivalences between a spectral fact and
 a combinatorial certificate; ``minus_one_vs_positive_bipartite`` is the one
@@ -39,10 +41,16 @@ from .spectra import (
     TOL_ZERO,
     Spectrum,
     char_poly_combinatorial,
+    determinants,
     eigendecompose_stack,
     eigenvalue_rows,
+    energies,
     expand_roots,
+    min_moduli,
+    multiplicities,
+    negative_counts,
     randic_spectrum,
+    spectral_radii,
 )
 
 #: One-sided tolerance for inequality slack, scaled by max(1, |rhs|).
@@ -52,7 +60,8 @@ TOL_INEQ = 1e-9
 TOL_EIG = 1e-8
 
 #: Most graphs in one stacked build and solve: an order with more is taken
-#: in blocks of this many, which bounds the memory its temporaries take.
+#: in blocks of this many.  A whole order's stack and the arrays derived
+#: from it raise a campaign's peak memory with the population's size.
 SUITE_BLOCK = 256
 
 
@@ -216,8 +225,11 @@ def check_eigenvalue_one(g: MixedGraph,
     """
     _require_connected(g)
     s = randic_spectrum(g) if spectrum is None else spectrum
-    mult = s.multiplicity(1.0, TOL_EIG)
-    return EigenvalueOneCheck(mult > 0, mult, is_positive(g))
+    return _eigenvalue_one(s.multiplicity(1.0, TOL_EIG), is_positive(g))
+
+
+def _eigenvalue_one(multiplicity: int, positive: bool) -> EigenvalueOneCheck:
+    return EigenvalueOneCheck(multiplicity > 0, multiplicity, positive)
 
 
 @dataclass(frozen=True)
@@ -232,8 +244,11 @@ def check_spectral_symmetry(g: MixedGraph,
     """Is the spectrum symmetric about 0, and is the underlying graph bipartite."""
     _require_connected(g)
     s = randic_spectrum(g) if spectrum is None else spectrum
-    asym = float(_asymmetry(s.eigenvalues))
-    return SymmetryCheck(asym <= TOL_EIG, g.is_bipartite(), asym)
+    return _symmetry(float(_asymmetry(s.eigenvalues)), g.is_bipartite())
+
+
+def _symmetry(max_asymmetry: float, bipartite: bool) -> SymmetryCheck:
+    return SymmetryCheck(max_asymmetry <= TOL_EIG, bipartite, max_asymmetry)
 
 
 @dataclass(frozen=True)
@@ -253,9 +268,13 @@ def check_minus_one(g: MixedGraph,
     """
     _require_connected(g)
     s = randic_spectrum(g) if spectrum is None else spectrum
-    positive, anti = gain_balance(g)
-    return MinusOneCheck(s.contains(-1.0, TOL_EIG),
-                         positive and g.is_bipartite(), anti)
+    return _minus_one(s.multiplicity(-1.0, TOL_EIG), *gain_balance(g),
+                      g.is_bipartite())
+
+
+def _minus_one(multiplicity: int, positive: bool, antibalanced: bool,
+               bipartite: bool) -> MinusOneCheck:
+    return MinusOneCheck(multiplicity > 0, positive and bipartite, antibalanced)
 
 
 @dataclass(frozen=True)
@@ -274,8 +293,13 @@ def check_spectrum_equals_underlying(
     _require_connected(g)
     s = randic_spectrum(g) if spectrum is None else spectrum
     plain = randic_spectrum(g.underlying_graph())
-    diff = float(_distance(s.eigenvalues, plain.eigenvalues))
-    return UnderlyingSpectrumCheck(diff <= TOL_EIG, is_positive(g), diff)
+    return _underlying(float(_distance(s.eigenvalues, plain.eigenvalues)),
+                       is_positive(g))
+
+
+def _underlying(max_difference: float, positive: bool) -> UnderlyingSpectrumCheck:
+    return UnderlyingSpectrumCheck(max_difference <= TOL_EIG, positive,
+                                   max_difference)
 
 
 def entry_sum(g: MixedGraph) -> float:
@@ -311,11 +335,11 @@ class EntrySumBounds:
 
 
 def _entry_sum_bounds(n: int, total: np.ndarray,
-                      s: Spectrum) -> list[EntrySumBounds]:
+                      vals: np.ndarray) -> list[EntrySumBounds]:
     """entry_sum_bounds for a population of order n: entry sums (G,) and
-    spectra with one row per graph."""
-    lam_min = s.eigenvalues[:, 0]
-    lam_max = s.eigenvalues[:, -1]
+    sorted eigenvalues (G, n)."""
+    lam_min = vals[:, 0]
+    lam_max = vals[:, -1]
     lower = -total / (n * (n - 1))
     upper = total / n
     # lists, so that records and bounds share the float objects
@@ -337,15 +361,16 @@ def entry_sum_bounds(g: MixedGraph,
         raise ValueError("entry-sum bounds need at least two vertices")
     s = randic_spectrum(g) if spectrum is None else spectrum
     return _entry_sum_bounds(g.n, np.array([entry_sum(g)]),
-                             Spectrum(s.eigenvalues[np.newaxis]))[0]
+                             s.eigenvalues[np.newaxis])[0]
 
 
 def _smallest_eigenvalue_bounds(n: int, r_inv: np.ndarray,
-                                s: Spectrum) -> list[CheckRecord]:
-    """smallest_eigenvalue_bound for a population of order n."""
+                                vals: np.ndarray) -> list[CheckRecord]:
+    """smallest_eigenvalue_bound for a population of order n: r_inv (G,)
+    and sorted eigenvalues (G, n)."""
     bound = 2.0 * r_inv / (n * (n - 1))
     # Python's float power: numpy's rounds differently
-    squares = [x ** 2 for x in s.eigenvalues[:, 0].tolist()]
+    squares = [x ** 2 for x in vals[:, 0].tolist()]
     return _inequalities("min_eigenvalue_square", bound, squares)
 
 
@@ -360,7 +385,7 @@ def smallest_eigenvalue_bound(g: MixedGraph,
     if r_inv is None:
         r_inv = randic_inverse(g)
     return _smallest_eigenvalue_bounds(g.n, np.array([r_inv]),
-                                       Spectrum(s.eigenvalues[np.newaxis]))[0]
+                                       s.eigenvalues[np.newaxis])[0]
 
 
 @dataclass(frozen=True)
@@ -389,17 +414,17 @@ class BoundsReport:
 
 
 def _energy_bounds(graphs: Sequence[MixedGraph], r_inv: np.ndarray,
-                   s: Spectrum) -> list[BoundsReport]:
+                   vals: np.ndarray) -> list[BoundsReport]:
     """energy_bounds_report for a population of one order, with r_inv (G,)
-    and spectra with one row per graph.
+    and sorted eigenvalues (G, n).
 
     |det|**(2/n), ratio**(1/(n-k)), the exponential and squares stay Python
     float arithmetic: numpy's power and exp round differently.
     """
     n = graphs[0].n
-    eps, rho, sigma, det = s.energy, s.rho, s.sigma, s.determinant
-    k = s.negative_count
-    singular = s.is_singular
+    eps, rho, sigma = energies(vals), spectral_radii(vals), min_moduli(vals)
+    det, k = determinants(vals), negative_counts(vals)
+    singular = sigma <= TOL_ZERO
     eps_list = eps.tolist()
 
     det_root = np.array([abs(x) ** (2.0 / n) for x in det.tolist()])
@@ -407,7 +432,7 @@ def _energy_bounds(graphs: Sequence[MixedGraph], r_inv: np.ndarray,
     # the geometric mean of the positive eigenvalues, over graphs with
     # eigenvalues of both signs and a nonsingular matrix
     mixed = (k > 0) & (k < n) & ~singular
-    negatives = np.where(np.arange(n) < k[:, np.newaxis], s.eigenvalues, 1.0)
+    negatives = np.where(np.arange(n) < k[:, np.newaxis], vals, 1.0)
     with np.errstate(all="ignore"):
         ratio = det / negatives.prod(axis=-1)
     roots = np.array([r ** (1.0 / (n - kk)) if ok else 0.0 for r, kk, ok
@@ -425,7 +450,7 @@ def _energy_bounds(graphs: Sequence[MixedGraph], r_inv: np.ndarray,
     with np.errstate(all="ignore"):
         polya_lhs = np.sqrt(8.0 * n * rho * sigma * r_inv) / (rho + sigma)
     polya = _inequalities("energy_lower_polya_szego", polya_lhs, eps_list)
-    for i in np.flatnonzero(sigma <= TOL_ZERO).tolist():
+    for i in np.flatnonzero(singular).tolist():
         polya[i] = CheckRecord(
             "energy_lower_polya_szego", True, lhs=0.0, rhs=eps_list[i],
             slack=eps_list[i],
@@ -469,8 +494,8 @@ def _energy_bounds(graphs: Sequence[MixedGraph], r_inv: np.ndarray,
         k.tolist(), eps_list, records)]
 
 
-def energy_bounds_report(g: MixedGraph, spectrum: Spectrum | None = None,
-                         r_inv: float | None = None) -> BoundsReport:
+def energy_bounds_report(g: MixedGraph,
+                         spectrum: Spectrum | None = None) -> BoundsReport:
     """Evaluate the energy bounds.
 
     Naming scheme: energy_lower_* are claims bound <= energy, energy_upper_*
@@ -488,10 +513,8 @@ def energy_bounds_report(g: MixedGraph, spectrum: Spectrum | None = None,
     if g.n < 2:
         raise ValueError("energy bounds need at least two vertices")
     s = randic_spectrum(g) if spectrum is None else spectrum
-    if r_inv is None:
-        r_inv = randic_inverse(g)
-    return _energy_bounds([g], np.array([r_inv]),
-                          Spectrum(s.eigenvalues[np.newaxis]))[0]
+    return _energy_bounds([g], np.array([randic_inverse(g)]),
+                          s.eigenvalues[np.newaxis])[0]
 
 
 @dataclass(frozen=True)
@@ -524,38 +547,38 @@ def _edge_label(e: EdgeRecord) -> str:
     return str(e).replace(" ", "")
 
 
-def _structural_records(positive: bool, antibalanced: bool, bipartite: bool,
-                        mult_one: int, has_minus_one: bool, asymmetry: float,
-                        underlying_difference: float) -> tuple[CheckRecord, ...]:
-    """The biconditional records of one graph, from its per-graph facts."""
-    has_one = mult_one > 0
-    one_ok = (not has_one) or (positive and mult_one == 1)
-    symmetric = asymmetry <= TOL_EIG
-    positive_bipartite = positive and bipartite
-    spectra_equal = underlying_difference <= TOL_EIG
+def _structural_records(one: EigenvalueOneCheck, sym: SymmetryCheck,
+                        minus: MinusOneCheck,
+                        under: UnderlyingSpectrumCheck) -> tuple[CheckRecord, ...]:
+    """The biconditional records of one graph, from its check results."""
+    one_ok = (not one.has_one) or (one.graph_positive and one.multiplicity == 1)
     return (
         _flag("one_implies_positive_simple", one_ok,
               reason="" if one_ok else
-              f"has_one={has_one} positive={positive} "
-              f"multiplicity={mult_one}"),
-        _flag("positive_implies_one", (not positive) or has_one),
-        _flag("bipartite_iff_symmetric", bipartite == symmetric,
-              reason="" if bipartite == symmetric else
-              f"bipartite={bipartite} symmetric={symmetric} "
-              f"max_asymmetry={asymmetry:.3e}"),
-        _flag("minus_one_iff_antibalanced", has_minus_one == antibalanced,
-              reason="" if has_minus_one == antibalanced else
-              f"has_minus_one={has_minus_one} antibalanced={antibalanced}"),
+              f"has_one={one.has_one} positive={one.graph_positive} "
+              f"multiplicity={one.multiplicity}"),
+        _flag("positive_implies_one", (not one.graph_positive) or one.has_one),
+        _flag("bipartite_iff_symmetric", sym.bipartite == sym.symmetric,
+              reason="" if sym.bipartite == sym.symmetric else
+              f"bipartite={sym.bipartite} symmetric={sym.symmetric} "
+              f"max_asymmetry={sym.max_asymmetry:.3e}"),
+        _flag("minus_one_iff_antibalanced",
+              minus.has_minus_one == minus.antibalanced,
+              reason="" if minus.has_minus_one == minus.antibalanced else
+              f"has_minus_one={minus.has_minus_one} "
+              f"antibalanced={minus.antibalanced}"),
         _flag("minus_one_vs_positive_bipartite", True,
-              reason="" if has_minus_one == positive_bipartite else
-              f"divergence: has_minus_one={has_minus_one} "
-              f"positive_bipartite={positive_bipartite}"),
-        _flag("underlying_spectrum_iff_all_ones", spectra_equal == positive,
-              reason="" if spectra_equal == positive else
-              f"spectra_equal={spectra_equal} switch_equiv_allones={positive}"),
+              reason="" if minus.has_minus_one == minus.positive_bipartite else
+              f"divergence: has_minus_one={minus.has_minus_one} "
+              f"positive_bipartite={minus.positive_bipartite}"),
+        _flag("underlying_spectrum_iff_all_ones",
+              under.spectra_equal == under.switch_equiv_allones,
+              reason="" if under.spectra_equal == under.switch_equiv_allones else
+              f"spectra_equal={under.spectra_equal} "
+              f"switch_equiv_allones={under.switch_equiv_allones}"),
         _flag("bipartite_positive_unit_eigenvalues",
-              has_one and has_minus_one)
-        if positive and bipartite else
+              one.has_one and minus.has_minus_one)
+        if one.graph_positive and sym.bipartite else
         _skip("bipartite_positive_unit_eigenvalues",
               "not a positive bipartite graph"),
     )
@@ -577,13 +600,12 @@ def _order_suites(graphs: Sequence[MixedGraph],
     sizes = np.array([2 + len(cut) for cut in removable])
     first = np.cumsum(sizes) - sizes
     last = first + sizes - 1
-    s = Spectrum(rows[first])
-    vals = s.eigenvalues
+    vals = rows[first]
     mats = stack[first]
     r_inv = np.array([randic_inverse(g) for g in graphs])
 
     head = [
-        _inequalities("unit_interval", s.rho, 1.0),
+        _inequalities("unit_interval", spectral_radii(vals), 1.0),
         _inequalities("trace_zero", np.abs(vals.sum(axis=-1)), 0.0),
         _inequalities("second_moment",
                       np.abs((vals ** 2).sum(axis=-1) - 2.0 * r_inv), 0.0),
@@ -604,7 +626,7 @@ def _order_suites(graphs: Sequence[MixedGraph],
                                   0.0, tol=TOL_EIG))
         head.append(_inequalities(
             "determinant_identity",
-            np.abs((-1) ** n * exact[:, -1] - s.determinant), 0.0))
+            np.abs((-1) ** n * exact[:, -1] - determinants(vals)), 0.0))
     else:
         reason = f"n = {n} above cap {DEFAULT_COMBINATORIAL_CAP}"
         head.append([_skip("charpoly_agreement", reason)] * len(graphs))
@@ -626,17 +648,20 @@ def _order_suites(graphs: Sequence[MixedGraph],
             for g, d in zip(graphs, degrees)
         ]
 
-    structural = [
-        _structural_records(*balance, g.is_bipartite(), *facts)
-        for g, balance, facts in zip(graphs, map(gain_balance, graphs), zip(
-            s.multiplicity(1.0, TOL_EIG).tolist(),
-            s.contains(-1.0, TOL_EIG).tolist(),
-            _asymmetry(vals).tolist(),
-            _distance(vals, rows[last]).tolist()))
-    ]
-    entry = _entry_sum_bounds(n, np.array([entry_sum(g) for g in graphs]), s)
-    smallest = _smallest_eigenvalue_bounds(n, r_inv, s)
-    energy = _energy_bounds(graphs, r_inv, s)
+    structural = []
+    for g, (positive, anti), mult_one, mult_minus_one, asym, diff in zip(
+            graphs, map(gain_balance, graphs),
+            multiplicities(vals, 1.0, TOL_EIG).tolist(),
+            multiplicities(vals, -1.0, TOL_EIG).tolist(),
+            _asymmetry(vals).tolist(), _distance(vals, rows[last]).tolist()):
+        bipartite = g.is_bipartite()
+        structural.append(_structural_records(
+            _eigenvalue_one(mult_one, positive), _symmetry(asym, bipartite),
+            _minus_one(mult_minus_one, positive, anti, bipartite),
+            _underlying(diff, positive)))
+    entry = _entry_sum_bounds(n, np.array([entry_sum(g) for g in graphs]), vals)
+    smallest = _smallest_eigenvalue_bounds(n, r_inv, vals)
+    energy = _energy_bounds(graphs, r_inv, vals)
     return [
         TheoremSuite(g, Spectrum(row), first_records + interlaced + facts
                      + entries.records + (least,) + bounds.records)

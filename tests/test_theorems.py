@@ -247,3 +247,20 @@ def test_suites_reject_disconnected_and_isolated_graphs():
     with pytest.raises(ValueError, match="isolated vertex"):
         run_theorem_suites([cycle_graph(3), MixedGraph(1, ())])
     assert run_theorem_suites([]) == []
+
+
+def test_suite_structural_records_are_the_check_results(exhaustive_population):
+    suites = run_theorem_suites(exhaustive_population, include_interlacing=False)
+    structural = {
+        "one_implies_positive_simple", "positive_implies_one",
+        "bipartite_iff_symmetric", "minus_one_iff_antibalanced",
+        "minus_one_vs_positive_bipartite", "underlying_spectrum_iff_all_ones",
+        "bipartite_positive_unit_eigenvalues",
+    }
+    for g, suite in zip(exhaustive_population, suites):
+        s = suite.spectrum
+        expected = theorems._structural_records(
+            check_eigenvalue_one(g, s), check_spectral_symmetry(g, s),
+            check_minus_one(g, s), check_spectrum_equals_underlying(g, s))
+        got = tuple(r for r in suite.records if r.name in structural)
+        assert [repr(r) for r in got] == [repr(r) for r in expected]
