@@ -6,12 +6,15 @@ polynomial formulas need: component counts, cycle classes and the exact
 rational weight Q = prod 1/d_i over covered vertices, with degrees taken in
 the *host* graph.
 
-``elementary_weight_numerators`` sums the signed weights of every order in
-one recursion: it finds and classifies each cycle once and keeps each
-order's sum as an integer numerator over the common denominator prod d_i,
-since Q = prod_{uncovered} d_i / prod_all d_i.  ``enumerate_elementary_subgraphs``
-lists the subgraphs of one order one by one and is the reference the sums
-are tested against.
+``elementary_weight_numerator_rows`` sums the signed weights of every order
+for a block of graphs of one order, keeping each order's sum as an integer
+numerator over the common denominator prod d_i, since
+Q = prod_{uncovered} d_i / prod_all d_i.  It enumerates the cycles once per
+underlying graph, reads every member's cycle gains off one integer matrix
+product, and fills one subset recursion for the whole block;
+``elementary_weight_numerators`` is its one-graph case.
+``enumerate_elementary_subgraphs`` lists the subgraphs of one order one by
+one and is the reference the sums are tested against.
 
 Everything here is desk scale: the combinatorial routines assume n <= ~10
 and graph enumeration is capped (default 6) because the number of labeled
@@ -23,11 +26,13 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
-from typing import Iterator
+from itertools import combinations, groupby
+from typing import Iterator, Sequence
 
-from .gains import CycleClass, GainView, classify_cycle, gain_view
-from .graphs import EdgeKind, EdgeRecord, MixedGraph
+import numpy as np
+
+from .gains import _CLASS_BY_EXPONENT, CycleClass, GainView, classify_cycle, gain_view
+from .graphs import EdgeKind, EdgeRecord, MixedGraph, group_by_underlying
 
 DEFAULT_GRAPH_CAP = 6
 
@@ -35,6 +40,13 @@ DEFAULT_GRAPH_CAP = 6
 #: double it (see ElementarySubgraph.signed_weight).
 _SIGN_FLIPPING = (CycleClass.NEGATIVE, CycleClass.SEMI_NEGATIVE)
 _DOUBLED = (CycleClass.POSITIVE, CycleClass.NEGATIVE)
+
+#: Per cycle gain exponent mod 6, the sign and doubling its class gives a
+#: cycle's factor.
+_CYCLE_FACTOR = np.array([
+    (-1 if cls_ in _SIGN_FLIPPING else 1) * (2 if cls_ in _DOUBLED else 1)
+    for cls_ in map(_CLASS_BY_EXPONENT.get, range(6))
+], dtype=np.int64)
 
 #: Per-pair states when enumerating mixed graphs, in stream order.
 _PAIR_STATES = ("absent", "undirected", "forward", "backward")
@@ -186,55 +198,98 @@ def enumerate_elementary_subgraphs(g: MixedGraph, k: int) -> list[ElementarySubg
     return results
 
 
-def elementary_weight_numerators(g: MixedGraph) -> tuple[int, ...]:
-    """Per order k = 0..n, the signed weights of the order-k elementary
-    subgraphs summed over the common denominator prod d_i.
+def _component_weights(graphs: Sequence[MixedGraph]) -> np.ndarray:
+    """W[mask, j]: the summed factors of graph j's edges and cycles whose
+    vertex set is ``mask`` (bit i for vertex i + 1).
+
+    An edge contributes -1.  A cycle of gain class c contributes
+    (-1)**(length - 1 + [c sign-flipping]) * (2 if c doubled else 1).  The
+    cycles are found once per underlying graph.  Each member's cycle gain
+    exponents are then K @ P.T mod 6, where P[c, j] is +1 or -1 as cycle c
+    traverses pair j upwards or downwards (0 off the cycle), and K[g, j] is
+    the exponent of pair j traversed upwards in member g: 0 for an
+    un-oriented edge, 1 for an arc upwards and -1 for an arc downwards.
+    """
+    n = graphs[0].n
+    weights = np.zeros((1 << n, len(graphs)), dtype=np.int64)
+    for members in group_by_underlying(graphs):
+        first = graphs[members[0]]
+        pairs = np.array(first.underlying_pairs(), dtype=np.int64).reshape(-1, 2) - 1
+        weights[np.ix_((1 << pairs).sum(axis=1), members)] -= 1
+        cycles = enumerate_cycles(first)
+        if not cycles:
+            continue
+        # column[u, v]: the index of pair {u + 1, v + 1}
+        column = np.zeros((n, n), dtype=np.int64)
+        column[pairs[:, 0], pairs[:, 1]] = np.arange(len(pairs))
+        column[pairs[:, 1], pairs[:, 0]] = np.arange(len(pairs))
+        # int8 holds each exponent sum: at most n terms of -1, 0 or 1
+        traversal = np.zeros((len(cycles), len(pairs)), dtype=np.int8)
+        masks = np.empty(len(cycles), dtype=np.int64)
+        parity = np.empty(len(cycles), dtype=np.int64)
+        start = 0
+        # cycles come sorted by length, so each length is one array
+        for length, same in groupby(cycles, key=len):
+            walk = np.array(list(same), dtype=np.int64) - 1
+            rows = np.arange(start, start + len(walk))
+            step = np.roll(walk, -1, axis=1)
+            traversal[rows[:, np.newaxis], column[walk, step]] = np.sign(step - walk)
+            masks[rows] = (1 << walk).sum(axis=1)
+            parity[rows] = -1 if length % 2 == 0 else 1
+            start += len(walk)
+        exponents = np.array(
+            [[0 if e.kind is EdgeKind.UNDIRECTED else 1 if e.u < e.v else -1
+              for e in graphs[j].edges] for j in members],
+            dtype=np.int8).reshape(len(members), -1)
+        factors = _CYCLE_FACTOR[exponents @ traversal.T % 6] * parity
+        np.add.at(weights, (masks[:, np.newaxis], np.array(members)), factors.T)
+    return weights
+
+
+def elementary_weight_numerator_rows(graphs: Sequence[MixedGraph]) -> np.ndarray:
+    """Row j, entry k: the signed weights of graph j's order-k elementary
+    subgraphs summed over the common denominator prod d_i, for a block of
+    graphs of one order, as a (G, n + 1) int64 array.
 
     Entry k, divided by prod d_i, equals the sum of ``signed_weight()`` over
-    ``enumerate_elementary_subgraphs(g, k)``.  Each component contributes a
-    factor of its own: -1 for an edge (r grows by 1), and
-    (-1)**(length - 1 + [negative or semi-negative]) * 2**[positive or
-    negative] for a cycle; each uncovered vertex contributes its degree.
-    The recursion decides the lowest undecided vertex (uncovered, or the
-    minimum of an edge or cycle), so the sums over a set of undecided
-    vertices depend on that set alone and are tabled by it.
+    ``enumerate_elementary_subgraphs(g, k)``.  Each component contributes
+    its factor (see _component_weights) and each uncovered vertex its
+    degree.  S[U], the sums over the elementary subgraphs of the subgraph
+    induced on the vertex set U (host degrees throughout), decide U's
+    lowest vertex i: left uncovered, S[U] = d_i * S[U - i]; covered by a
+    component M, shift S[U - M] by |M| orders and scale it by W[M].  The
+    table is filled by lowest vertex from n down to 1, every set U and
+    every graph at once: about one array operation per component vertex
+    set of the block.
+
+    Every partial sum is a sub-sum of the expansion of the permanent of
+    D + A, which is at most prod 2 d_i <= (2n - 2)**n: about 3.6e12 at
+    n = 10, so int64 holds it.  Orders where that bound reaches 2**63
+    (n >= 14) are refused.
     """
-    view = gain_view(g)
-    degrees = g.degrees()
-    # components[i]: (vertex mask, size, factor) of each edge or cycle whose
-    # minimum vertex is i + 1
-    components: list[list[tuple[int, int, int]]] = [[] for _ in range(g.n)]
-    for u, v in g.underlying_pairs():
-        components[u - 1].append(((1 << (u - 1)) | (1 << (v - 1)), 2, -1))
-    for cycle in enumerate_cycles(g):
-        cls_ = classify_cycle(view, cycle)
-        flip = (len(cycle) - 1 + (cls_ in _SIGN_FLIPPING)) % 2
-        factor = (-1 if flip else 1) * (2 if cls_ in _DOUBLED else 1)
-        mask = sum(1 << (v - 1) for v in cycle)
-        components[cycle[0] - 1].append((mask, len(cycle), factor))
+    n = graphs[0].n
+    if (2 * n - 2) ** n >= 2 ** 63:
+        raise ValueError(f"n = {n}: the numerators may overflow int64")
+    degrees = np.array([g.degrees() for g in graphs], dtype=np.int64).T
+    weights = _component_weights(graphs)
+    live = np.flatnonzero(weights.any(axis=1))
+    lowest = live & -live
+    sums = np.zeros((1 << n, n + 1, len(graphs)), dtype=np.int64)
+    sums[0, 0] = 1
+    for i in reversed(range(n)):
+        above = np.arange(1 << (n - 1 - i), dtype=np.int64) << (i + 1)
+        sums[above | (1 << i)] = degrees[i] * sums[above]
+        for mask in live[lowest == 1 << i].tolist():
+            rest = above[(above & mask) == 0]
+            size = mask.bit_count()
+            sums[rest | mask, size:] += weights[mask] * sums[rest, :n + 1 - size]
+    return sums[-1].T
 
-    table: dict[int, list[int]] = {0: [1]}
 
-    def sums(undecided: int) -> list[int]:
-        # entry k: weight numerators of the order-k elementary subgraphs of
-        # the subgraph induced on `undecided`, host degrees throughout
-        if undecided in table:
-            return table[undecided]
-        low = undecided & -undecided
-        i = low.bit_length() - 1
-        out = [degrees[i] * x for x in sums(undecided ^ low)] + [0]
-        for mask, size, factor in components[i]:
-            if mask & undecided == mask:
-                for k, x in enumerate(sums(undecided ^ mask)):
-                    out[k + size] += factor * x
-        table[undecided] = out
-        return out
-
-    out = tuple(sums((1 << g.n) - 1))
-    # sums refers to itself: dropping it breaks the reference cycle that
-    # would keep the table alive until the collector's next full pass
-    del sums
-    return out
+def elementary_weight_numerators(g: MixedGraph) -> tuple[int, ...]:
+    """The numerators of every order for one graph: the one-graph case of
+    elementary_weight_numerator_rows."""
+    return tuple(elementary_weight_numerator_rows([g])[0].tolist())
 
 
 def spanning_elementary_subgraphs(g: MixedGraph) -> list[ElementarySubgraph]:

@@ -20,10 +20,10 @@ accepted (LF is emitted).
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
-from typing import Iterable
+from typing import Iterable, Sequence
 
 
 class ParseError(ValueError):
@@ -78,23 +78,29 @@ class MixedGraph:
     """Immutable mixed graph on vertices 1..n.
 
     ``edges`` keeps construction order (matrix builders index edge columns by
-    it); equality and hashing ignore the order.
+    it); equality and hashing ignore the order.  The degrees are counted
+    once, on construction.
     """
 
     n: int
     edges: tuple[EdgeRecord, ...]
+    _degrees: tuple[int, ...] = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         if self.n < 1:
             raise ValueError("vertex count must be at least 1")
         object.__setattr__(self, "edges", tuple(self.edges))
         seen: set[tuple[int, int]] = set()
+        d = [0] * self.n
         for e in self.edges:
             if not (1 <= e.u <= self.n and 1 <= e.v <= self.n):
                 raise ValueError(f"edge {e} out of range 1..{self.n}")
             if e.pair in seen:
                 raise ValueError(f"duplicate pair {{{e.pair[0]}, {e.pair[1]}}}")
             seen.add(e.pair)
+            d[e.u - 1] += 1
+            d[e.v - 1] += 1
+        object.__setattr__(self, "_degrees", tuple(d))
 
     @classmethod
     def build(
@@ -144,11 +150,7 @@ class MixedGraph:
 
     def degrees(self) -> tuple[int, ...]:
         """Underlying-graph degree of each vertex; index i holds vertex i+1."""
-        d = [0] * self.n
-        for e in self.edges:
-            d[e.u - 1] += 1
-            d[e.v - 1] += 1
-        return tuple(d)
+        return self._degrees
 
     def without_edge(self, e: EdgeRecord) -> "MixedGraph":
         """A copy with the given edge removed (other edges keep their order)."""
@@ -200,6 +202,17 @@ class MixedGraph:
     def is_bipartite(self) -> bool:
         """True iff the underlying graph has no odd cycle."""
         return self.two_coloring() is not None
+
+
+def group_by_underlying(graphs: Sequence[MixedGraph]) -> list[list[int]]:
+    """Indices of the graphs grouped by underlying graph: the same order and
+    the same pairs in the same edge order.  Groups come in order of their
+    first member; facts of the underlying graph (degrees, connectivity,
+    cycles, bipartiteness) are the same across a group."""
+    groups: dict[tuple, list[int]] = {}
+    for i, g in enumerate(graphs):
+        groups.setdefault((g.n, tuple(g.underlying_pairs())), []).append(i)
+    return list(groups.values())
 
 
 def general_randic_index(g: MixedGraph, alpha: Fraction | int | float):

@@ -9,10 +9,13 @@ elementary subgraphs of the mixed graph:
 
 with a_0 = 1, r = order - components, the l counters classifying cycle
 components by gain, and Q the product of reciprocal host degrees over the
-covered vertices.  One recursion (``elementary_weight_numerators``) yields
-every order's sum as an integer over the common denominator prod d_i, and
-k = n specializes to the exact rational determinant (-1)**n a_n.  The two
-routes are kept independent so each can check the other.
+covered vertices.  ``elementary_weight_numerator_rows`` yields every
+order's sum as an integer over the common denominator prod d_i for a whole
+block of graphs of one order, in one subset recursion, with the cycles
+enumerated once per underlying graph; ``char_poly_combinatorial`` and
+``determinant_combinatorial`` take its one-graph case, and k = n
+specializes to the exact rational determinant (-1)**n a_n.  The two routes
+are kept independent so each can check the other.
 """
 
 from __future__ import annotations

@@ -33,14 +33,14 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
+from .enumeration import elementary_weight_numerator_rows
 from .gains import gain_balance, is_positive
-from .graphs import EdgeKind, EdgeRecord, MixedGraph
+from .graphs import EdgeKind, EdgeRecord, MixedGraph, group_by_underlying
 from .matrices import laplacians, randic_matrices, randic_stack, randic_via_incidences
 from .spectra import (
     DEFAULT_COMBINATORIAL_CAP,
     TOL_ZERO,
     Spectrum,
-    char_poly_combinatorial,
     determinants,
     eigendecompose_stack,
     eigenvalue_rows,
@@ -588,9 +588,15 @@ def _order_suites(graphs: Sequence[MixedGraph],
                   include_interlacing: bool) -> list[TheoremSuite]:
     """The suite on graphs of one order, each connected with every degree
     >= 1: one stacked build and solve, the residuals and bounds as array
-    reductions over the graphs, and the structural facts per graph."""
+    reductions over the graphs, the exact charpoly numerators in one
+    recursion, and the facts of each underlying graph once."""
     n = graphs[0].n
     degrees = [g.degrees() for g in graphs]
+    bipartite = np.empty(len(graphs), dtype=bool)
+    r_inv = np.empty(len(graphs))
+    for members in group_by_underlying(graphs):
+        bipartite[members] = graphs[members[0]].is_bipartite()
+        r_inv[members] = randic_inverse(graphs[members[0]])
     # R(g), R(g - e) for every edge whose removal isolates no vertex, and R
     # of the underlying graph, for every graph, in one solve
     removable = [[e for e in g.edges if d[e.u - 1] > 1 and d[e.v - 1] > 1]
@@ -602,7 +608,6 @@ def _order_suites(graphs: Sequence[MixedGraph],
     last = first + sizes - 1
     vals = rows[first]
     mats = stack[first]
-    r_inv = np.array([randic_inverse(g) for g in graphs])
 
     head = [
         _inequalities("unit_interval", spectral_radii(vals), 1.0),
@@ -619,8 +624,13 @@ def _order_suites(graphs: Sequence[MixedGraph],
                               _largest_entries(np.eye(n) - triple - mats),
                               0.0, tol=1e-14))
     if n <= DEFAULT_COMBINATORIAL_CAP:
-        exact = np.array([[float(c) for c in char_poly_combinatorial(g).coefficients]
-                          for g in graphs])
+        # a_k = (-1)**k * numerator_k / prod d_i.  Every numerator and the
+        # denominator are below 2**53 at n <= 10 (see
+        # elementary_weight_numerator_rows), so each is exact in float64 and
+        # the one division is rounded as float(Fraction(numerator, prod d_i))
+        numerators = elementary_weight_numerator_rows(graphs)
+        numerators[:, 1::2] *= -1
+        exact = numerators / np.prod(degrees, axis=1, keepdims=True)
         head.append(_inequalities("charpoly_agreement",
                                   _distance(exact, expand_roots(vals)),
                                   0.0, tol=TOL_EIG))
@@ -649,15 +659,14 @@ def _order_suites(graphs: Sequence[MixedGraph],
         ]
 
     structural = []
-    for g, (positive, anti), mult_one, mult_minus_one, asym, diff in zip(
-            graphs, map(gain_balance, graphs),
+    for (positive, anti), two_colorable, mult_one, mult_minus_one, asym, diff in zip(
+            map(gain_balance, graphs), bipartite.tolist(),
             multiplicities(vals, 1.0, TOL_EIG).tolist(),
             multiplicities(vals, -1.0, TOL_EIG).tolist(),
             _asymmetry(vals).tolist(), _distance(vals, rows[last]).tolist()):
-        bipartite = g.is_bipartite()
         structural.append(_structural_records(
-            _eigenvalue_one(mult_one, positive), _symmetry(asym, bipartite),
-            _minus_one(mult_minus_one, positive, anti, bipartite),
+            _eigenvalue_one(mult_one, positive), _symmetry(asym, two_colorable),
+            _minus_one(mult_minus_one, positive, anti, two_colorable),
             _underlying(diff, positive)))
     entry = _entry_sum_bounds(n, np.array([entry_sum(g) for g in graphs]), vals)
     smallest = _smallest_eigenvalue_bounds(n, r_inv, vals)
@@ -680,16 +689,19 @@ def run_theorem_suites(graphs: Iterable[MixedGraph],
     SUITE_BLOCK graphs.  Each block's matrices R(g), R(g - e) for every edge
     whose removal isolates no vertex, and R of the underlying graph are
     built as one stack and solved by one eigvalsh call; the residuals and
-    bounds are row reductions over the block's eigenvalue array.  The exact
-    characteristic polynomial, positivity, antibalance, bipartiteness and
-    the records are computed per graph.
+    bounds are row reductions over the block's eigenvalue array, and the
+    exact characteristic polynomials come from one subset recursion per
+    block.  Connectivity, bipartiteness, cycles and r_inv are computed once
+    per underlying graph; positivity, antibalance and the records per graph.
     """
     graphs = list(graphs)
-    orders: dict[int, list[int]] = {}
-    for i, g in enumerate(graphs):
+    for members in group_by_underlying(graphs):
+        g = graphs[members[0]]
         _require_connected(g)
         if 0 in g.degrees():
             raise ValueError("isolated vertex: the normalized matrix is undefined")
+    orders: dict[int, list[int]] = {}
+    for i, g in enumerate(graphs):
         orders.setdefault(g.n, []).append(i)
     suites: list[TheoremSuite] = [None] * len(graphs)  # type: ignore[list-item]
     for members in orders.values():

@@ -224,6 +224,20 @@ def test_sampled_report_digests_are_pinned():
     }
 
 
+def test_sampled_n56_report_digests_are_pinned():
+    # The seeded n = 5, 6 campaign of the benchmark's sampled workload, as
+    # above: its bytes gate every change to the exact charpoly.
+    result = run_campaign(CampaignConfig(n_min=5, n_max=6, seed=1729))
+    assert (len(result.results), result.checks, len(result.failures)) == (
+        1000, 36423, 26)
+    digests = {fmt: hashlib.sha256(render(result).encode()).hexdigest()
+               for fmt, render in (("csv", render_csv), ("json", render_json))}
+    assert digests == {
+        "csv": "909430fb35e250ab146a1fc6555ddd45ac653afdb3e68d36ac54ba32e32b1211",
+        "json": "734ee28113d005f0a35beb6ef9298523bef68355f21363b83f12fecb20956435",
+    }
+
+
 def test_default_report_digests_are_pinned():
     # The default n <= 4 campaign, whose bytes gate every speedup; any
     # change to them must be deliberate, as above.

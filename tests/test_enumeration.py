@@ -1,7 +1,10 @@
 import gc
 import math
+import random
 from fractions import Fraction
+from itertools import combinations
 
+import numpy as np
 import pytest
 
 from mixedrandic import (
@@ -16,7 +19,14 @@ from mixedrandic import (
     sample_mixed_graphs,
     spanning_elementary_subgraphs,
 )
-from mixedrandic.enumeration import elementary_weight_numerators
+from mixedrandic.enumeration import (
+    _DOUBLED,
+    _SIGN_FLIPPING,
+    elementary_weight_numerator_rows,
+    elementary_weight_numerators,
+)
+from mixedrandic.gains import classify_cycle, gain_view
+from mixedrandic.graphs import EdgeKind, EdgeRecord, group_by_underlying
 
 
 def complete_graph(n):
@@ -54,10 +64,12 @@ def test_no_spanning_elementary_subgraph_of_p3():
     assert enumerate_elementary_subgraphs(path_graph(3), 3) == []
 
 
-def assert_one_pass_matches(g, by_order):
-    """Each order's one-pass sum equals the summed reference weights of
-    by_order[k], the order-k elementary subgraphs."""
-    numerators = elementary_weight_numerators(g)
+def assert_one_pass_matches(g, by_order, numerators=None):
+    """Each order's one-pass sum (elementary_weight_numerators(g) unless
+    given) equals the summed reference weights of by_order[k], the order-k
+    elementary subgraphs."""
+    if numerators is None:
+        numerators = elementary_weight_numerators(g)
     assert len(numerators) == len(by_order) == g.n + 1
     denominator = math.prod(g.degrees())
     for k, (numerator, subs) in enumerate(zip(numerators, by_order)):
@@ -90,6 +102,105 @@ def test_counter_invariants_exhaustive(exhaustive_population):
 def test_one_pass_weights_on_sample(n):
     for g in sample_mixed_graphs(n, 25, seed=31):
         assert_one_pass_matches(g, reference_subgraphs(g))
+
+
+def recursive_numerators(g):
+    """The numerators by a per-graph recursion on the set of undecided
+    vertices, memoized by that set: the reference for the block rows."""
+    view = gain_view(g)
+    degrees = g.degrees()
+    # components[i]: (vertex mask, size, factor) of each edge or cycle whose
+    # minimum vertex is i + 1
+    components = [[] for _ in range(g.n)]
+    for u, v in g.underlying_pairs():
+        components[u - 1].append(((1 << (u - 1)) | (1 << (v - 1)), 2, -1))
+    for cycle in enumerate_cycles(g):
+        cls_ = classify_cycle(view, cycle)
+        flip = (len(cycle) - 1 + (cls_ in _SIGN_FLIPPING)) % 2
+        factor = (-1 if flip else 1) * (2 if cls_ in _DOUBLED else 1)
+        mask = sum(1 << (v - 1) for v in cycle)
+        components[cycle[0] - 1].append((mask, len(cycle), factor))
+
+    table = {0: [1]}
+
+    def sums(undecided):
+        if undecided in table:
+            return table[undecided]
+        low = undecided & -undecided
+        i = low.bit_length() - 1
+        out = [degrees[i] * x for x in sums(undecided ^ low)] + [0]
+        for mask, size, factor in components[i]:
+            if mask & undecided == mask:
+                for k, x in enumerate(sums(undecided ^ mask)):
+                    out[k + size] += factor * x
+        table[undecided] = out
+        return out
+
+    return tuple(sums((1 << g.n) - 1))
+
+
+def assert_rows_match(block, by_subgraphs=True):
+    """The block's rows equal the per-graph recursion and, unless told
+    otherwise, the summed weights of the enumerated elementary subgraphs."""
+    rows = elementary_weight_numerator_rows(block)
+    assert rows.dtype == np.int64 and rows.shape == (len(block), block[0].n + 1)
+    for g, row in zip(block, rows.tolist()):
+        assert tuple(row) == recursive_numerators(g), g
+        if by_subgraphs:
+            assert_one_pass_matches(g, reference_subgraphs(g), row)
+
+
+def orient(n, pairs, rng):
+    """A mixed graph on the given pairs, each un-oriented or an arc either
+    way at random."""
+    edges = [EdgeRecord(*((u, v) if rng.random() < 0.5 else (v, u)),
+                        rng.choice((EdgeKind.UNDIRECTED, EdgeKind.ARC)))
+             for u, v in pairs]
+    return MixedGraph(n, tuple(edges))
+
+
+def test_block_rows_on_mixed_blocks():
+    rng = random.Random(7)
+    k4 = [(i, j) for i, j in combinations(range(1, 5), 2)]
+    star = [(1, 2), (1, 3), (1, 4)]
+    block = [path_graph(4), cycle_graph(4), directed_cycle(4),
+             complete_graph(4), orient(4, star, rng)]
+    block += [orient(4, k4, rng) for _ in range(4)]
+    block += [orient(4, [(1, 2), (2, 3), (1, 3), (3, 4)], rng) for _ in range(3)]
+    groups = group_by_underlying(block)
+    # several underlying graphs, some repeated with other orientations
+    assert 1 < len(groups) < len(block) and min(map(len, groups)) == 1
+    assert_rows_match(block)
+    assert_rows_match([path_graph(4), orient(4, star, rng)])  # trees only
+    assert_rows_match(list(enumerate_mixed_graphs(2, connected_only=True)))
+
+
+def test_block_rows_on_the_exhaustive_population(exhaustive_population):
+    for n in (2, 3, 4):
+        block = [g for g in exhaustive_population if g.n == n]
+        assert_rows_match(block, by_subgraphs=False)
+
+
+@pytest.mark.parametrize("n,count", [(7, 12), (8, 6)])
+def test_block_rows_on_seeded_samples(n, count):
+    assert_rows_match(sample_mixed_graphs(n, count, seed=n))
+
+
+def test_block_rows_on_a_dense_order_10_graph():
+    rng = random.Random(28)
+    while True:
+        pairs = sorted(rng.sample(list(combinations(range(1, 11), 2)), 28))
+        g = orient(10, pairs, rng)
+        if g.is_connected():
+            break
+    assert_rows_match([g])
+    # the same underlying graph again, reoriented, in one block with it
+    assert_rows_match([g, orient(10, pairs, rng)], by_subgraphs=False)
+
+
+def test_block_rows_refuse_numerators_beyond_int64():
+    with pytest.raises(ValueError, match="int64"):
+        elementary_weight_numerator_rows([complete_graph(16)])
 
 
 def test_single_edge_weight():

@@ -15,6 +15,7 @@ from mixedrandic import (
     serialize_graph,
     undirected,
 )
+from mixedrandic.graphs import group_by_underlying
 
 
 def test_parse_smallest_graph():
@@ -114,6 +115,22 @@ def test_connectivity():
     assert path_graph(3).is_connected()
     assert not MixedGraph.build(4, undirected_pairs=[(1, 2)]).is_connected()
     assert MixedGraph.build(1).is_connected()
+
+
+def test_group_by_underlying():
+    graphs = [cycle_graph(3), directed_cycle(3), path_graph(3),
+              MixedGraph.build(3, arcs=[(2, 1), (3, 2)]), cycle_graph(3),
+              MixedGraph.build(4, undirected_pairs=[(1, 2), (2, 3)])]
+    # the same pairs on one more vertex are another underlying graph
+    assert group_by_underlying(graphs) == [[0, 1, 4], [2, 3], [5]]
+    assert group_by_underlying([]) == []
+
+
+def test_degrees_are_counted_once_and_kept_out_of_repr():
+    g = MixedGraph.build(3, undirected_pairs=[(1, 2)], arcs=[(3, 2)])
+    assert g.degrees() is g.degrees()
+    assert g.degrees() == (1, 2, 1)
+    assert "_degrees" not in repr(g)
 
 
 def test_general_randic_index_exact():
