@@ -6,15 +6,32 @@ n <= 4 (3, 54 and 3834 graphs) and sampled with a seeded generator for
 n in {5, 6}, where the 4-states-per-pair space is out of reach.
 
 Reports are byte-deterministic for a fixed configuration: all floats are
-rendered with 17 significant digits by one formatter shared between the JSON
-and CSV encoders, and records keep enumeration order.
+rendered with 17 significant digits (``format_float``'s ``.17g``), and
+records keep enumeration order.
+
+Each record is formatted in one step: one f-string per record in each
+format, its fields in RECORD_FIELDS order, with each distinct name's text
+made once per render and the records that the suite shares between graphs
+(reason-less flags and skips) formatted once and found again by identity.
+The one-step path takes only exact float, bool, str and None values; any
+other value goes through ``json_scalar``'s check, so a numpy float renders
+as a float and a numpy bool raises TypeError in both formats.  A render
+writes its records to a StringIO in chunks of CHUNK_GRAPHS graphs.  It
+does not collect every line in one list to join: on the n <= 4 report
+that would hold 123,015 string headers at once (about 7 MB more at the
+render's peak), and the JSON render is already a campaign's memory peak.
+The failure, skip, divergence and slack summary is one walk over the
+records, made on first use and kept.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 from dataclasses import dataclass, field, replace
 from io import StringIO
+from operator import attrgetter
+from typing import Callable, Iterator, NamedTuple
 
 from .enumeration import enumerate_mixed_graphs, sample_mixed_graphs
 from .graphs import MixedGraph, ParseError
@@ -119,6 +136,13 @@ class GraphResult:
     suite: TheoremSuite
 
 
+class _Tally(NamedTuple):
+    failures: tuple[tuple[int, CheckRecord], ...]
+    skips: int
+    divergences: int
+    max_abs_slack: dict[str, float]
+
+
 @dataclass(frozen=True)
 class CampaignResult:
     config: CampaignConfig
@@ -129,36 +153,49 @@ class CampaignResult:
         total = sum(len(r.suite.records) for r in self.results)
         object.__setattr__(self, "checks", total)
 
+    @functools.cached_property
+    def _tally(self) -> _Tally:
+        """Failures, skips, divergences and the largest |slack| per check
+        name, from one walk over the records on first use (not in
+        run_campaign, whose time should be the checks alone)."""
+        failures = []
+        skips = divergences = 0
+        slack: dict[str, float] = {}
+        prefixes: dict[str, str] = {}
+        for r in self.results:
+            diverged = False
+            for rec in r.suite.records:
+                if rec.name == "minus_one_vs_positive_bipartite":
+                    diverged = bool(rec.reason)
+                if rec.skipped:
+                    skips += 1
+                    continue
+                if not rec.satisfied:
+                    failures.append((r.index, rec))
+                if rec.slack is not None:
+                    name = prefixes.get(rec.name)
+                    if name is None:
+                        name = prefixes[rec.name] = rec.name.split(":", 1)[0]
+                    slack[name] = max(slack.get(name, 0.0), abs(rec.slack))
+            divergences += diverged
+        return _Tally(tuple(failures), skips, divergences, slack)
+
     @property
     def failures(self) -> list[tuple[int, CheckRecord]]:
-        out = []
-        for r in self.results:
-            out.extend((r.index, rec) for rec in r.suite.failures)
-        return out
+        return list(self._tally.failures)
 
     @property
     def skip_count(self) -> int:
-        return sum(len(r.suite.skips) for r in self.results)
+        return self._tally.skips
 
     @property
     def divergence_count(self) -> int:
-        count = 0
-        for r in self.results:
-            rec = r.suite.as_dict().get("minus_one_vs_positive_bipartite")
-            if rec is not None and rec.reason:
-                count += 1
-        return count
+        """Graphs whose minus_one_vs_positive_bipartite record has a reason."""
+        return self._tally.divergences
 
     def max_abs_slack(self) -> dict[str, float]:
         """Per check name, the largest |slack| seen (skips excluded)."""
-        out: dict[str, float] = {}
-        for r in self.results:
-            for rec in r.suite.records:
-                if rec.skipped or rec.slack is None:
-                    continue
-                name = rec.name.split(":", 1)[0]
-                out[name] = max(out.get(name, 0.0), abs(rec.slack))
-        return out
+        return dict(self._tally.max_abs_slack)
 
 
 def run_campaign(config: CampaignConfig) -> CampaignResult:
@@ -179,6 +216,8 @@ def format_float(x: float) -> str:
 
 
 def json_scalar(v) -> str:
+    """A report scalar (None, bool, int, float or str) as JSON text; any
+    other value, a numpy bool or integer included, raises TypeError."""
     if v is None:
         return "null"
     if isinstance(v, bool):
@@ -192,28 +231,82 @@ def json_scalar(v) -> str:
     raise TypeError(f"not a report scalar: {v!r}")
 
 
-def _record_fields(rec: CheckRecord) -> list[tuple[str, object]]:
-    return [
-        ("lhs", rec.lhs),
-        ("rhs", rec.rhs),
-        ("slack", rec.slack),
-        ("satisfied", rec.satisfied),
-        ("skipped", rec.skipped),
-        ("reason", rec.reason),
-    ]
+#: Graphs per chunk written to a report's StringIO.  The StringIO keeps
+#: every chunk until getvalue joins them into the report, so a render's
+#: peak is twice the report plus a string header (about 57 bytes with its
+#: list slot) per chunk: 0.21 MB for the n <= 4 CSV in one chunk per graph,
+#: under 1 KB in chunks of 512.  Large chunks raise the resident peak of a
+#: process that runs campaign after campaign: 95 MB with one graph per
+#: chunk, 99 MB with 512 and 104 MB with 1024 (the benchmark's n <= 4
+#: passes replayed in one process).
+CHUNK_GRAPHS = 512
 
 
 def json_object(items: list[tuple[str, str]]) -> str:
     return "{" + ", ".join(f"{json.dumps(k)}: {v}" for k, v in items) + "}"
 
 
+#: The fields of a record after its name, in report order: the CSV columns
+#: after ``check`` and the keys of each JSON check object.
+RECORD_FIELDS = ("lhs", "rhs", "slack", "satisfied", "skipped", "reason")
+
+_record_values = attrgetter("name", *RECORD_FIELDS)
+
+#: Each field's JSON key and separator, '"lhs": ' and so on.
+_LHS, _RHS, _SLACK, _SATISFIED, _SKIPPED, _REASON = (
+    f"{json.dumps(k)}: " for k in RECORD_FIELDS)
+
+_BOOLS = ("false", "true")
+_EMPTY = json.dumps("")
+
+
+def _json_record(rec: CheckRecord, names: dict[str, str]) -> str:
+    """One record as `"name": {...}`.  Exact floats, bools and strs are
+    formatted in one step; any other value goes through json_scalar.
+    ``names`` caches each name's JSON text within one render."""
+    name, lhs, rhs, slack, satisfied, skipped, reason = _record_values(rec)
+    key = names.get(name)
+    if key is None:
+        key = names[name] = json.dumps(name)
+    if type(satisfied) is bool and type(skipped) is bool and type(reason) is str:
+        text = json.dumps(reason) if reason else _EMPTY
+        flags = (f"{_SATISFIED}{_BOOLS[satisfied]}, "
+                 f"{_SKIPPED}{_BOOLS[skipped]}, {_REASON}{text}}}")
+        if type(lhs) is float and type(rhs) is float and type(slack) is float:
+            return (f"{key}: {{{_LHS}{lhs:.17g}, {_RHS}{rhs:.17g}, "
+                    f"{_SLACK}{slack:.17g}, {flags}")
+        if lhs is None and rhs is None and slack is None:
+            return f"{key}: {{{_LHS}null, {_RHS}null, {_SLACK}null, {flags}"
+    return f"{key}: " + json_object(list(zip(RECORD_FIELDS, map(
+        json_scalar, (lhs, rhs, slack, satisfied, skipped, reason)))))
+
+
+def _cached(format_record: Callable[[CheckRecord, dict], str]
+            ) -> Callable[[CheckRecord], str]:
+    """format_record with the caches of one render: each distinct name's
+    text, and the text of each record without numbers, found again by
+    identity, since the suite shares such records between graphs."""
+    names: dict[str, str] = {}
+    shared: dict[int, str] = {}
+
+    def formatted(rec: CheckRecord) -> str:
+        if rec.lhs is None:
+            text = shared.get(id(rec))
+            if text is None:
+                text = shared[id(rec)] = format_record(rec, names)
+            return text
+        return format_record(rec, names)
+
+    return formatted
+
+
+def _json_checks(records, formatted: Callable[[CheckRecord], str]) -> str:
+    return "{" + ", ".join([formatted(rec) for rec in records]) + "}"
+
+
 def json_checks(records) -> str:
     """The JSON object mapping each record's name to its fields."""
-    return json_object([
-        (rec.name, json_object([(k, json_scalar(v))
-                                for k, v in _record_fields(rec)]))
-        for rec in records
-    ])
+    return _json_checks(records, _cached(_json_record))
 
 
 def _config_items(config: CampaignConfig) -> list[tuple[str, str]]:
@@ -230,20 +323,29 @@ def _config_items(config: CampaignConfig) -> list[tuple[str, str]]:
     ]
 
 
+def _json_graphs(results: tuple[GraphResult, ...]) -> Iterator[str]:
+    """The entries of the report's "graphs" list, one line per graph, in
+    chunks of CHUNK_GRAPHS graphs."""
+    formatted = _cached(_json_record)
+
+    def entry(r: GraphResult) -> str:
+        return (f'{{"index": {json_scalar(r.index)}, '
+                f'"n": {json_scalar(r.graph.n)}, '
+                f'"edges": {json_scalar(edge_list_label(r.graph))}, '
+                f'"checks": {_json_checks(r.suite.records, formatted)}}}')
+
+    for start in range(0, len(results), CHUNK_GRAPHS):
+        end = start + CHUNK_GRAPHS
+        yield "".join([",\n".join(map(entry, results[start:end])),
+                       ",\n" if end < len(results) else "\n"])
+
+
 def render_json(result: CampaignResult) -> str:
     out = StringIO()
     out.write("{\n")
     out.write(f'"config": {json_object(_config_items(result.config))},\n')
     out.write('"graphs": [\n')
-    for i, r in enumerate(result.results):
-        line = json_object([
-            ("index", json_scalar(r.index)),
-            ("n", json_scalar(r.graph.n)),
-            ("edges", json_scalar(edge_list_label(r.graph))),
-            ("checks", json_checks(r.suite.records)),
-        ])
-        out.write(line)
-        out.write(",\n" if i + 1 < len(result.results) else "\n")
+    out.writelines(_json_graphs(result.results))
     out.write("],\n")
     slack_items = [(k, format_float(v))
                    for k, v in sorted(result.max_abs_slack().items())]
@@ -260,33 +362,62 @@ def render_json(result: CampaignResult) -> str:
     return out.getvalue()
 
 
-_CSV_HEADER = "index,n,edges,check,lhs,rhs,slack,satisfied,skipped,reason"
+_CSV_HEADER = ",".join(("index", "n", "edges", "check") + RECORD_FIELDS) + "\n"
 
 
 def _csv_cell(v) -> str:
+    """A report scalar as a CSV cell: None empty, a str quoted when it holds
+    a comma, quote or newline, anything else as json_scalar renders it (and
+    rejects it)."""
     if v is None:
         return ""
-    if isinstance(v, bool):
-        return "true" if v else "false"
-    if isinstance(v, float):
-        return format_float(v)
-    text = str(v)
-    if any(c in text for c in ',"\n'):
-        text = '"' + text.replace('"', '""') + '"'
-    return text
+    if isinstance(v, str):
+        if any(c in v for c in ',"\n'):
+            return '"' + v.replace('"', '""') + '"'
+        return str(v)
+    return json_scalar(v)
+
+
+def _csv_record(rec: CheckRecord, names: dict[str, str]) -> str:
+    """One record's CSV cells from ``check`` on, and the newline.  Exact
+    floats, bools and strs are formatted in one step; any other value goes
+    through _csv_cell.  ``names`` caches each name's cell within one render."""
+    name, lhs, rhs, slack, satisfied, skipped, reason = _record_values(rec)
+    cell = names.get(name)
+    if cell is None:
+        cell = names[name] = _csv_cell(name)
+    if type(satisfied) is bool and type(skipped) is bool and type(reason) is str:
+        flags = (f"{_BOOLS[satisfied]},{_BOOLS[skipped]},"
+                 f"{_csv_cell(reason) if reason else ''}\n")
+        if type(lhs) is float and type(rhs) is float and type(slack) is float:
+            return f"{cell},{lhs:.17g},{rhs:.17g},{slack:.17g},{flags}"
+        if lhs is None and rhs is None and slack is None:
+            return f"{cell},,,,{flags}"
+    return ",".join([cell, *map(_csv_cell, (lhs, rhs, slack, satisfied,
+                                             skipped, reason))]) + "\n"
+
+
+def _csv_rows(results: tuple[GraphResult, ...]) -> Iterator[str]:
+    """The report's rows after the header, in chunks of CHUNK_GRAPHS
+    graphs."""
+    formatted = _cached(_csv_record)
+
+    def graph_rows(r: GraphResult) -> str:
+        rows = [formatted(rec) for rec in r.suite.records]
+        if not rows:
+            return ""
+        prefix = (f"{_csv_cell(r.index)},{_csv_cell(r.graph.n)},"
+                  f"{_csv_cell(edge_list_label(r.graph))},")
+        return prefix + prefix.join(rows)
+
+    for start in range(0, len(results), CHUNK_GRAPHS):
+        yield "".join(map(graph_rows, results[start:start + CHUNK_GRAPHS]))
 
 
 def render_csv(result: CampaignResult) -> str:
     out = StringIO()
-    out.write(_CSV_HEADER + "\n")
-    for r in result.results:
-        prefix = [_csv_cell(r.index), _csv_cell(r.graph.n),
-                  _csv_cell(edge_list_label(r.graph))]
-        for rec in r.suite.records:
-            cells = prefix + [_csv_cell(rec.name)]
-            cells += [_csv_cell(v) for _, v in _record_fields(rec)]
-            out.write(",".join(cells))
-            out.write("\n")
+    out.write(_CSV_HEADER)
+    out.writelines(_csv_rows(result.results))
     return out.getvalue()
 
 

@@ -26,8 +26,8 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations, groupby
-from typing import Iterator, Sequence
+from itertools import combinations, groupby, islice, product, repeat
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -47,9 +47,6 @@ _CYCLE_FACTOR = np.array([
     (-1 if cls_ in _SIGN_FLIPPING else 1) * (2 if cls_ in _DOUBLED else 1)
     for cls_ in map(_CLASS_BY_EXPONENT.get, range(6))
 ], dtype=np.int64)
-
-#: Per-pair states when enumerating mixed graphs, in stream order.
-_PAIR_STATES = ("absent", "undirected", "forward", "backward")
 
 
 def enumerate_cycles(g: MixedGraph) -> list[tuple[int, ...]]:
@@ -198,7 +195,8 @@ def enumerate_elementary_subgraphs(g: MixedGraph, k: int) -> list[ElementarySubg
     return results
 
 
-def _component_weights(graphs: Sequence[MixedGraph]) -> np.ndarray:
+def _component_weights(graphs: Sequence[MixedGraph],
+                       groups: list[list[int]]) -> np.ndarray:
     """W[mask, j]: the summed factors of graph j's edges and cycles whose
     vertex set is ``mask`` (bit i for vertex i + 1).
 
@@ -209,10 +207,11 @@ def _component_weights(graphs: Sequence[MixedGraph]) -> np.ndarray:
     traverses pair j upwards or downwards (0 off the cycle), and K[g, j] is
     the exponent of pair j traversed upwards in member g: 0 for an
     un-oriented edge, 1 for an arc upwards and -1 for an arc downwards.
+    ``groups`` is group_by_underlying(graphs).
     """
     n = graphs[0].n
     weights = np.zeros((1 << n, len(graphs)), dtype=np.int64)
-    for members in group_by_underlying(graphs):
+    for members in groups:
         first = graphs[members[0]]
         pairs = np.array(first.underlying_pairs(), dtype=np.int64).reshape(-1, 2) - 1
         weights[np.ix_((1 << pairs).sum(axis=1), members)] -= 1
@@ -267,11 +266,18 @@ def elementary_weight_numerator_rows(graphs: Sequence[MixedGraph]) -> np.ndarray
     n = 10, so int64 holds it.  Orders where that bound reaches 2**63
     (n >= 14) are refused.
     """
+    return _numerator_rows(graphs, group_by_underlying(graphs))
+
+
+def _numerator_rows(graphs: Sequence[MixedGraph],
+                    groups: list[list[int]]) -> np.ndarray:
+    """elementary_weight_numerator_rows, given the block's grouping by
+    underlying graph (group_by_underlying)."""
     n = graphs[0].n
     if (2 * n - 2) ** n >= 2 ** 63:
         raise ValueError(f"n = {n}: the numerators may overflow int64")
     degrees = np.array([g.degrees() for g in graphs], dtype=np.int64).T
-    weights = _component_weights(graphs)
+    weights = _component_weights(graphs, groups)
     live = np.flatnonzero(weights.any(axis=1))
     lowest = live & -live
     sums = np.zeros((1 << n, n + 1, len(graphs)), dtype=np.int64)
@@ -296,24 +302,40 @@ def spanning_elementary_subgraphs(g: MixedGraph) -> list[ElementarySubgraph]:
     return enumerate_elementary_subgraphs(g, g.n)
 
 
-def _graph_from_states(n: int, states: tuple[str, ...]) -> MixedGraph:
-    records = []
-    for (u, v), state in zip(combinations(range(1, n + 1), 2), states):
-        if state == "undirected":
-            records.append(EdgeRecord(u, v, EdgeKind.UNDIRECTED))
-        elif state == "forward":
-            records.append(EdgeRecord(u, v, EdgeKind.ARC))
-        elif state == "backward":
-            records.append(EdgeRecord(v, u, EdgeKind.ARC))
-    return MixedGraph(n, tuple(records))
-
-
 def _passes(g: MixedGraph, connected_only: bool, min_degree: int) -> bool:
     if min_degree > 0 and min(g.degrees()) < min_degree:
         return False
     if connected_only and not g.is_connected():
         return False
     return True
+
+
+def _passing_graphs(n: int, state_vectors: Iterable[tuple[int, ...]],
+                    connected_only: bool, min_degree: int) -> Iterator[MixedGraph]:
+    """The graphs of a stream of pair-state vectors that pass the filter.
+
+    Entry i of a vector is the state of pair i = (u, v), u < v, in
+    ``combinations`` order: 0 absent, 1 u -- v, 2 u -> v, 3 v -> u.
+    Degrees and connectivity depend only on which pairs are present, so the
+    filter is decided once per presence mask, on the underlying graph,
+    before any graph is built; and the graphs share the 3 C(n, 2) edge
+    records.
+    """
+    records = [(None, EdgeRecord(u, v, EdgeKind.UNDIRECTED),
+                EdgeRecord(u, v, EdgeKind.ARC), EdgeRecord(v, u, EdgeKind.ARC))
+               for u, v in combinations(range(1, n + 1), 2)]
+    verdicts: dict[tuple[bool, ...], bool] = {}
+    for states in state_vectors:
+        present = tuple(map(bool, states))
+        ok = verdicts.get(present)
+        if ok is None:
+            underlying = MixedGraph(n, tuple(
+                rec[1] for rec, there in zip(records, present) if there))
+            ok = verdicts[present] = _passes(underlying, connected_only,
+                                             min_degree)
+        if ok:
+            yield MixedGraph(n, tuple(
+                rec[state] for rec, state in zip(records, states) if state))
 
 
 def enumerate_mixed_graphs(
@@ -331,21 +353,10 @@ def enumerate_mixed_graphs(
     """
     if n > DEFAULT_GRAPH_CAP:
         raise ValueError(f"n = {n} above enumeration cap {DEFAULT_GRAPH_CAP}")
-    pairs = list(combinations(range(1, n + 1), 2))
-    state_vector = [0] * len(pairs)
-    while True:
-        states = tuple(_PAIR_STATES[i] for i in state_vector)
-        g = _graph_from_states(n, states)
-        if _passes(g, connected_only, min_degree):
-            yield g
-        # increment the base-4 counter, most significant pair first
-        pos = len(state_vector) - 1
-        while pos >= 0 and state_vector[pos] == 3:
-            state_vector[pos] = 0
-            pos -= 1
-        if pos < 0:
-            return
-        state_vector[pos] += 1
+    pair_count = n * (n - 1) // 2
+    # lexicographic, the last pair's state changing fastest
+    yield from _passing_graphs(n, product(range(4), repeat=pair_count),
+                               connected_only, min_degree)
 
 
 def sample_mixed_graphs(
@@ -366,11 +377,8 @@ def sample_mixed_graphs(
             f"min_degree {min_degree} above n - 1 = {n - 1}: no graph passes"
         )
     rng = random.Random(seed)
-    pairs = list(combinations(range(1, n + 1), 2))
-    out: list[MixedGraph] = []
-    while len(out) < count:
-        states = tuple(_PAIR_STATES[rng.randrange(4)] for _ in pairs)
-        g = _graph_from_states(n, states)
-        if _passes(g, connected_only, min_degree):
-            out.append(g)
-    return out
+    pair_count = n * (n - 1) // 2
+    draws = (tuple(rng.randrange(4) for _ in range(pair_count))
+             for _ in repeat(None))
+    return list(islice(
+        _passing_graphs(n, draws, connected_only, min_degree), count))

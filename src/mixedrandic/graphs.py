@@ -95,9 +95,10 @@ class MixedGraph:
         for e in self.edges:
             if not (1 <= e.u <= self.n and 1 <= e.v <= self.n):
                 raise ValueError(f"edge {e} out of range 1..{self.n}")
-            if e.pair in seen:
-                raise ValueError(f"duplicate pair {{{e.pair[0]}, {e.pair[1]}}}")
-            seen.add(e.pair)
+            pair = e.pair
+            if pair in seen:
+                raise ValueError(f"duplicate pair {{{pair[0]}, {pair[1]}}}")
+            seen.add(pair)
             d[e.u - 1] += 1
             d[e.v - 1] += 1
         object.__setattr__(self, "_degrees", tuple(d))

@@ -33,7 +33,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .enumeration import elementary_weight_numerator_rows
+from .enumeration import _numerator_rows
 from .gains import gain_balance, is_positive
 from .graphs import EdgeKind, EdgeRecord, MixedGraph, group_by_underlying
 from .matrices import laplacians, randic_matrices, randic_stack, randic_via_incidences
@@ -587,16 +587,22 @@ def _structural_records(one: EigenvalueOneCheck, sym: SymmetryCheck,
 def _order_suites(graphs: Sequence[MixedGraph],
                   include_interlacing: bool) -> list[TheoremSuite]:
     """The suite on graphs of one order, each connected with every degree
-    >= 1: one stacked build and solve, the residuals and bounds as array
-    reductions over the graphs, the exact charpoly numerators in one
-    recursion, and the facts of each underlying graph once."""
+    >= 1 (else ValueError): one stacked build and solve, the residuals and
+    bounds as array reductions over the graphs, the exact charpoly
+    numerators in one recursion, and the facts of each underlying graph
+    once, from one grouping of the graphs by underlying graph."""
     n = graphs[0].n
     degrees = [g.degrees() for g in graphs]
     bipartite = np.empty(len(graphs), dtype=bool)
     r_inv = np.empty(len(graphs))
-    for members in group_by_underlying(graphs):
-        bipartite[members] = graphs[members[0]].is_bipartite()
-        r_inv[members] = randic_inverse(graphs[members[0]])
+    groups = group_by_underlying(graphs)
+    for members in groups:
+        g = graphs[members[0]]
+        _require_connected(g)
+        if 0 in g.degrees():
+            raise ValueError("isolated vertex: the normalized matrix is undefined")
+        bipartite[members] = g.is_bipartite()
+        r_inv[members] = randic_inverse(g)
     # R(g), R(g - e) for every edge whose removal isolates no vertex, and R
     # of the underlying graph, for every graph, in one solve
     removable = [[e for e in g.edges if d[e.u - 1] > 1 and d[e.v - 1] > 1]
@@ -628,7 +634,7 @@ def _order_suites(graphs: Sequence[MixedGraph],
         # denominator are below 2**53 at n <= 10 (see
         # elementary_weight_numerator_rows), so each is exact in float64 and
         # the one division is rounded as float(Fraction(numerator, prod d_i))
-        numerators = elementary_weight_numerator_rows(graphs)
+        numerators = _numerator_rows(graphs, groups)
         numerators[:, 1::2] *= -1
         exact = numerators / np.prod(degrees, axis=1, keepdims=True)
         head.append(_inequalities("charpoly_agreement",
@@ -691,15 +697,12 @@ def run_theorem_suites(graphs: Iterable[MixedGraph],
     built as one stack and solved by one eigvalsh call; the residuals and
     bounds are row reductions over the block's eigenvalue array, and the
     exact characteristic polynomials come from one subset recursion per
-    block.  Connectivity, bipartiteness, cycles and r_inv are computed once
-    per underlying graph; positivity, antibalance and the records per graph.
+    block.  Each block is grouped by underlying graph once; connectivity,
+    bipartiteness, cycles and r_inv are computed once per underlying graph
+    of a block, and positivity, antibalance and the records per graph.
+    Raises ValueError on a disconnected graph or an isolated vertex.
     """
     graphs = list(graphs)
-    for members in group_by_underlying(graphs):
-        g = graphs[members[0]]
-        _require_connected(g)
-        if 0 in g.degrees():
-            raise ValueError("isolated vertex: the normalized matrix is undefined")
     orders: dict[int, list[int]] = {}
     for i, g in enumerate(graphs):
         orders.setdefault(g.n, []).append(i)

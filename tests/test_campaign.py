@@ -7,13 +7,15 @@ import random
 import numpy as np
 import pytest
 
-from mixedrandic import ParseError, directed_cycle, population, randic_spectrum
+from mixedrandic import (ParseError, directed_cycle, path_graph, population,
+                         randic_spectrum)
 from mixedrandic.campaign import (
     CampaignConfig,
     CampaignResult,
     GraphResult,
     edge_list_label,
     format_float,
+    json_checks,
     json_scalar,
     parse_campaign_config,
     render_csv,
@@ -22,7 +24,7 @@ from mixedrandic.campaign import (
     summary_text,
     with_overrides,
 )
-from mixedrandic.theorems import TheoremSuite, _inequalities
+from mixedrandic.theorems import CheckRecord, TheoremSuite, _inequalities
 
 
 def test_population_sizes():
@@ -196,6 +198,150 @@ def test_numpy_inputs_give_report_scalars():
     assert doc["graphs"][0]["checks"]["probe"] == {
         "lhs": 0.25, "rhs": 0.5, "slack": 0.25, "satisfied": True,
         "skipped": False, "reason": ""}
+    # a numpy float is a float and renders as one; a numpy bool is not a
+    # report scalar, and both formats refuse it rather than print `True`
+    wide = CheckRecord("probe", True, lhs=np.float64(0.25), rhs=0.5,
+                       slack=0.25)
+    assert (json_checks([wide]) == json_checks([rec])
+            == '{"probe": {"lhs": 0.25, "rhs": 0.5, "slack": 0.25, '
+               '"satisfied": true, "skipped": false, "reason": ""}}')
+    bad = CheckRecord("probe", np.True_)
+    suite = TheoremSuite(g, randic_spectrum(g), (bad,))
+    result = CampaignResult(CampaignConfig(n_min=3, n_max=3),
+                            (GraphResult(0, g, suite),))
+    for render in (render_csv, render_json):
+        with pytest.raises(TypeError, match="not a report scalar"):
+            render(result)
+    with pytest.raises(TypeError, match="not a report scalar"):
+        json_checks([bad])
+
+
+def _awkward_result() -> CampaignResult:
+    """Names and reasons that need CSV quoting and JSON escaping (comma,
+    quote, newline, carriage return, non-ASCII), a skipped record without
+    numbers shared by two graphs, a failure and a divergence."""
+    skipped = CheckRecord('skip, "me"', True, skipped=True,
+                          reason='no "edge", here\nλ')
+    first = (
+        CheckRecord('comma, "quote"\nnewline é', True, lhs=0.25, rhs=0.5,
+                    slack=0.25),
+        skipped,
+        CheckRecord("λ ≤ 1", False, lhs=1.5, rhs=1.0, slack=-0.5,
+                    reason="fails, by ½"),
+        CheckRecord("plain", True),
+        CheckRecord("interlacing:1->2", True, lhs=-0.0, rhs=1e-300,
+                    slack=1e-300),
+    )
+    second = (
+        skipped,
+        CheckRecord("minus_one_vs_positive_bipartite", True,
+                    reason='divergence: "x"\r\ny'),
+        CheckRecord("interlacing:1->2", True, lhs=2.0, rhs=1.0, slack=-1.0),
+    )
+    graphs = (directed_cycle(3), path_graph(2))
+    return CampaignResult(
+        CampaignConfig(n_min=2, n_max=3, sample_limit=2, seed=7),
+        tuple(GraphResult(i, g, TheoremSuite(g, randic_spectrum(g), records))
+              for i, (g, records) in enumerate(zip(graphs, (first, second)))))
+
+
+# The bytes below were rendered by the per-cell renderers that the one-step
+# record formatters replaced.
+_AWKWARD_CSV = (
+    'index,n,edges,check,lhs,rhs,slack,satisfied,skipped,reason\n'
+    '0,3,1->2 2->3 3->1,"comma, ""quote""\nnewline é",0.25,0.5,0.25,true,false,\n'
+    '0,3,1->2 2->3 3->1,"skip, ""me""",,,,true,true,"no ""edge"", here\nλ"\n'
+    '0,3,1->2 2->3 3->1,λ ≤ 1,1.5,1,-0.5,false,false,"fails, by ½"\n'
+    '0,3,1->2 2->3 3->1,plain,,,,true,false,\n'
+    '0,3,1->2 2->3 3->1,interlacing:1->2,-0,1e-300,1e-300,true,false,\n'
+    '1,2,1--2,"skip, ""me""",,,,true,true,"no ""edge"", here\nλ"\n'
+    '1,2,1--2,minus_one_vs_positive_bipartite,,,,true,false,'
+    '"divergence: ""x""\r\ny"\n'
+    '1,2,1--2,interlacing:1->2,2,1,-1,true,false,\n'
+)
+
+_AWKWARD_JSON = (
+    '{\n"config": {"n_min": 2, "n_max": 3, "connected_only": true, '
+    '"min_degree": 1, "sample_limit": 2, "seed": 7, "format": "json"},\n'
+    '"graphs": [\n'
+    '{"index": 0, "n": 3, "edges": "1->2 2->3 3->1", "checks": {'
+    '"comma, \\"quote\\"\\nnewline \\u00e9": {"lhs": 0.25, "rhs": 0.5, '
+    '"slack": 0.25, "satisfied": true, "skipped": false, "reason": ""}, '
+    '"skip, \\"me\\"": {"lhs": null, "rhs": null, "slack": null, '
+    '"satisfied": true, "skipped": true, '
+    '"reason": "no \\"edge\\", here\\n\\u03bb"}, '
+    '"\\u03bb \\u2264 1": {"lhs": 1.5, "rhs": 1, "slack": -0.5, '
+    '"satisfied": false, "skipped": false, "reason": "fails, by \\u00bd"}, '
+    '"plain": {"lhs": null, "rhs": null, "slack": null, "satisfied": true, '
+    '"skipped": false, "reason": ""}, '
+    '"interlacing:1->2": {"lhs": -0, "rhs": 1e-300, "slack": 1e-300, '
+    '"satisfied": true, "skipped": false, "reason": ""}}},\n'
+    '{"index": 1, "n": 2, "edges": "1--2", "checks": {'
+    '"skip, \\"me\\"": {"lhs": null, "rhs": null, "slack": null, '
+    '"satisfied": true, "skipped": true, '
+    '"reason": "no \\"edge\\", here\\n\\u03bb"}, '
+    '"minus_one_vs_positive_bipartite": {"lhs": null, "rhs": null, '
+    '"slack": null, "satisfied": true, "skipped": false, '
+    '"reason": "divergence: \\"x\\"\\r\\ny"}, '
+    '"interlacing:1->2": {"lhs": 2, "rhs": 1, "slack": -1, '
+    '"satisfied": true, "skipped": false, "reason": ""}}}\n'
+    '],\n'
+    '"summary": {"graphs": 2, "checks": 8, "failures": 1, "skips": 2, '
+    '"divergences": 1, "max_abs_slack": {'
+    '"comma, \\"quote\\"\\nnewline \\u00e9": 0.25, "interlacing": 1, '
+    '"\\u03bb \\u2264 1": 0.5}}\n'
+    '}\n'
+)
+
+
+def test_awkward_names_and_reasons_render_pinned_bytes():
+    result = _awkward_result()
+    assert render_csv(result) == _AWKWARD_CSV
+    assert render_json(result) == _AWKWARD_JSON
+    assert summary_text(result) == (
+        'graphs 2\nchecks 8\nfailures 1\nskips 2\ndivergences 1\n'
+        'max_abs_slack comma, "quote"\nnewline é 0.25\n'
+        'max_abs_slack interlacing 1\nmax_abs_slack λ ≤ 1 0.5\n')
+    assert json_checks(result.results[1].suite.records) == (
+        _AWKWARD_JSON.split('"checks": ')[2].split("}\n")[0])
+
+
+def test_awkward_reports_round_trip():
+    result = _awkward_result()
+    expected = [
+        [str(r.index), str(r.graph.n), edge_list_label(r.graph), rec.name,
+         *("" if v is None else format_float(v)
+           for v in (rec.lhs, rec.rhs, rec.slack)),
+         str(rec.satisfied).lower(), str(rec.skipped).lower(), rec.reason]
+        for r in result.results for rec in r.suite.records]
+    rows = list(csv.reader(io.StringIO(render_csv(result), newline="")))
+    assert rows[1:] == expected
+    doc = json.loads(render_json(result))
+    for r, entry in zip(result.results, doc["graphs"]):
+        assert entry["edges"] == edge_list_label(r.graph)
+        assert entry["checks"] == {
+            rec.name: {"lhs": rec.lhs, "rhs": rec.rhs, "slack": rec.slack,
+                       "satisfied": rec.satisfied, "skipped": rec.skipped,
+                       "reason": rec.reason}
+            for rec in r.suite.records}
+    assert doc["summary"] == {
+        "graphs": 2, "checks": 8, "failures": 1, "skips": 2,
+        "divergences": 1, "max_abs_slack": result.max_abs_slack()}
+
+
+def test_empty_campaign_renders_pinned_bytes():
+    result = run_campaign(CampaignConfig(sample_limit=0))
+    assert render_csv(result) == (
+        "index,n,edges,check,lhs,rhs,slack,satisfied,skipped,reason\n")
+    assert render_json(result) == (
+        '{\n"config": {"n_min": 2, "n_max": 4, "connected_only": true, '
+        '"min_degree": 1, "sample_limit": 0, "seed": 1729, '
+        '"format": "json"},\n"graphs": [\n],\n"summary": {"graphs": 0, '
+        '"checks": 0, "failures": 0, "skips": 0, "divergences": 0, '
+        '"max_abs_slack": {}}\n}\n')
+    assert summary_text(result) == (
+        "graphs 0\nchecks 0\nfailures 0\nskips 0\ndivergences 0\n")
+    assert json.loads(render_json(result))["graphs"] == []
 
 
 def test_report_digests_are_pinned():

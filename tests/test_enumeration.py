@@ -267,6 +267,84 @@ def test_sampling_determinism():
         assert min(g.degrees()) >= 1
 
 
+def _graph_from_states(n, states):
+    """Reference: one graph from a pair-state vector, every record new."""
+    records = []
+    for (u, v), state in zip(combinations(range(1, n + 1), 2), states):
+        if state == 1:
+            records.append(EdgeRecord(u, v, EdgeKind.UNDIRECTED))
+        elif state == 2:
+            records.append(EdgeRecord(u, v, EdgeKind.ARC))
+        elif state == 3:
+            records.append(EdgeRecord(v, u, EdgeKind.ARC))
+    return MixedGraph(n, tuple(records))
+
+
+def _reference_filter(g, connected_only, min_degree):
+    return ((min_degree == 0 or min(g.degrees()) >= min_degree)
+            and (not connected_only or g.is_connected()))
+
+
+def _reference_enumeration(n, connected_only, min_degree):
+    """The base-4 state counter, most significant pair first, filtering
+    each graph as it is built."""
+    state = [0] * (n * (n - 1) // 2)
+    while True:
+        g = _graph_from_states(n, state)
+        if _reference_filter(g, connected_only, min_degree):
+            yield g
+        pos = len(state) - 1
+        while pos >= 0 and state[pos] == 3:
+            state[pos] = 0
+            pos -= 1
+        if pos < 0:
+            return
+        state[pos] += 1
+
+
+def _reference_sample(n, count, seed, connected_only, min_degree):
+    rng = random.Random(seed)
+    out = []
+    while len(out) < count:
+        g = _graph_from_states(
+            n, [rng.randrange(4) for _ in range(n * (n - 1) // 2)])
+        if _reference_filter(g, connected_only, min_degree):
+            out.append(g)
+    return out
+
+
+def _same_graphs(got, expected):
+    # MixedGraph equality ignores edge order, which the reports keep
+    return [(g.n, g.edges) for g in got] == [(g.n, g.edges) for g in expected]
+
+
+@pytest.mark.parametrize("connected_only", [False, True])
+def test_enumeration_matches_state_counter(connected_only):
+    for n in range(1, 5):
+        for min_degree in range(n):
+            got = list(enumerate_mixed_graphs(n, connected_only, min_degree))
+            assert _same_graphs(got, _reference_enumeration(
+                n, connected_only, min_degree))
+
+
+@pytest.mark.parametrize("connected_only", [False, True])
+def test_sampling_matches_rejection_reference(connected_only):
+    for n, seed, min_degree in [(2, 3, 1), (5, 1729, 1), (5, 8, 0),
+                                (6, 1730, 2), (7, 4, 1)]:
+        got = sample_mixed_graphs(n, 60, seed, connected_only, min_degree)
+        assert _same_graphs(got, _reference_sample(
+            n, 60, seed, connected_only, min_degree))
+    assert sample_mixed_graphs(5, 0, 1) == []
+
+
+def test_enumerated_graphs_share_edge_records():
+    graphs = list(enumerate_mixed_graphs(4, connected_only=True, min_degree=1))
+    # three records (u -- v, u -> v, v -> u) per vertex pair
+    assert len({id(e) for g in graphs for e in g.edges}) == 3 * 6
+    sampled = sample_mixed_graphs(6, 50, seed=2)
+    assert len({id(e) for g in sampled for e in g.edges}) <= 3 * 15
+
+
 def test_sampling_rejects_an_unreachable_min_degree():
     with pytest.raises(ValueError, match="min_degree"):
         sample_mixed_graphs(5, 1, seed=1, min_degree=5)
