@@ -34,7 +34,7 @@ from operator import attrgetter
 from typing import Callable, Iterator, NamedTuple
 
 from .enumeration import enumerate_mixed_graphs, sample_mixed_graphs
-from .graphs import MixedGraph, ParseError
+from .graphs import MixedGraph, ParseError, edge_label
 from .theorems import CheckRecord, TheoremSuite, run_theorem_suites
 
 #: Largest n enumerated exhaustively; larger sizes are sampled.
@@ -126,7 +126,7 @@ def parse_campaign_config(text: str) -> CampaignConfig:
 
 def edge_list_label(g: MixedGraph) -> str:
     """One-line rendering of the edge set, e.g. '1--2 1->3'."""
-    return " ".join(str(e).replace(" ", "") for e in g.edges)
+    return " ".join(map(edge_label, g.edges))
 
 
 @dataclass(frozen=True)
@@ -367,12 +367,12 @@ _CSV_HEADER = ",".join(("index", "n", "edges", "check") + RECORD_FIELDS) + "\n"
 
 def _csv_cell(v) -> str:
     """A report scalar as a CSV cell: None empty, a str quoted when it holds
-    a comma, quote or newline, anything else as json_scalar renders it (and
-    rejects it)."""
+    a comma, quote, newline or carriage return, anything else as
+    json_scalar renders it (and rejects it)."""
     if v is None:
         return ""
     if isinstance(v, str):
-        if any(c in v for c in ',"\n'):
+        if any(c in v for c in ',"\n\r'):
             return '"' + v.replace('"', '""') + '"'
         return str(v)
     return json_scalar(v)

@@ -28,7 +28,7 @@ from .campaign import (
     summary_text,
     with_overrides,
 )
-from .graphs import MixedGraph, ParseError, parse_graph
+from .graphs import MixedGraph, ParseError, edge_label, parse_graph
 from .spectra import (
     Spectrum,
     char_poly_combinatorial,
@@ -231,7 +231,7 @@ def _cmd_interlace(args: argparse.Namespace) -> int:
     if args.format == "json":
         verdicts = "[" + ", ".join(json_scalar(v) for v in result.verdicts) + "]"
         payload = json_object([
-            ("edge", json_scalar(str(result.edge).replace(" ", ""))),
+            ("edge", json_scalar(edge_label(result.edge))),
             ("original", _json_list(result.original.eigenvalues)),
             ("deleted", _json_list(result.reduced.eigenvalues)),
             ("verdicts", verdicts),

@@ -1,10 +1,11 @@
-"""Exhaustive enumeration: cycles, elementary subgraphs, small mixed graphs.
+"""Exhaustive enumeration: cycles, elementary-subgraph sums, small mixed graphs.
 
 Elementary subgraphs (vertex-disjoint unions of single edges and cycles)
-carry the bookkeeping that the combinatorial determinant and characteristic
-polynomial formulas need: component counts, cycle classes and the exact
-rational weight Q = prod 1/d_i over covered vertices, with degrees taken in
-the *host* graph.
+are what the combinatorial determinant and characteristic polynomial
+formulas sum over.  Each carries the signed weight
+(-1)**(r + l_neg + l_semi_neg) * 2**(l_neg + l_pos) * Q (see spectra), with
+the exact rational Q = prod 1/d_i over covered vertices and degrees taken
+in the *host* graph.
 
 ``elementary_weight_numerator_rows`` sums the signed weights of every order
 for a block of graphs of one order, keeping each order's sum as an integer
@@ -13,8 +14,6 @@ Q = prod_{uncovered} d_i / prod_all d_i.  It enumerates the cycles once per
 underlying graph, reads every member's cycle gains off one integer matrix
 product, and fills one subset recursion for the whole block;
 ``elementary_weight_numerators`` is its one-graph case.
-``enumerate_elementary_subgraphs`` lists the subgraphs of one order one by
-one and is the reference the sums are tested against.
 
 Everything here is desk scale: the combinatorial routines assume n <= ~10
 and graph enumeration is capped (default 6) because the number of labeled
@@ -24,20 +23,18 @@ mixed graphs grows as 4**C(n, 2).
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
-from fractions import Fraction
 from itertools import combinations, groupby, islice, product, repeat
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .gains import _CLASS_BY_EXPONENT, CycleClass, GainView, classify_cycle, gain_view
+from .gains import _CLASS_BY_EXPONENT, CycleClass
 from .graphs import EdgeKind, EdgeRecord, MixedGraph, group_by_underlying
 
 DEFAULT_GRAPH_CAP = 6
 
 #: Cycle classes whose gain flips the sign of a weight, and those that
-#: double it (see ElementarySubgraph.signed_weight).
+#: double it (the l_neg + l_semi_neg and l_neg + l_pos of the weight).
 _SIGN_FLIPPING = (CycleClass.NEGATIVE, CycleClass.SEMI_NEGATIVE)
 _DOUBLED = (CycleClass.POSITIVE, CycleClass.NEGATIVE)
 
@@ -76,123 +73,6 @@ def enumerate_cycles(g: MixedGraph) -> list[tuple[int, ...]]:
     # would keep `cycles` alive until the collector's next full pass
     del extend
     return sorted(cycles, key=lambda c: (len(c), c))
-
-
-@dataclass(frozen=True)
-class ElementarySubgraph:
-    """A vertex-disjoint union of single edges and cycles of a host graph.
-
-    Stored with the derived counters used by the determinant expansion:
-
-    - order: number of covered vertices
-    - c: number of components; r = order - c
-    - s: number of cycle components, split into positive / negative /
-      semi-positive / semi-negative counts by cycle gain
-    - q: prod of 1/d_i over covered vertices, host-graph degrees, exact
-    """
-
-    edges: tuple[EdgeRecord, ...]
-    cycles: tuple[tuple[int, ...], ...]
-    order: int
-    c: int
-    r: int
-    s: int
-    l_pos: int
-    l_neg: int
-    l_semi_pos: int
-    l_semi_neg: int
-    q: Fraction
-
-    @classmethod
-    def assemble(
-        cls,
-        view: GainView,
-        degrees: tuple[int, ...],
-        edges: tuple[EdgeRecord, ...],
-        cycles: tuple[tuple[int, ...], ...],
-    ) -> "ElementarySubgraph":
-        counts = {cls_: 0 for cls_ in CycleClass}
-        for cycle in cycles:
-            counts[classify_cycle(view, cycle)] += 1
-        covered = [v for e in edges for v in (e.u, e.v)]
-        covered += [v for cycle in cycles for v in cycle]
-        q = Fraction(1)
-        for v in covered:
-            q /= degrees[v - 1]
-        order = len(covered)
-        c = len(edges) + len(cycles)
-        return cls(
-            edges=edges,
-            cycles=cycles,
-            order=order,
-            c=c,
-            r=order - c,
-            s=len(cycles),
-            l_pos=counts[CycleClass.POSITIVE],
-            l_neg=counts[CycleClass.NEGATIVE],
-            l_semi_pos=counts[CycleClass.SEMI_POSITIVE],
-            l_semi_neg=counts[CycleClass.SEMI_NEGATIVE],
-            q=q,
-        )
-
-    def signed_weight(self) -> Fraction:
-        """(-1)**(r + l_neg + l_semi_neg) * 2**(l_neg + l_pos) * q."""
-        sign = -1 if (self.r + self.l_neg + self.l_semi_neg) % 2 else 1
-        return sign * Fraction(2) ** (self.l_neg + self.l_pos) * self.q
-
-
-def enumerate_elementary_subgraphs(g: MixedGraph, k: int) -> list[ElementarySubgraph]:
-    """Every elementary subgraph of g covering exactly k vertices.
-
-    k = 0 yields the empty subgraph, k = g.n the spanning ones.  Recursion on
-    the lowest not-yet-decided vertex: it is either left out or covered by an
-    edge or a cycle whose minimum vertex it is.
-    """
-    if not 0 <= k <= g.n:
-        raise ValueError(f"order {k} out of range 0..{g.n}")
-    view = gain_view(g)
-    degrees = g.degrees()
-    adj = g.adjacency_sets()
-    all_cycles = enumerate_cycles(g)
-    cycles_by_min = {v: [c for c in all_cycles if c[0] == v] for v in g.vertices()}
-
-    results: list[ElementarySubgraph] = []
-
-    def recurse(
-        available: set[int],
-        covered: int,
-        edges: list[EdgeRecord],
-        cycles: list[tuple[int, ...]],
-    ) -> None:
-        if covered == k:
-            results.append(
-                ElementarySubgraph.assemble(view, degrees, tuple(edges), tuple(cycles))
-            )
-            return
-        if not available or covered + len(available) < k:
-            return
-        v = min(available)
-        rest = available - {v}
-        # leave v uncovered
-        recurse(rest, covered, edges, cycles)
-        # cover v by an edge
-        if covered + 2 <= k:
-            for w in sorted(adj[v]):
-                if w in rest:
-                    edge = g.edge_between(v, w)
-                    assert edge is not None
-                    edges.append(edge)
-                    recurse(rest - {w}, covered + 2, edges, cycles)
-                    edges.pop()
-        # cover v by a cycle having v as its minimum vertex
-        for cycle in cycles_by_min[v]:
-            if covered + len(cycle) <= k and all(u == v or u in rest for u in cycle):
-                cycles.append(cycle)
-                recurse(rest - set(cycle), covered + len(cycle), edges, cycles)
-                cycles.pop()
-
-    recurse(set(g.vertices()), 0, [], [])
-    return results
 
 
 def _component_weights(graphs: Sequence[MixedGraph],
@@ -250,8 +130,8 @@ def elementary_weight_numerator_rows(graphs: Sequence[MixedGraph]) -> np.ndarray
     subgraphs summed over the common denominator prod d_i, for a block of
     graphs of one order, as a (G, n + 1) int64 array.
 
-    Entry k, divided by prod d_i, equals the sum of ``signed_weight()`` over
-    ``enumerate_elementary_subgraphs(g, k)``.  Each component contributes
+    Entry k, divided by prod d_i, equals the sum of the signed weights of
+    the order-k elementary subgraphs of graph j.  Each component contributes
     its factor (see _component_weights) and each uncovered vertex its
     degree.  S[U], the sums over the elementary subgraphs of the subgraph
     induced on the vertex set U (host degrees throughout), decide U's
@@ -296,10 +176,6 @@ def elementary_weight_numerators(g: MixedGraph) -> tuple[int, ...]:
     """The numerators of every order for one graph: the one-graph case of
     elementary_weight_numerator_rows."""
     return tuple(elementary_weight_numerator_rows([g])[0].tolist())
-
-
-def spanning_elementary_subgraphs(g: MixedGraph) -> list[ElementarySubgraph]:
-    return enumerate_elementary_subgraphs(g, g.n)
 
 
 def _passes(g: MixedGraph, connected_only: bool, min_degree: int) -> bool:

@@ -18,13 +18,11 @@ import cmath
 import math
 from dataclasses import dataclass
 from enum import Enum
-from itertools import combinations
 from typing import Mapping
 
 from .graphs import EdgeKind, MixedGraph
 
 OMEGA = complex(0.5, math.sqrt(3.0) / 2.0)
-OMEGA_BAR = OMEGA.conjugate()
 
 
 @dataclass(frozen=True)
@@ -192,37 +190,6 @@ def gain_balance(g: MixedGraph) -> tuple[bool, bool]:
 def is_positive(g: MixedGraph) -> bool:
     """True iff every cycle of the mixed graph has gain 1."""
     return gain_balance(g)[0]
-
-
-def is_positive_by_paths(g: MixedGraph) -> bool:
-    """Brute-force positivity oracle: between any two vertices, every simple
-    path carries the same gain.
-
-    Gains (the unit-modulus entries of the adjacency matrix) are compared;
-    the degree factors of walk values are path-dependent and would differ
-    even in a positive graph.  Exponential in the graph size; desk scale.
-    """
-    view = gain_view(g)
-    adj = g.adjacency_sets()
-
-    def path_gains(s: int, t: int) -> set[int]:
-        found: set[int] = set()
-
-        def extend(v: int, seen: set[int], acc: SixthRoot) -> None:
-            if v == t:
-                found.add(acc.k)
-                return
-            for w in sorted(adj[v]):
-                if w not in seen:
-                    extend(w, seen | {w}, acc * view.gains[(v, w)])
-
-        extend(s, {s}, ONE)
-        return found
-
-    for s, t in combinations(g.vertices(), 2):
-        if len(path_gains(s, t)) > 1:
-            return False
-    return True
 
 
 def apply_switching(view: GainView, zeta: Mapping[int, SixthRoot]) -> GainView:

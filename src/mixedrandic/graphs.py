@@ -19,6 +19,8 @@ accepted (LF is emitted).
 
 from __future__ import annotations
 
+import math
+import operator
 from collections import deque
 from dataclasses import dataclass, field
 from enum import Enum
@@ -71,6 +73,12 @@ def undirected(u: int, v: int) -> EdgeRecord:
 def arc(u: int, v: int) -> EdgeRecord:
     """An oriented edge from u to v."""
     return EdgeRecord(u, v, EdgeKind.ARC)
+
+
+def edge_label(e: EdgeRecord) -> str:
+    """The compact label of an edge, e.g. '1--2' or '2->3': its text
+    without spaces, as record names and reports write it."""
+    return f"{e.u}{e.kind.value}{e.v}"
 
 
 @dataclass(frozen=True, eq=False)
@@ -216,22 +224,20 @@ def group_by_underlying(graphs: Sequence[MixedGraph]) -> list[list[int]]:
     return list(groups.values())
 
 
-def general_randic_index(g: MixedGraph, alpha: Fraction | int | float):
-    """Sum of (d_u * d_v)**alpha over edges of the underlying graph.
-
-    Exact Fraction for integer alpha, float otherwise.  Degrees are taken in
-    the underlying graph, so orientations are irrelevant.
-    """
+def general_randic_index(g: MixedGraph, k: int) -> Fraction:
+    """Sum of (d_u * d_v)**k over the edges of the underlying graph, exact
+    for integer k: summed as an integer over a common denominator, the lcm
+    of the (d_u * d_v)**-k when k < 0.  Degrees are taken in the underlying
+    graph, so orientations are irrelevant."""
     if g.m == 0:
         raise ValueError("Randic index undefined for a graph with no edges")
     d = g.degrees()
-    if isinstance(alpha, int) or (isinstance(alpha, Fraction) and alpha.denominator == 1):
-        k = int(alpha)
-        return sum(
-            (Fraction(d[u - 1] * d[v - 1]) ** k for u, v in g.underlying_pairs()),
-            Fraction(0),
-        )
-    return float(sum((d[u - 1] * d[v - 1]) ** float(alpha) for u, v in g.underlying_pairs()))
+    k = operator.index(k)
+    powers = [(d[u - 1] * d[v - 1]) ** abs(k) for u, v in g.underlying_pairs()]
+    if k >= 0:
+        return Fraction(sum(powers))
+    common = math.lcm(*powers)
+    return Fraction(sum(common // p for p in powers), common)
 
 
 def parse_graph(text: str) -> MixedGraph:

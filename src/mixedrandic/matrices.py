@@ -12,8 +12,8 @@ Four matrices are built from a mixed graph X with underlying degrees d_i:
 
 Each builder takes a population of graphs of one order and fills one
 (G, n, n) stack with one fancy index (``randic_stack`` also adds the
-edge-deleted and underlying matrices); the one-graph functions are the
-population of one.  All matrices are plain complex ndarrays, Hermitian
+edge-deleted matrices); the one-graph functions are the population of
+one.  All matrices are plain complex ndarrays, Hermitian
 exactly by construction (the (j, i) entry is written as the conjugate of the
 (i, j) entry).  Vertex v occupies row/column v - 1.
 """
@@ -81,26 +81,23 @@ def hermitian_adjacency(g: MixedGraph) -> np.ndarray:
 
 
 def randic_stack(graphs: Sequence[MixedGraph],
-                 deleted: Sequence[Sequence[EdgeRecord]],
-                 underlying: bool = False) -> np.ndarray:
+                 deleted: Sequence[Sequence[EdgeRecord]]) -> np.ndarray:
     """Degree-normalized matrices D^-1/2 H D^-1/2 of a population of one
     order, as one (sum k, n, n) stack filled by one fancy index per
     triangle.  For each graph in turn: R(g), then R(g - e) for each edge e
-    of its ``deleted`` list (degrees recomputed), then, with ``underlying``,
-    R of its underlying graph.
+    of its ``deleted`` list (degrees recomputed).
 
     Raises if a deletion or a graph itself leaves a vertex isolated (the
     normalization is undefined); each graph's deletions are checked first.
     """
     owner, u, v, arc = _edge_arrays(graphs)
     start = np.searchsorted(owner, np.arange(len(graphs)))
-    # per slice: its graph, its deleted edge (-1: none) and whether it
-    # holds the underlying graph
+    # per slice: its graph and its deleted edge (-1: none)
     degrees, slices = [], []
     for i, (g, cut) in enumerate(zip(graphs, deleted)):
         d = g.degrees()
         degrees.append(d)
-        slices.append((i, -1, False))
+        slices.append((i, -1))
         for e in cut:
             try:
                 j = g.edges.index(e)
@@ -114,12 +111,9 @@ def randic_stack(graphs: Sequence[MixedGraph],
                     f"removing {e} isolates vertex {reduced.index(0) + 1}; "
                     "the normalized matrix needs every degree >= 1"
                 )
-            slices.append((i, start[i] + j, False))
+            slices.append((i, start[i] + j))
         _require_positive_degrees(d)
-        if underlying:
-            slices.append((i, -1, True))
-    graph_of, cut_of, plain_of = np.array(slices, dtype=np.intp).reshape(-1, 3).T
-    plain_of = plain_of.astype(bool)
+    graph_of, cut_of = np.array(slices, dtype=np.intp).reshape(-1, 2).T
 
     # float degrees: their products stay exact integers
     slice_degrees = np.array(degrees, dtype=float)[graph_of]
@@ -134,11 +128,8 @@ def randic_stack(graphs: Sequence[MixedGraph],
                                               + counts, counts))
     keep = edge != cut_of[where]
     where, edge = where[keep], edge[keep]
-    plain = plain_of[where]
-    # the underlying graph stores each edge with its smaller end first
     a, b = u[edge], v[edge]
-    a, b = np.where(plain, np.minimum(a, b), a), np.where(plain, np.maximum(a, b), b)
-    gain = np.where(arc[edge] & ~plain, OMEGA, 1.0 + 0.0j)
+    gain = np.where(arc[edge], OMEGA, 1.0 + 0.0j)
     upper = 1.0 / np.sqrt(slice_degrees[where, a] * slice_degrees[where, b]) * gain
     return _filled(len(graph_of), graphs[0].n, where, a, b, upper)
 
@@ -244,15 +235,3 @@ def quadratic_form(g: MixedGraph, y: np.ndarray) -> float:
         yi, yj = y[i - 1], y[j - 1]
         total += abs(yi + h[i - 1, j - 1] * yj) ** 2 - (abs(yi) ** 2 + abs(yj) ** 2)
     return total
-
-
-def format_complex(z: complex) -> str:
-    """``a+bi`` with 17 significant digits on both parts."""
-    return f"{z.real:.17g}{z.imag:+.17g}i"
-
-
-def format_matrix(mat: np.ndarray) -> str:
-    """Row-major dump, one row per line, tab-separated ``a+bi`` entries."""
-    return "\n".join(
-        "\t".join(format_complex(entry) for entry in row) for row in np.asarray(mat)
-    )

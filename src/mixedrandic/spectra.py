@@ -168,12 +168,6 @@ class CharPoly:
     def as_floats(self) -> tuple[float, ...]:
         return tuple(float(c) for c in self.coefficients)
 
-    def __call__(self, x: float) -> float:
-        out = 0.0
-        for c in self.as_floats():
-            out = out * x + float(c)
-        return out
-
     def max_difference(self, other: "CharPoly") -> float:
         if self.degree != other.degree:
             raise ValueError("polynomials of different degree")

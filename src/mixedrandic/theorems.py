@@ -35,7 +35,14 @@ import numpy as np
 
 from .enumeration import _numerator_rows
 from .gains import gain_balance, is_positive
-from .graphs import EdgeKind, EdgeRecord, MixedGraph, group_by_underlying
+from .graphs import (
+    EdgeKind,
+    EdgeRecord,
+    MixedGraph,
+    edge_label,
+    general_randic_index,
+    group_by_underlying,
+)
 from .matrices import laplacians, randic_matrices, randic_stack, randic_via_incidences
 from .spectra import (
     DEFAULT_COMBINATORIAL_CAP,
@@ -148,17 +155,8 @@ def _asymmetry(vals: np.ndarray) -> np.ndarray:
 
 def randic_inverse(g: MixedGraph) -> float:
     """The inverse-degree-product edge sum r_inv = sum 1/(d_u d_v) over the
-    edges, correctly rounded: summed exactly as an integer over a common
-    denominator, then divided once."""
-    d = g.degrees()
-    products = [d[u - 1] * d[v - 1] for u, v in g.underlying_pairs()]
-    common = math.lcm(*products)
-    return sum(common // p for p in products) / common
-
-
-def check_unit_interval(s: Spectrum, tol: float = TOL_INEQ) -> bool:
-    """All eigenvalues within [-1 - tol, 1 + tol]."""
-    return bool(s.n == 0 or s.rho <= 1.0 + tol)
+    edges, correctly rounded from the exact general_randic_index(g, -1)."""
+    return float(general_randic_index(g, -1))
 
 
 @dataclass(frozen=True)
@@ -543,10 +541,6 @@ class TheoremSuite:
                      if r.satisfied and not r.skipped and r.reason)
 
 
-def _edge_label(e: EdgeRecord) -> str:
-    return str(e).replace(" ", "")
-
-
 def _structural_records(one: EigenvalueOneCheck, sym: SymmetryCheck,
                         minus: MinusOneCheck,
                         under: UnderlyingSpectrumCheck) -> tuple[CheckRecord, ...]:
@@ -590,30 +584,36 @@ def _order_suites(graphs: Sequence[MixedGraph],
     >= 1 (else ValueError): one stacked build and solve, the residuals and
     bounds as array reductions over the graphs, the exact charpoly
     numerators in one recursion, and the facts of each underlying graph
-    once, from one grouping of the graphs by underlying graph."""
+    (its spectrum among them) once, from one grouping of the graphs by
+    underlying graph."""
     n = graphs[0].n
     degrees = [g.degrees() for g in graphs]
     bipartite = np.empty(len(graphs), dtype=bool)
     r_inv = np.empty(len(graphs))
+    group_of = np.empty(len(graphs), dtype=np.intp)
+    underlying = []
     groups = group_by_underlying(graphs)
-    for members in groups:
+    for k, members in enumerate(groups):
         g = graphs[members[0]]
         _require_connected(g)
         if 0 in g.degrees():
             raise ValueError("isolated vertex: the normalized matrix is undefined")
         bipartite[members] = g.is_bipartite()
         r_inv[members] = randic_inverse(g)
-    # R(g), R(g - e) for every edge whose removal isolates no vertex, and R
-    # of the underlying graph, for every graph, in one solve
+        group_of[members] = k
+        underlying.append(g.underlying_graph())
+    # R(g) and R(g - e) for every edge whose removal isolates no vertex, for
+    # every graph, then R of each underlying graph, in one solve
     removable = [[e for e in g.edges if d[e.u - 1] > 1 and d[e.v - 1] > 1]
                  if include_interlacing else [] for g, d in zip(graphs, degrees)]
-    stack = randic_stack(graphs, removable, underlying=True)
+    stack = randic_stack([*graphs, *underlying],
+                         [*removable, *([()] * len(underlying))])
     rows = eigenvalue_rows(stack)
-    sizes = np.array([2 + len(cut) for cut in removable])
+    sizes = np.array([1 + len(cut) for cut in removable])
     first = np.cumsum(sizes) - sizes
-    last = first + sizes - 1
     vals = rows[first]
     mats = stack[first]
+    plain = rows[-len(underlying):][group_of]
 
     head = [
         _inequalities("unit_interval", spectral_radii(vals), 1.0),
@@ -650,15 +650,14 @@ def _order_suites(graphs: Sequence[MixedGraph],
 
     interlacing = [()] * len(graphs)
     if include_interlacing:
-        deletions = np.ones(len(rows), dtype=bool)
-        deletions[first] = deletions[last] = False
-        owner = np.repeat(np.arange(len(graphs)), sizes - 2)
+        owner = np.repeat(np.arange(len(graphs)), sizes - 1)
+        deletions = np.delete(rows[:sizes.sum()], first, axis=0)
         worst = iter(_inequalities(
-            [f"interlacing:{_edge_label(e)}" for cut in removable for e in cut],
-            _worst(_interlacing_violations(vals[owner], rows[deletions])),
+            [f"interlacing:{edge_label(e)}" for cut in removable for e in cut],
+            _worst(_interlacing_violations(vals[owner], deletions)),
             0.0))
         interlacing = [
-            tuple(_skip(f"interlacing:{_edge_label(e)}", "removal isolates a vertex")
+            tuple(_skip(f"interlacing:{edge_label(e)}", "removal isolates a vertex")
                   if d[e.u - 1] == 1 or d[e.v - 1] == 1 else next(worst)
                   for e in g.edges)
             for g, d in zip(graphs, degrees)
@@ -669,7 +668,7 @@ def _order_suites(graphs: Sequence[MixedGraph],
             map(gain_balance, graphs), bipartite.tolist(),
             multiplicities(vals, 1.0, TOL_EIG).tolist(),
             multiplicities(vals, -1.0, TOL_EIG).tolist(),
-            _asymmetry(vals).tolist(), _distance(vals, rows[last]).tolist()):
+            _asymmetry(vals).tolist(), _distance(vals, plain).tolist()):
         structural.append(_structural_records(
             _eigenvalue_one(mult_one, positive), _symmetry(asym, two_colorable),
             _minus_one(mult_minus_one, positive, anti, two_colorable),
@@ -692,14 +691,15 @@ def run_theorem_suites(graphs: Iterable[MixedGraph],
     degrees >= 1; the suites come back in input order.
 
     The graphs are taken one order at a time, in blocks of at most
-    SUITE_BLOCK graphs.  Each block's matrices R(g), R(g - e) for every edge
-    whose removal isolates no vertex, and R of the underlying graph are
-    built as one stack and solved by one eigvalsh call; the residuals and
-    bounds are row reductions over the block's eigenvalue array, and the
-    exact characteristic polynomials come from one subset recursion per
-    block.  Each block is grouped by underlying graph once; connectivity,
-    bipartiteness, cycles and r_inv are computed once per underlying graph
-    of a block, and positivity, antibalance and the records per graph.
+    SUITE_BLOCK graphs.  Each block's matrices R(g) and R(g - e) for every
+    edge whose removal isolates no vertex, and R of each of its underlying
+    graphs, are built as one stack and solved by one eigvalsh call; the
+    residuals and bounds are row reductions over the block's eigenvalue
+    array, and the exact characteristic polynomials come from one subset
+    recursion per block.  Each block is grouped by underlying graph once;
+    connectivity, bipartiteness, cycles, r_inv and the underlying spectrum
+    are computed once per underlying graph of a block, and positivity,
+    antibalance and the records per graph.
     Raises ValueError on a disconnected graph or an isolated vertex.
     """
     graphs = list(graphs)

@@ -329,6 +329,22 @@ def test_awkward_reports_round_trip():
         "divergences": 1, "max_abs_slack": result.max_abs_slack()}
 
 
+def test_bare_carriage_return_is_quoted():
+    # no comma, quote or newline: only the carriage return needs quoting
+    records = (CheckRecord("plain", True, reason="a\rb"),
+               CheckRecord("x\ry", True, lhs=0.5, rhs=1.0, slack=0.5))
+    g = path_graph(2)
+    result = CampaignResult(
+        CampaignConfig(n_min=2, n_max=2),
+        (GraphResult(0, g, TheoremSuite(g, randic_spectrum(g), records)),))
+    text = render_csv(result)
+    assert text.endswith('0,2,1--2,plain,,,,true,false,"a\rb"\n'
+                         '0,2,1--2,"x\ry",0.5,1,0.5,true,false,\n')
+    rows = list(csv.reader(io.StringIO(text, newline="")))
+    assert rows[1:] == [["0", "2", "1--2", "plain", "", "", "", "true", "false", "a\rb"],
+                        ["0", "2", "1--2", "x\ry", "0.5", "1", "0.5", "true", "false", ""]]
+
+
 def test_empty_campaign_renders_pinned_bytes():
     result = run_campaign(CampaignConfig(sample_limit=0))
     assert render_csv(result) == (

@@ -1,4 +1,5 @@
-"""Every demo script runs to completion against the package in src/."""
+"""Every demo script runs to completion against the package in src/, and
+the README's library tour prints what its comments say."""
 
 import os
 import subprocess
@@ -25,3 +26,27 @@ def test_demo_runs(name):
                           timeout=120)
     assert done.returncode == 0, done.stderr
     assert done.stdout.strip()
+
+
+def library_tour():
+    """The README's python block and the lines its comments say it prints:
+    each print's trailing comment, or else the comment line after it."""
+    readme = (ROOT / "README.md").read_text()
+    block = readme.split("```python\n", 1)[1].split("```", 1)[0]
+    lines = block.splitlines()
+    expected = []
+    for line, after in zip(lines, lines[1:] + [""]):
+        if line.startswith("print("):
+            comment = line.partition("#")[2].strip()
+            expected.append(comment or after.removeprefix("# "))
+    return block, expected
+
+
+def test_readme_library_tour_prints_its_comments():
+    block, expected = library_tour()
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    done = subprocess.run([sys.executable, "-c", block], cwd=ROOT, env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert len(expected) == 5
+    assert done.stdout.splitlines() == expected

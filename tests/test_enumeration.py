@@ -1,6 +1,7 @@
 import gc
 import math
 import random
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 
@@ -12,12 +13,10 @@ from mixedrandic import (
     cycle_graph,
     directed_cycle,
     enumerate_cycles,
-    enumerate_elementary_subgraphs,
     enumerate_mixed_graphs,
     path_graph,
     run_theorem_suite,
     sample_mixed_graphs,
-    spanning_elementary_subgraphs,
 )
 from mixedrandic.enumeration import (
     _DOUBLED,
@@ -25,8 +24,131 @@ from mixedrandic.enumeration import (
     elementary_weight_numerator_rows,
     elementary_weight_numerators,
 )
-from mixedrandic.gains import classify_cycle, gain_view
+from mixedrandic.gains import CycleClass, GainView, classify_cycle, gain_view
 from mixedrandic.graphs import EdgeKind, EdgeRecord, group_by_underlying
+
+
+# The reference for the elementary-subgraph sums: every elementary subgraph
+# of one order listed one by one, with its counters and exact weight.
+@dataclass(frozen=True)
+class ElementarySubgraph:
+    """A vertex-disjoint union of single edges and cycles of a host graph.
+
+    Stored with the derived counters used by the determinant expansion:
+
+    - order: number of covered vertices
+    - c: number of components; r = order - c
+    - s: number of cycle components, split into positive / negative /
+      semi-positive / semi-negative counts by cycle gain
+    - q: prod of 1/d_i over covered vertices, host-graph degrees, exact
+    """
+
+    edges: tuple[EdgeRecord, ...]
+    cycles: tuple[tuple[int, ...], ...]
+    order: int
+    c: int
+    r: int
+    s: int
+    l_pos: int
+    l_neg: int
+    l_semi_pos: int
+    l_semi_neg: int
+    q: Fraction
+
+    @classmethod
+    def assemble(
+        cls,
+        view: GainView,
+        degrees: tuple[int, ...],
+        edges: tuple[EdgeRecord, ...],
+        cycles: tuple[tuple[int, ...], ...],
+    ) -> "ElementarySubgraph":
+        counts = {cls_: 0 for cls_ in CycleClass}
+        for cycle in cycles:
+            counts[classify_cycle(view, cycle)] += 1
+        covered = [v for e in edges for v in (e.u, e.v)]
+        covered += [v for cycle in cycles for v in cycle]
+        q = Fraction(1)
+        for v in covered:
+            q /= degrees[v - 1]
+        order = len(covered)
+        c = len(edges) + len(cycles)
+        return cls(
+            edges=edges,
+            cycles=cycles,
+            order=order,
+            c=c,
+            r=order - c,
+            s=len(cycles),
+            l_pos=counts[CycleClass.POSITIVE],
+            l_neg=counts[CycleClass.NEGATIVE],
+            l_semi_pos=counts[CycleClass.SEMI_POSITIVE],
+            l_semi_neg=counts[CycleClass.SEMI_NEGATIVE],
+            q=q,
+        )
+
+    def signed_weight(self) -> Fraction:
+        """(-1)**(r + l_neg + l_semi_neg) * 2**(l_neg + l_pos) * q."""
+        sign = -1 if (self.r + self.l_neg + self.l_semi_neg) % 2 else 1
+        return sign * Fraction(2) ** (self.l_neg + self.l_pos) * self.q
+
+
+def enumerate_elementary_subgraphs(g: MixedGraph, k: int) -> list[ElementarySubgraph]:
+    """Every elementary subgraph of g covering exactly k vertices.
+
+    k = 0 yields the empty subgraph, k = g.n the spanning ones.  Recursion on
+    the lowest not-yet-decided vertex: it is either left out or covered by an
+    edge or a cycle whose minimum vertex it is.
+    """
+    if not 0 <= k <= g.n:
+        raise ValueError(f"order {k} out of range 0..{g.n}")
+    view = gain_view(g)
+    degrees = g.degrees()
+    adj = g.adjacency_sets()
+    all_cycles = enumerate_cycles(g)
+    cycles_by_min = {v: [c for c in all_cycles if c[0] == v] for v in g.vertices()}
+
+    results: list[ElementarySubgraph] = []
+
+    def recurse(
+        available: set[int],
+        covered: int,
+        edges: list[EdgeRecord],
+        cycles: list[tuple[int, ...]],
+    ) -> None:
+        if covered == k:
+            results.append(
+                ElementarySubgraph.assemble(view, degrees, tuple(edges), tuple(cycles))
+            )
+            return
+        if not available or covered + len(available) < k:
+            return
+        v = min(available)
+        rest = available - {v}
+        # leave v uncovered
+        recurse(rest, covered, edges, cycles)
+        # cover v by an edge
+        if covered + 2 <= k:
+            for w in sorted(adj[v]):
+                if w in rest:
+                    edge = g.edge_between(v, w)
+                    assert edge is not None
+                    edges.append(edge)
+                    recurse(rest - {w}, covered + 2, edges, cycles)
+                    edges.pop()
+        # cover v by a cycle having v as its minimum vertex
+        for cycle in cycles_by_min[v]:
+            if covered + len(cycle) <= k and all(u == v or u in rest for u in cycle):
+                cycles.append(cycle)
+                recurse(rest - set(cycle), covered + len(cycle), edges, cycles)
+                cycles.pop()
+
+    recurse(set(g.vertices()), 0, [], [])
+    return results
+
+
+def spanning_elementary_subgraphs(g: MixedGraph) -> list[ElementarySubgraph]:
+    return enumerate_elementary_subgraphs(g, g.n)
 
 
 def complete_graph(n):

@@ -1,4 +1,5 @@
 import random
+from itertools import combinations
 
 import pytest
 
@@ -26,10 +27,40 @@ from mixedrandic.gains import (
     W_BAR,
     SixthRoot,
     gain_balance,
-    is_positive_by_paths,
 )
 
 ROOTS = [SixthRoot(k) for k in range(6)]
+
+
+def is_positive_by_paths(g: MixedGraph) -> bool:
+    """Brute-force positivity oracle: between any two vertices, every simple
+    path carries the same gain.
+
+    Gains (the unit-modulus entries of the adjacency matrix) are compared;
+    the degree factors of walk values are path-dependent and would differ
+    even in a positive graph.  Exponential in the graph size; desk scale.
+    """
+    view = gain_view(g)
+    adj = g.adjacency_sets()
+
+    def path_gains(s: int, t: int) -> set[int]:
+        found: set[int] = set()
+
+        def extend(v: int, seen: set[int], acc: SixthRoot) -> None:
+            if v == t:
+                found.add(acc.k)
+                return
+            for w in sorted(adj[v]):
+                if w not in seen:
+                    extend(w, seen | {w}, acc * view.gains[(v, w)])
+
+        extend(s, {s}, ONE)
+        return found
+
+    for s, t in combinations(g.vertices(), 2):
+        if len(path_gains(s, t)) > 1:
+            return False
+    return True
 
 
 def single_arc_triangle():

@@ -147,6 +147,11 @@ def test_general_randic_index_rejects_empty():
         general_randic_index(MixedGraph.build(2), -1)
 
 
+def test_general_randic_index_takes_only_integer_exponents():
+    with pytest.raises(TypeError):
+        general_randic_index(path_graph(3), 0.5)
+
+
 def test_edge_queries():
     g = directed_cycle(3)
     assert g.edge_between(1, 2) == arc(1, 2)

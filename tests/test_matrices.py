@@ -20,9 +20,8 @@ from mixedrandic import (
     randic_via_incidence,
 )
 from mixedrandic.gains import OMEGA, W, W_BAR
+from mixedrandic.graphs import group_by_underlying
 from mixedrandic.matrices import (
-    format_complex,
-    format_matrix,
     hermitian_adjacencies,
     incidence_matrices,
     is_hermitian,
@@ -116,23 +115,24 @@ def populations(graphs_with_deletions):
 def test_population_stack_is_the_per_graph_stacks(populations):
     for order in populations:
         graphs, deleted = zip(*order)
-        stack = randic_stack(graphs, deleted, underlying=True)
-        per_graph = np.concatenate([
-            np.concatenate((randic_matrices(g, cut),
-                            randic_matrices(g.underlying_graph())))
-            for g, cut in order])
-        assert same_bits(stack, per_graph)
-        assert same_bits(randic_stack(graphs, deleted),
-                         np.concatenate([randic_matrices(g, cut) for g, cut in order]))
+        # as the suite stacks them: the graphs with their deletions, then
+        # one underlying graph per group of graphs sharing it
+        groups = group_by_underlying(graphs)
+        underlying = [graphs[members[0]].underlying_graph() for members in groups]
+        stack = randic_stack([*graphs, *underlying],
+                             [*deleted, *([()] * len(underlying))])
+        parts = ([randic_matrices(g, cut) for g, cut in order]
+                 + [randic_matrices(h) for h in underlying])
+        assert same_bits(stack, np.concatenate(parts))
+        # a group's matrix is each member's own underlying matrix
+        tail = stack[len(stack) - len(underlying):]
+        for plain, members in zip(tail, groups):
+            for i in members:
+                assert same_bits(plain, randic_matrix(graphs[i].underlying_graph()))
         # one solve of the population, row for row the per-graph solves
         rows = np.linalg.eigvalsh(stack)
-        start = 0
-        for g, cut in order:
-            single = np.linalg.eigvalsh(np.concatenate(
-                (randic_matrices(g, cut), randic_matrices(g.underlying_graph()))))
-            assert rows[start:start + len(single)].tobytes() == single.tobytes()
-            start += len(single)
-        assert start == len(rows)
+        singles = np.concatenate([np.linalg.eigvalsh(part) for part in parts])
+        assert rows.tobytes() == singles.tobytes()
 
 
 def loop_hermitian_adjacency(g):
@@ -266,9 +266,3 @@ def test_quadratic_form_matches_matrix_product():
             y = np.array([complex(rng.gauss(0, 1), rng.gauss(0, 1)) for _ in range(g.n)])
             direct = (y.conj() @ h @ y).real
             assert abs(quadratic_form(g, y) - direct) < 1e-12
-
-
-def test_formatting():
-    assert format_complex(0.5 + 0j) == "0.5+0i"
-    text = format_matrix(randic_matrix(path_graph(2)))
-    assert text.splitlines()[0] == "0+0i\t1+0i"

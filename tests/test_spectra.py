@@ -161,7 +161,7 @@ def test_char_poly_vanishes_on_spectrum():
     g = directed_cycle(4)
     p = char_poly_combinatorial(g)
     for value in randic_spectrum(g).eigenvalues:
-        assert abs(p(value)) < 1e-10
+        assert abs(np.polyval(p.as_floats(), value)) < 1e-10
 
 
 @pytest.mark.parametrize(

@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
@@ -7,20 +9,22 @@ from mixedrandic import (
     check_minus_one,
     check_spectral_symmetry,
     check_spectrum_equals_underlying,
-    check_unit_interval,
     cycle_graph,
     directed_cycle,
     energy_bounds_report,
     entry_sum_bounds,
+    general_randic_index,
     interlacing_check,
     parse_graph,
     path_graph,
     randic_spectrum,
     run_theorem_suite,
+    sample_mixed_graphs,
     smallest_eigenvalue_bound,
 )
 from mixedrandic import theorems
-from mixedrandic.theorems import entry_sum, run_theorem_suites
+from mixedrandic.graphs import group_by_underlying
+from mixedrandic.theorems import entry_sum, randic_inverse, run_theorem_suites
 
 # Non-bipartite mixed graph whose two triangles carry gains 1 and -1, so the
 # odd-order coefficients vanish and the spectrum is symmetric about zero.
@@ -31,11 +35,6 @@ SYMMETRIC_NON_BIPARTITE = (
 
 def star(n):
     return MixedGraph.build(n, undirected_pairs=[(1, k) for k in range(2, n + 1)])
-
-
-def test_unit_interval():
-    assert check_unit_interval(randic_spectrum(cycle_graph(3)))
-    assert check_unit_interval(randic_spectrum(directed_cycle(4)))
 
 
 def test_interlacing_on_triangle():
@@ -126,6 +125,28 @@ def test_underlying_spectrum_checks():
     assert tree.spectra_equal and tree.switch_equiv_allones
     twisted = check_spectrum_equals_underlying(directed_cycle(3))
     assert not twisted.spectra_equal and not twisted.switch_equiv_allones
+
+
+def fraction_randic_index(g, k):
+    """Reference: the sum of (d_u d_v)**k over the edges as a sum of
+    Fractions, one per edge."""
+    d = g.degrees()
+    return sum(
+        (Fraction(d[u - 1] * d[v - 1]) ** k for u, v in g.underlying_pairs()),
+        Fraction(0),
+    )
+
+
+def test_randic_inverse_is_the_exact_sum_rounded_once(exhaustive_population,
+                                                      sampled_population):
+    dense = sample_mixed_graphs(10, 1, seed=10)[0]
+    assert dense.m >= 30
+    for g in [*exhaustive_population, *sampled_population, dense]:
+        assert randic_inverse(g).hex() == float(fraction_randic_index(g, -1)).hex()
+        for k in (-2, -1, 1, 2):
+            exact = general_randic_index(g, k)
+            assert type(exact) is Fraction
+            assert exact == fraction_randic_index(g, k), (g, k)
 
 
 def test_entry_sum_values():
@@ -247,6 +268,32 @@ def test_suites_reject_disconnected_and_isolated_graphs():
     with pytest.raises(ValueError, match="isolated vertex"):
         run_theorem_suites([cycle_graph(3), MixedGraph(1, ())])
     assert run_theorem_suites([]) == []
+
+
+def test_suite_solves_each_underlying_graph_once(exhaustive_population,
+                                                 monkeypatch):
+    solve = theorems.eigenvalue_rows
+    solved = []
+
+    def counted(stack):
+        solved.append(len(stack))
+        return solve(stack)
+
+    monkeypatch.setattr(theorems, "eigenvalue_rows", counted)
+    run_theorem_suites(exhaustive_population)
+    # per block: R(g) and R(g - e) for each removable edge e of each graph,
+    # then R of each distinct underlying graph
+    expected = 0
+    for n in (2, 3, 4):
+        graphs = [g for g in exhaustive_population if g.n == n]
+        for start in range(0, len(graphs), theorems.SUITE_BLOCK):
+            block = graphs[start:start + theorems.SUITE_BLOCK]
+            expected += len(group_by_underlying(block))
+            for g in block:
+                d = g.degrees()
+                expected += 1 + sum(d[e.u - 1] > 1 and d[e.v - 1] > 1
+                                    for e in g.edges)
+    assert sum(solved) == expected == 20_072
 
 
 def test_suite_structural_records_are_the_check_results(exhaustive_population):
