@@ -10,26 +10,33 @@ in the *host* graph.
 ``elementary_weight_numerator_rows`` sums the signed weights of every order
 for a block of graphs of one order, keeping each order's sum as an integer
 numerator over the common denominator prod d_i, since
-Q = prod_{uncovered} d_i / prod_all d_i.  It enumerates the cycles once per
-underlying graph, reads every member's cycle gains off one integer matrix
-product, and fills one subset recursion for the whole block;
-``elementary_weight_numerators`` is its one-graph case.
+Q = prod_{uncovered} d_i / prod_all d_i.  It lists no cycle.  A dynamic
+programme over vertex subsets counts, for every graph of the block at once,
+the paths from min U over exactly the vertex set U to each end vertex, by
+gain exponent mod 6; a step back to min U closes a cycle, whose class the
+exponent gives.  The counts are int32, since a path count is at most
+(n - 2)! <= 11! at the n <= 13 the numerators admit.  One subset recursion
+then combines the edges and cycles for the whole block;
+``elementary_weight_numerators`` is its one-graph case.  ``enumerate_cycles``
+lists the cycles of one graph, for the demos and the tests.
 
-Everything here is desk scale: the combinatorial routines assume n <= ~10
-and graph enumeration is capped (default 6) because the number of labeled
-mixed graphs grows as 4**C(n, 2).
+Everything here is desk scale: the combinatorial routines take n <= 13
+(the suite n <= 10) and graph enumeration is capped (default 6) because the
+number of labeled mixed graphs grows as 4**C(n, 2).
 """
 
 from __future__ import annotations
 
+import functools
 import random
-from itertools import combinations, groupby, islice, product, repeat
+from itertools import combinations, islice, product, repeat
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
 from .gains import _CLASS_BY_EXPONENT, CycleClass
-from .graphs import EdgeKind, EdgeRecord, MixedGraph, group_by_underlying
+from .graphs import EdgeKind, EdgeRecord, MixedGraph
+from .matrices import _edge_arrays
 
 DEFAULT_GRAPH_CAP = 6
 
@@ -75,53 +82,111 @@ def enumerate_cycles(g: MixedGraph) -> list[tuple[int, ...]]:
     return sorted(cycles, key=lambda c: (len(c), c))
 
 
-def _component_weights(graphs: Sequence[MixedGraph],
-                       groups: list[list[int]]) -> np.ndarray:
-    """W[mask, j]: the summed factors of graph j's edges and cycles whose
-    vertex set is ``mask`` (bit i for vertex i + 1).
+@functools.cache
+def _path_template(n: int) -> tuple[list[tuple[np.ndarray, ...]], int]:
+    """The steps of the path programme on the complete graph K_n, and the
+    most steps into one layer.
 
-    An edge contributes -1.  A cycle of gain class c contributes
-    (-1)**(length - 1 + [c sign-flipping]) * (2 if c doubled else 1).  The
-    cycles are found once per underlying graph.  Each member's cycle gain
-    exponents are then K @ P.T mod 6, where P[c, j] is +1 or -1 as cycle c
-    traverses pair j upwards or downwards (0 off the cycle), and K[g, j] is
-    the exponent of pair j traversed upwards in member g: 0 for an
-    un-oriented edge, 1 for an arc upwards and -1 for an arc downwards.
-    ``groups`` is group_by_underlying(graphs).
+    A state of layer k is a vertex set U of size k and an end vertex v: the
+    one vertex of U when k = 1, else any vertex of U but min U.  States are
+    numbered by U, then v.  Per layer k = 2..n the template holds: the sets
+    U of size k, ascending; per state (U, v), the ordered pair
+    v * n + min U of the step that closes it; and per step into a state,
+    ordered by that state, the state of layer k - 1 it leaves and its
+    ordered pair v * n + w.  Each state of layer k has max(1, k - 2) steps
+    into it.
+    """
+    masks = np.arange(1 << n)
+    bits = ((masks[:, np.newaxis] >> np.arange(n)) & 1).astype(bool)
+    sizes = bits.sum(axis=1)
+    lowest = bits.argmax(axis=1)
+    # ends[U]: the vertices a path over U may end at
+    ends = bits.copy()
+    ends[sizes >= 2, lowest[sizes >= 2]] = False
+    # state[U, v]: the number of state (U, v) within its layer
+    state = np.zeros((1 << n, n), dtype=np.intp)
+    state[1 << np.arange(n), np.arange(n)] = np.arange(n)
+    layers = []
+    for k in range(2, n + 1):
+        sets = masks[sizes == k]
+        row, end = np.nonzero(ends[sets])
+        into = sets[row]
+        state[into, end] = np.arange(len(into))
+        before = into & ~(1 << end)
+        step, tail = np.nonzero(ends[before])
+        layers.append((sets, end * n + lowest[into],
+                       state[before[step], tail], tail * n + end[step]))
+    return layers, max((len(layer[2]) for layer in layers), default=1)
+
+
+#: _SOURCE_SLOT[x, e]: the exponent a path had before a step of gain
+#: exponent x left it at exponent e.  x = 6 marks an absent pair, whose
+#: step reads slot 6, which holds no paths.
+_SOURCE_SLOT = np.array([[(e - x) % 6 if x < 6 else 6 for e in range(6)]
+                         for x in range(7)], dtype=np.intp)
+
+#: Most cells (graphs x steps x exponents) one layer of the path programme
+#: gathers: a block's graphs are taken in chunks that stay under it.
+_PATH_CELLS = 1 << 16
+
+
+def _stepped(paths: np.ndarray, slots: np.ndarray, source: np.ndarray,
+             pair: np.ndarray) -> np.ndarray:
+    """Entry [j, t, e]: the paths of graph j in state source[t] that the
+    step over ordered pair pair[t] leaves at exponent e (0 where graph j
+    lacks the pair).  paths is (G, states, 7), slots[j] _SOURCE_SLOT of
+    graph j's step exponents."""
+    cells = slots[:, pair]
+    cells += ((np.arange(len(paths))[:, np.newaxis] * paths.shape[1]
+               + source) * 7)[:, :, np.newaxis]
+    return paths.ravel()[cells]
+
+
+def _component_weights(graphs: Sequence[MixedGraph],
+                       edges: tuple[np.ndarray, ...]) -> np.ndarray:
+    """W[mask, j]: the summed factors of graph j's edges and cycles whose
+    vertex set is ``mask`` (bit i for vertex i + 1), given the graphs'
+    _edge_arrays.
+
+    An edge contributes -1 and a cycle (-1)**(length - 1) times the
+    _CYCLE_FACTOR of its gain exponent.  No cycle is listed:
+    paths[j, (U, v), e] counts the paths of graph j from min U to v over
+    exactly the vertex set U with gain exponent e mod 6 (Bellman, J. ACM 9
+    (1962); Held & Karp, J. SIAM 10 (1962)).  Each layer is one gather over
+    the steps of _path_template(n), shifted by each step's exponent in
+    graph j, and one sum per state over its steps.  A step from v back to
+    min U closes each cycle twice, with exponents e and -e of one class,
+    so W[U, j] is half the sum over the closing steps of
+    (-1)**(|U| - 1) * _CYCLE_FACTOR[e] * paths.  At |U| = 2 the closed
+    path is an edge there and back, exponent 0, and weighs -2 / 2 = -1.
+
+    A state counts at most (n - 2)! paths: int32 holds them at the
+    n <= 13 that _numerator_rows admits.
     """
     n = graphs[0].n
+    owner, u, v, arc = edges
+    layers, widest = _path_template(n)
+    # exponent[j, a * n + b]: the gain exponent of the step a -> b in graph j
+    exponent = np.full((len(graphs), n * n), 6, dtype=np.intp)
+    exponent[owner, u * n + v] = np.where(arc, 1, 0)
+    exponent[owner, v * n + u] = np.where(arc, 5, 0)
     weights = np.zeros((1 << n, len(graphs)), dtype=np.int64)
-    for members in groups:
-        first = graphs[members[0]]
-        pairs = np.array(first.underlying_pairs(), dtype=np.int64).reshape(-1, 2) - 1
-        weights[np.ix_((1 << pairs).sum(axis=1), members)] -= 1
-        cycles = enumerate_cycles(first)
-        if not cycles:
-            continue
-        # column[u, v]: the index of pair {u + 1, v + 1}
-        column = np.zeros((n, n), dtype=np.int64)
-        column[pairs[:, 0], pairs[:, 1]] = np.arange(len(pairs))
-        column[pairs[:, 1], pairs[:, 0]] = np.arange(len(pairs))
-        # int8 holds each exponent sum: at most n terms of -1, 0 or 1
-        traversal = np.zeros((len(cycles), len(pairs)), dtype=np.int8)
-        masks = np.empty(len(cycles), dtype=np.int64)
-        parity = np.empty(len(cycles), dtype=np.int64)
-        start = 0
-        # cycles come sorted by length, so each length is one array
-        for length, same in groupby(cycles, key=len):
-            walk = np.array(list(same), dtype=np.int64) - 1
-            rows = np.arange(start, start + len(walk))
-            step = np.roll(walk, -1, axis=1)
-            traversal[rows[:, np.newaxis], column[walk, step]] = np.sign(step - walk)
-            masks[rows] = (1 << walk).sum(axis=1)
-            parity[rows] = -1 if length % 2 == 0 else 1
-            start += len(walk)
-        exponents = np.array(
-            [[0 if e.kind is EdgeKind.UNDIRECTED else 1 if e.u < e.v else -1
-              for e in graphs[j].edges] for j in members],
-            dtype=np.int8).reshape(len(members), -1)
-        factors = _CYCLE_FACTOR[exponents @ traversal.T % 6] * parity
-        np.add.at(weights, (masks[:, np.newaxis], np.array(members)), factors.T)
+    chunk = max(1, _PATH_CELLS // (6 * widest))
+    for first in range(0, len(graphs), chunk):
+        slots = _SOURCE_SLOT[exponent[first:first + chunk]]
+        count = len(slots)
+        # layer 1: one path of exponent 0 at each vertex
+        paths = np.zeros((count, n, 7), dtype=np.int32)
+        paths[:, :, 0] = 1
+        for k, (sets, close, source, pair) in enumerate(layers, start=2):
+            grown = _stepped(paths, slots, source, pair)
+            paths = np.zeros((count, len(close), 7), dtype=np.int32)
+            paths[:, :, :6] = grown.reshape(count, len(close), -1, 6).sum(
+                axis=2, dtype=np.int32)
+            closed = _stepped(paths, slots, np.arange(len(close)), close)
+            cycles = closed.reshape(count, len(sets), k - 1, 6).sum(
+                axis=2, dtype=np.int64) @ _CYCLE_FACTOR
+            weights[sets, first:first + count] = (-1) ** (k - 1) * cycles.T // 2
     return weights
 
 
@@ -132,32 +197,33 @@ def elementary_weight_numerator_rows(graphs: Sequence[MixedGraph]) -> np.ndarray
 
     Entry k, divided by prod d_i, equals the sum of the signed weights of
     the order-k elementary subgraphs of graph j.  Each component contributes
-    its factor (see _component_weights) and each uncovered vertex its
-    degree.  S[U], the sums over the elementary subgraphs of the subgraph
-    induced on the vertex set U (host degrees throughout), decide U's
-    lowest vertex i: left uncovered, S[U] = d_i * S[U - i]; covered by a
-    component M, shift S[U - M] by |M| orders and scale it by W[M].  The
-    table is filled by lowest vertex from n down to 1, every set U and
-    every graph at once: about one array operation per component vertex
-    set of the block.
+    its factor W, which one programme counting paths over vertex subsets
+    (int32 counts, see _component_weights) gives for every graph at once,
+    and each uncovered vertex its degree.  S[U],
+    the sums over the elementary subgraphs of the subgraph induced on the
+    vertex set U (host degrees throughout), decide U's lowest vertex i:
+    left uncovered, S[U] = d_i * S[U - i]; covered by a component M, shift
+    S[U - M] by |M| orders and scale it by W[M].  The table is filled by
+    lowest vertex from n down to 1, every set U and every graph at once:
+    about one array operation per component vertex set of the block.
 
     Every partial sum is a sub-sum of the expansion of the permanent of
     D + A, which is at most prod 2 d_i <= (2n - 2)**n: about 3.6e12 at
     n = 10, so int64 holds it.  Orders where that bound reaches 2**63
-    (n >= 14) are refused.
+    (n >= 14) are refused; at n <= 13 a path count is at most 11!, which
+    int32 holds.
     """
-    return _numerator_rows(graphs, group_by_underlying(graphs))
+    return _numerator_rows(graphs, _edge_arrays(graphs))
 
 
 def _numerator_rows(graphs: Sequence[MixedGraph],
-                    groups: list[list[int]]) -> np.ndarray:
-    """elementary_weight_numerator_rows, given the block's grouping by
-    underlying graph (group_by_underlying)."""
+                    edges: tuple[np.ndarray, ...]) -> np.ndarray:
+    """elementary_weight_numerator_rows, given the graphs' _edge_arrays."""
     n = graphs[0].n
     if (2 * n - 2) ** n >= 2 ** 63:
         raise ValueError(f"n = {n}: the numerators may overflow int64")
     degrees = np.array([g.degrees() for g in graphs], dtype=np.int64).T
-    weights = _component_weights(graphs, groups)
+    weights = _component_weights(graphs, edges)
     live = np.flatnonzero(weights.any(axis=1))
     lowest = live & -live
     sums = np.zeros((1 << n, n + 1, len(graphs)), dtype=np.int64)
@@ -169,7 +235,8 @@ def _numerator_rows(graphs: Sequence[MixedGraph],
             rest = above[(above & mask) == 0]
             size = mask.bit_count()
             sums[rest | mask, size:] += weights[mask] * sums[rest, :n + 1 - size]
-    return sums[-1].T
+    # a copy: the view would hold the whole table
+    return sums[-1].T.copy()
 
 
 def elementary_weight_numerators(g: MixedGraph) -> tuple[int, ...]:

@@ -90,7 +90,14 @@ def randic_stack(graphs: Sequence[MixedGraph],
     Raises if a deletion or a graph itself leaves a vertex isolated (the
     normalization is undefined); each graph's deletions are checked first.
     """
-    owner, u, v, arc = _edge_arrays(graphs)
+    return _randic_stack(graphs, deleted, _edge_arrays(graphs))
+
+
+def _randic_stack(graphs: Sequence[MixedGraph],
+                  deleted: Sequence[Sequence[EdgeRecord]],
+                  edges: tuple[np.ndarray, ...]) -> np.ndarray:
+    """randic_stack, given the graphs' _edge_arrays."""
+    owner, u, v, arc = edges
     start = np.searchsorted(owner, np.arange(len(graphs)))
     # per slice: its graph and its deleted edge (-1: none)
     degrees, slices = [], []

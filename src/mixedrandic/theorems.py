@@ -43,7 +43,13 @@ from .graphs import (
     general_randic_index,
     group_by_underlying,
 )
-from .matrices import laplacians, randic_matrices, randic_stack, randic_via_incidences
+from .matrices import (
+    _edge_arrays,
+    _randic_stack,
+    laplacians,
+    randic_matrices,
+    randic_via_incidences,
+)
 from .spectra import (
     DEFAULT_COMBINATORIAL_CAP,
     TOL_ZERO,
@@ -583,17 +589,16 @@ def _order_suites(graphs: Sequence[MixedGraph],
     """The suite on graphs of one order, each connected with every degree
     >= 1 (else ValueError): one stacked build and solve, the residuals and
     bounds as array reductions over the graphs, the exact charpoly
-    numerators in one recursion, and the facts of each underlying graph
-    (its spectrum among them) once, from one grouping of the graphs by
-    underlying graph."""
+    numerators from one path programme and one recursion, and the facts of
+    each underlying graph (its spectrum among them) once, from one grouping
+    of the graphs by underlying graph."""
     n = graphs[0].n
     degrees = [g.degrees() for g in graphs]
     bipartite = np.empty(len(graphs), dtype=bool)
     r_inv = np.empty(len(graphs))
     group_of = np.empty(len(graphs), dtype=np.intp)
     underlying = []
-    groups = group_by_underlying(graphs)
-    for k, members in enumerate(groups):
+    for k, members in enumerate(group_by_underlying(graphs)):
         g = graphs[members[0]]
         _require_connected(g)
         if 0 in g.degrees():
@@ -606,8 +611,17 @@ def _order_suites(graphs: Sequence[MixedGraph],
     # every graph, then R of each underlying graph, in one solve
     removable = [[e for e in g.edges if d[e.u - 1] > 1 and d[e.v - 1] > 1]
                  if include_interlacing else [] for g, d in zip(graphs, degrees)]
-    stack = randic_stack([*graphs, *underlying],
-                         [*removable, *([()] * len(underlying))])
+    stacked = [*graphs, *underlying]
+    edges = _edge_arrays(stacked)
+    numerators = None
+    if n <= DEFAULT_COMBINATORIAL_CAP:
+        # the graphs' own edges come first
+        own = np.searchsorted(edges[0], len(graphs))
+        numerators = _numerator_rows(graphs, tuple(a[:own] for a in edges))
+    stack = _randic_stack(stacked, [*removable, *([()] * len(underlying))],
+                          edges)
+    # the solve is a block's peak of memory, which the edges need not raise
+    del edges
     rows = eigenvalue_rows(stack)
     sizes = np.array([1 + len(cut) for cut in removable])
     first = np.cumsum(sizes) - sizes
@@ -629,12 +643,11 @@ def _order_suites(graphs: Sequence[MixedGraph],
     head.append(_inequalities("laplacian_complement",
                               _largest_entries(np.eye(n) - triple - mats),
                               0.0, tol=1e-14))
-    if n <= DEFAULT_COMBINATORIAL_CAP:
+    if numerators is not None:
         # a_k = (-1)**k * numerator_k / prod d_i.  Every numerator and the
         # denominator are below 2**53 at n <= 10 (see
         # elementary_weight_numerator_rows), so each is exact in float64 and
         # the one division is rounded as float(Fraction(numerator, prod d_i))
-        numerators = _numerator_rows(graphs, groups)
         numerators[:, 1::2] *= -1
         exact = numerators / np.prod(degrees, axis=1, keepdims=True)
         head.append(_inequalities("charpoly_agreement",
@@ -695,11 +708,12 @@ def run_theorem_suites(graphs: Iterable[MixedGraph],
     edge whose removal isolates no vertex, and R of each of its underlying
     graphs, are built as one stack and solved by one eigvalsh call; the
     residuals and bounds are row reductions over the block's eigenvalue
-    array, and the exact characteristic polynomials come from one subset
-    recursion per block.  Each block is grouped by underlying graph once;
-    connectivity, bipartiteness, cycles, r_inv and the underlying spectrum
-    are computed once per underlying graph of a block, and positivity,
-    antibalance and the records per graph.
+    array, and the exact characteristic polynomials come from one
+    path-counting programme and one subset recursion per block, which share
+    the block's edge arrays with the stacked build.  Each block is grouped
+    by underlying graph once; connectivity, bipartiteness, r_inv and the
+    underlying spectrum are computed once per underlying graph of a block,
+    and positivity, antibalance and the records per graph.
     Raises ValueError on a disconnected graph or an isolated vertex.
     """
     graphs = list(graphs)

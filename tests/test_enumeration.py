@@ -3,7 +3,7 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, groupby
 
 import numpy as np
 import pytest
@@ -19,13 +19,18 @@ from mixedrandic import (
     sample_mixed_graphs,
 )
 from mixedrandic.enumeration import (
+    _CYCLE_FACTOR,
     _DOUBLED,
+    _PATH_CELLS,
     _SIGN_FLIPPING,
+    _component_weights,
+    _path_template,
     elementary_weight_numerator_rows,
     elementary_weight_numerators,
 )
 from mixedrandic.gains import CycleClass, GainView, classify_cycle, gain_view
 from mixedrandic.graphs import EdgeKind, EdgeRecord, group_by_underlying
+from mixedrandic.matrices import _edge_arrays
 
 
 # The reference for the elementary-subgraph sums: every elementary subgraph
@@ -261,9 +266,59 @@ def recursive_numerators(g):
     return tuple(sums((1 << g.n) - 1))
 
 
+def cycle_component_weights(graphs):
+    """W[mask, j] of _component_weights from the listed cycles: the
+    reference for the path programme.
+
+    The cycles are found once per underlying graph.  Each member's cycle
+    gain exponents are then K @ P.T mod 6, where P[c, j] is +1 or -1 as
+    cycle c traverses pair j upwards or downwards (0 off the cycle), and
+    K[g, j] is the exponent of pair j traversed upwards in member g: 0 for
+    an un-oriented edge, 1 for an arc upwards and -1 for an arc downwards.
+    """
+    n = graphs[0].n
+    weights = np.zeros((1 << n, len(graphs)), dtype=np.int64)
+    for members in group_by_underlying(graphs):
+        first = graphs[members[0]]
+        pairs = np.array(first.underlying_pairs(), dtype=np.int64).reshape(-1, 2) - 1
+        weights[np.ix_((1 << pairs).sum(axis=1), members)] -= 1
+        cycles = enumerate_cycles(first)
+        if not cycles:
+            continue
+        # column[u, v]: the index of pair {u + 1, v + 1}
+        column = np.zeros((n, n), dtype=np.int64)
+        column[pairs[:, 0], pairs[:, 1]] = np.arange(len(pairs))
+        column[pairs[:, 1], pairs[:, 0]] = np.arange(len(pairs))
+        # int8 holds each exponent sum: at most n terms of -1, 0 or 1
+        traversal = np.zeros((len(cycles), len(pairs)), dtype=np.int8)
+        masks = np.empty(len(cycles), dtype=np.int64)
+        parity = np.empty(len(cycles), dtype=np.int64)
+        start = 0
+        # cycles come sorted by length, so each length is one array
+        for length, same in groupby(cycles, key=len):
+            walk = np.array(list(same), dtype=np.int64) - 1
+            rows = np.arange(start, start + len(walk))
+            step = np.roll(walk, -1, axis=1)
+            traversal[rows[:, np.newaxis], column[walk, step]] = np.sign(step - walk)
+            masks[rows] = (1 << walk).sum(axis=1)
+            parity[rows] = -1 if length % 2 == 0 else 1
+            start += len(walk)
+        exponents = np.array(
+            [[0 if e.kind is EdgeKind.UNDIRECTED else 1 if e.u < e.v else -1
+              for e in graphs[j].edges] for j in members],
+            dtype=np.int8).reshape(len(members), -1)
+        factors = _CYCLE_FACTOR[exponents @ traversal.T % 6] * parity
+        np.add.at(weights, (masks[:, np.newaxis], np.array(members)), factors.T)
+    return weights
+
+
 def assert_rows_match(block, by_subgraphs=True):
-    """The block's rows equal the per-graph recursion and, unless told
-    otherwise, the summed weights of the enumerated elementary subgraphs."""
+    """The block's component weights equal the listed cycles' and its rows
+    the per-graph recursion and, unless told otherwise, the summed weights
+    of the enumerated elementary subgraphs."""
+    weights = _component_weights(block, _edge_arrays(block))
+    assert weights.dtype == np.int64
+    assert np.array_equal(weights, cycle_component_weights(block))
     rows = elementary_weight_numerator_rows(block)
     assert rows.dtype == np.int64 and rows.shape == (len(block), block[0].n + 1)
     for g, row in zip(block, rows.tolist()):
@@ -303,9 +358,15 @@ def test_block_rows_on_the_exhaustive_population(exhaustive_population):
         assert_rows_match(block, by_subgraphs=False)
 
 
-@pytest.mark.parametrize("n,count", [(7, 12), (8, 6)])
+@pytest.mark.parametrize("n,count", [(5, 40), (6, 30), (7, 12), (8, 6)])
 def test_block_rows_on_seeded_samples(n, count):
     assert_rows_match(sample_mixed_graphs(n, count, seed=n))
+
+
+def test_block_rows_across_path_programme_chunks():
+    block = sample_mixed_graphs(6, 300, seed=6)
+    assert len(block) > 2 * (_PATH_CELLS // (6 * _path_template(6)[1]))
+    assert_rows_match(block, by_subgraphs=False)
 
 
 def test_block_rows_on_a_dense_order_10_graph():
@@ -318,6 +379,15 @@ def test_block_rows_on_a_dense_order_10_graph():
     assert_rows_match([g])
     # the same underlying graph again, reoriented, in one block with it
     assert_rows_match([g, orient(10, pairs, rng)], by_subgraphs=False)
+
+
+def test_block_rows_at_the_largest_order_int64_admits():
+    # a path with six chords: sparse enough for the per-graph references
+    rng = random.Random(13)
+    chords = [pair for pair in combinations(range(1, 14), 2)
+              if pair[1] - pair[0] > 1]
+    pairs = [(i, i + 1) for i in range(1, 13)] + rng.sample(chords, 6)
+    assert_rows_match([orient(13, pairs, rng)], by_subgraphs=False)
 
 
 def test_block_rows_refuse_numerators_beyond_int64():

@@ -1,4 +1,6 @@
+import random
 from fractions import Fraction
+from itertools import combinations
 
 import numpy as np
 import pytest
@@ -186,6 +188,25 @@ def test_determinant_matches_eigenvalue_product(exhaustive_population):
         assert det == (-1) ** g.n * char_poly_combinatorial(g).coefficients[-1]
         product = float(np.prod(randic_spectrum(g).eigenvalues))
         assert abs(float(det) - product) < 1e-12
+
+
+def test_dense_order_10_routes_agree():
+    # a complete mixed K10: the exact route counts paths over its 1.1e6
+    # cycles instead of listing them
+    rng = random.Random(10)
+    pairs = list(combinations(range(1, 11), 2))
+    arcs = [(u, v) if rng.random() < 0.5 else (v, u)
+            for u, v in pairs if rng.random() < 0.6]
+    ends = {frozenset(arc) for arc in arcs}
+    g = MixedGraph.build(10, arcs=arcs, undirected_pairs=[
+        pair for pair in pairs if frozenset(pair) not in ends])
+    assert g.m == 45 and 0 < len(arcs) < 45
+    r = randic_matrix(g)
+    exact = char_poly_combinatorial(g)
+    assert exact.max_difference(char_poly_numeric(r)) < 1e-8
+    det = np.linalg.det(r)
+    assert float(determinant_combinatorial(g)) == pytest.approx(det.real, rel=1e-9)
+    assert abs(det.imag) < 1e-12
 
 
 def test_combinatorial_route_guards():
