@@ -16,10 +16,18 @@ made once per render and the records that the suite shares between graphs
 The one-step path takes only exact float, bool, str and None values; any
 other value goes through ``json_scalar``'s check, so a numpy float renders
 as a float and a numpy bool raises TypeError in both formats.  A render
-writes its records to a StringIO in chunks of CHUNK_GRAPHS graphs.  It
-does not collect every line in one list to join: on the n <= 4 report
-that would hold 123,015 string headers at once (about 7 MB more at the
-render's peak), and the JSON render is already a campaign's memory peak.
+writes its records to a StringIO one graph's text at a time, which the
+StringIO keeps until getvalue joins them.  It does not collect every line
+in one list to join: on the n <= 4 report that would hold 123,015 string
+headers at once (about 7 MB more at the render's peak), and the JSON render
+is already a campaign's memory peak.  Nor does it write texts of many
+graphs: those are strings of megabytes around the final join, and where
+the join's copy of the report lands among them decides whether a process
+that runs campaign after campaign stays at its resident peak or grows by
+a report.  Replaying the n <= 4 passes of the benchmark, 8 per process on
+2 cores, the resident peak was 95.1-95.6 MB in each of 16 processes one
+graph at a time; with 512-graph chunks it was 99.4-100.3 MB in 17 of 20
+and 112-114 MB in 3.
 The failure, skip, divergence and slack summary is one walk over the
 records, made on first use and kept.
 """
@@ -231,17 +239,6 @@ def json_scalar(v) -> str:
     raise TypeError(f"not a report scalar: {v!r}")
 
 
-#: Graphs per chunk written to a report's StringIO.  The StringIO keeps
-#: every chunk until getvalue joins them into the report, so a render's
-#: peak is twice the report plus a string header (about 57 bytes with its
-#: list slot) per chunk: 0.21 MB for the n <= 4 CSV in one chunk per graph,
-#: under 1 KB in chunks of 512.  Large chunks raise the resident peak of a
-#: process that runs campaign after campaign: 95 MB with one graph per
-#: chunk, 99 MB with 512 and 104 MB with 1024 (the benchmark's n <= 4
-#: passes replayed in one process).
-CHUNK_GRAPHS = 512
-
-
 def json_object(items: list[tuple[str, str]]) -> str:
     return "{" + ", ".join(f"{json.dumps(k)}: {v}" for k, v in items) + "}"
 
@@ -324,20 +321,15 @@ def _config_items(config: CampaignConfig) -> list[tuple[str, str]]:
 
 
 def _json_graphs(results: tuple[GraphResult, ...]) -> Iterator[str]:
-    """The entries of the report's "graphs" list, one line per graph, in
-    chunks of CHUNK_GRAPHS graphs."""
+    """The entries of the report's "graphs" list, one line per graph."""
     formatted = _cached(_json_record)
-
-    def entry(r: GraphResult) -> str:
-        return (f'{{"index": {json_scalar(r.index)}, '
-                f'"n": {json_scalar(r.graph.n)}, '
-                f'"edges": {json_scalar(edge_list_label(r.graph))}, '
-                f'"checks": {_json_checks(r.suite.records, formatted)}}}')
-
-    for start in range(0, len(results), CHUNK_GRAPHS):
-        end = start + CHUNK_GRAPHS
-        yield "".join([",\n".join(map(entry, results[start:end])),
-                       ",\n" if end < len(results) else "\n"])
+    last = len(results) - 1
+    for i, r in enumerate(results):
+        end = ",\n" if i < last else "\n"
+        yield (f'{{"index": {json_scalar(r.index)}, '
+               f'"n": {json_scalar(r.graph.n)}, '
+               f'"edges": {json_scalar(edge_list_label(r.graph))}, '
+               f'"checks": {_json_checks(r.suite.records, formatted)}}}{end}')
 
 
 def render_json(result: CampaignResult) -> str:
@@ -398,8 +390,7 @@ def _csv_record(rec: CheckRecord, names: dict[str, str]) -> str:
 
 
 def _csv_rows(results: tuple[GraphResult, ...]) -> Iterator[str]:
-    """The report's rows after the header, in chunks of CHUNK_GRAPHS
-    graphs."""
+    """The report's rows after the header, one string per graph."""
     formatted = _cached(_csv_record)
 
     def graph_rows(r: GraphResult) -> str:
@@ -410,8 +401,7 @@ def _csv_rows(results: tuple[GraphResult, ...]) -> Iterator[str]:
                   f"{_csv_cell(edge_list_label(r.graph))},")
         return prefix + prefix.join(rows)
 
-    for start in range(0, len(results), CHUNK_GRAPHS):
-        yield "".join(map(graph_rows, results[start:start + CHUNK_GRAPHS]))
+    return map(graph_rows, results)
 
 
 def render_csv(result: CampaignResult) -> str:
