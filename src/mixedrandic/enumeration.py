@@ -15,8 +15,10 @@ programme over vertex subsets counts, for every graph of the block at once,
 the paths from min U over exactly the vertex set U to each end vertex, by
 gain exponent mod 6; a step back to min U closes a cycle, whose class the
 exponent gives.  The counts are int32, since a path count is at most
-(n - 2)! <= 11! at the n <= 13 the numerators admit.  One subset recursion
-then combines the edges and cycles for the whole block;
+(n - 2)! <= 11! at the n <= 13 the numerators admit.  The cover sums C[X],
+over the covers of each vertex set X by disjoint edges and cycles, then
+take one array step per vertex for the whole block, and each order's
+numerator sums C[X] times the degrees of the vertices outside X;
 ``elementary_weight_numerators`` is its one-graph case.  ``enumerate_cycles``
 lists the cycles of one graph, for the demos and the tests.
 
@@ -199,19 +201,27 @@ def elementary_weight_numerator_rows(graphs: Sequence[MixedGraph]) -> np.ndarray
     the order-k elementary subgraphs of graph j.  Each component contributes
     its factor W, which one programme counting paths over vertex subsets
     (int32 counts, see _component_weights) gives for every graph at once,
-    and each uncovered vertex its degree.  S[U],
-    the sums over the elementary subgraphs of the subgraph induced on the
-    vertex set U (host degrees throughout), decide U's lowest vertex i:
-    left uncovered, S[U] = d_i * S[U - i]; covered by a component M, shift
-    S[U - M] by |M| orders and scale it by W[M].  The table is filled by
-    lowest vertex from n down to 1, every set U and every graph at once:
-    about one array operation per component vertex set of the block.
+    and each uncovered vertex its degree (host degrees throughout).
 
-    Every partial sum is a sub-sum of the expansion of the permanent of
-    D + A, which is at most prod 2 d_i <= (2n - 2)**n: about 3.6e12 at
-    n = 10, so int64 holds it.  Orders where that bound reaches 2**63
-    (n >= 14) are refused; at n <= 13 a path count is at most 11!, which
-    int32 holds.
+    First the cover sums: C[X, j] sums, over the ways to cover exactly the
+    vertex set X by vertex-disjoint edges and cycles of graph j, the
+    product of their factors W, with C[empty set] = 1.  The component M
+    that covers min X leaves a cover of X - M, all of whose vertices lie
+    above min X, so C[X] is the sum of W[M] * C[X - M] over the components
+    M inside X with min M = min X.  The table is filled by lowest vertex,
+    from vertex n down to vertex 1.  For each vertex v one array step adds
+    W[M] * C[R] into C[M | R] for every component M with min M = v and
+    every set R above v disjoint from it; each such C[R] is final already.
+    Then entry k is the sum over the sets X of k vertices of
+    C[X] * prod_{z not in X} d_z: n masked multiplies by the degrees, and
+    one sum by set size.
+
+    Every sum W[M] * C[R], every partial C[X] * prod d_z and every partial
+    sum by set size is bounded by a sub-sum of the expansion of the
+    permanent of D + A, which is at most prod 2 d_i <= (2n - 2)**n: about
+    3.6e12 at n = 10, so int64 holds it.  Orders where that bound reaches
+    2**63 (n >= 14) are refused; at n <= 13 a path count is at most 11!,
+    which int32 holds.
     """
     return _numerator_rows(graphs, _edge_arrays(graphs))
 
@@ -224,19 +234,27 @@ def _numerator_rows(graphs: Sequence[MixedGraph],
         raise ValueError(f"n = {n}: the numerators may overflow int64")
     degrees = np.array([g.degrees() for g in graphs], dtype=np.int64).T
     weights = _component_weights(graphs, edges)
-    live = np.flatnonzero(weights.any(axis=1))
+    # int16 holds a vertex set at the n <= 13 admitted above
+    live = np.flatnonzero(weights.any(axis=1)).astype(np.int16)
     lowest = live & -live
-    sums = np.zeros((1 << n, n + 1, len(graphs)), dtype=np.int64)
-    sums[0, 0] = 1
+    covers = np.zeros_like(weights)
+    covers[0] = 1
     for i in reversed(range(n)):
-        above = np.arange(1 << (n - 1 - i), dtype=np.int64) << (i + 1)
-        sums[above | (1 << i)] = degrees[i] * sums[above]
-        for mask in live[lowest == 1 << i].tolist():
-            rest = above[(above & mask) == 0]
-            size = mask.bit_count()
-            sums[rest | mask, size:] += weights[mask] * sums[rest, :n + 1 - size]
-    # a copy: the view would hold the whole table
-    return sums[-1].T.copy()
+        # every component M with min M = i beside every coverable set R
+        # above i disjoint from it; each covers[R] is final, since min R > i
+        above = np.arange(1 << (n - 1 - i), dtype=np.int16) << (i + 1)
+        above = above[covers[above].any(axis=1)]
+        mine = live[lowest == 1 << i]
+        disjoint = np.flatnonzero((mine[:, np.newaxis] & above) == 0)
+        m, r = np.divmod(disjoint, len(above))
+        np.add.at(covers, mine[m] | above[r],
+                  weights[mine[m]] * covers[above[r]])
+    for z in range(n):
+        # axis 1 is bit z of the vertex set: scale the sets without vertex z
+        covers.reshape(-1, 2, 1 << z, len(graphs))[:, 0] *= degrees[z]
+    bits = (np.arange(1 << n)[:, np.newaxis] >> np.arange(n)) & 1
+    # entry [j, k]: graph j's sum over the sets of k vertices
+    return covers.T @ (bits.sum(axis=1)[:, np.newaxis] == np.arange(n + 1))
 
 
 def elementary_weight_numerators(g: MixedGraph) -> tuple[int, ...]:

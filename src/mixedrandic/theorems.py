@@ -589,9 +589,9 @@ def _order_suites(graphs: Sequence[MixedGraph],
     """The suite on graphs of one order, each connected with every degree
     >= 1 (else ValueError): one stacked build and solve, the residuals and
     bounds as array reductions over the graphs, the exact charpoly
-    numerators from one path programme and one recursion, and the facts of
-    each underlying graph (its spectrum among them) once, from one grouping
-    of the graphs by underlying graph."""
+    numerators from one path programme and one cover-sum pass, and the
+    facts of each underlying graph (its spectrum among them) once, from one
+    grouping of the graphs by underlying graph."""
     n = graphs[0].n
     degrees = [g.degrees() for g in graphs]
     bipartite = np.empty(len(graphs), dtype=bool)
@@ -709,7 +709,7 @@ def run_theorem_suites(graphs: Iterable[MixedGraph],
     graphs, are built as one stack and solved by one eigvalsh call; the
     residuals and bounds are row reductions over the block's eigenvalue
     array, and the exact characteristic polynomials come from one
-    path-counting programme and one subset recursion per block, which share
+    path-counting programme and one cover-sum pass per block, which share
     the block's edge arrays with the stacked build.  Each block is grouped
     by underlying graph once; connectivity, bipartiteness, r_inv and the
     underlying spectrum are computed once per underlying graph of a block,

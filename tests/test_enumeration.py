@@ -369,16 +369,43 @@ def test_block_rows_across_path_programme_chunks():
     assert_rows_match(block, by_subgraphs=False)
 
 
-def test_block_rows_on_a_dense_order_10_graph():
+def dense_order_10_graph():
+    """A connected mixed graph with 10 vertices and 28 edges, its pairs and
+    the generator that oriented them."""
     rng = random.Random(28)
     while True:
         pairs = sorted(rng.sample(list(combinations(range(1, 11), 2)), 28))
         g = orient(10, pairs, rng)
         if g.is_connected():
-            break
+            return g, pairs, rng
+
+
+def test_block_rows_on_a_dense_order_10_graph():
+    g, pairs, rng = dense_order_10_graph()
     assert_rows_match([g])
     # the same underlying graph again, reoriented, in one block with it
     assert_rows_match([g, orient(10, pairs, rng)], by_subgraphs=False)
+
+
+def test_block_rows_on_an_order_10_block_of_mixed_density():
+    # a tree, the 28-edge graph and a complete mixed K10 in one block: each
+    # graph lacks some of the vertex sets where another has a component
+    rng = random.Random(10)
+    tree = orient(10, [(rng.randrange(1, v), v) for v in range(2, 11)], rng)
+    k10 = orient(10, list(combinations(range(1, 11), 2)), rng)
+    block = [tree, dense_order_10_graph()[0], k10]
+    weights = _component_weights(block, _edge_arrays(block))
+    live = weights.any(axis=1)
+    assert all((live & (weights[:, j] == 0)).any() for j in range(len(block)))
+    assert_rows_match(block, by_subgraphs=False)
+    # the suite negates the odd columns in place: the rows are a fresh
+    # writable array, and a second call shares nothing with them
+    rows = elementary_weight_numerator_rows(block)
+    again = elementary_weight_numerator_rows(block)
+    assert rows.flags.writeable and rows.flags.owndata
+    assert not np.shares_memory(rows, again)
+    rows[:, 1::2] *= -1
+    assert np.array_equal(elementary_weight_numerator_rows(block), again)
 
 
 def test_block_rows_at_the_largest_order_int64_admits():
