@@ -1,13 +1,17 @@
 import hashlib
 import json
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
-from mixedrandic import cli, cycle_graph, directed_cycle, serialize_graph
+from itertools import combinations
+
+from mixedrandic import (EdgeKind, EdgeRecord, MixedGraph, cli, cycle_graph,
+                         directed_cycle, serialize_graph)
 from mixedrandic.cli import main
 
 #: A path on which float noise in the interlacing checks yields numpy scalars.
@@ -90,6 +94,16 @@ def test_interlace_rejects_bad_edge_flag(c3_file, capsys):
     assert "pass" not in captured.err
 
 
+def test_interlace_on_a_pendant_edge_is_a_precondition_error(tmp_path, capsys):
+    path = tmp_path / "p3.txt"
+    path.write_text("mixedgraph v1\nvertices 3\n1 -- 2\n2 -- 3\n")
+    assert main(["interlace", str(path), "--edge", "1,2"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("error: removing 1 -- 2 isolates vertex 1; the "
+                            "normalized matrix needs every degree >= 1\n")
+
+
 def test_check_clean_graph(c3_file, capsys):
     assert main(["check", c3_file]) == 0
     out = capsys.readouterr().out
@@ -136,6 +150,38 @@ def test_single_graph_json_digests_are_pinned(c3_file, tmp_path, capsys):
         "bounds c3": "578f3dccf56b2e6c1f4990c8d6457ab8d218197142148335bcd33f4c62be2e67",
         "check p4": "47c6cacccb142ca0c86ac098bb33359728ad864f803af46924eea3ba0f181891",
         "bounds p4": "b81802d2c2fd202ec3c8af0f153c957320f05c45973aeeaef005837b8c6e0569",
+    }
+
+
+def seeded_connected_graph(n, m, seed):
+    """A connected mixed graph on n vertices with m edges, each un-oriented
+    or an arc either way, drawn from the seed."""
+    rng = random.Random(seed)
+    while True:
+        pairs = sorted(rng.sample(list(combinations(range(1, n + 1), 2)), m))
+        g = MixedGraph(n, tuple(
+            EdgeRecord(*((u, v) if rng.random() < 0.5 else (v, u)),
+                       rng.choice((EdgeKind.UNDIRECTED, EdgeKind.ARC)))
+            for u, v in pairs))
+        if g.is_connected():
+            return g
+
+
+def test_large_order_check_json_digests_are_pinned(tmp_path, capsys):
+    # `check` at n = 10, the largest order with the exact charpoly, and at
+    # n = 11, above its cap; as above, any change must be deliberate.
+    digests = {}
+    for n, m, seed in ((10, 14, 1), (10, 20, 2), (10, 27, 3), (11, 22, 4)):
+        path = tmp_path / f"n{n}m{m}.txt"
+        path.write_text(serialize_graph(seeded_connected_graph(n, m, seed)))
+        assert main(["check", str(path), "--format", "json"]) == 0
+        out = capsys.readouterr().out
+        digests[f"n{n} m{m}"] = hashlib.sha256(out.encode()).hexdigest()
+    assert digests == {
+        "n10 m14": "800f7eb87cd22b2a1cafa975b2c3d5806fd1e7f5cb9b64f9425a9894de481cd2",
+        "n10 m20": "298585160ddeffe800beb6f3e8a01a70333a2b022f46f76cdd7bbb4e84e02d87",
+        "n10 m27": "53c3ae9ec1276997faf1cd7599a8fdc82a00301004da0027541dd4046cc7c52f",
+        "n11 m22": "4e839373a6753aefa8a87bed9d7fa5007b374f8c4433d1e9697fdc5a004da20a",
     }
 
 
