@@ -277,13 +277,11 @@ def _cmd_enumerate(args: argparse.Namespace) -> int:
         config = parse_campaign_config(_read_text(args.config))
     else:
         config = CampaignConfig()
-    connected = None if args.connected_only is None \
-        else args.connected_only == "true"
     config = with_overrides(
         config,
-        n_min=args.n_min, n_max=args.n_max, connected_only=connected,
-        min_degree=args.min_degree, sample_limit=args.sample_limit,
-        seed=args.seed, format=args.format, output=args.output,
+        n_min=args.n_min, n_max=args.n_max, min_degree=args.min_degree,
+        sample_limit=args.sample_limit, seed=args.seed, format=args.format,
+        output=args.output,
     )
     result = run_campaign(config)
     report = render_report(result)
@@ -349,8 +347,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="key-value config file; flags override it")
     p.add_argument("--n-min", type=int, dest="n_min")
     p.add_argument("--n-max", type=int, dest="n_max")
-    p.add_argument("--connected-only", choices=("true", "false"),
-                   dest="connected_only")
     p.add_argument("--min-degree", type=int, dest="min_degree")
     p.add_argument("--sample-limit", type=int, dest="sample_limit")
     p.add_argument("--seed", type=int)

@@ -8,7 +8,8 @@ the exact rational Q = prod 1/d_i over covered vertices and degrees taken
 in the *host* graph.
 
 ``elementary_weight_numerator_rows`` sums the signed weights of every order
-for a block of graphs of one order, keeping each order's sum as an integer
+for a block of graphs of one order, given as one ``edge_table`` (its
+degrees and one row per edge), keeping each order's sum as an integer
 numerator over the common denominator prod d_i, since
 Q = prod_{uncovered} d_i / prod_all d_i.  It lists no cycle.  A dynamic
 programme over vertex subsets counts, for every graph of the block at once,
@@ -32,13 +33,13 @@ from __future__ import annotations
 import functools
 import random
 from itertools import combinations, islice, product, repeat
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator
 
 import numpy as np
 
 from .gains import _CLASS_BY_EXPONENT, CycleClass
 from .graphs import EdgeKind, EdgeRecord, MixedGraph
-from .matrices import _edge_arrays
+from .matrices import edge_table
 
 DEFAULT_GRAPH_CAP = 6
 
@@ -144,11 +145,11 @@ def _stepped(paths: np.ndarray, slots: np.ndarray, source: np.ndarray,
     return paths.ravel()[cells]
 
 
-def _component_weights(graphs: Sequence[MixedGraph],
+def _component_weights(degrees: np.ndarray,
                        edges: tuple[np.ndarray, ...]) -> np.ndarray:
     """W[mask, j]: the summed factors of graph j's edges and cycles whose
-    vertex set is ``mask`` (bit i for vertex i + 1), given the graphs'
-    _edge_arrays.
+    vertex set is ``mask`` (bit i for vertex i + 1), for a block given as
+    an edge_table.
 
     An edge contributes -1 and a cycle (-1)**(length - 1) times the
     _CYCLE_FACTOR of its gain exponent.  No cycle is listed:
@@ -163,18 +164,18 @@ def _component_weights(graphs: Sequence[MixedGraph],
     path is an edge there and back, exponent 0, and weighs -2 / 2 = -1.
 
     A state counts at most (n - 2)! paths: int32 holds them at the
-    n <= 13 that _numerator_rows admits.
+    n <= 13 that elementary_weight_numerator_rows admits.
     """
-    n = graphs[0].n
+    n = degrees.shape[1]
     owner, u, v, arc = edges
     layers, widest = _path_template(n)
     # exponent[j, a * n + b]: the gain exponent of the step a -> b in graph j
-    exponent = np.full((len(graphs), n * n), 6, dtype=np.intp)
+    exponent = np.full((len(degrees), n * n), 6, dtype=np.intp)
     exponent[owner, u * n + v] = np.where(arc, 1, 0)
     exponent[owner, v * n + u] = np.where(arc, 5, 0)
-    weights = np.zeros((1 << n, len(graphs)), dtype=np.int64)
+    weights = np.zeros((1 << n, len(degrees)), dtype=np.int64)
     chunk = max(1, _PATH_CELLS // (6 * widest))
-    for first in range(0, len(graphs), chunk):
+    for first in range(0, len(degrees), chunk):
         slots = _SOURCE_SLOT[exponent[first:first + chunk]]
         count = len(slots)
         # layer 1: one path of exponent 0 at each vertex
@@ -192,10 +193,12 @@ def _component_weights(graphs: Sequence[MixedGraph],
     return weights
 
 
-def elementary_weight_numerator_rows(graphs: Sequence[MixedGraph]) -> np.ndarray:
+def elementary_weight_numerator_rows(degrees: np.ndarray,
+                                     edges: tuple[np.ndarray, ...]) -> np.ndarray:
     """Row j, entry k: the signed weights of graph j's order-k elementary
     subgraphs summed over the common denominator prod d_i, for a block of
-    graphs of one order, as a (G, n + 1) int64 array.
+    graphs of one order given as an edge_table, as a (G, n + 1) int64
+    array.
 
     Entry k, divided by prod d_i, equals the sum of the signed weights of
     the order-k elementary subgraphs of graph j.  Each component contributes
@@ -223,17 +226,10 @@ def elementary_weight_numerator_rows(graphs: Sequence[MixedGraph]) -> np.ndarray
     2**63 (n >= 14) are refused; at n <= 13 a path count is at most 11!,
     which int32 holds.
     """
-    return _numerator_rows(graphs, _edge_arrays(graphs))
-
-
-def _numerator_rows(graphs: Sequence[MixedGraph],
-                    edges: tuple[np.ndarray, ...]) -> np.ndarray:
-    """elementary_weight_numerator_rows, given the graphs' _edge_arrays."""
-    n = graphs[0].n
+    count, n = degrees.shape
     if (2 * n - 2) ** n >= 2 ** 63:
         raise ValueError(f"n = {n}: the numerators may overflow int64")
-    degrees = np.array([g.degrees() for g in graphs], dtype=np.int64).T
-    weights = _component_weights(graphs, edges)
+    weights = _component_weights(degrees, edges)
     # int16 holds a vertex set at the n <= 13 admitted above
     live = np.flatnonzero(weights.any(axis=1)).astype(np.int16)
     lowest = live & -live
@@ -251,7 +247,7 @@ def _numerator_rows(graphs: Sequence[MixedGraph],
                   weights[mine[m]] * covers[above[r]])
     for z in range(n):
         # axis 1 is bit z of the vertex set: scale the sets without vertex z
-        covers.reshape(-1, 2, 1 << z, len(graphs))[:, 0] *= degrees[z]
+        covers.reshape(-1, 2, 1 << z, count)[:, 0] *= degrees[:, z]
     bits = (np.arange(1 << n)[:, np.newaxis] >> np.arange(n)) & 1
     # entry [j, k]: graph j's sum over the sets of k vertices
     return covers.T @ (bits.sum(axis=1)[:, np.newaxis] == np.arange(n + 1))
@@ -260,7 +256,7 @@ def _numerator_rows(graphs: Sequence[MixedGraph],
 def elementary_weight_numerators(g: MixedGraph) -> tuple[int, ...]:
     """The numerators of every order for one graph: the one-graph case of
     elementary_weight_numerator_rows."""
-    return tuple(elementary_weight_numerator_rows([g])[0].tolist())
+    return tuple(elementary_weight_numerator_rows(*edge_table([g]))[0].tolist())
 
 
 def _passes(g: MixedGraph, connected_only: bool, min_degree: int) -> bool:

@@ -43,9 +43,6 @@ class SixthRoot:
     def conjugate(self) -> "SixthRoot":
         return SixthRoot(-self.k)
 
-    def __neg__(self) -> "SixthRoot":
-        return SixthRoot(self.k + 3)
-
     @property
     def value(self) -> complex:
         return cmath.exp(1j * math.pi * self.k / 3.0)

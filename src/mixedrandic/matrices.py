@@ -10,12 +10,15 @@ Four matrices are built from a mixed graph X with underlying degrees d_i:
 - ``incidence_matrix`` S with I - (D^-1/2 S)(D^-1/2 S)* equal to the Randic
   matrix, giving an independent route to it
 
-Each builder takes a population of graphs of one order and fills one
-(G, n, n) stack with one fancy index (``randic_stack`` also adds the
-edge-deleted matrices); the one-graph functions are the population of
-one.  All matrices are plain complex ndarrays, Hermitian
-exactly by construction (the (j, i) entry is written as the conjugate of the
-(i, j) entry).  Vertex v occupies row/column v - 1.
+Each builder takes a population of graphs of one order as one
+``edge_table``: its (G, n) degrees and one row (graph, u, v, arc) per edge,
+since every entry depends only on the kind of its pair and on d_i d_j.  It
+fills one (G, n, n) stack with one fancy index (``randic_stack`` also adds
+edge-deleted matrices) and validates nothing; the one-graph functions are
+the population of one and check their input.  All matrices are plain
+complex ndarrays, Hermitian exactly by construction (the (j, i) entry is
+written as the conjugate of the (i, j) entry).  Vertex v occupies
+row/column v - 1.
 """
 
 from __future__ import annotations
@@ -48,13 +51,16 @@ def is_hermitian(mat: np.ndarray, tol: float = 1e-12) -> bool:
     return bool((asym <= tol * abs(mat).max(axis=axes, initial=1.0)).all())
 
 
-def _edge_arrays(graphs: Sequence[MixedGraph]) -> tuple[np.ndarray, ...]:
-    """Every edge of a population of one order, concatenated in order: the
-    index of its graph, its 0-based ends u and v, and whether it is an arc."""
-    table = np.array([(i, e.u - 1, e.v - 1, e.kind is EdgeKind.ARC)
-                      for i, g in enumerate(graphs) for e in g.edges],
-                     dtype=np.intp).reshape(-1, 4)
-    return table[:, 0], table[:, 1], table[:, 2], table[:, 3].astype(bool)
+def edge_table(graphs: Sequence[MixedGraph]) -> tuple[np.ndarray, tuple]:
+    """A population of one order as one table: its (G, n) int64 degrees,
+    and every edge of every graph in order as four arrays: the index of its
+    graph (ascending), its 0-based ends u and v, and whether it is an arc."""
+    degrees = np.array([g.degrees() for g in graphs],
+                       dtype=np.int64).reshape(len(graphs), graphs[0].n)
+    rows = np.array([(i, e.u - 1, e.v - 1, e.kind is EdgeKind.ARC)
+                     for i, g in enumerate(graphs) for e in g.edges],
+                    dtype=np.intp).reshape(-1, 4)
+    return degrees, (rows[:, 0], rows[:, 1], rows[:, 2], rows[:, 3].astype(bool))
 
 
 def _filled(count: int, n: int, where: np.ndarray, u: np.ndarray,
@@ -67,69 +73,35 @@ def _filled(count: int, n: int, where: np.ndarray, u: np.ndarray,
     return stack
 
 
-def hermitian_adjacencies(graphs: Sequence[MixedGraph]) -> np.ndarray:
-    """The sixth-root Hermitian adjacency matrices of a population of one
-    order, as one (G, n, n) stack."""
-    owner, u, v, arc = _edge_arrays(graphs)
-    return _filled(len(graphs), graphs[0].n, owner, u, v,
-                   np.where(arc, OMEGA, 1.0 + 0.0j))
+def hermitian_adjacencies(degrees: np.ndarray,
+                          edges: tuple[np.ndarray, ...]) -> np.ndarray:
+    """The sixth-root Hermitian adjacency matrices of an edge_table, as one
+    (G, n, n) stack."""
+    owner, u, v, arc = edges
+    return _filled(*degrees.shape, owner, u, v, np.where(arc, OMEGA, 1.0 + 0.0j))
 
 
 def hermitian_adjacency(g: MixedGraph) -> np.ndarray:
     """The sixth-root Hermitian adjacency matrix of a mixed graph."""
-    return hermitian_adjacencies([g])[0]
+    return hermitian_adjacencies(*edge_table([g]))[0]
 
 
-def randic_stack(graphs: Sequence[MixedGraph],
-                 deleted: Sequence[Sequence[EdgeRecord]]) -> np.ndarray:
-    """Degree-normalized matrices D^-1/2 H D^-1/2 of a population of one
-    order, as one (sum k, n, n) stack filled by one fancy index per
-    triangle.  For each graph in turn: R(g), then R(g - e) for each edge e
-    of its ``deleted`` list (degrees recomputed).
-
-    Raises if a deletion or a graph itself leaves a vertex isolated (the
-    normalization is undefined); each graph's deletions are checked first.
-    """
-    return _randic_stack(graphs, deleted, _edge_arrays(graphs))
-
-
-def _randic_stack(graphs: Sequence[MixedGraph],
-                  deleted: Sequence[Sequence[EdgeRecord]],
-                  edges: tuple[np.ndarray, ...]) -> np.ndarray:
-    """randic_stack, given the graphs' _edge_arrays."""
+def randic_stack(degrees: np.ndarray, edges: tuple[np.ndarray, ...],
+                 graph_of: np.ndarray, cut_of: np.ndarray) -> np.ndarray:
+    """Degree-normalized matrices D^-1/2 H D^-1/2 of an edge_table, as one
+    (S, n, n) stack filled by one fancy index per triangle: slice s is R of
+    graph graph_of[s] less table row cut_of[s] (-1 for none), with the
+    degrees that removal leaves, each of which must be at least 1."""
     owner, u, v, arc = edges
-    start = np.searchsorted(owner, np.arange(len(graphs)))
-    # per slice: its graph and its deleted edge (-1: none)
-    degrees, slices = [], []
-    for i, (g, cut) in enumerate(zip(graphs, deleted)):
-        d = g.degrees()
-        degrees.append(d)
-        slices.append((i, -1))
-        for e in cut:
-            try:
-                j = g.edges.index(e)
-            except ValueError:
-                raise ValueError(f"edge {e} not in graph") from None
-            if 0 in d or d[e.u - 1] == 1 or d[e.v - 1] == 1:
-                reduced = list(d)
-                reduced[e.u - 1] -= 1
-                reduced[e.v - 1] -= 1
-                raise ValueError(
-                    f"removing {e} isolates vertex {reduced.index(0) + 1}; "
-                    "the normalized matrix needs every degree >= 1"
-                )
-            slices.append((i, start[i] + j))
-        _require_positive_degrees(d)
-    graph_of, cut_of = np.array(slices, dtype=np.intp).reshape(-1, 2).T
-
+    start = np.searchsorted(owner, np.arange(len(degrees)))
     # float degrees: their products stay exact integers
-    slice_degrees = np.array(degrees, dtype=float)[graph_of]
+    slice_degrees = degrees[graph_of].astype(float)
     cuts = np.flatnonzero(cut_of >= 0)
     slice_degrees[cuts, u[cut_of[cuts]]] -= 1.0
     slice_degrees[cuts, v[cut_of[cuts]]] -= 1.0
 
     # every slice holds every edge of its graph but its deleted one
-    counts = np.bincount(owner, minlength=len(graphs))[graph_of]
+    counts = np.bincount(owner, minlength=len(degrees))[graph_of]
     where = np.repeat(np.arange(len(graph_of)), counts)
     edge = (np.arange(len(where)) + np.repeat(start[graph_of] - np.cumsum(counts)
                                               + counts, counts))
@@ -138,14 +110,36 @@ def _randic_stack(graphs: Sequence[MixedGraph],
     a, b = u[edge], v[edge]
     gain = np.where(arc[edge], OMEGA, 1.0 + 0.0j)
     upper = 1.0 / np.sqrt(slice_degrees[where, a] * slice_degrees[where, b]) * gain
-    return _filled(len(graph_of), graphs[0].n, where, a, b, upper)
+    return _filled(len(graph_of), degrees.shape[1], where, a, b, upper)
 
 
 def randic_matrices(g: MixedGraph,
                     deleted: Sequence[EdgeRecord] = ()) -> np.ndarray:
-    """R(g) followed by R(g - e) for each edge e of ``deleted``, as one
-    (1 + len(deleted), n, n) stack: the one-graph case of randic_stack."""
-    return randic_stack([g], [deleted])
+    """R(g) followed by R(g - e) for each edge e of ``deleted`` (degrees
+    recomputed), as one (1 + len(deleted), n, n) stack: the one-graph case
+    of randic_stack.
+
+    Raises if a deletion or the graph itself leaves a vertex isolated (the
+    normalization is undefined); the deletions are checked first.
+    """
+    d = g.degrees()
+    cut_of = [-1]
+    for e in deleted:
+        try:
+            cut_of.append(g.edges.index(e))
+        except ValueError:
+            raise ValueError(f"edge {e} not in graph") from None
+        if 0 in d or d[e.u - 1] == 1 or d[e.v - 1] == 1:
+            reduced = list(d)
+            reduced[e.u - 1] -= 1
+            reduced[e.v - 1] -= 1
+            raise ValueError(
+                f"removing {e} isolates vertex {reduced.index(0) + 1}; "
+                "the normalized matrix needs every degree >= 1"
+            )
+    _require_positive_degrees(d)
+    return randic_stack(*edge_table([g]), np.zeros(len(cut_of), dtype=np.intp),
+                        np.array(cut_of, dtype=np.intp))
 
 
 def randic_matrix(g: MixedGraph) -> np.ndarray:
@@ -156,18 +150,18 @@ def randic_matrix(g: MixedGraph) -> np.ndarray:
     return randic_matrices(g)[0]
 
 
-def laplacians(graphs: Sequence[MixedGraph]) -> np.ndarray:
-    """D - H for a population of one order, D the diagonal degree matrix of
-    the underlying graph, as one (G, n, n) stack."""
-    lap = -hermitian_adjacencies(graphs)
-    diagonal = np.arange(graphs[0].n)
-    lap[:, diagonal, diagonal] = [g.degrees() for g in graphs]
+def laplacians(degrees: np.ndarray, edges: tuple[np.ndarray, ...]) -> np.ndarray:
+    """D - H for an edge_table, D the diagonal degree matrix of the
+    underlying graph, as one (G, n, n) stack."""
+    lap = -hermitian_adjacencies(degrees, edges)
+    diagonal = np.arange(degrees.shape[1])
+    lap[:, diagonal, diagonal] = degrees
     return lap
 
 
 def laplacian(g: MixedGraph) -> np.ndarray:
     """D - H with D the diagonal degree matrix of the underlying graph."""
-    return laplacians([g])[0]
+    return laplacians(*edge_table([g]))[0]
 
 
 def normalized_laplacian(g: MixedGraph) -> np.ndarray:
@@ -175,9 +169,10 @@ def normalized_laplacian(g: MixedGraph) -> np.ndarray:
     return np.eye(g.n, dtype=complex) - randic_matrix(g)
 
 
-def incidence_matrices(graphs: Sequence[MixedGraph]) -> np.ndarray:
-    """Vertex-by-edge incidence matrices S of a population of one order, as
-    one (G, n, max m) stack; columns follow each graph's edge order, and a
+def incidence_matrices(degrees: np.ndarray,
+                       edges: tuple[np.ndarray, ...]) -> np.ndarray:
+    """Vertex-by-edge incidence matrices S of an edge_table, as one
+    (G, n, max m) stack; columns follow each graph's edge order, and a
     graph with fewer edges has zero columns after its own.
 
     Unit entries at the two endpoints of each edge, constrained so that the
@@ -186,11 +181,12 @@ def incidence_matrices(graphs: Sequence[MixedGraph]) -> np.ndarray:
     un-oriented edge (u < v) gets (1, -1); an arc u -> v gets (-omega, 1).
     Any per-column unit rescaling satisfies the same constraints.
     """
-    owner, u, v, arc = _edge_arrays(graphs)
-    start = np.searchsorted(owner, np.arange(len(graphs)))
+    owner, u, v, arc = edges
+    count, n = degrees.shape
+    start = np.searchsorted(owner, np.arange(count))
     column = np.arange(len(owner)) - start[owner]
     width = int(column.max()) + 1 if len(column) else 0
-    s = np.zeros((len(graphs), graphs[0].n, width), dtype=complex)
+    s = np.zeros((count, n, width), dtype=complex)
     s[owner, u, column] = np.where(arc, -OMEGA, 1.0)
     s[owner, v, column] = np.where(arc, 1.0, -1.0)
     return s
@@ -199,31 +195,30 @@ def incidence_matrices(graphs: Sequence[MixedGraph]) -> np.ndarray:
 def incidence_matrix(g: MixedGraph) -> np.ndarray:
     """The vertex-by-edge incidence matrix S of incidence_matrices; columns
     follow g.edges order."""
-    return incidence_matrices([g])[0]
+    return incidence_matrices(*edge_table([g]))[0]
 
 
-def randic_via_incidences(graphs: Sequence[MixedGraph]) -> np.ndarray:
-    """The Randic matrices of a population of one order recovered as
-    I - (D^-1/2 S)(D^-1/2 S)*, as one (G, n, n) stack.
+def randic_via_incidences(degrees: np.ndarray,
+                          edges: tuple[np.ndarray, ...]) -> np.ndarray:
+    """The Randic matrices of an edge_table with every degree >= 1,
+    recovered as I - (D^-1/2 S)(D^-1/2 S)*, as one (G, n, n) stack.
 
     Independent of the per-column gauge of S; used as the second route when
     verifying the incidence factorization.
     """
-    degrees = [g.degrees() for g in graphs]
-    for d in degrees:
-        _require_positive_degrees(d)
-    n = graphs[0].n
-    scaling = np.zeros((len(graphs), n, n))
+    count, n = degrees.shape
+    scaling = np.zeros((count, n, n))
     diagonal = np.arange(n)
-    scaling[:, diagonal, diagonal] = 1.0 / np.sqrt(np.array(degrees, dtype=float))
-    half = scaling @ incidence_matrices(graphs)
+    scaling[:, diagonal, diagonal] = 1.0 / np.sqrt(degrees.astype(float))
+    half = scaling @ incidence_matrices(degrees, edges)
     return np.eye(n, dtype=complex) - half @ half.conj().swapaxes(-2, -1)
 
 
 def randic_via_incidence(g: MixedGraph) -> np.ndarray:
     """The Randic matrix recovered as I - (D^-1/2 S)(D^-1/2 S)*: the
-    one-graph case of randic_via_incidences."""
-    return randic_via_incidences([g])[0]
+    one-graph case of randic_via_incidences (raises on an isolated vertex)."""
+    _require_positive_degrees(g.degrees())
+    return randic_via_incidences(*edge_table([g]))[0]
 
 
 def quadratic_form(g: MixedGraph, y: np.ndarray) -> float:

@@ -33,10 +33,9 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .enumeration import _numerator_rows
+from .enumeration import elementary_weight_numerator_rows
 from .gains import gain_balance, is_positive
 from .graphs import (
-    EdgeKind,
     EdgeRecord,
     MixedGraph,
     edge_label,
@@ -44,10 +43,10 @@ from .graphs import (
     group_by_underlying,
 )
 from .matrices import (
-    _edge_arrays,
-    _randic_stack,
+    edge_table,
     laplacians,
     randic_matrices,
+    randic_stack,
     randic_via_incidences,
 )
 from .spectra import (
@@ -306,18 +305,23 @@ def _underlying(max_difference: float, positive: bool) -> UnderlyingSpectrumChec
                                    max_difference)
 
 
-def entry_sum(g: MixedGraph) -> float:
-    """Sum of all entries of the Randic matrix (a real number).
+def entry_sums(degrees: np.ndarray, edges: tuple[np.ndarray, ...]) -> np.ndarray:
+    """Per graph of an edge_table, the sum of all entries of its Randic
+    matrix (a real number), added up in edge order.
 
     An un-oriented edge contributes 2/sqrt(d_u d_v); an arc contributes
     1/sqrt(d_u d_v), the two conjugate entries adding to twice the real part.
     """
-    degrees = g.degrees()
-    total = 0.0
-    for e in g.edges:
-        scale = 1.0 / math.sqrt(degrees[e.u - 1] * degrees[e.v - 1])
-        total += 2.0 * scale if e.kind is EdgeKind.UNDIRECTED else scale
-    return total
+    owner, u, v, arc = edges
+    scale = 1.0 / np.sqrt(degrees[owner, u] * degrees[owner, v])
+    return np.bincount(owner, np.where(arc, scale, 2.0 * scale),
+                       minlength=len(degrees))
+
+
+def entry_sum(g: MixedGraph) -> float:
+    """Sum of all entries of the Randic matrix: the one-graph case of
+    entry_sums."""
+    return float(entry_sums(*edge_table([g]))[0])
 
 
 @dataclass(frozen=True)
@@ -332,10 +336,6 @@ class EntrySumBounds:
     lambda_min: float
     lambda_max: float
     records: tuple[CheckRecord, ...]
-
-    @property
-    def ordered(self) -> bool:
-        return all(r.satisfied for r in self.records)
 
 
 def _entry_sum_bounds(n: int, total: np.ndarray,
@@ -587,18 +587,19 @@ def _structural_records(one: EigenvalueOneCheck, sym: SymmetryCheck,
 def _order_suites(graphs: Sequence[MixedGraph],
                   include_interlacing: bool) -> list[TheoremSuite]:
     """The suite on graphs of one order, each connected with every degree
-    >= 1 (else ValueError): one stacked build and solve, the residuals and
-    bounds as array reductions over the graphs, the exact charpoly
-    numerators from one path programme and one cover-sum pass, and the
-    facts of each underlying graph (its spectrum among them) once, from one
-    grouping of the graphs by underlying graph."""
+    >= 1 (else ValueError), from one edge_table: one stacked build and
+    solve, the residuals and bounds as array reductions over the graphs,
+    the exact charpoly numerators, and the facts of each underlying graph
+    (its spectrum among them) once per group of graphs sharing it."""
     n = graphs[0].n
-    degrees = [g.degrees() for g in graphs]
+    degrees, edges = edge_table(graphs)
+    owner, u, v, arc = edges
     bipartite = np.empty(len(graphs), dtype=bool)
     r_inv = np.empty(len(graphs))
     group_of = np.empty(len(graphs), dtype=np.intp)
-    underlying = []
-    for k, members in enumerate(group_by_underlying(graphs)):
+    first_member = np.zeros(len(graphs), dtype=bool)
+    groups = group_by_underlying(graphs)
+    for k, members in enumerate(groups):
         g = graphs[members[0]]
         _require_connected(g)
         if 0 in g.degrees():
@@ -606,28 +607,34 @@ def _order_suites(graphs: Sequence[MixedGraph],
         bipartite[members] = g.is_bipartite()
         r_inv[members] = randic_inverse(g)
         group_of[members] = k
-        underlying.append(g.underlying_graph())
-    # R(g) and R(g - e) for every edge whose removal isolates no vertex, for
-    # every graph, then R of each underlying graph, in one solve
-    removable = [[e for e in g.edges if d[e.u - 1] > 1 and d[e.v - 1] > 1]
-                 if include_interlacing else [] for g, d in zip(graphs, degrees)]
-    stacked = [*graphs, *underlying]
-    edges = _edge_arrays(stacked)
+        first_member[members[0]] = True
+    # R(g), R(g - e) for every edge whose removal isolates no vertex, and R
+    # of group k's underlying graph: its first member's rows un-oriented,
+    # smaller end first, as graph len(graphs) + k (groups come in order of
+    # their first members, so the table stays ordered by graph)
+    removable = ((degrees[owner, u] > 1) & (degrees[owner, v] > 1)
+                 & include_interlacing)
+    cuts = np.flatnonzero(removable)
+    plain = first_member[owner]
+    stacked = (np.concatenate((degrees, degrees[first_member])), (
+        np.concatenate((owner, len(graphs) + group_of[owner[plain]])),
+        np.concatenate((u, np.minimum(u, v)[plain])),
+        np.concatenate((v, np.maximum(u, v)[plain])),
+        np.concatenate((arc, np.zeros(plain.sum(), dtype=bool)))))
+    graph_of = np.concatenate((np.arange(len(graphs)), owner[cuts],
+                               len(graphs) + np.arange(len(groups))))
+    cut_of = np.concatenate((np.full(len(graphs), -1), cuts,
+                             np.full(len(groups), -1)))
     numerators = None
     if n <= DEFAULT_COMBINATORIAL_CAP:
-        # the graphs' own edges come first
-        own = np.searchsorted(edges[0], len(graphs))
-        numerators = _numerator_rows(graphs, tuple(a[:own] for a in edges))
-    stack = _randic_stack(stacked, [*removable, *([()] * len(underlying))],
-                          edges)
-    # the solve is a block's peak of memory, which the edges need not raise
-    del edges
+        numerators = elementary_weight_numerator_rows(degrees, edges)
+    stack = randic_stack(*stacked, graph_of, cut_of)
+    # the solve is a block's peak of memory, which the table need not raise
+    del stacked, graph_of, cut_of
     rows = eigenvalue_rows(stack)
-    sizes = np.array([1 + len(cut) for cut in removable])
-    first = np.cumsum(sizes) - sizes
-    vals = rows[first]
-    mats = stack[first]
-    plain = rows[-len(underlying):][group_of]
+    vals, deletions, plain_vals = np.split(
+        rows, [len(graphs), len(graphs) + len(cuts)])
+    mats = stack[:len(graphs)]
 
     head = [
         _inequalities("unit_interval", spectral_radii(vals), 1.0),
@@ -635,11 +642,12 @@ def _order_suites(graphs: Sequence[MixedGraph],
         _inequalities("second_moment",
                       np.abs((vals ** 2).sum(axis=-1) - 2.0 * r_inv), 0.0),
         _inequalities("incidence_factorization",
-                      _largest_entries(mats - randic_via_incidences(graphs)),
+                      _largest_entries(mats - randic_via_incidences(degrees, edges)),
                       0.0, tol=1e-12),
     ]
-    scale = 1.0 / np.sqrt(np.array(degrees, dtype=float))
-    triple = scale[:, :, np.newaxis] * laplacians(graphs) * scale[:, np.newaxis, :]
+    scale = 1.0 / np.sqrt(degrees)
+    triple = (scale[:, :, np.newaxis] * laplacians(degrees, edges)
+              * scale[:, np.newaxis, :])
     head.append(_inequalities("laplacian_complement",
                               _largest_entries(np.eye(n) - triple - mats),
                               0.0, tol=1e-14))
@@ -663,30 +671,28 @@ def _order_suites(graphs: Sequence[MixedGraph],
 
     interlacing = [()] * len(graphs)
     if include_interlacing:
-        owner = np.repeat(np.arange(len(graphs)), sizes - 1)
-        deletions = np.delete(rows[:sizes.sum()], first, axis=0)
+        names = [f"interlacing:{edge_label(e)}" for g in graphs for e in g.edges]
+        kept = removable.tolist()
         worst = iter(_inequalities(
-            [f"interlacing:{edge_label(e)}" for cut in removable for e in cut],
-            _worst(_interlacing_violations(vals[owner], deletions)),
-            0.0))
-        interlacing = [
-            tuple(_skip(f"interlacing:{edge_label(e)}", "removal isolates a vertex")
-                  if d[e.u - 1] == 1 or d[e.v - 1] == 1 else next(worst)
-                  for e in g.edges)
-            for g, d in zip(graphs, degrees)
-        ]
+            [name for name, ok in zip(names, kept) if ok],
+            _worst(_interlacing_violations(vals[owner[cuts]], deletions)), 0.0))
+        records = [next(worst) if ok else _skip(name, "removal isolates a vertex")
+                   for name, ok in zip(names, kept)]
+        bounds = np.searchsorted(owner, np.arange(len(graphs) + 1)).tolist()
+        interlacing = [tuple(records[a:b]) for a, b in zip(bounds, bounds[1:])]
 
     structural = []
     for (positive, anti), two_colorable, mult_one, mult_minus_one, asym, diff in zip(
             map(gain_balance, graphs), bipartite.tolist(),
             multiplicities(vals, 1.0, TOL_EIG).tolist(),
             multiplicities(vals, -1.0, TOL_EIG).tolist(),
-            _asymmetry(vals).tolist(), _distance(vals, plain).tolist()):
+            _asymmetry(vals).tolist(),
+            _distance(vals, plain_vals[group_of]).tolist()):
         structural.append(_structural_records(
             _eigenvalue_one(mult_one, positive), _symmetry(asym, two_colorable),
             _minus_one(mult_minus_one, positive, anti, two_colorable),
             _underlying(diff, positive)))
-    entry = _entry_sum_bounds(n, np.array([entry_sum(g) for g in graphs]), vals)
+    entry = _entry_sum_bounds(n, entry_sums(degrees, edges), vals)
     smallest = _smallest_eigenvalue_bounds(n, r_inv, vals)
     energy = _energy_bounds(graphs, r_inv, vals)
     return [
@@ -704,16 +710,16 @@ def run_theorem_suites(graphs: Iterable[MixedGraph],
     degrees >= 1; the suites come back in input order.
 
     The graphs are taken one order at a time, in blocks of at most
-    SUITE_BLOCK graphs.  Each block's matrices R(g) and R(g - e) for every
-    edge whose removal isolates no vertex, and R of each of its underlying
-    graphs, are built as one stack and solved by one eigvalsh call; the
-    residuals and bounds are row reductions over the block's eigenvalue
-    array, and the exact characteristic polynomials come from one
-    path-counting programme and one cover-sum pass per block, which share
-    the block's edge arrays with the stacked build.  Each block is grouped
-    by underlying graph once; connectivity, bipartiteness, r_inv and the
-    underlying spectrum are computed once per underlying graph of a block,
-    and positivity, antibalance and the records per graph.
+    SUITE_BLOCK graphs, and each block is read once into one edge_table.
+    From it come one stack of R(g), R(g - e) for every edge whose removal
+    isolates no vertex and R of each underlying graph, solved by one
+    eigvalsh call; the exact characteristic polynomials, from one
+    path-counting programme and one cover-sum pass; and the entry sums.
+    The residuals and bounds are row reductions over the block's
+    eigenvalue array.  Each block is grouped by underlying graph once;
+    connectivity, bipartiteness, r_inv and the underlying spectrum are
+    computed once per underlying graph of a block, and positivity,
+    antibalance and the records per graph.
     Raises ValueError on a disconnected graph or an isolated vertex.
     """
     graphs = list(graphs)

@@ -58,18 +58,22 @@ def test_parse_campaign_config():
     assert cfg.format == "csv"
 
 
-@pytest.mark.parametrize(
-    "text",
-    [
-        "bogus 3\n",
-        "n_min two\n",
-        "connected_only maybe\n",
-    ],
-)
+#: Config text that fails to parse, and the message it fails with.
+CONFIG_ERRORS = {
+    "bogus 3\n": "unknown key 'bogus'",
+    "n_min two\n": "n_min must be an integer",
+    # every population is connected: the key is gone, like jobs
+    "connected_only maybe\n": "unknown key 'connected_only'",
+    "connected_only true\n": "unknown key 'connected_only'",
+    "jobs 2\n": "unknown key 'jobs'",
+}
+
+
+@pytest.mark.parametrize("text", CONFIG_ERRORS)
 def test_parse_campaign_config_errors(text):
     with pytest.raises(ParseError) as err:
         parse_campaign_config(text)
-    assert "line 1" in str(err.value)
+    assert str(err.value) == f"line 1: {CONFIG_ERRORS[text]}"
 
 
 def test_parse_campaign_config_rejects_bad_format():

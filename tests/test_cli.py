@@ -218,6 +218,16 @@ def test_enumerate_with_unreachable_min_degree_exits_promptly(tmp_path):
     assert "min_degree" in done.stderr
 
 
+def test_enumerate_has_no_connected_only_option(tmp_path, capsys):
+    with pytest.raises(SystemExit) as exited:
+        main(["enumerate", "--n-max", "2", "--connected-only", "true"])
+    assert exited.value.code == 2
+    config = tmp_path / "campaign.cfg"
+    config.write_text("n_max 2\nconnected_only true\n")
+    assert main(["enumerate", "--config", str(config)]) == 2
+    assert "unknown key 'connected_only'" in capsys.readouterr().err
+
+
 def test_isolated_vertex_is_a_precondition_error(tmp_path, capsys):
     path = tmp_path / "iso.txt"
     path.write_text("mixedgraph v1\nvertices 2\n")

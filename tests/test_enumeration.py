@@ -30,7 +30,7 @@ from mixedrandic.enumeration import (
 )
 from mixedrandic.gains import CycleClass, GainView, classify_cycle, gain_view
 from mixedrandic.graphs import EdgeKind, EdgeRecord, group_by_underlying
-from mixedrandic.matrices import _edge_arrays
+from mixedrandic.matrices import edge_table
 
 
 # The reference for the elementary-subgraph sums: every elementary subgraph
@@ -316,10 +316,10 @@ def assert_rows_match(block, by_subgraphs=True):
     """The block's component weights equal the listed cycles' and its rows
     the per-graph recursion and, unless told otherwise, the summed weights
     of the enumerated elementary subgraphs."""
-    weights = _component_weights(block, _edge_arrays(block))
+    weights = _component_weights(*edge_table(block))
     assert weights.dtype == np.int64
     assert np.array_equal(weights, cycle_component_weights(block))
-    rows = elementary_weight_numerator_rows(block)
+    rows = elementary_weight_numerator_rows(*edge_table(block))
     assert rows.dtype == np.int64 and rows.shape == (len(block), block[0].n + 1)
     for g, row in zip(block, rows.tolist()):
         assert tuple(row) == recursive_numerators(g), g
@@ -394,18 +394,19 @@ def test_block_rows_on_an_order_10_block_of_mixed_density():
     tree = orient(10, [(rng.randrange(1, v), v) for v in range(2, 11)], rng)
     k10 = orient(10, list(combinations(range(1, 11), 2)), rng)
     block = [tree, dense_order_10_graph()[0], k10]
-    weights = _component_weights(block, _edge_arrays(block))
+    weights = _component_weights(*edge_table(block))
     live = weights.any(axis=1)
     assert all((live & (weights[:, j] == 0)).any() for j in range(len(block)))
     assert_rows_match(block, by_subgraphs=False)
     # the suite negates the odd columns in place: the rows are a fresh
     # writable array, and a second call shares nothing with them
-    rows = elementary_weight_numerator_rows(block)
-    again = elementary_weight_numerator_rows(block)
+    table = edge_table(block)
+    rows = elementary_weight_numerator_rows(*table)
+    again = elementary_weight_numerator_rows(*table)
     assert rows.flags.writeable and rows.flags.owndata
     assert not np.shares_memory(rows, again)
     rows[:, 1::2] *= -1
-    assert np.array_equal(elementary_weight_numerator_rows(block), again)
+    assert np.array_equal(elementary_weight_numerator_rows(*table), again)
 
 
 def test_block_rows_at_the_largest_order_int64_admits():
@@ -419,7 +420,7 @@ def test_block_rows_at_the_largest_order_int64_admits():
 
 def test_block_rows_refuse_numerators_beyond_int64():
     with pytest.raises(ValueError, match="int64"):
-        elementary_weight_numerator_rows([complete_graph(16)])
+        elementary_weight_numerator_rows(*edge_table([complete_graph(16)]))
 
 
 def test_single_edge_weight():

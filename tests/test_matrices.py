@@ -22,6 +22,7 @@ from mixedrandic import (
 from mixedrandic.gains import OMEGA, W, W_BAR
 from mixedrandic.graphs import group_by_underlying
 from mixedrandic.matrices import (
+    edge_table,
     hermitian_adjacencies,
     incidence_matrices,
     is_hermitian,
@@ -112,15 +113,38 @@ def populations(graphs_with_deletions):
         [(g, removable_edges(g)) for g in population(4)]]
 
 
+def test_edge_table_rows_are_the_edges_in_order(populations):
+    for order in populations:
+        graphs = [g for g, _ in order]
+        degrees, (owner, u, v, arc) = edge_table(graphs)
+        assert degrees.dtype == np.int64
+        assert degrees.tolist() == [list(g.degrees()) for g in graphs]
+        assert list(zip(owner.tolist(), u.tolist(), v.tolist(), arc.tolist())) == [
+            (i, e.u - 1, e.v - 1, e.kind is EdgeKind.ARC)
+            for i, g in enumerate(graphs) for e in g.edges]
+
+
+def stack_slices(graphs, deleted):
+    """graph_of and cut_of of randic_stack for each graph, then each graph
+    less each of its deleted edges in turn, as rows of edge_table(graphs)."""
+    slices, start = [], 0
+    for i, (g, cut) in enumerate(zip(graphs, deleted)):
+        slices.append((i, -1))
+        slices += [(i, start + g.edges.index(e)) for e in cut]
+        start += g.m
+    return np.array(slices, dtype=np.intp).reshape(-1, 2).T
+
+
 def test_population_stack_is_the_per_graph_stacks(populations):
     for order in populations:
         graphs, deleted = zip(*order)
-        # as the suite stacks them: the graphs with their deletions, then
-        # one underlying graph per group of graphs sharing it
+        # the graphs, each followed by its deletions, then one underlying
+        # graph per group of graphs sharing it
         groups = group_by_underlying(graphs)
         underlying = [graphs[members[0]].underlying_graph() for members in groups]
-        stack = randic_stack([*graphs, *underlying],
-                             [*deleted, *([()] * len(underlying))])
+        graph_of, cut_of = stack_slices([*graphs, *underlying],
+                                        [*deleted, *([()] * len(underlying))])
+        stack = randic_stack(*edge_table([*graphs, *underlying]), graph_of, cut_of)
         parts = ([randic_matrices(g, cut) for g, cut in order]
                  + [randic_matrices(h) for h in underlying])
         assert same_bits(stack, np.concatenate(parts))
@@ -133,6 +157,17 @@ def test_population_stack_is_the_per_graph_stacks(populations):
         rows = np.linalg.eigvalsh(stack)
         singles = np.concatenate([np.linalg.eigvalsh(part) for part in parts])
         assert rows.tobytes() == singles.tobytes()
+
+
+def test_population_stack_takes_slices_in_any_order(populations):
+    order = populations[-1]
+    graphs, deleted = zip(*order)
+    table = edge_table(graphs)
+    graph_of, cut_of = stack_slices(graphs, deleted)
+    stack = randic_stack(*table, graph_of, cut_of)
+    shuffled = np.random.default_rng(3).permutation(len(graph_of))
+    assert same_bits(randic_stack(*table, graph_of[shuffled], cut_of[shuffled]),
+                     stack[shuffled])
 
 
 def loop_hermitian_adjacency(g):
@@ -161,10 +196,11 @@ def loop_randic_via_incidence(g):
 def test_population_builders_match_per_graph_loops(populations):
     for order in populations:
         graphs = [g for g, _ in order]
-        adjacency = hermitian_adjacencies(graphs)
-        lap = laplacians(graphs)
-        incidence = incidence_matrices(graphs)
-        via = randic_via_incidences(graphs)
+        table = edge_table(graphs)
+        adjacency = hermitian_adjacencies(*table)
+        lap = laplacians(*table)
+        incidence = incidence_matrices(*table)
+        via = randic_via_incidences(*table)
         width = max(g.m for g in graphs)
         assert incidence.shape == (len(graphs), graphs[0].n, width)
         for i, g in enumerate(graphs):
@@ -218,6 +254,8 @@ def test_isolated_vertex_is_rejected_by_normalized_forms():
         randic_matrix(g)
     with pytest.raises(ValueError):
         normalized_laplacian(g)
+    with pytest.raises(ValueError, match="vertex 3 is isolated"):
+        randic_via_incidence(g)
     # the unnormalized laplacian is still fine
     assert laplacian(g).shape == (3, 3)
 

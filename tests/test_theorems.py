@@ -1,9 +1,11 @@
+import math
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from mixedrandic import (
+    EdgeKind,
     MixedGraph,
     check_eigenvalue_one,
     check_minus_one,
@@ -17,6 +19,7 @@ from mixedrandic import (
     interlacing_check,
     parse_graph,
     path_graph,
+    population,
     randic_spectrum,
     run_theorem_suite,
     sample_mixed_graphs,
@@ -24,7 +27,9 @@ from mixedrandic import (
 )
 from mixedrandic import theorems
 from mixedrandic.graphs import group_by_underlying
-from mixedrandic.theorems import entry_sum, randic_inverse, run_theorem_suites
+from mixedrandic.matrices import edge_table
+from mixedrandic.theorems import (entry_sum, entry_sums, randic_inverse,
+                                  run_theorem_suites)
 
 # Non-bipartite mixed graph whose two triangles carry gains 1 and -1, so the
 # odd-order coefficients vanish and the spectrum is symmetric about zero.
@@ -153,6 +158,25 @@ def test_entry_sum_values():
     assert abs(entry_sum(cycle_graph(3)) - 3.0) < 1e-12
     assert abs(entry_sum(path_graph(2)) - 2.0) < 1e-12
     assert abs(entry_sum(directed_cycle(3)) - 1.5) < 1e-12
+
+
+def loop_entry_sum(g):
+    """Reference: the per-edge sum of the matrix entries, in edge order."""
+    d = g.degrees()
+    total = 0.0
+    for e in g.edges:
+        scale = 1.0 / math.sqrt(d[e.u - 1] * d[e.v - 1])
+        total += 2.0 * scale if e.kind is EdgeKind.UNDIRECTED else scale
+    return total
+
+
+def test_entry_sums_are_the_per_edge_sums(sampled_population):
+    for n, graphs in ((4, population(4)), (5, sampled_population),
+                      (6, sampled_population)):
+        graphs = [g for g in graphs if g.n == n]
+        expected = [loop_entry_sum(g).hex() for g in graphs]
+        assert [x.hex() for x in entry_sums(*edge_table(graphs)).tolist()] == expected
+        assert [entry_sum(g).hex() for g in graphs] == expected
 
 
 def test_entry_sum_bounds_tight_on_triangle():
@@ -294,6 +318,49 @@ def test_suite_solves_each_underlying_graph_once(exhaustive_population,
                 expected += 1 + sum(d[e.u - 1] > 1 and d[e.v - 1] > 1
                                     for e in g.edges)
     assert sum(solved) == expected == 20_072
+
+
+def test_suite_builds_one_table_per_block_and_no_graph(monkeypatch):
+    graphs = population(4)[:600] + sample_mixed_graphs(5, 40, seed=5)
+    build, stack = theorems.edge_table, theorems.randic_stack
+    blocks, stacks, constructed = [], [], []
+
+    def counted_table(block):
+        blocks.append(list(block))
+        return build(block)
+
+    def recorded_stack(*table_and_slices):
+        stacks.append(table_and_slices)
+        return stack(*table_and_slices)
+
+    def counted_graph(self):
+        constructed.append(self)
+
+    monkeypatch.setattr(theorems, "edge_table", counted_table)
+    monkeypatch.setattr(theorems, "randic_stack", recorded_stack)
+    monkeypatch.setattr(MixedGraph, "__post_init__", counted_graph)
+    run_theorem_suites(graphs)
+    monkeypatch.undo()
+    assert constructed == []
+    assert list(map(len, blocks)) == [256, 256, 88, 40]
+    assert len(stacks) == len(blocks)
+    for block, (degrees, edges, graph_of, cut_of) in zip(blocks, stacks):
+        # the block's graphs, then the underlying graph of each group
+        underlying = [block[members[0]].underlying_graph()
+                      for members in group_by_underlying(block)]
+        expected_degrees, expected_edges = edge_table([*block, *underlying])
+        assert np.array_equal(degrees, expected_degrees)
+        assert all(np.array_equal(a, b) for a, b in zip(edges, expected_edges))
+        # each graph; each graph less each edge whose removal isolates no
+        # vertex, as a row of the table; each underlying graph
+        slices = [(i, -1) for i in range(len(block))]
+        for row, (i, e) in enumerate((i, e) for i, g in enumerate(block)
+                                     for e in g.edges):
+            d = block[i].degrees()
+            if d[e.u - 1] > 1 and d[e.v - 1] > 1:
+                slices.append((i, row))
+        slices += [(len(block) + k, -1) for k in range(len(underlying))]
+        assert list(zip(graph_of.tolist(), cut_of.tolist())) == slices
 
 
 def test_suite_structural_records_are_the_check_results(exhaustive_population):
