@@ -364,7 +364,7 @@ def entry_sum_bounds(g: MixedGraph,
     if g.n < 2:
         raise ValueError("entry-sum bounds need at least two vertices")
     s = randic_spectrum(g) if spectrum is None else spectrum
-    return _entry_sum_bounds(g.n, np.array([entry_sum(g)]),
+    return _entry_sum_bounds(g.n, entry_sums(*edge_table([g])),
                              s.eigenvalues[np.newaxis])[0]
 
 

@@ -353,12 +353,10 @@ def test_suite_builds_one_table_per_block_and_no_graph(monkeypatch):
         assert all(np.array_equal(a, b) for a, b in zip(edges, expected_edges))
         # each graph; each graph less each edge whose removal isolates no
         # vertex, as a row of the table; each underlying graph
+        rows = [(i, e, g.degrees()) for i, g in enumerate(block) for e in g.edges]
         slices = [(i, -1) for i in range(len(block))]
-        for row, (i, e) in enumerate((i, e) for i, g in enumerate(block)
-                                     for e in g.edges):
-            d = block[i].degrees()
-            if d[e.u - 1] > 1 and d[e.v - 1] > 1:
-                slices.append((i, row))
+        slices += [(i, row) for row, (i, e, d) in enumerate(rows)
+                   if d[e.u - 1] > 1 and d[e.v - 1] > 1]
         slices += [(len(block) + k, -1) for k in range(len(underlying))]
         assert list(zip(graph_of.tolist(), cut_of.tolist())) == slices
 
