@@ -38,12 +38,21 @@ import functools
 import json
 from dataclasses import dataclass, field, replace
 from io import StringIO
-from operator import attrgetter
-from typing import Callable, Iterator, NamedTuple
+from itertools import repeat
+from typing import Callable, Iterable, Iterator, NamedTuple
+
+import numpy as np
 
 from .enumeration import enumerate_mixed_graphs, sample_mixed_graphs
 from .graphs import MixedGraph, ParseError, edge_label
-from .theorems import CheckRecord, TheoremSuite, run_theorem_suites
+from .theorems import (
+    CheckRecord,
+    TheoremSuite,
+    _Block,
+    _Column,
+    _records_block,
+    run_theorem_suites,
+)
 
 #: Largest n enumerated exhaustively; larger sizes are sampled.
 EXHAUSTIVE_LIMIT = 4
@@ -136,11 +145,101 @@ class GraphResult:
     suite: TheoremSuite
 
 
+def _runs(results: Iterable[GraphResult]
+          ) -> Iterator[tuple[_Block, int, list[GraphResult]]]:
+    """(block, first row, results) for each longest run of results whose
+    suites are consecutive rows of one block: a campaign's results are one
+    run per suite block, and a suite that keeps its records is a run of
+    its own."""
+    block, first, run = None, 0, []
+    for r in results:
+        suite = r.suite
+        if suite._block is block and suite._row == first + len(run):
+            run.append(r)
+            continue
+        if run:
+            yield block, first, run
+        block, first, run = suite._block, suite._row, [r]
+    if run:
+        yield block, first, run
+
+
+#: The record whose reason marks a divergence.
+_DIVERGENCE = "minus_one_vs_positive_bipartite"
+
+
 class _Tally(NamedTuple):
-    failures: tuple[tuple[int, CheckRecord], ...]
+    failures: list[tuple[int, _Column, int]]
     skips: int
     divergences: int
     max_abs_slack: dict[str, float]
+
+
+def _tally(results: tuple[GraphResult, ...]) -> _Tally:
+    """Failures (result index, column, row, in record order), skips,
+    divergences and the largest |slack| per check name (the part before
+    any ':'), read off the columns.  A row of its own counts by its own
+    fields; a nan slack counts as 0."""
+    failures: list[tuple[int, _Column, int]] = []
+    skips = divergences = 0
+    slack: dict[str, float] = {}
+    prefixes: dict[str, str] = {}
+
+    def note(name: str, value: float) -> None:
+        key = prefixes.get(name)
+        if key is None:
+            key = prefixes[name] = name.split(":", 1)[0]
+        slack[key] = max(slack.get(key, 0.0), value)
+
+    for block, first, run in _runs(results):
+        found = []
+        diverged = [False] * len(run)
+        for c, column in enumerate(block.columns):
+            lo, hi = column.span(first, first + len(run))
+            names = column.name
+            if column.bounds is None:
+                graph_of = range(lo - first, hi - first)
+            else:
+                graph_of = np.repeat(np.arange(len(run)), np.diff(
+                    column.bounds[first:first + len(run) + 1])).tolist()
+            own = {row - lo: fields for row, fields in column.own.items()
+                   if lo <= row < hi}
+            for i in (~column.ok[lo:hi]).nonzero()[0].tolist():
+                if i not in own:
+                    found.append((graph_of[i], c, lo + i))
+            for i, (satisfied, skipped, _, _, value, _) in own.items():
+                if skipped:
+                    skips += 1
+                    continue
+                if not satisfied:
+                    found.append((graph_of[i], c, lo + i))
+                if value is not None:
+                    note(names if isinstance(names, str) else names[lo + i],
+                         abs(value))
+            if column.slack is not None:
+                plain = np.ones(hi - lo, dtype=bool)
+                plain[list(own)] = False
+                values = np.abs(column.slack[lo:hi][plain])
+                if isinstance(names, str):
+                    if len(values):
+                        note(names, float(np.fmax.reduce(values)))
+                else:
+                    for i, value in zip(plain.nonzero()[0].tolist(),
+                                        values.tolist()):
+                        note(names[lo + i], value)
+            if isinstance(names, str):
+                hits = range(hi - lo) if names == _DIVERGENCE else ()
+            else:
+                hits = [i for i, name in enumerate(names[lo:hi])
+                        if name == _DIVERGENCE]
+            for i in hits:
+                fields = own.get(i)
+                diverged[graph_of[i]] = bool(fields and fields[5])
+        found.sort()
+        failures += [(run[g].index, block.columns[c], row)
+                     for g, c, row in found]
+        divergences += sum(diverged)
+    return _Tally(failures, skips, divergences, slack)
 
 
 @dataclass(frozen=True)
@@ -150,39 +249,23 @@ class CampaignResult:
     checks: int = field(init=False, default=0)
 
     def __post_init__(self) -> None:
-        total = sum(len(r.suite.records) for r in self.results)
+        total = sum(hi - lo for block, first, run in _runs(self.results)
+                    for lo, hi in (column.span(first, first + len(run))
+                                   for column in block.columns))
         object.__setattr__(self, "checks", total)
 
     @functools.cached_property
     def _tally(self) -> _Tally:
-        """Failures, skips, divergences and the largest |slack| per check
-        name, from one walk over the records on first use (not in
+        """The summary, read off the columns on first use (not in
         run_campaign, whose time should be the checks alone)."""
-        failures = []
-        skips = divergences = 0
-        slack: dict[str, float] = {}
-        prefixes: dict[str, str] = {}
-        for r in self.results:
-            diverged = False
-            for rec in r.suite.records:
-                if rec.name == "minus_one_vs_positive_bipartite":
-                    diverged = bool(rec.reason)
-                if rec.skipped:
-                    skips += 1
-                    continue
-                if not rec.satisfied:
-                    failures.append((r.index, rec))
-                if rec.slack is not None:
-                    name = prefixes.get(rec.name)
-                    if name is None:
-                        name = prefixes[rec.name] = rec.name.split(":", 1)[0]
-                    slack[name] = max(slack.get(name, 0.0), abs(rec.slack))
-            divergences += diverged
-        return _Tally(tuple(failures), skips, divergences, slack)
+        return _tally(self.results)
 
     @property
     def failures(self) -> list[tuple[int, CheckRecord]]:
-        return list(self._tally.failures)
+        """(result index, record) per failing record; the records are
+        made on each call."""
+        return [(i, column.record(row))
+                for i, column, row in self._tally.failures]
 
     @property
     def skip_count(self) -> int:
@@ -238,63 +321,133 @@ def json_object(items: list[tuple[str, str]]) -> str:
 #: after ``check`` and the keys of each JSON check object.
 RECORD_FIELDS = ("lhs", "rhs", "slack", "satisfied", "skipped", "reason")
 
-_record_values = attrgetter("name", *RECORD_FIELDS)
-
-#: Each field's JSON key and separator, '"lhs": ' and so on.
-_LHS, _RHS, _SLACK, _SATISFIED, _SKIPPED, _REASON = (
-    f"{json.dumps(k)}: " for k in RECORD_FIELDS)
-
 _BOOLS = ("false", "true")
-_EMPTY = json.dumps("")
 
 
-def _json_record(rec: CheckRecord, names: dict[str, str]) -> str:
-    """One record as `"name": {...}`.  Exact floats, bools and strs are
-    formatted in one step; any other value goes through json_scalar.
-    ``names`` caches each name's JSON text within one render."""
-    name, lhs, rhs, slack, satisfied, skipped, reason = _record_values(rec)
-    key = names.get(name)
-    if key is None:
-        key = names[name] = json.dumps(name)
-    if type(satisfied) is bool and type(skipped) is bool and type(reason) is str:
-        text = json.dumps(reason) if reason else _EMPTY
-        flags = (f"{_SATISFIED}{_BOOLS[satisfied]}, "
-                 f"{_SKIPPED}{_BOOLS[skipped]}, {_REASON}{text}}}")
-        if type(lhs) is float and type(rhs) is float and type(slack) is float:
-            return (f"{key}: {{{_LHS}{lhs:.17g}, {_RHS}{rhs:.17g}, "
-                    f"{_SLACK}{slack:.17g}, {flags}")
-        if lhs is None and rhs is None and slack is None:
-            return f"{key}: {{{_LHS}null, {_RHS}null, {_SLACK}null, {flags}"
-    return f"{key}: " + json_object(list(zip(RECORD_FIELDS, map(
-        json_scalar, (lhs, rhs, slack, satisfied, skipped, reason)))))
+class _Style(NamedTuple):
+    """How one report format writes a record: each name's text, any
+    report scalar's text (TypeError for anything else), the text after
+    the name and after each of RECORD_FIELDS, the three missing numbers,
+    and per verdict the text from satisfied on of a row that is neither
+    skipped nor has a reason."""
+
+    name: Callable[[str], str]
+    scalar: Callable[[object], str]
+    after: tuple[str, ...]
+    nulls: str
+    tails: tuple[str, str]
 
 
-def _cached(format_record: Callable[[CheckRecord, dict], str]
-            ) -> Callable[[CheckRecord], str]:
-    """format_record with the caches of one render: each distinct name's
-    text, and the text of each record without numbers, found again by
-    identity, since the suite shares such records between graphs."""
-    names: dict[str, str] = {}
-    shared: dict[int, str] = {}
+def _style(name: Callable[[str], str], scalar: Callable[[object], str],
+           after: tuple[str, ...], null: str) -> _Style:
+    nulls = f"{null}{after[1]}{null}{after[2]}{null}"
+    tails = tuple(f"{after[3]}{ok}{after[4]}false{after[5]}{scalar('')}"
+                  f"{after[6]}" for ok in _BOOLS)
+    return _Style(name, scalar, after, nulls, tails)
 
-    def formatted(rec: CheckRecord) -> str:
-        if rec.lhs is None:
-            text = shared.get(id(rec))
+
+class _Heads(dict):
+    """Each distinct name's text and the separator after it, made once
+    per render."""
+
+    def __init__(self, style: _Style) -> None:
+        super().__init__()
+        self.style = style
+
+    def __missing__(self, name: str) -> str:
+        text = self[name] = self.style.name(name) + self.style.after[0]
+        return text
+
+
+def _own_text(head: str, fields: tuple, style: _Style) -> str:
+    """A row with fields of its own, (satisfied, skipped, lhs, rhs, slack,
+    reason), each through the format's scalar check."""
+    satisfied, skipped, lhs, rhs, slack, reason = fields
+    return head + "".join(
+        style.scalar(value) + sep for value, sep in
+        zip((lhs, rhs, slack, satisfied, skipped, reason), style.after[1:]))
+
+
+def _column_texts(column: _Column, lo: int, hi: int, style: _Style,
+                  heads: _Heads, shared: dict) -> list[str]:
+    """The texts of rows lo:hi of a column.  A row of the arrays is one
+    f-string, and an rhs that is one float for every row is formatted
+    once.  A row without numbers of its own is formatted once per render
+    and name, found again by the identity of its (shared) fields."""
+    names = column.name
+    if isinstance(names, str):
+        row_heads = repeat(heads[names])
+    else:
+        row_heads = [heads[name] for name in names[lo:hi]]
+    ok = column.ok[lo:hi].tolist()
+    tails = style.tails
+    if column.lhs is None:
+        nulls = style.nulls
+        texts = [f"{head}{nulls}{tails[o]}" for head, o in zip(row_heads, ok)]
+    else:
+        lhs = column.lhs[lo:hi].tolist()
+        slack = column.slack[lo:hi].tolist()
+        if isinstance(column.rhs, float):
+            mid = f"{style.after[1]}{column.rhs:.17g}{style.after[2]}"
+            texts = [f"{head}{a:.17g}{mid}{c:.17g}{tails[o]}"
+                     for head, a, c, o in zip(row_heads, lhs, slack, ok)]
+        else:
+            to_rhs, to_slack = style.after[1:3]
+            texts = [f"{head}{a:.17g}{to_rhs}{b:.17g}{to_slack}{c:.17g}{tails[o]}"
+                     for head, a, b, c, o in zip(row_heads, lhs,
+                                                 column.rhs[lo:hi].tolist(),
+                                                 slack, ok)]
+    for row, fields in column.own.items():
+        if lo <= row < hi:
+            head = heads[names if isinstance(names, str) else names[row]]
+            if fields[2] is not None:
+                texts[row - lo] = _own_text(head, fields, style)
+                continue
+            key = (head, id(fields))
+            text = shared.get(key)
             if text is None:
-                text = shared[id(rec)] = format_record(rec, names)
-            return text
-        return format_record(rec, names)
-
-    return formatted
+                text = shared[key] = _own_text(head, fields, style)
+            texts[row - lo] = text
+    return texts
 
 
-def _json_checks(records, formatted: Callable[[CheckRecord], str]) -> str:
-    return "{" + ", ".join([formatted(rec) for rec in records]) + "}"
+def _block_rows(block: _Block, first: int, stop: int, style: _Style,
+                heads: _Heads, shared: dict) -> Iterator[list[str]]:
+    """Per graph first:stop of a block, its record texts in report order,
+    formatted a column at a time."""
+    segments: list = []
+    per_graph: list[list[str]] = []
+    for column in block.columns:
+        lo, hi = column.span(first, stop)
+        texts = _column_texts(column, lo, hi, style, heads, shared)
+        if column.bounds is None:
+            per_graph.append(texts)
+            continue
+        if per_graph:
+            segments.append(zip(*per_graph))
+            per_graph = []
+        ends = [end - lo for end in column.bounds[first:stop + 1]]
+        segments.append([texts[a:b] for a, b in zip(ends, ends[1:])])
+    if per_graph:
+        segments.append(zip(*per_graph))
+    for parts in zip(*segments):
+        yield [text for part in parts for text in part]
+
+
+def _result_rows(results: tuple[GraphResult, ...], style: _Style
+                 ) -> Iterator[tuple[GraphResult, list[str]]]:
+    """Each result with its record texts, a run of one block at a time."""
+    heads, shared = _Heads(style), {}
+    for block, first, run in _runs(results):
+        yield from zip(run, _block_rows(block, first, first + len(run),
+                                        style, heads, shared))
 
 
 def json_checks(records) -> str:
     """The JSON object mapping each record's name to its fields."""
-    return _json_checks(records, _cached(_json_record))
+    rows, = _block_rows(_records_block(records), 0, 1, _JSON,
+                        _Heads(_JSON), {})
+    return "{" + ", ".join(rows) + "}"
 
 
 def _config_items(config: CampaignConfig) -> list[tuple[str, str]]:
@@ -314,14 +467,13 @@ def _config_items(config: CampaignConfig) -> list[tuple[str, str]]:
 
 def _json_graphs(results: tuple[GraphResult, ...]) -> Iterator[str]:
     """The entries of the report's "graphs" list, one line per graph."""
-    formatted = _cached(_json_record)
     last = len(results) - 1
-    for i, r in enumerate(results):
+    for i, (r, rows) in enumerate(_result_rows(results, _JSON)):
         end = ",\n" if i < last else "\n"
         yield (f'{{"index": {json_scalar(r.index)}, '
                f'"n": {json_scalar(r.graph.n)}, '
                f'"edges": {json_scalar(edge_list_label(r.graph))}, '
-               f'"checks": {_json_checks(r.suite.records, formatted)}}}{end}')
+               f'"checks": {{{", ".join(rows)}}}}}{end}')
 
 
 def render_json(result: CampaignResult) -> str:
@@ -336,7 +488,7 @@ def render_json(result: CampaignResult) -> str:
     summary = json_object([
         ("graphs", json_scalar(len(result.results))),
         ("checks", json_scalar(result.checks)),
-        ("failures", json_scalar(len(result.failures))),
+        ("failures", json_scalar(len(result._tally.failures))),
         ("skips", json_scalar(result.skip_count)),
         ("divergences", json_scalar(result.divergence_count)),
         ("max_abs_slack", json_object(slack_items)),
@@ -362,38 +514,20 @@ def _csv_cell(v) -> str:
     return json_scalar(v)
 
 
-def _csv_record(rec: CheckRecord, names: dict[str, str]) -> str:
-    """One record's CSV cells from ``check`` on, and the newline.  Exact
-    floats, bools and strs are formatted in one step; any other value goes
-    through _csv_cell.  ``names`` caches each name's cell within one render."""
-    name, lhs, rhs, slack, satisfied, skipped, reason = _record_values(rec)
-    cell = names.get(name)
-    if cell is None:
-        cell = names[name] = _csv_cell(name)
-    if type(satisfied) is bool and type(skipped) is bool and type(reason) is str:
-        flags = (f"{_BOOLS[satisfied]},{_BOOLS[skipped]},"
-                 f"{_csv_cell(reason) if reason else ''}\n")
-        if type(lhs) is float and type(rhs) is float and type(slack) is float:
-            return f"{cell},{lhs:.17g},{rhs:.17g},{slack:.17g},{flags}"
-        if lhs is None and rhs is None and slack is None:
-            return f"{cell},,,,{flags}"
-    return ",".join([cell, *map(_csv_cell, (lhs, rhs, slack, satisfied,
-                                             skipped, reason))]) + "\n"
+_CSV = _style(_csv_cell, _csv_cell, (",",) * 6 + ("\n",), "")
+_JSON = _style(json.dumps, json_scalar, tuple(
+    f'{", " if i else ": {"}{json.dumps(k)}: '
+    for i, k in enumerate(RECORD_FIELDS)) + ("}",), "null")
 
 
 def _csv_rows(results: tuple[GraphResult, ...]) -> Iterator[str]:
     """The report's rows after the header, one string per graph."""
-    formatted = _cached(_csv_record)
-
-    def graph_rows(r: GraphResult) -> str:
-        rows = [formatted(rec) for rec in r.suite.records]
+    for r, rows in _result_rows(results, _CSV):
         if not rows:
-            return ""
+            continue
         prefix = (f"{_csv_cell(r.index)},{_csv_cell(r.graph.n)},"
                   f"{_csv_cell(edge_list_label(r.graph))},")
-        return prefix + prefix.join(rows)
-
-    return map(graph_rows, results)
+        yield prefix + prefix.join(rows)
 
 
 def render_csv(result: CampaignResult) -> str:
@@ -413,7 +547,7 @@ def summary_text(result: CampaignResult) -> str:
     lines = [
         f"graphs {len(result.results)}",
         f"checks {result.checks}",
-        f"failures {len(result.failures)}",
+        f"failures {len(result._tally.failures)}",
         f"skips {result.skip_count}",
         f"divergences {result.divergence_count}",
     ]

@@ -235,16 +235,26 @@ def elementary_weight_numerator_rows(degrees: np.ndarray,
     lowest = live & -live
     covers = np.zeros_like(weights)
     covers[0] = 1
+    # (component, set) pairs per slice, so that a slice's gathers stay
+    # under _PATH_CELLS cells
+    pairs = max(1, _PATH_CELLS // count)
     for i in reversed(range(n)):
         # every component M with min M = i beside every coverable set R
         # above i disjoint from it; each covers[R] is final, since min R > i
         above = np.arange(1 << (n - 1 - i), dtype=np.int16) << (i + 1)
         above = above[covers[above].any(axis=1)]
         mine = live[lowest == 1 << i]
-        disjoint = np.flatnonzero((mine[:, np.newaxis] & above) == 0)
-        m, r = np.divmod(disjoint, len(above))
-        np.add.at(covers, mine[m] | above[r],
-                  weights[mine[m]] * covers[above[r]])
+        # the (M, R) grid in tiles of at most `pairs` cells
+        width = min(len(above), pairs)
+        height = max(1, pairs // max(width, 1))
+        for top in range(0, len(mine), height):
+            for left in range(0, len(above), width):
+                tile_m = mine[top:top + height]
+                tile_r = above[left:left + width]
+                disjoint = np.flatnonzero((tile_m[:, np.newaxis] & tile_r) == 0)
+                m, r = np.divmod(disjoint, len(tile_r))
+                np.add.at(covers, tile_m[m] | tile_r[r],
+                          weights[tile_m[m]] * covers[tile_r[r]])
     for z in range(n):
         # axis 1 is bit z of the vertex set: scale the sets without vertex z
         covers.reshape(-1, 2, 1 << z, count)[:, 0] *= degrees[:, z]

@@ -84,6 +84,14 @@ class Spectrum:
         vals = np.asarray(self.eigenvalues, dtype=float)
         object.__setattr__(self, "eigenvalues", np.sort(vals))
 
+    @classmethod
+    def from_sorted(cls, vals: np.ndarray) -> Spectrum:
+        """The spectrum of float eigenvalues already in ascending order,
+        such as a row of eigenvalue_rows, kept as given, not sorted again."""
+        spectrum = object.__new__(cls)
+        object.__setattr__(spectrum, "eigenvalues", vals)
+        return spectrum
+
     @property
     def n(self) -> int:
         return len(self.eigenvalues)

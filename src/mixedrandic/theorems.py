@@ -28,8 +28,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from itertools import repeat
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -94,47 +93,79 @@ class CheckRecord:
     reason: str = ""
 
 
-def _inequalities(names: str | Iterable[str], lhs, rhs,
-                  tol: float = TOL_INEQ) -> list[CheckRecord]:
-    """One record per graph of a population: the claim lhs <= rhs, named by
-    ``names`` (one name for all, or one each).  lhs and rhs are arrays or
-    lists of plain floats with one entry per graph, or one float for all;
-    the records hold plain floats and bools, since numpy scalars are not
-    report scalars, and share the float objects of a list or a float."""
-    slack = np.atleast_1d(np.subtract(rhs, lhs, dtype=float))
-    ok = slack >= -tol * np.maximum(1.0, np.abs(np.asarray(rhs, dtype=float)))
-    if isinstance(names, str):
-        names = repeat(names)
-    count = len(slack)
-    return [CheckRecord(name, o, lhs=a, rhs=b, slack=c) for name, a, b, c, o
-            in zip(names, _floats(lhs, count), _floats(rhs, count),
-                   slack.tolist(), ok.tolist())]
+class _Column(NamedTuple):
+    """One check on the rows of a block: row g is graph g's, or with
+    ``bounds`` graph g has rows bounds[g]:bounds[g + 1].
+
+    ``name`` is one name for every row or a list with one per row.  lhs,
+    rhs and slack are float64 arrays over the rows, rhs may be one float
+    for every row, and all three are None for a check without numbers;
+    ok is a bool array.  A row in ``own`` has its own fields, (satisfied,
+    skipped, lhs, rhs, slack, reason), in place of the arrays' entries:
+    the skips, the flags with a reason and the degenerate bounds.  Skip
+    fields are one shared tuple per reason.
+    """
+
+    name: str | list[str]
+    lhs: np.ndarray | None
+    rhs: np.ndarray | float | None
+    slack: np.ndarray | None
+    ok: np.ndarray
+    own: dict[int, tuple]
+    bounds: list[int] | None = None
+
+    def span(self, first: int, stop: int) -> tuple[int, int]:
+        """The rows of graphs first:stop."""
+        if self.bounds is None:
+            return first, stop
+        return self.bounds[first], self.bounds[stop]
+
+    def record(self, row: int) -> CheckRecord:
+        name = self.name if isinstance(self.name, str) else self.name[row]
+        own = self.own.get(row)
+        if own is not None:
+            return CheckRecord(name, *own)
+        ok = bool(self.ok[row])
+        if self.lhs is None:
+            return CheckRecord(name, ok)
+        rhs = self.rhs if isinstance(self.rhs, float) else float(self.rhs[row])
+        return CheckRecord(name, ok, lhs=float(self.lhs[row]), rhs=rhs,
+                           slack=float(self.slack[row]))
 
 
-def _floats(values, count: int) -> list:
-    """values as a list of count plain floats: a list as it is, an array
-    converted, one float repeated."""
-    if isinstance(values, list):
-        return values
-    if np.ndim(values):
-        return values.tolist()
-    return [float(values)] * count
+def _inequality(name: str | list[str], lhs, rhs, tol: float = TOL_INEQ,
+                bounds: list[int] | None = None) -> _Column:
+    """The claim lhs <= rhs on each row, named by ``name``.  lhs and rhs
+    are arrays or lists of floats with one entry per row; rhs may be one
+    float for every row."""
+    lhs = np.atleast_1d(np.asarray(lhs, dtype=float))
+    rhs = float(rhs) if np.ndim(rhs) == 0 else np.asarray(rhs, dtype=float)
+    slack = np.subtract(rhs, lhs, dtype=float)
+    ok = slack >= -tol * np.maximum(1.0, np.abs(rhs))
+    return _Column(name, lhs, rhs, slack, ok, {}, bounds)
 
 
-def _flag(name: str, ok: bool, reason: str = "") -> CheckRecord:
-    return CheckRecord(name, ok, reason=reason) if reason else _bare_flag(name, ok)
+def _flags(name: str, ok: np.ndarray, reasons: dict[int, str]) -> _Column:
+    """A check without numbers: ok per row, and a reason for some rows."""
+    return _Column(name, None, None, None, ok, {
+        i: (bool(ok[i]), False, None, None, None, reason)
+        for i, reason in reasons.items()})
 
 
-# Records are immutable, so the ones that carry nothing particular to a graph
-# are made once and shared: a campaign holds every record of every graph.
 @functools.cache
-def _bare_flag(name: str, ok: bool) -> CheckRecord:
-    return CheckRecord(name, ok)
+def _skip(reason: str) -> tuple:
+    """The fields of a skipped row, one tuple per reason."""
+    return (True, True, None, None, None, reason)
 
 
-@functools.cache
-def _skip(name: str, reason: str) -> CheckRecord:
-    return CheckRecord(name, True, skipped=True, reason=reason)
+def _skipped(name: str, rows: int, reason: str) -> _Column:
+    return _Column(name, None, None, None, np.ones(rows, dtype=bool),
+                   dict.fromkeys(range(rows), _skip(reason)))
+
+
+def _records(columns: Sequence[_Column], row: int) -> tuple[CheckRecord, ...]:
+    """Row ``row`` of columns with one row per graph, as records."""
+    return tuple(column.record(row) for column in columns)
 
 
 def _require_connected(g: MixedGraph) -> None:
@@ -192,10 +223,11 @@ def _interlacing_violations(lam: np.ndarray, theta: np.ndarray) -> np.ndarray:
     return np.maximum(np.maximum(bracket[:, :-2] - theta, theta - bracket[:, 2:]), 0.0)
 
 
-def _worst(violations: np.ndarray) -> list[float]:
-    """Per row, the largest violation as a plain float (0.0, not -0.0, when
-    nothing is violated)."""
-    return [max(0.0, w) for w in violations.max(axis=-1).tolist()]
+def _worst(violations: np.ndarray) -> np.ndarray:
+    """Per row, the largest violation (0.0, not -0.0 or nan, when nothing
+    is violated)."""
+    worst = violations.max(axis=-1)
+    return np.where(worst > 0.0, worst, 0.0)
 
 
 def interlacing_check(g: MixedGraph, pair: tuple[int, int],
@@ -209,7 +241,7 @@ def interlacing_check(g: MixedGraph, pair: tuple[int, int],
                                          reduced.eigenvalues[np.newaxis])
     verdicts = tuple(x <= tol for x in violations[0].tolist())
     return InterlacingResult(edge, original, reduced, verdicts,
-                             _worst(violations)[0])
+                             float(_worst(violations)[0]))
 
 
 @dataclass(frozen=True)
@@ -277,7 +309,7 @@ def check_minus_one(g: MixedGraph,
 
 def _minus_one(multiplicity: int, positive: bool, antibalanced: bool,
                bipartite: bool) -> MinusOneCheck:
-    return MinusOneCheck(multiplicity > 0, positive and bipartite, antibalanced)
+    return MinusOneCheck(multiplicity > 0, positive & bipartite, antibalanced)
 
 
 @dataclass(frozen=True)
@@ -338,25 +370,20 @@ class EntrySumBounds:
     records: tuple[CheckRecord, ...]
 
 
-def _entry_sum_bounds(n: int, total: np.ndarray,
-                      vals: np.ndarray) -> list[EntrySumBounds]:
-    """entry_sum_bounds for a population of order n: entry sums (G,) and
-    sorted eigenvalues (G, n)."""
+def _entry_sum_columns(n: int, total: np.ndarray,
+                       vals: np.ndarray) -> list[_Column]:
+    """The entry-sum checks of a population of order n: entry sums (G,)
+    and sorted eigenvalues (G, n)."""
     lam_min = vals[:, 0]
     lam_max = vals[:, -1]
     lower = -total / (n * (n - 1))
     upper = total / n
-    # lists, so that records and bounds share the float objects
-    totals, low, up, least, most = (
-        x.tolist() for x in (total, lower, upper, lam_min, lam_max))
-    records = zip(
-        _inequalities("entry_sum_lower", least, low),
-        _inequalities("entry_sum_order", low, up),
-        _inequalities("entry_sum_upper", up, most),
-        _inequalities("entry_sum_spread", total / (n - 1), lam_max - lam_min),
-    )
-    return [EntrySumBounds(*values, recs) for *values, recs
-            in zip(totals, low, up, least, most, records)]
+    return [
+        _inequality("entry_sum_lower", lam_min, lower),
+        _inequality("entry_sum_order", lower, upper),
+        _inequality("entry_sum_upper", upper, lam_max),
+        _inequality("entry_sum_spread", total / (n - 1), lam_max - lam_min),
+    ]
 
 
 def entry_sum_bounds(g: MixedGraph,
@@ -364,18 +391,23 @@ def entry_sum_bounds(g: MixedGraph,
     if g.n < 2:
         raise ValueError("entry-sum bounds need at least two vertices")
     s = randic_spectrum(g) if spectrum is None else spectrum
-    return _entry_sum_bounds(g.n, entry_sums(*edge_table([g])),
-                             s.eigenvalues[np.newaxis])[0]
+    total = entry_sums(*edge_table([g]))
+    columns = _entry_sum_columns(g.n, total, s.eigenvalues[np.newaxis])
+    # lambda_min <= lower, lower <= upper, upper <= lambda_max
+    lower, order, upper, _ = columns
+    return EntrySumBounds(float(total[0]), float(lower.rhs[0]),
+                          float(order.rhs[0]), float(lower.lhs[0]),
+                          float(upper.rhs[0]), _records(columns, 0))
 
 
-def _smallest_eigenvalue_bounds(n: int, r_inv: np.ndarray,
-                                vals: np.ndarray) -> list[CheckRecord]:
+def _smallest_eigenvalue_column(n: int, r_inv: np.ndarray,
+                                vals: np.ndarray) -> _Column:
     """smallest_eigenvalue_bound for a population of order n: r_inv (G,)
     and sorted eigenvalues (G, n)."""
     bound = 2.0 * r_inv / (n * (n - 1))
     # Python's float power: numpy's rounds differently
     squares = [x ** 2 for x in vals[:, 0].tolist()]
-    return _inequalities("min_eigenvalue_square", bound, squares)
+    return _inequality("min_eigenvalue_square", bound, squares)
 
 
 def smallest_eigenvalue_bound(g: MixedGraph,
@@ -388,8 +420,8 @@ def smallest_eigenvalue_bound(g: MixedGraph,
     s = randic_spectrum(g) if spectrum is None else spectrum
     if r_inv is None:
         r_inv = randic_inverse(g)
-    return _smallest_eigenvalue_bounds(g.n, np.array([r_inv]),
-                                       s.eigenvalues[np.newaxis])[0]
+    return _smallest_eigenvalue_column(g.n, np.array([r_inv]),
+                                       s.eigenvalues[np.newaxis]).record(0)
 
 
 @dataclass(frozen=True)
@@ -417,15 +449,14 @@ class BoundsReport:
         return all(r.satisfied for r in self.records if not r.skipped)
 
 
-def _energy_bounds(graphs: Sequence[MixedGraph], r_inv: np.ndarray,
-                   vals: np.ndarray) -> list[BoundsReport]:
-    """energy_bounds_report for a population of one order, with r_inv (G,)
-    and sorted eigenvalues (G, n).
+def _energy_columns(n: int, r_inv: np.ndarray,
+                    vals: np.ndarray) -> list[_Column]:
+    """The energy checks of a population of order n, with r_inv (G,) and
+    sorted eigenvalues (G, n).
 
     |det|**(2/n), ratio**(1/(n-k)), the exponential and squares stay Python
     float arithmetic: numpy's power and exp round differently.
     """
-    n = graphs[0].n
     eps, rho, sigma = energies(vals), spectral_radii(vals), min_moduli(vals)
     det, k = determinants(vals), negative_counts(vals)
     singular = sigma <= TOL_ZERO
@@ -441,61 +472,49 @@ def _energy_bounds(graphs: Sequence[MixedGraph], r_inv: np.ndarray,
         ratio = det / negatives.prod(axis=-1)
     roots = np.array([r ** (1.0 / (n - kk)) if ok else 0.0 for r, kk, ok
                       in zip(ratio.tolist(), k.tolist(), mixed.tolist())])
-    geometric = _inequalities("energy_lower_geometric",
-                              2.0 * (n - k) * roots, eps_list)
+    geometric = _inequality("energy_lower_geometric", 2.0 * (n - k) * roots, eps)
     for i in np.flatnonzero(~mixed).tolist():
         kk = int(k[i])
-        geometric[i] = _skip(
-            "energy_lower_geometric",
+        geometric.own[i] = _skip(
             f"needs eigenvalues of both signs (negative count {kk} of {n})"
-            if kk == 0 or kk == n else "singular matrix: geometric mean is zero",
-        )
+            if kk == 0 or kk == n else "singular matrix: geometric mean is zero")
 
     with np.errstate(all="ignore"):
         polya_lhs = np.sqrt(8.0 * n * rho * sigma * r_inv) / (rho + sigma)
-    polya = _inequalities("energy_lower_polya_szego", polya_lhs, eps_list)
+    polya = _inequality("energy_lower_polya_szego", polya_lhs, eps)
     for i in np.flatnonzero(singular).tolist():
-        polya[i] = CheckRecord(
-            "energy_lower_polya_szego", True, lhs=0.0, rhs=eps_list[i],
-            slack=eps_list[i],
-            reason="minimal modulus is zero; bound degenerates to 0",
-        )
+        polya.own[i] = (True, False, 0.0, eps_list[i], eps_list[i],
+                        "minimal modulus is zero; bound degenerates to 0")
 
     spread = np.array([x ** 2 for x in (rho - sigma).tolist()])
     radicand = 8.0 * n * r_inv - n * n * spread
-    ozeki = _inequalities("energy_lower_ozeki",
-                          np.sqrt(np.maximum(radicand, 0.0)) / 2.0, eps_list)
+    ozeki = _inequality("energy_lower_ozeki",
+                        np.sqrt(np.maximum(radicand, 0.0)) / 2.0, eps)
     for i in np.flatnonzero(radicand < 0.0).tolist():
-        ozeki[i] = CheckRecord(
-            "energy_lower_ozeki", True, skipped=True, lhs=0.0,
-            rhs=eps_list[i], slack=eps_list[i],
-            reason=f"negative radicand {radicand[i]:.6g}; bound vacuous",
-        )
+        ozeki.own[i] = (True, True, 0.0, eps_list[i], eps_list[i],
+                        f"negative radicand {radicand[i]:.6g}; bound vacuous")
 
-    records = zip(
-        _inequalities("energy_lower_determinant",
-                      np.sqrt(2.0 * r_inv + n * (n - 1) * det_root), eps_list),
-        _inequalities("energy_upper_moment", eps_list, np.sqrt(2.0 * n * r_inv)),
+    return [
+        _inequality("energy_lower_determinant",
+                    np.sqrt(2.0 * r_inv + n * (n - 1) * det_root), eps),
+        _inequality("energy_upper_moment", eps, np.sqrt(2.0 * n * r_inv)),
         geometric,
-        _inequalities("energy_upper_exponential", eps_list,
-                      [math.exp(x) for x in np.sqrt(2.0 * r_inv).tolist()]),
-        _inequalities(
-            "energy_upper_radius", eps_list,
+        _inequality("energy_upper_exponential", eps,
+                    [math.exp(x) for x in np.sqrt(2.0 * r_inv).tolist()]),
+        _inequality(
+            "energy_upper_radius", eps,
             0.5 * (rho * (n - 2) + np.sqrt(rho * rho * (n - 2) ** 2
                                            + 16.0 * r_inv)),
         ),
-        _inequalities(
+        _inequality(
             "energy_lower_min_modulus",
             0.5 * (sigma * (n - 2) + np.sqrt(sigma * sigma * (n - 2) ** 2
                                              + 16.0 * r_inv)),
-            eps_list,
+            eps,
         ),
         polya,
         ozeki,
-    )
-    return [BoundsReport(n, g.m, *scalars, recs) for g, *scalars, recs in zip(
-        graphs, r_inv.tolist(), det.tolist(), rho.tolist(), sigma.tolist(),
-        k.tolist(), eps_list, records)]
+    ]
 
 
 def energy_bounds_report(g: MixedGraph,
@@ -517,20 +536,81 @@ def energy_bounds_report(g: MixedGraph,
     if g.n < 2:
         raise ValueError("energy bounds need at least two vertices")
     s = randic_spectrum(g) if spectrum is None else spectrum
-    return _energy_bounds([g], np.array([randic_inverse(g)]),
-                          s.eigenvalues[np.newaxis])[0]
+    vals = s.eigenvalues[np.newaxis]
+    r_inv = randic_inverse(g)
+    return BoundsReport(
+        g.n, g.m, r_inv, float(determinants(vals)[0]),
+        float(spectral_radii(vals)[0]), float(min_moduli(vals)[0]),
+        int(negative_counts(vals)[0]), float(energies(vals)[0]),
+        _records(_energy_columns(g.n, np.array([r_inv]), vals), 0))
 
 
-@dataclass(frozen=True)
+class _Block(NamedTuple):
+    """The suite on a block of graphs of one order: their sorted
+    eigenvalue rows, and every check as a column, in report order."""
+
+    eigenvalues: np.ndarray | None
+    columns: list[_Column]
+
+    def records(self, g: int) -> tuple[CheckRecord, ...]:
+        """Graph g's records, made anew."""
+        out = []
+        for column in self.columns:
+            lo, hi = column.span(g, g + 1)
+            out.extend(map(column.record, range(lo, hi)))
+        return tuple(out)
+
+
+def _records_block(records: Sequence[CheckRecord]) -> _Block:
+    """A block of one graph with the given records: one column whose rows
+    all have their own fields."""
+    own = {i: (r.satisfied, r.skipped, r.lhs, r.rhs, r.slack, r.reason)
+           for i, r in enumerate(records)}
+    return _Block(None, [_Column([r.name for r in records], None, None, None,
+                                 np.ones(len(own), dtype=bool), own,
+                                 [0, len(own)])])
+
+
 class TheoremSuite:
-    """All per-graph verdicts, in a fixed order for stable reports."""
+    """All per-graph verdicts, in a fixed order for stable reports.
 
-    graph: MixedGraph
-    spectrum: Spectrum
-    records: tuple[CheckRecord, ...]
+    ``TheoremSuite(graph, spectrum, records)`` keeps the records it is
+    given.  A suite of run_theorem_suites is row ``_row`` of its block
+    ``_block`` instead: its spectrum and records are made anew on each
+    read and not kept.  The campaign reads the block's columns directly;
+    a suite that keeps its records has a block of one graph made from
+    them.
+    """
 
-    def as_dict(self) -> dict[str, CheckRecord]:
-        return {r.name: r for r in self.records}
+    __slots__ = ("graph", "_spectrum", "_records", "_block", "_row")
+
+    def __init__(self, graph: MixedGraph, spectrum: Spectrum,
+                 records: Iterable[CheckRecord]) -> None:
+        self.graph = graph
+        self._spectrum = spectrum
+        self._records = tuple(records)
+        self._block = _records_block(self._records)
+        self._row = 0
+
+    @classmethod
+    def _of_block(cls, graph: MixedGraph, block: _Block,
+                  row: int) -> TheoremSuite:
+        suite = cls.__new__(cls)
+        suite.graph, suite._block, suite._row = graph, block, row
+        suite._spectrum = suite._records = None
+        return suite
+
+    @property
+    def spectrum(self) -> Spectrum:
+        if self._spectrum is not None:
+            return self._spectrum
+        return Spectrum.from_sorted(self._block.eigenvalues[self._row])
+
+    @property
+    def records(self) -> tuple[CheckRecord, ...]:
+        if self._records is not None:
+            return self._records
+        return self._block.records(self._row)
 
     @property
     def failures(self) -> tuple[CheckRecord, ...]:
@@ -547,45 +627,56 @@ class TheoremSuite:
                      if r.satisfied and not r.skipped and r.reason)
 
 
-def _structural_records(one: EigenvalueOneCheck, sym: SymmetryCheck,
+def _structural_columns(one: EigenvalueOneCheck, sym: SymmetryCheck,
                         minus: MinusOneCheck,
-                        under: UnderlyingSpectrumCheck) -> tuple[CheckRecord, ...]:
-    """The biconditional records of one graph, from its check results."""
-    one_ok = (not one.has_one) or (one.graph_positive and one.multiplicity == 1)
-    return (
-        _flag("one_implies_positive_simple", one_ok,
-              reason="" if one_ok else
-              f"has_one={one.has_one} positive={one.graph_positive} "
-              f"multiplicity={one.multiplicity}"),
-        _flag("positive_implies_one", (not one.graph_positive) or one.has_one),
-        _flag("bipartite_iff_symmetric", sym.bipartite == sym.symmetric,
-              reason="" if sym.bipartite == sym.symmetric else
-              f"bipartite={sym.bipartite} symmetric={sym.symmetric} "
-              f"max_asymmetry={sym.max_asymmetry:.3e}"),
-        _flag("minus_one_iff_antibalanced",
-              minus.has_minus_one == minus.antibalanced,
-              reason="" if minus.has_minus_one == minus.antibalanced else
-              f"has_minus_one={minus.has_minus_one} "
-              f"antibalanced={minus.antibalanced}"),
-        _flag("minus_one_vs_positive_bipartite", True,
-              reason="" if minus.has_minus_one == minus.positive_bipartite else
-              f"divergence: has_minus_one={minus.has_minus_one} "
-              f"positive_bipartite={minus.positive_bipartite}"),
-        _flag("underlying_spectrum_iff_all_ones",
-              under.spectra_equal == under.switch_equiv_allones,
-              reason="" if under.spectra_equal == under.switch_equiv_allones else
-              f"spectra_equal={under.spectra_equal} "
-              f"switch_equiv_allones={under.switch_equiv_allones}"),
-        _flag("bipartite_positive_unit_eigenvalues",
-              one.has_one and minus.has_minus_one)
-        if one.graph_positive and sym.bipartite else
-        _skip("bipartite_positive_unit_eigenvalues",
-              "not a positive bipartite graph"),
-    )
+                        under: UnderlyingSpectrumCheck) -> list[_Column]:
+    """The biconditional checks of a population, from its check results:
+    their fields are arrays over its graphs, or one graph's values."""
+    has_one, multiplicity, positive = map(
+        np.atleast_1d, (one.has_one, one.multiplicity, one.graph_positive))
+    symmetric, bipartite, asymmetry = map(
+        np.atleast_1d, (sym.symmetric, sym.bipartite, sym.max_asymmetry))
+    has_minus_one, positive_bipartite, antibalanced = map(
+        np.atleast_1d,
+        (minus.has_minus_one, minus.positive_bipartite, minus.antibalanced))
+    spectra_equal, all_ones = map(
+        np.atleast_1d, (under.spectra_equal, under.switch_equiv_allones))
+
+    def rows(mask: np.ndarray) -> list[int]:
+        return np.flatnonzero(mask).tolist()
+
+    one_ok = ~has_one | (positive & (multiplicity == 1))
+    return [
+        _flags("one_implies_positive_simple", one_ok, {
+            i: f"has_one={has_one[i]} positive={positive[i]} "
+               f"multiplicity={multiplicity[i]}" for i in rows(~one_ok)}),
+        _flags("positive_implies_one", ~positive | has_one, {}),
+        _flags("bipartite_iff_symmetric", bipartite == symmetric, {
+            i: f"bipartite={bipartite[i]} symmetric={symmetric[i]} "
+               f"max_asymmetry={float(asymmetry[i]):.3e}"
+            for i in rows(bipartite != symmetric)}),
+        _flags("minus_one_iff_antibalanced", has_minus_one == antibalanced, {
+            i: f"has_minus_one={has_minus_one[i]} "
+               f"antibalanced={antibalanced[i]}"
+            for i in rows(has_minus_one != antibalanced)}),
+        _flags("minus_one_vs_positive_bipartite",
+               np.ones(len(has_one), dtype=bool), {
+            i: f"divergence: has_minus_one={has_minus_one[i]} "
+               f"positive_bipartite={positive_bipartite[i]}"
+            for i in rows(has_minus_one != positive_bipartite)}),
+        _flags("underlying_spectrum_iff_all_ones", spectra_equal == all_ones, {
+            i: f"spectra_equal={spectra_equal[i]} "
+               f"switch_equiv_allones={all_ones[i]}"
+            for i in rows(spectra_equal != all_ones)}),
+        _Column("bipartite_positive_unit_eigenvalues", None, None, None,
+                has_one & has_minus_one,
+                dict.fromkeys(rows(~(positive & bipartite)),
+                              _skip("not a positive bipartite graph"))),
+    ]
 
 
-def _order_suites(graphs: Sequence[MixedGraph],
-                  include_interlacing: bool) -> list[TheoremSuite]:
+def _order_block(graphs: Sequence[MixedGraph],
+                 include_interlacing: bool) -> _Block:
     """The suite on graphs of one order, each connected with every degree
     >= 1 (else ValueError), from one edge_table: one stacked build and
     solve, the residuals and bounds as array reductions over the graphs,
@@ -636,21 +727,21 @@ def _order_suites(graphs: Sequence[MixedGraph],
         rows, [len(graphs), len(graphs) + len(cuts)])
     mats = stack[:len(graphs)]
 
-    head = [
-        _inequalities("unit_interval", spectral_radii(vals), 1.0),
-        _inequalities("trace_zero", np.abs(vals.sum(axis=-1)), 0.0),
-        _inequalities("second_moment",
-                      np.abs((vals ** 2).sum(axis=-1) - 2.0 * r_inv), 0.0),
-        _inequalities("incidence_factorization",
-                      _largest_entries(mats - randic_via_incidences(degrees, edges)),
-                      0.0, tol=1e-12),
+    columns = [
+        _inequality("unit_interval", spectral_radii(vals), 1.0),
+        _inequality("trace_zero", np.abs(vals.sum(axis=-1)), 0.0),
+        _inequality("second_moment",
+                    np.abs((vals ** 2).sum(axis=-1) - 2.0 * r_inv), 0.0),
+        _inequality("incidence_factorization",
+                    _largest_entries(mats - randic_via_incidences(degrees, edges)),
+                    0.0, tol=1e-12),
     ]
     scale = 1.0 / np.sqrt(degrees)
     triple = (scale[:, :, np.newaxis] * laplacians(degrees, edges)
               * scale[:, np.newaxis, :])
-    head.append(_inequalities("laplacian_complement",
-                              _largest_entries(np.eye(n) - triple - mats),
-                              0.0, tol=1e-14))
+    columns.append(_inequality("laplacian_complement",
+                               _largest_entries(np.eye(n) - triple - mats),
+                               0.0, tol=1e-14))
     if numerators is not None:
         # a_k = (-1)**k * numerator_k / prod d_i.  Every numerator and the
         # denominator are below 2**53 at n <= 10 (see
@@ -658,50 +749,48 @@ def _order_suites(graphs: Sequence[MixedGraph],
         # the one division is rounded as float(Fraction(numerator, prod d_i))
         numerators[:, 1::2] *= -1
         exact = numerators / np.prod(degrees, axis=1, keepdims=True)
-        head.append(_inequalities("charpoly_agreement",
-                                  _distance(exact, expand_roots(vals)),
-                                  0.0, tol=TOL_EIG))
-        head.append(_inequalities(
+        columns.append(_inequality("charpoly_agreement",
+                                   _distance(exact, expand_roots(vals)),
+                                   0.0, tol=TOL_EIG))
+        columns.append(_inequality(
             "determinant_identity",
             np.abs((-1) ** n * exact[:, -1] - determinants(vals)), 0.0))
     else:
         reason = f"n = {n} above cap {DEFAULT_COMBINATORIAL_CAP}"
-        head.append([_skip("charpoly_agreement", reason)] * len(graphs))
-        head.append([_skip("determinant_identity", reason)] * len(graphs))
+        columns.append(_skipped("charpoly_agreement", len(graphs), reason))
+        columns.append(_skipped("determinant_identity", len(graphs), reason))
 
-    interlacing = [()] * len(graphs)
     if include_interlacing:
-        names = [f"interlacing:{edge_label(e)}" for g in graphs for e in g.edges]
-        kept = removable.tolist()
-        worst = iter(_inequalities(
-            [name for name, ok in zip(names, kept) if ok],
-            _worst(_interlacing_violations(vals[owner[cuts]], deletions)), 0.0))
-        records = [next(worst) if ok else _skip(name, "removal isolates a vertex")
-                   for name, ok in zip(names, kept)]
-        bounds = np.searchsorted(owner, np.arange(len(graphs) + 1)).tolist()
-        interlacing = [tuple(records[a:b]) for a, b in zip(bounds, bounds[1:])]
+        # one row per edge, graph by graph; the rows of edges whose removal
+        # isolates a vertex are skips.  Graphs often share edge records, and
+        # then share their names.
+        worst = np.zeros(len(owner))
+        worst[cuts] = _worst(_interlacing_violations(vals[owner[cuts]], deletions))
+        names: dict[int, str] = {}
+        interlacing = _inequality(
+            [names.get(id(e)) or names.setdefault(
+                id(e), f"interlacing:{edge_label(e)}")
+             for g in graphs for e in g.edges],
+            worst, 0.0,
+            bounds=np.searchsorted(owner, np.arange(len(graphs) + 1)).tolist())
+        interlacing.own.update(dict.fromkeys(
+            np.flatnonzero(~removable).tolist(),
+            _skip("removal isolates a vertex")))
+        columns.append(interlacing)
 
-    structural = []
-    for (positive, anti), two_colorable, mult_one, mult_minus_one, asym, diff in zip(
-            map(gain_balance, graphs), bipartite.tolist(),
-            multiplicities(vals, 1.0, TOL_EIG).tolist(),
-            multiplicities(vals, -1.0, TOL_EIG).tolist(),
-            _asymmetry(vals).tolist(),
-            _distance(vals, plain_vals[group_of]).tolist()):
-        structural.append(_structural_records(
-            _eigenvalue_one(mult_one, positive), _symmetry(asym, two_colorable),
-            _minus_one(mult_minus_one, positive, anti, two_colorable),
-            _underlying(diff, positive)))
-    entry = _entry_sum_bounds(n, entry_sums(degrees, edges), vals)
-    smallest = _smallest_eigenvalue_bounds(n, r_inv, vals)
-    energy = _energy_bounds(graphs, r_inv, vals)
-    return [
-        TheoremSuite(g, Spectrum(row), first_records + interlaced + facts
-                     + entries.records + (least,) + bounds.records)
-        for g, row, first_records, interlaced, facts, entries, least, bounds
-        in zip(graphs, vals, zip(*head), interlacing, structural, entry,
-               smallest, energy)
-    ]
+    positive, antibalanced = np.array(
+        [gain_balance(g) for g in graphs], dtype=bool).T
+    columns += _structural_columns(
+        _eigenvalue_one(multiplicities(vals, 1.0, TOL_EIG), positive),
+        _symmetry(_asymmetry(vals), bipartite),
+        _minus_one(multiplicities(vals, -1.0, TOL_EIG), positive,
+                   antibalanced, bipartite),
+        _underlying(_distance(vals, plain_vals[group_of]), positive))
+    columns += _entry_sum_columns(n, entry_sums(degrees, edges), vals)
+    columns.append(_smallest_eigenvalue_column(n, r_inv, vals))
+    columns += _energy_columns(n, r_inv, vals)
+    vals.flags.writeable = False
+    return _Block(vals, columns)
 
 
 def run_theorem_suites(graphs: Iterable[MixedGraph],
@@ -716,10 +805,11 @@ def run_theorem_suites(graphs: Iterable[MixedGraph],
     eigvalsh call; the exact characteristic polynomials, from one
     path-counting programme and one cover-sum pass; and the entry sums.
     The residuals and bounds are row reductions over the block's
-    eigenvalue array.  Each block is grouped by underlying graph once;
+    eigenvalue array, kept as one column per check: no record is built
+    until one is read.  Each block is grouped by underlying graph once;
     connectivity, bipartiteness, r_inv and the underlying spectrum are
-    computed once per underlying graph of a block, and positivity,
-    antibalance and the records per graph.
+    computed once per underlying graph of a block, and positivity and
+    antibalance per graph.
     Raises ValueError on a disconnected graph or an isolated vertex.
     """
     graphs = list(graphs)
@@ -730,15 +820,17 @@ def run_theorem_suites(graphs: Iterable[MixedGraph],
     for members in orders.values():
         for start in range(0, len(members), SUITE_BLOCK):
             block = members[start:start + SUITE_BLOCK]
-            block_suites = _order_suites([graphs[i] for i in block],
-                                         include_interlacing)
-            for i, suite in zip(block, block_suites):
-                suites[i] = suite
+            done = _order_block([graphs[i] for i in block],
+                                include_interlacing)
+            for row, i in enumerate(block):
+                suites[i] = TheoremSuite._of_block(graphs[i], done, row)
     return suites
 
 
 def run_theorem_suite(g: MixedGraph,
                       include_interlacing: bool = True) -> TheoremSuite:
     """Evaluate every checker on one connected graph with all degrees >= 1:
-    the one-graph case of run_theorem_suites."""
-    return run_theorem_suites([g], include_interlacing)[0]
+    the one-graph case of run_theorem_suites, with its records made once
+    and kept."""
+    suite = run_theorem_suites([g], include_interlacing)[0]
+    return TheoremSuite(g, suite.spectrum, suite.records)

@@ -24,7 +24,7 @@ from mixedrandic.campaign import (
     summary_text,
     with_overrides,
 )
-from mixedrandic.theorems import CheckRecord, TheoremSuite, _inequalities
+from mixedrandic.theorems import CheckRecord, TheoremSuite, _inequality
 
 
 def test_population_sizes():
@@ -189,7 +189,7 @@ def test_summary_text():
 
 
 def test_numpy_inputs_give_report_scalars():
-    rec, = _inequalities("probe", np.float64(0.25), np.float64(0.5))
+    rec = _inequality("probe", np.float64(0.25), np.float64(0.5)).record(0)
     assert type(rec.satisfied) is bool
     for value in (rec.lhs, rec.rhs, rec.slack, rec.satisfied, rec.skipped,
                   rec.reason):
@@ -417,3 +417,98 @@ def test_default_report_digests_are_pinned():
         "csv": "c13a24e98e1428da9c8930a51580bb396c3b6d4cdfc52b2efeeadc2e7def0a72",
         "json": "00d09b68993766d1804da60e83e07ace8a438b5a61ec2d24376bb2f704624c83",
     }
+
+
+# The reference for the campaign's summary: one walk over every record of
+# every graph, as the summary was computed before it read the columns.
+def record_walk(result):
+    failures = []
+    skips = divergences = 0
+    slack = {}
+    for r in result.results:
+        diverged = False
+        for rec in r.suite.records:
+            if rec.name == "minus_one_vs_positive_bipartite":
+                diverged = bool(rec.reason)
+            if rec.skipped:
+                skips += 1
+                continue
+            if not rec.satisfied:
+                failures.append((r.index, rec))
+            if rec.slack is not None:
+                name = rec.name.split(":", 1)[0]
+                slack[name] = max(slack.get(name, 0.0), abs(rec.slack))
+        divergences += diverged
+    checks = sum(len(r.suite.records) for r in result.results)
+    return checks, failures, skips, divergences, slack
+
+
+def tallies(result):
+    return (result.checks, result.failures, result.skip_count,
+            result.divergence_count, result.max_abs_slack())
+
+
+def shuffled(result, seed):
+    """The result's graphs in another order, renumbered: its suites are no
+    longer consecutive rows of their blocks."""
+    results = list(result.results)
+    random.Random(seed).shuffle(results)
+    return CampaignResult(result.config, tuple(
+        GraphResult(i, r.graph, r.suite) for i, r in enumerate(results)))
+
+
+def kept(result):
+    """The result with each suite replaced by one that keeps its records."""
+    return CampaignResult(result.config, tuple(
+        GraphResult(r.index, r.graph,
+                    TheoremSuite(r.graph, r.suite.spectrum, r.suite.records))
+        for r in result.results))
+
+
+@pytest.mark.parametrize("make", [
+    lambda: run_campaign(CampaignConfig(n_min=4, n_max=4)),
+    lambda: run_campaign(CampaignConfig(n_min=5, n_max=6, seed=1729)),
+    lambda: shuffled(run_campaign(CampaignConfig(n_min=2, n_max=4,
+                                                 sample_limit=300)), 3),
+    _awkward_result,
+], ids=["population-4", "sample-5-6", "shuffled", "awkward"])
+def test_campaign_tallies_equal_a_record_walk(make):
+    result = make()
+    checks, failures, skips, divergences, slack = record_walk(result)
+    got = tallies(result)
+    assert got[0] == checks
+    assert [(i, repr(rec)) for i, rec in got[1]] == [
+        (i, repr(rec)) for i, rec in failures]
+    assert got[2:4] == (skips, divergences)
+    # float.hex tells -0.0 from 0.0 and keeps every bit
+    assert {k: v.hex() for k, v in got[4].items()} == {
+        k: float(v).hex() for k, v in slack.items()}
+    assert all(type(v) is float for v in got[4].values())
+
+
+def test_renders_read_the_columns_as_records_would_print():
+    # block-backed suites in and out of block order render the same bytes
+    # as suites that keep the same records
+    result = run_campaign(CampaignConfig(n_min=3, n_max=5, sample_limit=200))
+    for case in (result, shuffled(result, 5)):
+        for render in (render_csv, render_json, summary_text):
+            assert render(case) == render(kept(case))
+
+
+def test_campaign_and_renders_build_no_check_record(monkeypatch):
+    built = []
+    init = CheckRecord.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(args[0] if args else kwargs["name"])
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(CheckRecord, "__init__", counted)
+    for config in (CampaignConfig(), CampaignConfig(n_min=5, n_max=6)):
+        result = run_campaign(config)
+        render_csv(result)
+        render_json(result)
+        summary_text(result)
+        assert built == []
+    # the failing records are made when asked for, and counted here
+    assert len(result.failures) == len(built) == 26

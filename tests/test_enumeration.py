@@ -18,6 +18,7 @@ from mixedrandic import (
     run_theorem_suite,
     sample_mixed_graphs,
 )
+from mixedrandic import enumeration
 from mixedrandic.enumeration import (
     _CYCLE_FACTOR,
     _DOUBLED,
@@ -582,3 +583,19 @@ def test_cycles_charpoly_and_suite_leave_no_reference_cycles():
     elementary_weight_numerators(g)
     run_theorem_suite(g)
     assert gc.collect() == 0
+
+
+@pytest.mark.parametrize("cells", [5, 60, 900])
+def test_block_rows_across_cover_step_slices(cells, monkeypatch):
+    # each lowest vertex's (component, set) pairs in slices of at most
+    # `cells` gathered cells: the rows equal those of one slice per step
+    rng = random.Random(10)
+    tree = orient(10, [(rng.randrange(1, v), v) for v in range(2, 11)], rng)
+    blocks = [[tree, dense_order_10_graph()[0]],
+              sample_mixed_graphs(7, 9, seed=7), [complete_graph(8)]]
+    monkeypatch.setattr(enumeration, "_PATH_CELLS", 1 << 40)
+    whole = [elementary_weight_numerator_rows(*edge_table(b)) for b in blocks]
+    monkeypatch.setattr(enumeration, "_PATH_CELLS", cells)
+    for block, rows in zip(blocks, whole):
+        assert np.array_equal(
+            elementary_weight_numerator_rows(*edge_table(block)), rows)

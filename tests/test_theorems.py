@@ -74,7 +74,7 @@ def loop_interlacing(original, reduced, tol=1e-9):
 def test_interlacing_matches_per_position_loop(tol, graphs_with_deletions):
     checked = 0
     for g, deleted in graphs_with_deletions:
-        records = run_theorem_suite(g).as_dict()
+        records = {r.name: r for r in run_theorem_suite(g).records}
         original = randic_spectrum(g)
         for e in deleted:
             verdicts, worst = loop_interlacing(
@@ -371,8 +371,22 @@ def test_suite_structural_records_are_the_check_results(exhaustive_population):
     }
     for g, suite in zip(exhaustive_population, suites):
         s = suite.spectrum
-        expected = theorems._structural_records(
+        expected = theorems._records(theorems._structural_columns(
             check_eigenvalue_one(g, s), check_spectral_symmetry(g, s),
-            check_minus_one(g, s), check_spectrum_equals_underlying(g, s))
+            check_minus_one(g, s), check_spectrum_equals_underlying(g, s)), 0)
         got = tuple(r for r in suite.records if r.name in structural)
         assert [repr(r) for r in got] == [repr(r) for r in expected]
+
+
+def test_block_suites_make_their_records_on_each_read(graphs_with_deletions):
+    graphs = [g for g, _ in graphs_with_deletions]
+    for g, suite in zip(graphs, run_theorem_suites(graphs)):
+        first, second = suite.records, suite.records
+        assert first == second and first is not second
+        assert all(a is not b for a, b in zip(first, second))
+        assert fields(suite) == fields(run_theorem_suite(g))
+        assert suite.spectrum is not suite.spectrum
+        assert not suite.spectrum.eigenvalues.flags.writeable
+    # a suite that keeps its records hands back the same tuple
+    single = run_theorem_suite(graphs[0])
+    assert single.records is single.records
