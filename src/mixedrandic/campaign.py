@@ -9,27 +9,31 @@ Reports are byte-deterministic for a fixed configuration: all floats are
 rendered with 17 significant digits (``format_float``'s ``.17g``), and
 records keep enumeration order.
 
-Each record is formatted in one step: one f-string per record in each
-format, its fields in RECORD_FIELDS order, with each distinct name's text
-made once per render and the records that the suite shares between graphs
-(reason-less flags and skips) formatted once and found again by identity.
-The one-step path takes only exact float, bool, str and None values; any
-other value goes through ``json_scalar``'s check, so a numpy float renders
-as a float and a numpy bool raises TypeError in both formats.  A render
-writes its records to a StringIO one graph's text at a time, which the
+A campaign keeps the suite's block columns, not records.  Each block is
+formatted a column at a time: a row of a column's arrays is one f-string
+in each format, fields in RECORD_FIELDS order, an rhs that is one float
+for every row is formatted once per column, and each distinct name's text
+is made once per render.  A row with fields of its own goes through
+``json_scalar``'s check field by field, and one without numbers (a skip or
+a flag with a reason) is formatted once per render and name, found again
+by the identity of its shared fields.  So a numpy float renders as a float
+and a numpy bool raises TypeError in both formats.  A suite that keeps its
+records (``TheoremSuite(graph, spectrum, records)``) is a block of one
+graph made from them and takes the same path, as does ``json_checks``.
+A render writes to a StringIO one graph's text at a time, which the
 StringIO keeps until getvalue joins them.  It does not collect every line
 in one list to join: on the n <= 4 report that would hold 123,015 string
-headers at once (about 7 MB more at the render's peak), and the JSON render
-is already a campaign's memory peak.  Nor does it write texts of many
-graphs: those are strings of megabytes around the final join, and where
-the join's copy of the report lands among them decides whether a process
-that runs campaign after campaign stays at its resident peak or grows by
-a report.  Replaying the n <= 4 passes of the benchmark, 8 per process on
-2 cores, the resident peak was 95.1-95.6 MB in each of 16 processes one
-graph at a time; with 512-graph chunks it was 99.4-100.3 MB in 17 of 20
-and 112-114 MB in 3.
-The failure, skip, divergence and slack summary is one walk over the
-records, made on first use and kept.
+headers at once (about 7 MB more at the render's peak).  Nor does it
+write texts of many graphs: those are strings of megabytes around the
+final join, and where the join's copy of the report lands among them
+decides whether a process that runs campaign after campaign stays at its
+resident peak or grows by a report.  Replaying the n <= 4 passes of the
+benchmark, 8 per process on 2 cores, the resident peak was 95.1-95.6 MB in
+each of 16 processes one graph at a time; with 512-graph chunks it was
+99.4-100.3 MB in 17 of 20 and 112-114 MB in 3.
+The check count is summed over the columns when the result is made; the
+failure, skip, divergence and slack summary is read off the columns on
+first use and kept, and the failing records are made when asked for.
 """
 
 from __future__ import annotations

@@ -17,6 +17,15 @@ formula and every tolerance comparison exists once.  ``run_theorem_suites``
 runs the whole suite that way and ``run_theorem_suite`` is its one-graph
 case.
 
+A block's results are columns, one per check: its name or names, float64
+lhs, rhs and slack arrays and an ok array, with the rows that need fields
+of their own (the skips, the flags with a reason, the degenerate bounds)
+beside them as tuples.  No ``CheckRecord`` is made until one is read.  A
+suite of ``run_theorem_suites`` is one row of its block and makes its
+records and spectrum anew on each read; the campaign counts and renders
+straight from the columns.  The one-graph functions return the records of
+their population of one.
+
 The checks named ``*_iff_*`` assert equivalences between a spectral fact and
 a combinatorial certificate; ``minus_one_vs_positive_bipartite`` is the one
 informational record, kept because the two criteria genuinely part ways on
