@@ -24,6 +24,7 @@ from mixedrandic.campaign import (
     summary_text,
     with_overrides,
 )
+from mixedrandic import theorems
 from mixedrandic.theorems import CheckRecord, TheoremSuite, _inequality
 
 
@@ -465,13 +466,47 @@ def kept(result):
         for r in result.results))
 
 
+def repeated_names_result():
+    """Kept records where a name repeats within a graph, so the last
+    divergence record of a graph decides, and nan and -0.0 slacks."""
+    nan = float("nan")
+    note = "minus_one_vs_positive_bipartite"
+    graphs = (directed_cycle(3), path_graph(2))
+    records = (
+        (CheckRecord(note, True, reason="divergence"), CheckRecord(note, True),
+         CheckRecord("probe", True, lhs=nan, rhs=1.0, slack=nan),
+         CheckRecord("probe", False, lhs=1.5, rhs=1.0, slack=-0.5)),
+        (CheckRecord(note, True), CheckRecord(note, True, reason="divergence"),
+         CheckRecord("probe:x", True, lhs=0.0, rhs=-0.0, slack=-0.0)),
+    )
+    return CampaignResult(CampaignConfig(), tuple(
+        GraphResult(i, g, TheoremSuite(g, randic_spectrum(g), recs))
+        for i, (g, recs) in enumerate(zip(graphs, records))))
+
+
+def nan_columns_result():
+    """Block-backed suites whose columns hold nan slacks."""
+    nan = float("nan")
+    block = theorems._Block(None, [
+        theorems._inequality("probe", [nan, 0.25], 1.0),
+        theorems._inequality("probe:x", [0.5, nan], [nan, 2.0]),
+    ])
+    graphs = (directed_cycle(3), path_graph(2))
+    return CampaignResult(CampaignConfig(), tuple(
+        GraphResult(i, g, TheoremSuite._of_block(g, block, i))
+        for i, g in enumerate(graphs)))
+
+
 @pytest.mark.parametrize("make", [
     lambda: run_campaign(CampaignConfig(n_min=4, n_max=4)),
     lambda: run_campaign(CampaignConfig(n_min=5, n_max=6, seed=1729)),
     lambda: shuffled(run_campaign(CampaignConfig(n_min=2, n_max=4,
                                                  sample_limit=300)), 3),
     _awkward_result,
-], ids=["population-4", "sample-5-6", "shuffled", "awkward"])
+    repeated_names_result,
+    nan_columns_result,
+], ids=["population-4", "sample-5-6", "shuffled", "awkward", "repeated",
+        "nan"])
 def test_campaign_tallies_equal_a_record_walk(make):
     result = make()
     checks, failures, skips, divergences, slack = record_walk(result)
