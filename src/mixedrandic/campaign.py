@@ -157,13 +157,13 @@ def _runs(results: Iterable[GraphResult]
     its own."""
     block, first, run = None, 0, []
     for r in results:
-        suite = r.suite
-        if suite._block is block and suite._row == first + len(run):
+        place, row = r.suite._place()
+        if place is block and row == first + len(run):
             run.append(r)
             continue
         if run:
             yield block, first, run
-        block, first, run = suite._block, suite._row, [r]
+        block, first, run = place, row, [r]
     if run:
         yield block, first, run
 
@@ -268,7 +268,7 @@ class CampaignResult:
     def failures(self) -> list[tuple[int, CheckRecord]]:
         """(result index, record) per failing record; the records are
         made on each call."""
-        return [(i, column.record(row))
+        return [(i, column.records(row, row + 1)[0])
                 for i, column, row in self._tally.failures]
 
     @property

@@ -37,6 +37,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
+from itertools import repeat
 from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
@@ -129,17 +130,23 @@ class _Column(NamedTuple):
             return first, stop
         return self.bounds[first], self.bounds[stop]
 
-    def record(self, row: int) -> CheckRecord:
-        name = self.name if isinstance(self.name, str) else self.name[row]
-        own = self.own.get(row)
-        if own is not None:
-            return CheckRecord(name, *own)
-        ok = bool(self.ok[row])
+    def records(self, lo: int, hi: int) -> list[CheckRecord]:
+        """Rows lo:hi as records of plain floats and bools."""
+        names = self.name
+        names = repeat(names) if isinstance(names, str) else names[lo:hi]
         if self.lhs is None:
-            return CheckRecord(name, ok)
-        rhs = self.rhs if isinstance(self.rhs, float) else float(self.rhs[row])
-        return CheckRecord(name, ok, lhs=float(self.lhs[row]), rhs=rhs,
-                           slack=float(self.slack[row]))
+            lhs = rhs = slack = repeat(None)
+        else:
+            lhs = self.lhs[lo:hi].tolist()
+            rhs = self.rhs
+            rhs = repeat(rhs) if isinstance(rhs, float) else rhs[lo:hi].tolist()
+            slack = self.slack[lo:hi].tolist()
+        own = self.own
+        return [CheckRecord(name, *own[row]) if row in own else
+                CheckRecord(name, ok, lhs=a, rhs=b, slack=c)
+                for row, name, a, b, c, ok in zip(
+                    range(lo, hi), names, lhs, rhs, slack,
+                    self.ok[lo:hi].tolist())]
 
 
 def _inequality(name: str | list[str], lhs, rhs, tol: float = TOL_INEQ,
@@ -148,8 +155,8 @@ def _inequality(name: str | list[str], lhs, rhs, tol: float = TOL_INEQ,
     are arrays or lists of floats with one entry per row; rhs may be one
     float for every row."""
     lhs = np.atleast_1d(np.asarray(lhs, dtype=float))
-    rhs = float(rhs) if np.ndim(rhs) == 0 else np.asarray(rhs, dtype=float)
-    slack = np.subtract(rhs, lhs, dtype=float)
+    rhs = float(rhs) if isinstance(rhs, float) else np.asarray(rhs, dtype=float)
+    slack = rhs - lhs
     ok = slack >= -tol * np.maximum(1.0, np.abs(rhs))
     return _Column(name, lhs, rhs, slack, ok, {}, bounds)
 
@@ -174,7 +181,8 @@ def _skipped(name: str, rows: int, reason: str) -> _Column:
 
 def _records(columns: Sequence[_Column], row: int) -> tuple[CheckRecord, ...]:
     """Row ``row`` of columns with one row per graph, as records."""
-    return tuple(column.record(row) for column in columns)
+    return tuple(rec for column in columns
+                 for rec in column.records(row, row + 1))
 
 
 def _require_connected(g: MixedGraph) -> None:
@@ -430,7 +438,7 @@ def smallest_eigenvalue_bound(g: MixedGraph,
     if r_inv is None:
         r_inv = randic_inverse(g)
     return _smallest_eigenvalue_column(g.n, np.array([r_inv]),
-                                       s.eigenvalues[np.newaxis]).record(0)
+                                       s.eigenvalues[np.newaxis]).records(0, 1)[0]
 
 
 @dataclass(frozen=True)
@@ -563,11 +571,8 @@ class _Block(NamedTuple):
 
     def records(self, g: int) -> tuple[CheckRecord, ...]:
         """Graph g's records, made anew."""
-        out = []
-        for column in self.columns:
-            lo, hi = column.span(g, g + 1)
-            out.extend(map(column.record, range(lo, hi)))
-        return tuple(out)
+        return tuple(rec for column in self.columns
+                     for rec in column.records(*column.span(g, g + 1)))
 
 
 def _records_block(records: Sequence[CheckRecord]) -> _Block:
@@ -584,11 +589,11 @@ class TheoremSuite:
     """All per-graph verdicts, in a fixed order for stable reports.
 
     ``TheoremSuite(graph, spectrum, records)`` keeps the records it is
-    given.  A suite of run_theorem_suites is row ``_row`` of its block
-    ``_block`` instead: its spectrum and records are made anew on each
-    read and not kept.  The campaign reads the block's columns directly;
-    a suite that keeps its records has a block of one graph made from
-    them.
+    given.  A suite of run_theorem_suites is a row of its block instead:
+    its spectrum and records are made anew on each read and not kept.
+    The campaign reads the block's columns directly (``_place``); a suite
+    that keeps its records makes a block of one graph from them when it is
+    first read that way.
     """
 
     __slots__ = ("graph", "_spectrum", "_records", "_block", "_row")
@@ -598,7 +603,7 @@ class TheoremSuite:
         self.graph = graph
         self._spectrum = spectrum
         self._records = tuple(records)
-        self._block = _records_block(self._records)
+        self._block = None
         self._row = 0
 
     @classmethod
@@ -608,6 +613,12 @@ class TheoremSuite:
         suite.graph, suite._block, suite._row = graph, block, row
         suite._spectrum = suite._records = None
         return suite
+
+    def _place(self) -> tuple[_Block, int]:
+        """The block holding this suite's results, and its row there."""
+        if self._block is None:
+            self._block = _records_block(self._records)
+        return self._block, self._row
 
     @property
     def spectrum(self) -> Spectrum:
@@ -652,7 +663,7 @@ def _structural_columns(one: EigenvalueOneCheck, sym: SymmetryCheck,
         np.atleast_1d, (under.spectra_equal, under.switch_equiv_allones))
 
     def rows(mask: np.ndarray) -> list[int]:
-        return np.flatnonzero(mask).tolist()
+        return mask.nonzero()[0].tolist()
 
     one_ok = ~has_one | (positive & (multiplicity == 1))
     return [

@@ -190,7 +190,7 @@ def test_summary_text():
 
 
 def test_numpy_inputs_give_report_scalars():
-    rec = _inequality("probe", np.float64(0.25), np.float64(0.5)).record(0)
+    rec, = _inequality("probe", np.float64(0.25), np.float64(0.5)).records(0, 1)
     assert type(rec.satisfied) is bool
     for value in (rec.lhs, rec.rhs, rec.slack, rec.satisfied, rec.skipped,
                   rec.reason):
