@@ -9,31 +9,22 @@ Reports are byte-deterministic for a fixed configuration: all floats are
 rendered with 17 significant digits (``format_float``'s ``.17g``), and
 records keep enumeration order.
 
-A campaign keeps the suite's block columns, not records.  Each block is
-formatted a column at a time: a row of a column's arrays is one f-string
-in each format, fields in RECORD_FIELDS order, an rhs that is one float
-for every row is formatted once per column, and each distinct name's text
-is made once per render.  A row with fields of its own goes through
-``json_scalar``'s check field by field, and one without numbers (a skip or
-a flag with a reason) is formatted once per render and name, found again
-by the identity of its shared fields.  So a numpy float renders as a float
-and a numpy bool raises TypeError in both formats.  A suite that keeps its
-records (``TheoremSuite(graph, spectrum, records)``) is a block of one
-graph made from them and takes the same path, as does ``json_checks``.
-A render writes to a StringIO one graph's text at a time, which the
-StringIO keeps until getvalue joins them.  It does not collect every line
-in one list to join: on the n <= 4 report that would hold 123,015 string
-headers at once (about 7 MB more at the render's peak).  Nor does it
-write texts of many graphs: those are strings of megabytes around the
-final join, and where the join's copy of the report lands among them
-decides whether a process that runs campaign after campaign stays at its
-resident peak or grows by a report.  Replaying the n <= 4 passes of the
-benchmark, 8 per process on 2 cores, the resident peak was 95.1-95.6 MB in
-each of 16 processes one graph at a time; with 512-graph chunks it was
-99.4-100.3 MB in 17 of 20 and 112-114 MB in 3.
-The check count is summed over the columns when the result is made; the
-failure, skip, divergence and slack summary is read off the columns on
-first use and kept, and the failing records are made when asked for.
+A campaign keeps the suite's block columns, not records, and the check
+count, the summary and both renders read them.  A block is formatted a
+column at a time: a row of a column's arrays is one f-string, fields in
+RECORD_FIELDS order, a constant rhs is formatted once per column and each
+name's text once per render.  A row with fields of its own goes through
+``json_scalar``'s check, so a numpy float renders as a float and a numpy
+bool raises TypeError in both formats; one without numbers is formatted
+once per render and name.  A suite that keeps its records, and
+``json_checks``, take the same path as a block of one graph.  A render
+writes one graph's text at a time to a StringIO: not one list of every
+line (about 7 MB more at the n <= 4 peak), nor texts of many graphs,
+whose place around the final join decided whether a process running
+campaign after campaign stayed at its resident peak (95.1-95.6 MB in 16
+processes one graph at a time; 99.4-114 MB with 512-graph chunks).
+The summary is read off the columns on first use and kept; the failing
+records are made when asked for.
 """
 
 from __future__ import annotations
