@@ -12,11 +12,14 @@ records keep enumeration order.
 A campaign keeps the suite's block columns, not records, and the check
 count, the summary and both renders read them.  A block is formatted a
 column at a time: a row of a column's arrays is one f-string, fields in
-RECORD_FIELDS order, a constant rhs is formatted once per column and each
-name's text once per render.  A row with fields of its own goes through
-``json_scalar``'s check, so a numpy float renders as a float and a numpy
-bool raises TypeError in both formats; one without numbers is formatted
-once per render and name.  A suite that keeps its records, and
+RECORD_FIELDS order.  Each distinct float of a block's arrays (a constant
+rhs among them), keyed by its bit pattern so that -0.0 is not 0.0, is
+formatted once, through a table that lives for that block only: one for a
+whole render would hold every distinct text of the report at once.  Each
+name's text is made once per render.  A row with fields of its own goes
+through ``json_scalar``'s check, so a numpy float renders as a float and
+a numpy bool raises TypeError in both formats; one without numbers is
+formatted once per render and name.  A suite that keeps its records, and
 ``json_checks``, take the same path as a block of one graph.  A render
 writes one graph's text at a time to a StringIO: not one list of every
 line (about 7 MB more at the n <= 4 peak), nor texts of many graphs,
@@ -215,13 +218,11 @@ def _tally(results: tuple[GraphResult, ...]) -> _Tally:
                 plain = np.ones(hi - lo, dtype=bool)
                 plain[list(own)] = False
                 values = np.abs(column.slack[lo:hi][plain])
-                if isinstance(names, str):
-                    if len(values):
-                        note(names, float(np.fmax.reduce(values)))
-                else:
-                    for i, value in zip(plain.nonzero()[0].tolist(),
-                                        values.tolist()):
-                        note(names[lo + i], value)
+                if len(values):
+                    # the names of a column with numbers share their prefix
+                    note(names if isinstance(names, str)
+                         else names[lo + int(plain.argmax())],
+                         float(np.fmax.reduce(values)))
             if isinstance(names, str):
                 hits = range(hi - lo) if names == _DIVERGENCE else ()
             else:
@@ -363,12 +364,12 @@ def _own_text(head: str, fields: tuple, style: _Style) -> str:
         zip((lhs, rhs, slack, satisfied, skipped, reason), style.after[1:]))
 
 
-def _column_texts(column: _Column, lo: int, hi: int, style: _Style,
-                  heads: _Heads, shared: dict) -> list[str]:
-    """The texts of rows lo:hi of a column.  A row of the arrays is one
-    f-string, and an rhs that is one float for every row is formatted
-    once.  A row without numbers of its own is formatted once per render
-    and name, found again by the identity of its (shared) fields."""
+def _column_texts(column: _Column, lo: int, hi: int, numbers: list | None,
+                  style: _Style, heads: _Heads, shared: dict) -> list[str]:
+    """The texts of rows lo:hi of a column, with ``numbers`` the texts of
+    their lhs, rhs and slack from _block_numbers.  A row of the arrays is
+    one f-string.  A row without numbers of its own is formatted once per
+    render and name, found again by the identity of its (shared) fields."""
     names = column.name
     if isinstance(names, str):
         row_heads = repeat(heads[names])
@@ -376,21 +377,19 @@ def _column_texts(column: _Column, lo: int, hi: int, style: _Style,
         row_heads = [heads[name] for name in names[lo:hi]]
     ok = column.ok[lo:hi].tolist()
     tails = style.tails
-    if column.lhs is None:
+    if numbers is None:
         nulls = style.nulls
         texts = [f"{head}{nulls}{tails[o]}" for head, o in zip(row_heads, ok)]
     else:
-        lhs = column.lhs[lo:hi].tolist()
-        slack = column.slack[lo:hi].tolist()
+        lhs, rhs, slack = numbers
         if isinstance(column.rhs, float):
-            mid = f"{style.after[1]}{column.rhs:.17g}{style.after[2]}"
-            texts = [f"{head}{a:.17g}{mid}{c:.17g}{tails[o]}"
+            mid = f"{style.after[1]}{rhs[0]}{style.after[2]}"
+            texts = [f"{head}{a}{mid}{c}{tails[o]}"
                      for head, a, c, o in zip(row_heads, lhs, slack, ok)]
         else:
             to_rhs, to_slack = style.after[1:3]
-            texts = [f"{head}{a:.17g}{to_rhs}{b:.17g}{to_slack}{c:.17g}{tails[o]}"
-                     for head, a, b, c, o in zip(row_heads, lhs,
-                                                 column.rhs[lo:hi].tolist(),
+            texts = [f"{head}{a}{to_rhs}{b}{to_slack}{c}{tails[o]}"
+                     for head, a, b, c, o in zip(row_heads, lhs, rhs,
                                                  slack, ok)]
     for row, fields in column.own.items():
         if lo <= row < hi:
@@ -406,15 +405,43 @@ def _column_texts(column: _Column, lo: int, hi: int, style: _Style,
     return texts
 
 
+def _block_numbers(block: _Block, spans: list[tuple[int, int]]
+                   ) -> list[list[list[str]] | None]:
+    """Per column, the texts of the lhs, rhs and slack of its rows in
+    ``spans`` (one rhs text when it is one float for every row), or None
+    for a column without numbers.  Each distinct float64 of the block is
+    formatted once, found by its bit pattern, so 0.0 and -0.0, or nans
+    of different payloads, stay apart; the table lives for this block
+    only."""
+    arrays = []
+    for column, (lo, hi) in zip(block.columns, spans):
+        if column.lhs is not None:
+            rhs = column.rhs
+            arrays += [column.lhs[lo:hi],
+                       np.array([rhs]) if isinstance(rhs, float) else rhs[lo:hi],
+                       column.slack[lo:hi]]
+    if not arrays:
+        return [None] * len(spans)
+    distinct, inverse = np.unique(np.concatenate(arrays).view(np.int64),
+                                  return_inverse=True)
+    texts = np.array([f"{x:.17g}" for x in distinct.view(np.float64).tolist()],
+                     dtype=object)[inverse].tolist()
+    ends = np.cumsum([len(a) for a in arrays]).tolist()
+    parts = iter([texts[a:b] for a, b in zip([0] + ends, ends)])
+    return [None if column.lhs is None else [next(parts) for _ in range(3)]
+            for column in block.columns]
+
+
 def _block_rows(block: _Block, first: int, stop: int, style: _Style,
                 heads: _Heads, shared: dict) -> Iterator[list[str]]:
     """Per graph first:stop of a block, its record texts in report order,
     formatted a column at a time."""
+    spans = [column.span(first, stop) for column in block.columns]
     segments: list = []
     per_graph: list[list[str]] = []
-    for column in block.columns:
-        lo, hi = column.span(first, stop)
-        texts = _column_texts(column, lo, hi, style, heads, shared)
+    for column, (lo, hi), numbers in zip(block.columns, spans,
+                                         _block_numbers(block, spans)):
+        texts = _column_texts(column, lo, hi, numbers, style, heads, shared)
         if column.bounds is None:
             per_graph.append(texts)
             continue

@@ -41,6 +41,8 @@ from .theorems import (
     energy_bounds_report,
     entry_sum_bounds,
     interlacing_check,
+    randic_inverse,
+    require_energy_domain,
     run_theorem_suite,
     smallest_eigenvalue_bound,
 )
@@ -146,21 +148,22 @@ def _cmd_charpoly(args: argparse.Namespace) -> int:
 
 def _cmd_energy(args: argparse.Namespace) -> int:
     g = _load_graph(args.file)
-    report = energy_bounds_report(g)
+    require_energy_domain(g)
+    s = randic_spectrum(g)
     pairs = [
-        ("energy", report.energy),
-        ("randic_inverse", report.randic_inverse),
-        ("determinant", report.determinant),
-        ("spectral_radius", report.rho),
-        ("min_modulus", report.sigma),
+        ("energy", s.energy),
+        ("randic_inverse", randic_inverse(g)),
+        ("determinant", s.determinant),
+        ("spectral_radius", s.rho),
+        ("min_modulus", s.sigma),
     ]
     if args.format == "json":
         items = [(k, json_scalar(v)) for k, v in pairs]
-        items.append(("negative_count", json_scalar(report.negative_count)))
+        items.append(("negative_count", json_scalar(s.negative_count)))
         payload = json_object(items) + "\n"
     else:
         lines = [f"{k}: {format_float(v)}" for k, v in pairs]
-        lines.append(f"negative_count: {report.negative_count}")
+        lines.append(f"negative_count: {s.negative_count}")
         payload = "\n".join(lines) + "\n"
     _write_payload(payload, args.output)
     return 0

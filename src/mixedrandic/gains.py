@@ -10,6 +10,14 @@ classification and switching certificates never touch floating point.
 Switching by a vertex function zeta maps the gain g(i, j) to
 ``zeta(i)**-1 * g(i, j) * zeta(j)``; it preserves every cycle gain and the
 spectrum of the associated matrices.
+
+Positivity (every cycle gain 1) and antibalance (every cycle gain
+(-1)**length) are switching facts, decided by tree potentials.
+``balances`` decides them, with connectivity and bipartiteness, for a
+whole block of graphs from one array traversal of its edge rows;
+``gain_balance`` and ``is_positive`` are its one-graph case.  The dict
+traversal ``_balance`` is kept only for the switching certificates, whose
+keys come in its traversal order.
 """
 
 from __future__ import annotations
@@ -18,7 +26,9 @@ import cmath
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Mapping
+from typing import Mapping, NamedTuple
+
+import numpy as np
 
 from .graphs import EdgeKind, MixedGraph
 
@@ -139,7 +149,8 @@ def classify_cycle(view: GainView, cycle: tuple[int, ...]) -> CycleClass:
 
 
 def _balance(view: GainView) -> tuple[dict[int, tuple[int, int]], bool, bool]:
-    """Switching potentials of a gain view and the two verdicts they decide.
+    """Switching potentials of a gain view and the two verdicts they decide:
+    the certificates' traversal, of which ``balances`` is the array form.
 
     One traversal of each component of the underlying graph, from its
     smallest vertex, gives every vertex v an exponent z(v) mod 6 (0 at the
@@ -175,13 +186,81 @@ def _balance(view: GainView) -> tuple[dict[int, tuple[int, int]], bool, bool]:
     return potentials, positive, antibalanced
 
 
+class Balance(NamedTuple):
+    """Per graph of an edge table (arrays over the graphs): each vertex's
+    label 6 * parity + potential, as ``balances`` assigns it, and the four
+    verdicts the labels decide."""
+
+    labels: np.ndarray
+    connected: np.ndarray
+    bipartite: np.ndarray
+    positive: np.ndarray
+    antibalanced: np.ndarray
+
+
+def balances(count: int, n: int, owner: np.ndarray, u: np.ndarray,
+             v: np.ndarray, k: np.ndarray) -> Balance:
+    """The switching potentials of ``count`` graphs on n vertices, and the
+    verdicts they decide, from one array traversal of all of them.
+
+    Row j is an edge of graph owner[j] between the 0-based vertices u[j]
+    and v[j], of gain omega**k[j] along u -> v (k any integer).  As in
+    _balance, the lowest unlabelled vertex of each graph seeds its
+    component with z = p = 0, and each tree edge x -> w of gain omega**k
+    gives w the potential z(x) - k mod 6 and the other parity; a step
+    labels every vertex that an edge from a labelled one reaches.  The
+    label is one code, 6 * p + z, so that a vertex reached by several
+    tree edges in one step takes all of it from one of them.  Per graph:
+    connected iff one seed; bipartite iff every edge joins parities that
+    differ; positive iff k - z(u) + z(v) is 0 mod 6 on every edge, and
+    antibalanced iff that residue is 3 exactly where the parities agree.
+    """
+    k = np.asarray(k, dtype=np.int64) % 6
+    # every edge in both directions: graph, from, to, potential step
+    graph_of = np.concatenate((owner, owner))
+    tail, head = np.concatenate((u, v)), np.concatenate((v, u))
+    step = np.concatenate((-k, k))
+    labels = np.full((count, n), -1, dtype=np.int64)
+    seeds = np.zeros(count, dtype=np.int64)
+    while True:
+        open_graphs = np.flatnonzero((labels < 0).any(axis=1))
+        if not len(open_graphs):
+            break
+        labels[open_graphs, (labels[open_graphs] < 0).argmax(axis=1)] = 0
+        seeds[open_graphs] += 1
+        while True:
+            code = labels[graph_of, tail]
+            reach = (code >= 0) & (labels[graph_of, head] < 0)
+            if not reach.any():
+                break
+            code = code[reach]
+            labels[graph_of[reach], head[reach]] = (
+                6 * (1 - code // 6) + (code + step[reach]) % 6)
+    parity, z = np.divmod(labels, 6)
+    same = parity[owner, u] == parity[owner, v]
+    rest = (k - z[owner, u] + z[owner, v]) % 6
+
+    def every(bad: np.ndarray) -> np.ndarray:
+        return np.bincount(owner[bad], minlength=count) == 0
+
+    return Balance(labels, seeds == 1, every(same), every(rest != 0),
+                   every(rest != 3 * same))
+
+
+def graph_balance(g: MixedGraph) -> Balance:
+    """balances of one mixed graph: an arc u -> v has gain omega along it."""
+    rows = np.array([(e.u - 1, e.v - 1, e.kind is EdgeKind.ARC)
+                     for e in g.edges], dtype=np.int64).reshape(-1, 3)
+    return balances(1, g.n, np.zeros(len(rows), dtype=np.int64), *rows.T)
+
+
 def gain_balance(g: MixedGraph) -> tuple[bool, bool]:
     """Whether the mixed graph is positive (every cycle gain 1) and whether
     it is antibalanced (every cycle gain (-1)**length, i.e. switchable to
     the constant gain -1), from one integer traversal; a disconnected graph
     is decided per component."""
-    _, positive, antibalanced = _balance(gain_view(g))
-    return positive, antibalanced
+    balance = graph_balance(g)
+    return bool(balance.positive[0]), bool(balance.antibalanced[0])
 
 
 def is_positive(g: MixedGraph) -> bool:

@@ -15,7 +15,10 @@ arrays over its graphs; the one-graph functions (``entry_sum_bounds``,
 builds the ``check_*`` results from the same per-graph facts, so every
 formula and every tolerance comparison exists once.  ``run_theorem_suites``
 runs the whole suite that way and ``run_theorem_suite`` is its one-graph
-case.
+case.  The structural verdicts of a block (connected, bipartite, positive,
+antibalanced) come from one traversal of its edge rows, ``gains.balances``;
+the ``check_*`` functions take positivity and antibalance from its
+one-graph case, ``gain_balance``.
 
 A block's results are columns, one per check: its name or names, float64
 lhs, rhs and slack arrays and an ok array, with the rows that need fields
@@ -43,7 +46,7 @@ from typing import Iterable, NamedTuple, Sequence
 import numpy as np
 
 from .enumeration import elementary_weight_numerator_rows
-from .gains import gain_balance, is_positive
+from .gains import balances, gain_balance, is_positive
 from .graphs import (
     EdgeRecord,
     MixedGraph,
@@ -107,7 +110,9 @@ class _Column(NamedTuple):
     """One check on the rows of a block: row g is graph g's, or with
     ``bounds`` graph g has rows bounds[g]:bounds[g + 1].
 
-    ``name`` is one name for every row or a list with one per row.  lhs,
+    ``name`` is one name for every row or a list with one per row; the
+    names of a column with numbers share the part before any ':', as the
+    interlacing column's ``interlacing:<edge>`` names do.  lhs,
     rhs and slack are float64 arrays over the rows, rhs may be one float
     for every row, and all three are None for a check without numbers;
     ok is a bool array.  A row in ``own`` has its own fields, (satisfied,
@@ -534,6 +539,14 @@ def _energy_columns(n: int, r_inv: np.ndarray,
     ]
 
 
+def require_energy_domain(g: MixedGraph) -> None:
+    """Raise ValueError unless the energy bounds apply to g: a connected
+    graph on at least two vertices."""
+    _require_connected(g)
+    if g.n < 2:
+        raise ValueError("energy bounds need at least two vertices")
+
+
 def energy_bounds_report(g: MixedGraph,
                          spectrum: Spectrum | None = None) -> BoundsReport:
     """Evaluate the energy bounds.
@@ -549,9 +562,7 @@ def energy_bounds_report(g: MixedGraph,
     * energy_lower_ozeki is vacuous when its radicand is negative; recorded
       as skipped with the radicand in the reason.
     """
-    _require_connected(g)
-    if g.n < 2:
-        raise ValueError("energy bounds need at least two vertices")
+    require_energy_domain(g)
     s = randic_spectrum(g) if spectrum is None else spectrum
     vals = s.eigenvalues[np.newaxis]
     r_inv = randic_inverse(g)
@@ -698,25 +709,25 @@ def _structural_columns(one: EigenvalueOneCheck, sym: SymmetryCheck,
 def _order_block(graphs: Sequence[MixedGraph],
                  include_interlacing: bool) -> _Block:
     """The suite on graphs of one order, each connected with every degree
-    >= 1 (else ValueError), from one edge_table: one stacked build and
-    solve, the residuals and bounds as array reductions over the graphs,
-    the exact charpoly numerators, and the facts of each underlying graph
-    (its spectrum among them) once per group of graphs sharing it."""
+    >= 1 (else ValueError), from one edge_table: one balance traversal,
+    one stacked build and solve, the residuals and bounds as array
+    reductions over the graphs, the exact charpoly numerators, and the
+    facts of each underlying graph (its spectrum among them) once per
+    group of graphs sharing it."""
     n = graphs[0].n
     degrees, edges = edge_table(graphs)
     owner, u, v, arc = edges
-    bipartite = np.empty(len(graphs), dtype=bool)
+    balance = balances(len(graphs), n, owner, u, v, arc)
+    if not balance.connected.all():
+        raise ValueError("graph is not connected")
+    if not degrees.all():
+        raise ValueError("isolated vertex: the normalized matrix is undefined")
     r_inv = np.empty(len(graphs))
     group_of = np.empty(len(graphs), dtype=np.intp)
     first_member = np.zeros(len(graphs), dtype=bool)
     groups = group_by_underlying(graphs)
     for k, members in enumerate(groups):
-        g = graphs[members[0]]
-        _require_connected(g)
-        if 0 in g.degrees():
-            raise ValueError("isolated vertex: the normalized matrix is undefined")
-        bipartite[members] = g.is_bipartite()
-        r_inv[members] = randic_inverse(g)
+        r_inv[members] = randic_inverse(graphs[members[0]])
         group_of[members] = k
         first_member[members[0]] = True
     # R(g), R(g - e) for every edge whose removal isolates no vertex, and R
@@ -798,13 +809,12 @@ def _order_block(graphs: Sequence[MixedGraph],
             _skip("removal isolates a vertex")))
         columns.append(interlacing)
 
-    positive, antibalanced = np.array(
-        [gain_balance(g) for g in graphs], dtype=bool).T
+    positive = balance.positive
     columns += _structural_columns(
         _eigenvalue_one(multiplicities(vals, 1.0, TOL_EIG), positive),
-        _symmetry(_asymmetry(vals), bipartite),
+        _symmetry(_asymmetry(vals), balance.bipartite),
         _minus_one(multiplicities(vals, -1.0, TOL_EIG), positive,
-                   antibalanced, bipartite),
+                   balance.antibalanced, balance.bipartite),
         _underlying(_distance(vals, plain_vals[group_of]), positive))
     columns += _entry_sum_columns(n, entry_sums(degrees, edges), vals)
     columns.append(_smallest_eigenvalue_column(n, r_inv, vals))
@@ -826,10 +836,11 @@ def run_theorem_suites(graphs: Iterable[MixedGraph],
     path-counting programme and one cover-sum pass; and the entry sums.
     The residuals and bounds are row reductions over the block's
     eigenvalue array, kept as one column per check: no record is built
-    until one is read.  Each block is grouped by underlying graph once;
-    connectivity, bipartiteness, r_inv and the underlying spectrum are
-    computed once per underlying graph of a block, and positivity and
-    antibalance per graph.
+    until one is read.  Connectivity, bipartiteness, positivity and
+    antibalance come from one traversal of the block's edge rows
+    (gains.balances).  Each block is grouped by underlying graph once, and
+    r_inv and the underlying spectrum are computed once per underlying
+    graph of a block.
     Raises ValueError on a disconnected graph or an isolated vertex.
     """
     graphs = list(graphs)

@@ -334,6 +334,64 @@ def test_awkward_reports_round_trip():
         "divergences": 1, "max_abs_slack": result.max_abs_slack()}
 
 
+def awkward_floats_result():
+    """Two blocks whose columns hold 0.0, -0.0, two nan payloads, +-inf and
+    subnormals, repeated within each column and across the blocks."""
+    nans = np.array([0x7FF8000000000001, 0xFFF8000000000000],
+                    dtype=np.uint64).view(np.float64)
+    values = np.array([0.0, -0.0, *nans, np.inf, -np.inf, 5e-324,
+                       2.5e-310, 0.1, 1 / 3, -0.0, 0.1, 0.0, nans[1]])
+    results = []
+    for b in range(2):
+        rows = np.roll(values, 3 * b)[:12]
+        block = theorems._Block(None, [
+            theorems._Column("probe", rows[:6], rows[6:12], rows[::-1][:6],
+                             np.array([True, False] * 3), {}),
+            theorems._Column("probe:constant", rows[3:9], -0.0, rows[:6],
+                             np.ones(6, dtype=bool), {}),
+            theorems._Column(
+                [f"interlacing:{i}" for i in range(6)], rows[6:], rows[:6],
+                rows[3:9], np.ones(6, dtype=bool), {}, [0, 1, 3, 3, 5, 6, 6]),
+        ])
+        graphs = (directed_cycle(3), path_graph(2), path_graph(3),
+                  directed_cycle(3), path_graph(2), path_graph(4))
+        results += [(g, TheoremSuite._of_block(g, block, i))
+                    for i, g in enumerate(graphs)]
+    return CampaignResult(CampaignConfig(), tuple(
+        GraphResult(i, g, suite) for i, (g, suite) in enumerate(results)))
+
+
+def test_every_float_renders_as_its_own_text():
+    result = awkward_floats_result()
+    records = [(r, rec) for r in result.results for rec in r.suite.records]
+    assert len(records) == 2 * 6 * 2 + 12
+    texts = [[format(x, ".17g") for x in (rec.lhs, rec.rhs, rec.slack)]
+             for _, rec in records]
+    assert {t for row in texts for t in row} >= {
+        "0", "-0", "nan", "inf", "-inf", "4.9406564584124654e-324",
+        "2.5000000000000171e-310"}
+    rows = list(csv.reader(io.StringIO(render_csv(result), newline="")))[1:]
+    assert [row[3:7] for row in rows] == [
+        [rec.name, *text] for (_, rec), text in zip(records, texts)]
+    lines = render_json(result).split("\n")[3:-4]
+    assert len(lines) == len(result.results)
+    expected = iter(zip(records, texts))
+    for r, line in zip(result.results, lines):
+        checks = [f'"{rec.name}": {{"lhs": {a}, "rhs": {b}, "slack": {c}, '
+                  f'"satisfied": {str(rec.satisfied).lower()}, '
+                  f'"skipped": false, "reason": ""}}'
+                  for (_, rec), (a, b, c) in
+                  (next(expected) for _ in r.suite.records)]
+        assert f'"checks": {{{", ".join(checks)}}}}}' in line
+    # the records' own path renders the same bytes
+    own = CampaignResult(result.config, tuple(
+        GraphResult(r.index, r.graph, TheoremSuite(
+            r.graph, randic_spectrum(r.graph), r.suite.records))
+        for r in result.results))
+    for render in (render_csv, render_json, summary_text):
+        assert render(result) == render(own)
+
+
 def test_bare_carriage_return_is_quoted():
     # no comma, quote or newline: only the carriage return needs quoting
     records = (CheckRecord("plain", True, reason="a\rb"),

@@ -1,6 +1,7 @@
 import random
 from itertools import combinations
 
+import numpy as np
 import pytest
 
 from mixedrandic import (
@@ -20,13 +21,17 @@ from mixedrandic import (
     sample_mixed_graphs,
     switching_certificate_to_constant,
 )
+from mixedrandic.enumeration import enumerate_mixed_graphs
 from mixedrandic.gains import (
     MINUS_ONE,
     ONE,
     W,
     W_BAR,
+    GainView,
     SixthRoot,
+    balances,
     gain_balance,
+    graph_balance,
 )
 
 ROOTS = [SixthRoot(k) for k in range(6)]
@@ -252,3 +257,134 @@ def test_switching_equivalence():
 def test_switching_equivalence_needs_same_underlying_graph():
     with pytest.raises(ValueError):
         are_switching_equivalent(gain_view(cycle_graph(3)), gain_view(path_graph(3)))
+
+
+def balance_by_dicts(view):
+    """Reference for balances: one dict traversal of each component from
+    its smallest vertex, giving every vertex (z, p) as _balance does, and
+    the four verdicts checked on every oriented edge."""
+    adj = view.base.adjacency_sets()
+    potentials = {}
+    seeds = 0
+    for start in view.base.vertices():
+        if start in potentials:
+            continue
+        seeds += 1
+        potentials[start] = (0, 0)
+        stack = [start]
+        while stack:
+            v = stack.pop()
+            z, p = potentials[v]
+            for w in adj[v]:
+                if w not in potentials:
+                    potentials[w] = ((z - view.gains[(v, w)].k) % 6, 1 - p)
+                    stack.append(w)
+    bipartite = positive = antibalanced = True
+    for (v, w), gain in view.gains.items():
+        (zv, pv), (zw, pw) = potentials[v], potentials[w]
+        rest = (gain.k - zv + zw) % 6
+        bipartite = bipartite and pv != pw
+        positive = positive and rest == 0
+        antibalanced = antibalanced and rest == (3 if pv == pw else 0)
+    return potentials, (seeds == 1, bipartite, positive, antibalanced)
+
+
+def block_balance(views):
+    """balances on views of one order, as one block of edge rows."""
+    rows = [(i, a - 1, b - 1, gain.k) for i, view in enumerate(views)
+            for (a, b), gain in view.gains.items() if a < b]
+    owner, u, v, k = np.array(rows, dtype=np.int64).reshape(-1, 4).T
+    return balances(len(views), views[0].base.n, owner, u, v, k)
+
+
+def random_views(graphs, seed):
+    """Views of the graphs with a random sixth root on every edge."""
+    rng = random.Random(seed)
+    views = []
+    for g in graphs:
+        gains = {}
+        for a, b in g.underlying_pairs():
+            gains[(a, b)] = SixthRoot(rng.randrange(6))
+            gains[(b, a)] = gains[(a, b)].inverse()
+        views.append(GainView(g, gains))
+    return views
+
+
+def quotient_views(graphs):
+    """The quotients v1 * v2**-1 of are_switching_equivalent, for
+    consecutive graphs on one underlying graph: exponents 0, +-1, +-2."""
+    views = []
+    for g1, g2 in zip(graphs, graphs[1:]):
+        if g1.underlying_pairs() == g2.underlying_pairs():
+            v1, v2 = gain_view(g1), gain_view(g2)
+            views.append(GainView(g1, {key: v1.gains[key] * v2.gains[key].inverse()
+                                       for key in v1.gains}))
+    return views
+
+
+def two_triangles():
+    return MixedGraph.build(6, undirected_pairs=[(4, 5), (5, 6), (4, 6)],
+                            arcs=[(1, 2), (2, 3), (3, 1)])
+
+
+BALANCE_CASES = {
+    "population-4": lambda: [gain_view(g) for g in population(4)],
+    "sample-5": lambda: [gain_view(g) for g in population(5)],
+    "sample-6": lambda: [gain_view(g) for g in population(6)],
+    "two-triangles": lambda: [
+        gain_view(two_triangles()),
+        gain_view(MixedGraph.build(6, undirected_pairs=[(1, 2), (2, 3), (1, 3)],
+                                   arcs=[(4, 5), (6, 5), (4, 6)]))],
+    # isolated vertices and disconnected graphs among connected ones
+    "all-3": lambda: [gain_view(g) for g in enumerate_mixed_graphs(3)],
+    "all-4": lambda: [gain_view(g) for g in enumerate_mixed_graphs(4)],
+    "n-1": lambda: [gain_view(MixedGraph(1, ()))] * 3,
+    "random-4": lambda: random_views(population(4)[::7], seed=5),
+    "random-6": lambda: random_views(population(6)[:200], seed=6),
+    "quotients-4": lambda: quotient_views(population(4)),
+    "quotients-5": lambda: quotient_views(
+        sorted(population(5), key=lambda g: g.underlying_pairs())),
+}
+
+
+@pytest.mark.parametrize("case", BALANCE_CASES)
+def test_block_balance_matches_dict_traversal(case):
+    views = BALANCE_CASES[case]()
+    block = block_balance(views)
+    verdicts = np.stack(block[1:], axis=1).tolist()
+    parity, z = np.divmod(block.labels, 6)
+    seen = set()
+    for view, got, zs, ps in zip(views, verdicts, z.tolist(), parity.tolist()):
+        potentials, expected = balance_by_dicts(view)
+        assert tuple(got) == expected
+        connected, _, positive, antibalanced = expected
+        seen.add(tuple(expected))
+        # balanced graphs have one potential up to the roots' gauge, so the
+        # labels give the reference's certificates
+        for target, shift, verdict in ((ONE, 0, positive),
+                                       (MINUS_ONE, 3, antibalanced)):
+            if not verdict:
+                continue
+            labelled = {x: SixthRoot(zs[x - 1] + shift * ps[x - 1])
+                        for x in view.base.vertices()}
+            assert labelled == {x: SixthRoot(zx + shift * px)
+                                for x, (zx, px) in potentials.items()}
+            if connected:
+                assert labelled == switching_certificate_to_constant(view, target)
+    if case.startswith(("population", "sample", "quotients")):
+        # both verdicts of both kinds occur
+        assert {v[2] for v in seen} == {v[3] for v in seen} == {True, False}
+
+
+def test_one_graph_balance_is_the_block_case():
+    for g in (two_triangles(), MixedGraph(1, ()), directed_cycle(3),
+              MixedGraph.build(4, undirected_pairs=[(1, 2)])):
+        balance = graph_balance(g)
+        _, expected = balance_by_dicts(gain_view(g))
+        assert tuple(x[0] for x in balance[1:]) == expected
+        assert gain_balance(g) == expected[2:]
+        assert is_positive(g) == expected[2]
+    assert balance_by_dicts(gain_view(two_triangles()))[1] == (
+        False, False, False, False)
+    assert balance_by_dicts(gain_view(MixedGraph(1, ())))[1] == (
+        True, True, True, True)
