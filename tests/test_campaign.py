@@ -363,16 +363,16 @@ def awkward_floats_result():
 
 def test_every_float_renders_as_its_own_text():
     result = awkward_floats_result()
-    records = [(r, rec) for r in result.results for rec in r.suite.records]
+    records = [rec for r in result.results for rec in r.suite.records]
     assert len(records) == 2 * 6 * 2 + 12
     texts = [[format(x, ".17g") for x in (rec.lhs, rec.rhs, rec.slack)]
-             for _, rec in records]
+             for rec in records]
     assert {t for row in texts for t in row} >= {
         "0", "-0", "nan", "inf", "-inf", "4.9406564584124654e-324",
         "2.5000000000000171e-310"}
     rows = list(csv.reader(io.StringIO(render_csv(result), newline="")))[1:]
     assert [row[3:7] for row in rows] == [
-        [rec.name, *text] for (_, rec), text in zip(records, texts)]
+        [rec.name, *text] for rec, text in zip(records, texts)]
     lines = render_json(result).split("\n")[3:-4]
     assert len(lines) == len(result.results)
     expected = iter(zip(records, texts))
@@ -380,7 +380,7 @@ def test_every_float_renders_as_its_own_text():
         checks = [f'"{rec.name}": {{"lhs": {a}, "rhs": {b}, "slack": {c}, '
                   f'"satisfied": {str(rec.satisfied).lower()}, '
                   f'"skipped": false, "reason": ""}}'
-                  for (_, rec), (a, b, c) in
+                  for rec, (a, b, c) in
                   (next(expected) for _ in r.suite.records)]
         assert f'"checks": {{{", ".join(checks)}}}}}' in line
     # the records' own path renders the same bytes
