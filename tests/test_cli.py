@@ -142,14 +142,20 @@ def test_single_graph_json_digests_are_pinned(c3_file, tmp_path, capsys):
     digests = {}
     for name, path in (("c3", c3_file), ("p4", str(p4))):
         for command in ("check", "bounds"):
-            assert main([command, path, "--format", "json"]) == 0
-            out = capsys.readouterr().out
-            digests[f"{command} {name}"] = hashlib.sha256(out.encode()).hexdigest()
+            for fmt, suffix in (("json", ""), ("text", " text")):
+                assert main([command, path, "--format", fmt]) == 0
+                out = capsys.readouterr().out
+                digests[f"{command} {name}{suffix}"] = hashlib.sha256(
+                    out.encode()).hexdigest()
     assert digests == {
         "check c3": "fbbcf324bd696864b8ca70ad1f1241dc2ab444cae59772e6e5b882ae861242be",
         "bounds c3": "578f3dccf56b2e6c1f4990c8d6457ab8d218197142148335bcd33f4c62be2e67",
         "check p4": "47c6cacccb142ca0c86ac098bb33359728ad864f803af46924eea3ba0f181891",
         "bounds p4": "b81802d2c2fd202ec3c8af0f153c957320f05c45973aeeaef005837b8c6e0569",
+        "check c3 text": "a730df41812a210dbf64c3af0e2b62ea7c4f1ff822afd86b541d4c9cd1c95ef0",
+        "bounds c3 text": "aa3e789d6cfb30cf2742c2390442db1283faf834b80c0022593bc5333faa46bc",
+        "check p4 text": "a39b6e975a99c6c0568d8f9e75c151673423b13044577e2270319e6884f9b5cc",
+        "bounds p4 text": "48f55ee7d4fb56eec4bd37ddb19786e39c344a88363f1754d370549b517d6fd7",
     }
 
 
@@ -174,14 +180,19 @@ def test_large_order_check_json_digests_are_pinned(tmp_path, capsys):
     for n, m, seed in ((10, 14, 1), (10, 20, 2), (10, 27, 3), (11, 22, 4)):
         path = tmp_path / f"n{n}m{m}.txt"
         path.write_text(serialize_graph(seeded_connected_graph(n, m, seed)))
-        assert main(["check", str(path), "--format", "json"]) == 0
-        out = capsys.readouterr().out
-        digests[f"n{n} m{m}"] = hashlib.sha256(out.encode()).hexdigest()
+        for fmt, suffix in (("json", ""), ("text", " text")):
+            assert main(["check", str(path), "--format", fmt]) == 0
+            out = capsys.readouterr().out
+            digests[f"n{n} m{m}{suffix}"] = hashlib.sha256(out.encode()).hexdigest()
     assert digests == {
         "n10 m14": "800f7eb87cd22b2a1cafa975b2c3d5806fd1e7f5cb9b64f9425a9894de481cd2",
         "n10 m20": "298585160ddeffe800beb6f3e8a01a70333a2b022f46f76cdd7bbb4e84e02d87",
         "n10 m27": "53c3ae9ec1276997faf1cd7599a8fdc82a00301004da0027541dd4046cc7c52f",
         "n11 m22": "4e839373a6753aefa8a87bed9d7fa5007b374f8c4433d1e9697fdc5a004da20a",
+        "n10 m14 text": "59d27362437e5eaa495840b579f7d8a28588fe60e7c4a34415176acddc4e214e",
+        "n10 m20 text": "041275c936f49e992710a7974e3a44bd3b241a1ac6c9de582687532026f770e9",
+        "n10 m27 text": "8988d1724788433ffe73877321b83232ed58f36b91037e42caa333b4a08b84a3",
+        "n11 m22 text": "38fd4b4deeba0314b2bd34c2b6fc77e80256add8d4e1b1bac1c355a6768c0a2c",
     }
 
 

@@ -11,6 +11,21 @@ import pytest
 ROOT = Path(__file__).resolve().parent.parent
 
 
+#: Demos whose whole stdout is pinned; any change to it must be deliberate.
+#: The switching tour prints the -1 certificate of the all-arc triangle and
+#: the gains it switches to.
+PINNED_STDOUT = {
+    "switching_tour": (
+        "cycle gain: -1\n"
+        "cycle class: NEGATIVE\n"
+        "switching function: {1: '1', 2: '-w\u0304', 3: '-w'}\n"
+        "gain(1,2) after switching: -1\n"
+        "gain(2,3) after switching: -1\n"
+        "gain(3,1) after switching: -1\n"
+        "cycle gain after switching: -1\n"),
+}
+
+
 @pytest.mark.parametrize("name", [
     "energy_tightness",
     "interlacing_walk",
@@ -26,6 +41,8 @@ def test_demo_runs(name):
                           timeout=120)
     assert done.returncode == 0, done.stderr
     assert done.stdout.strip()
+    if name in PINNED_STDOUT:
+        assert done.stdout == PINNED_STDOUT[name]
 
 
 def library_tour():
