@@ -19,13 +19,13 @@ whole render would hold every distinct text of the report at once.  Each
 name's text is made once per render.  A row with fields of its own goes
 through ``json_scalar``'s check, so a numpy float renders as a float and
 a numpy bool raises TypeError in both formats; one without numbers is
-formatted once per render and name.  A suite that keeps its records, and
-``json_checks``, take the same path as a block of one graph.  A render
-writes one graph's text at a time to a StringIO: not one list of every
-line (about 7 MB more at the n <= 4 peak), nor texts of many graphs,
-whose place around the final join decided whether a process running
-campaign after campaign stayed at its resident peak (95.1-95.6 MB in 16
-processes one graph at a time; 99.4-114 MB with 512-graph chunks).
+formatted once per render and name.  ``json_checks`` takes the same path
+as a block of one graph.  A render writes one graph's text at a time to a
+StringIO: not one list of every line (about 7 MB more at the n <= 4 peak),
+nor texts of many graphs, whose place around the final join decided
+whether a process running campaign after campaign stayed at its resident
+peak (95.1-95.6 MB in 16 processes one graph at a time; 99.4-114 MB with
+512-graph chunks).
 The summary is read off the columns on first use and kept; the failing
 records are made when asked for.
 """
@@ -147,17 +147,16 @@ def _runs(results: Iterable[GraphResult]
           ) -> Iterator[tuple[_Block, int, list[GraphResult]]]:
     """(block, first row, results) for each longest run of results whose
     suites are consecutive rows of one block: a campaign's results are one
-    run per suite block, and a suite that keeps its records is a run of
-    its own."""
+    run per suite block."""
     block, first, run = None, 0, []
     for r in results:
-        place, row = r.suite._place()
-        if place is block and row == first + len(run):
+        suite = r.suite
+        if suite.block is block and suite.row == first + len(run):
             run.append(r)
             continue
         if run:
             yield block, first, run
-        block, first, run = place, row, [r]
+        block, first, run = suite.block, suite.row, [r]
     if run:
         yield block, first, run
 

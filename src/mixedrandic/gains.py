@@ -15,9 +15,8 @@ Positivity (every cycle gain 1) and antibalance (every cycle gain
 (-1)**length) are switching facts, decided by tree potentials.
 ``balances`` decides them, with connectivity and bipartiteness, for a
 whole block of graphs from one array traversal of its edge rows;
-``gain_balance`` and ``is_positive`` are its one-graph case.  The dict
-traversal ``_balance`` is kept only for the switching certificates, whose
-keys come in its traversal order.
+``graph_balance`` and ``is_positive`` are its one-graph case, and the
+switching certificates are read off the potentials it labels.
 """
 
 from __future__ import annotations
@@ -148,44 +147,6 @@ def classify_cycle(view: GainView, cycle: tuple[int, ...]) -> CycleClass:
     return _CLASS_BY_EXPONENT[cycle_gain(view, cycle).k]
 
 
-def _balance(view: GainView) -> tuple[dict[int, tuple[int, int]], bool, bool]:
-    """Switching potentials of a gain view and the two verdicts they decide:
-    the certificates' traversal, of which ``balances`` is the array form.
-
-    One traversal of each component of the underlying graph, from its
-    smallest vertex, gives every vertex v an exponent z(v) mod 6 (0 at the
-    root, z(w) = z(v) - k(v, w) along each tree edge v -> w of gain
-    omega**k) and the parity p(v) of its depth.  Switching by omega**z takes
-    every tree edge to gain 1, and switching by omega**(z + 3p) takes every
-    tree edge to gain -1.  Every oriented edge is then checked against both:
-    the graph is positive iff each k(v, w) - z(v) + z(w) is 0 mod 6, and
-    antibalanced iff it is 3 where p(v) = p(w) and 0 where they differ.
-    """
-    adj = view.base.adjacency_sets()
-    gains = view.gains
-    potentials: dict[int, tuple[int, int]] = {}
-    for start in view.base.vertices():
-        if start in potentials:
-            continue
-        potentials[start] = (0, 0)
-        stack = [start]
-        while stack:
-            v = stack.pop()
-            z, p = potentials[v]
-            for w in adj[v]:
-                if w not in potentials:
-                    potentials[w] = ((z - gains[(v, w)].k) % 6, 1 - p)
-                    stack.append(w)
-    positive = antibalanced = True
-    for (v, w), gain in gains.items():
-        zv, pv = potentials[v]
-        zw, pw = potentials[w]
-        rest = (gain.k - zv + zw) % 6
-        positive = positive and rest == 0
-        antibalanced = antibalanced and rest == (3 if pv == pw else 0)
-    return potentials, positive, antibalanced
-
-
 class Balance(NamedTuple):
     """Per graph of an edge table (arrays over the graphs): each vertex's
     label 6 * parity + potential, as ``balances`` assigns it, and the four
@@ -204,16 +165,18 @@ def balances(count: int, n: int, owner: np.ndarray, u: np.ndarray,
     verdicts they decide, from one array traversal of all of them.
 
     Row j is an edge of graph owner[j] between the 0-based vertices u[j]
-    and v[j], of gain omega**k[j] along u -> v (k any integer).  As in
-    _balance, the lowest unlabelled vertex of each graph seeds its
-    component with z = p = 0, and each tree edge x -> w of gain omega**k
-    gives w the potential z(x) - k mod 6 and the other parity; a step
-    labels every vertex that an edge from a labelled one reaches.  The
-    label is one code, 6 * p + z, so that a vertex reached by several
-    tree edges in one step takes all of it from one of them.  Per graph:
-    connected iff one seed; bipartite iff every edge joins parities that
-    differ; positive iff k - z(u) + z(v) is 0 mod 6 on every edge, and
-    antibalanced iff that residue is 3 exactly where the parities agree.
+    and v[j], of gain omega**k[j] along u -> v (k any integer).  The
+    lowest unlabelled vertex of each graph seeds its component with
+    z = p = 0, and each tree edge x -> w of gain omega**k gives w the
+    potential z(x) - k mod 6 and the other parity; a step labels every
+    vertex that an edge from a labelled one reaches.  The label is one
+    code, 6 * p + z, so that a vertex reached by several tree edges in one
+    step takes all of it from one of them.  Switching by omega**z takes
+    every tree edge to gain 1, and by omega**(z + 3p) to gain -1.  Per
+    graph: connected iff one seed; bipartite iff every edge joins
+    parities that differ; positive iff k - z(u) + z(v) is 0 mod 6 on every
+    edge, and antibalanced iff that residue is 3 exactly where the
+    parities agree.
     """
     k = np.asarray(k, dtype=np.int64) % 6
     # every edge in both directions: graph, from, to, potential step
@@ -254,18 +217,9 @@ def graph_balance(g: MixedGraph) -> Balance:
     return balances(1, g.n, np.zeros(len(rows), dtype=np.int64), *rows.T)
 
 
-def gain_balance(g: MixedGraph) -> tuple[bool, bool]:
-    """Whether the mixed graph is positive (every cycle gain 1) and whether
-    it is antibalanced (every cycle gain (-1)**length, i.e. switchable to
-    the constant gain -1), from one integer traversal; a disconnected graph
-    is decided per component."""
-    balance = graph_balance(g)
-    return bool(balance.positive[0]), bool(balance.antibalanced[0])
-
-
 def is_positive(g: MixedGraph) -> bool:
     """True iff every cycle of the mixed graph has gain 1."""
-    return gain_balance(g)[0]
+    return bool(graph_balance(g).positive[0])
 
 
 def apply_switching(view: GainView, zeta: Mapping[int, SixthRoot]) -> GainView:
@@ -288,23 +242,30 @@ def switching_certificate_to_constant(
 ) -> dict[int, SixthRoot] | None:
     """A switching function taking every gain to the constant target, if any.
 
-    target must be 1 or -1.  The certificate is gauged with zeta(1) = 1 and
-    read off the switching potentials of one traversal (see _balance);
-    existence for target 1 means every cycle gain is 1, and for target -1
-    that every cycle gain is (-1)**length.  Requires a connected underlying
-    graph.
+    target must be 1 or -1.  The certificate is read off the labels of
+    ``balances`` on the view's edge rows: zeta(v) = omega**(z + 3p) for
+    target -1 and omega**z for target 1, so zeta(1) = 1.  On a connected
+    graph that switching function is the only one with zeta(1) = 1.
+    Existence for target 1 means every cycle gain is 1, and for target -1
+    that every cycle gain is (-1)**length.  The keys come in ascending
+    vertex order.  Requires a connected underlying graph.
     """
     if target in (1, -1):
         target = ONE if target == 1 else MINUS_ONE
     if not isinstance(target, SixthRoot) or target.k not in (0, 3):
         raise ValueError("target gain must be 1 or -1")
-    if not view.base.is_connected():
+    rows = np.array([(i - 1, j - 1, gain.k)
+                     for (i, j), gain in view.gains.items() if i < j],
+                    dtype=np.int64).reshape(-1, 3)
+    balance = balances(1, view.base.n, np.zeros(len(rows), dtype=np.int64),
+                       *rows.T)
+    if not balance.connected[0]:
         raise ValueError("switching certificates require a connected graph")
-    potentials, positive, antibalanced = _balance(view)
-    if not (antibalanced if target.k else positive):
+    if not (balance.antibalanced if target.k else balance.positive)[0]:
         return None
     shift = 3 if target.k else 0
-    return {v: SixthRoot(z + shift * p) for v, (z, p) in potentials.items()}
+    return {v: SixthRoot(label % 6 + shift * (label // 6))
+            for v, label in enumerate(balance.labels[0].tolist(), start=1)}
 
 
 def are_switching_equivalent(v1: GainView, v2: GainView) -> bool:

@@ -6,7 +6,7 @@ Four matrices are built from a mixed graph X with underlying degrees d_i:
   i -> j and conj(omega) for j -> i (omega a primitive sixth root of unity)
 - ``randic_matrix``: the degree-normalized form with entries h_ij/sqrt(d_i d_j);
   ``randic_matrices`` stacks it with the matrices of edge-deleted copies
-- ``laplacian`` D - H and its normalized companion I - R
+- ``laplacian`` D - H, whose normalized form D^-1/2 (D - H) D^-1/2 is I - R
 - ``incidence_matrix`` S with I - (D^-1/2 S)(D^-1/2 S)* equal to the Randic
   matrix, giving an independent route to it
 
@@ -164,11 +164,6 @@ def laplacian(g: MixedGraph) -> np.ndarray:
     return laplacians(*edge_table([g]))[0]
 
 
-def normalized_laplacian(g: MixedGraph) -> np.ndarray:
-    """D^-1/2 (D - H) D^-1/2, which equals I minus the Randic matrix."""
-    return np.eye(g.n, dtype=complex) - randic_matrix(g)
-
-
 def incidence_matrices(degrees: np.ndarray,
                        edges: tuple[np.ndarray, ...]) -> np.ndarray:
     """Vertex-by-edge incidence matrices S of an edge_table, as one
@@ -219,21 +214,3 @@ def randic_via_incidence(g: MixedGraph) -> np.ndarray:
     one-graph case of randic_via_incidences (raises on an isolated vertex)."""
     _require_positive_degrees(g.degrees())
     return randic_via_incidences(*edge_table([g]))[0]
-
-
-def quadratic_form(g: MixedGraph, y: np.ndarray) -> float:
-    """y* H y evaluated as an edge sum.
-
-    For each underlying edge (i < j) the term is
-    ``|y_i + h_ij y_j|**2 - (|y_i|**2 + |y_j|**2)``; the total is real and
-    equals the sesquilinear form against the Hermitian adjacency matrix.
-    """
-    y = np.asarray(y, dtype=complex)
-    if y.shape != (g.n,):
-        raise ValueError(f"vector length {y.shape} does not match n = {g.n}")
-    h = hermitian_adjacency(g)
-    total = 0.0
-    for i, j in g.underlying_pairs():
-        yi, yj = y[i - 1], y[j - 1]
-        total += abs(yi + h[i - 1, j - 1] * yj) ** 2 - (abs(yi) ** 2 + abs(yj) ** 2)
-    return total

@@ -121,15 +121,8 @@ class Spectrum:
         """Product of the eigenvalues."""
         return float(determinants(self.eigenvalues))
 
-    @property
-    def is_singular(self) -> bool:
-        return self.sigma <= TOL_ZERO
-
     def multiplicity(self, value: float, tol: float = 1e-8) -> int:
         return int(multiplicities(self.eigenvalues, value, tol))
-
-    def contains(self, value: float, tol: float = 1e-8) -> bool:
-        return self.multiplicity(value, tol) > 0
 
 
 def eigenvalue_rows(stack: np.ndarray) -> np.ndarray:

@@ -17,17 +17,16 @@ formula and every tolerance comparison exists once.  ``run_theorem_suites``
 runs the whole suite that way and ``run_theorem_suite`` is its one-graph
 case.  The structural verdicts of a block (connected, bipartite, positive,
 antibalanced) come from one traversal of its edge rows, ``gains.balances``;
-the ``check_*`` functions take positivity and antibalance from its
-one-graph case, ``gain_balance``.
+the ``check_*`` functions take them from its one-graph case,
+``graph_balance``.
 
 A block's results are columns, one per check: its name or names, float64
 lhs, rhs and slack arrays and an ok array, with the rows that need fields
 of their own (the skips, the flags with a reason, the degenerate bounds)
 beside them as tuples.  No ``CheckRecord`` is made until one is read.  A
-suite of ``run_theorem_suites`` is one row of its block and makes its
-records and spectrum anew on each read; the campaign counts and renders
-straight from the columns.  The one-graph functions return the records of
-their population of one.
+suite is one row of its block and makes its records and spectrum anew on
+each read; the campaign counts and renders straight from the columns.  The
+one-graph functions return the records of their population of one.
 
 The checks named ``*_iff_*`` assert equivalences between a spectral fact and
 a combinatorial certificate; ``minus_one_vs_positive_bipartite`` is the one
@@ -46,7 +45,7 @@ from typing import Iterable, NamedTuple, Sequence
 import numpy as np
 
 from .enumeration import elementary_weight_numerator_rows
-from .gains import balances, gain_balance, is_positive
+from .gains import Balance, balances, graph_balance
 from .graphs import (
     EdgeRecord,
     MixedGraph,
@@ -184,15 +183,12 @@ def _skipped(name: str, rows: int, reason: str) -> _Column:
                    dict.fromkeys(range(rows), _skip(reason)))
 
 
-def _records(columns: Sequence[_Column], row: int) -> tuple[CheckRecord, ...]:
-    """Row ``row`` of columns with one row per graph, as records."""
-    return tuple(rec for column in columns
-                 for rec in column.records(row, row + 1))
-
-
-def _require_connected(g: MixedGraph) -> None:
-    if not g.is_connected():
+def _connected_balance(g: MixedGraph) -> Balance:
+    """graph_balance(g), or ValueError if g is not connected."""
+    balance = graph_balance(g)
+    if not balance.connected[0]:
         raise ValueError("graph is not connected")
+    return balance
 
 
 def _largest_entries(stack: np.ndarray) -> np.ndarray:
@@ -280,9 +276,10 @@ def check_eigenvalue_one(g: MixedGraph,
     For connected graphs the three answers are tied together: eigenvalue 1
     occurs exactly on positive graphs and is then simple.
     """
-    _require_connected(g)
+    balance = _connected_balance(g)
     s = randic_spectrum(g) if spectrum is None else spectrum
-    return _eigenvalue_one(s.multiplicity(1.0, TOL_EIG), is_positive(g))
+    return _eigenvalue_one(s.multiplicity(1.0, TOL_EIG),
+                           bool(balance.positive[0]))
 
 
 def _eigenvalue_one(multiplicity: int, positive: bool) -> EigenvalueOneCheck:
@@ -299,9 +296,10 @@ class SymmetryCheck:
 def check_spectral_symmetry(g: MixedGraph,
                             spectrum: Spectrum | None = None) -> SymmetryCheck:
     """Is the spectrum symmetric about 0, and is the underlying graph bipartite."""
-    _require_connected(g)
+    balance = _connected_balance(g)
     s = randic_spectrum(g) if spectrum is None else spectrum
-    return _symmetry(float(_asymmetry(s.eigenvalues)), g.is_bipartite())
+    return _symmetry(float(_asymmetry(s.eigenvalues)),
+                     bool(balance.bipartite[0]))
 
 
 def _symmetry(max_asymmetry: float, bipartite: bool) -> SymmetryCheck:
@@ -323,10 +321,11 @@ def check_minus_one(g: MixedGraph,
     package asserts; positive-and-bipartite is reported alongside because it
     agrees on fully un-oriented graphs but not on all mixed ones.
     """
-    _require_connected(g)
+    balance = _connected_balance(g)
     s = randic_spectrum(g) if spectrum is None else spectrum
-    return _minus_one(s.multiplicity(-1.0, TOL_EIG), *gain_balance(g),
-                      g.is_bipartite())
+    return _minus_one(s.multiplicity(-1.0, TOL_EIG),
+                      bool(balance.positive[0]), bool(balance.antibalanced[0]),
+                      bool(balance.bipartite[0]))
 
 
 def _minus_one(multiplicity: int, positive: bool, antibalanced: bool,
@@ -347,11 +346,11 @@ def check_spectrum_equals_underlying(
     """Does the spectrum coincide with the all-un-oriented version's
     spectrum, and is the graph switching-equivalent to that version (every
     cycle gain 1)."""
-    _require_connected(g)
+    balance = _connected_balance(g)
     s = randic_spectrum(g) if spectrum is None else spectrum
     plain = randic_spectrum(g.underlying_graph())
     return _underlying(float(_distance(s.eigenvalues, plain.eigenvalues)),
-                       is_positive(g))
+                       bool(balance.positive[0]))
 
 
 def _underlying(max_difference: float, positive: bool) -> UnderlyingSpectrumCheck:
@@ -419,7 +418,8 @@ def entry_sum_bounds(g: MixedGraph,
     lower, order, upper, _ = columns
     return EntrySumBounds(float(total[0]), float(lower.rhs[0]),
                           float(order.rhs[0]), float(lower.lhs[0]),
-                          float(upper.rhs[0]), _records(columns, 0))
+                          float(upper.rhs[0]),
+                          _Block(None, columns).records(0))
 
 
 def _smallest_eigenvalue_column(n: int, r_inv: np.ndarray,
@@ -465,10 +465,6 @@ class BoundsReport:
             if r.name == name:
                 return r
         raise KeyError(name)
-
-    @property
-    def all_satisfied(self) -> bool:
-        return all(r.satisfied for r in self.records if not r.skipped)
 
 
 def _energy_columns(n: int, r_inv: np.ndarray,
@@ -542,7 +538,8 @@ def _energy_columns(n: int, r_inv: np.ndarray,
 def require_energy_domain(g: MixedGraph) -> None:
     """Raise ValueError unless the energy bounds apply to g: a connected
     graph on at least two vertices."""
-    _require_connected(g)
+    if not g.is_connected():
+        raise ValueError("graph is not connected")
     if g.n < 2:
         raise ValueError("energy bounds need at least two vertices")
 
@@ -566,11 +563,12 @@ def energy_bounds_report(g: MixedGraph,
     s = randic_spectrum(g) if spectrum is None else spectrum
     vals = s.eigenvalues[np.newaxis]
     r_inv = randic_inverse(g)
+    columns = _energy_columns(g.n, np.array([r_inv]), vals)
     return BoundsReport(
         g.n, g.m, r_inv, float(determinants(vals)[0]),
         float(spectral_radii(vals)[0]), float(min_moduli(vals)[0]),
         int(negative_counts(vals)[0]), float(energies(vals)[0]),
-        _records(_energy_columns(g.n, np.array([r_inv]), vals), 0))
+        _Block(None, columns).records(0))
 
 
 class _Block(NamedTuple):
@@ -597,51 +595,23 @@ def _records_block(records: Sequence[CheckRecord]) -> _Block:
 
 
 class TheoremSuite:
-    """All per-graph verdicts, in a fixed order for stable reports.
+    """All per-graph verdicts, in a fixed order for stable reports: row
+    ``row`` of a suite block, whose spectrum and records are made anew on
+    each read and not kept.  The campaign reads the block's columns
+    directly."""
 
-    ``TheoremSuite(graph, spectrum, records)`` keeps the records it is
-    given.  A suite of run_theorem_suites is a row of its block instead:
-    its spectrum and records are made anew on each read and not kept.
-    The campaign reads the block's columns directly (``_place``); a suite
-    that keeps its records makes a block of one graph from them when it is
-    first read that way.
-    """
+    __slots__ = ("graph", "block", "row")
 
-    __slots__ = ("graph", "_spectrum", "_records", "_block", "_row")
-
-    def __init__(self, graph: MixedGraph, spectrum: Spectrum,
-                 records: Iterable[CheckRecord]) -> None:
-        self.graph = graph
-        self._spectrum = spectrum
-        self._records = tuple(records)
-        self._block = None
-        self._row = 0
-
-    @classmethod
-    def _of_block(cls, graph: MixedGraph, block: _Block,
-                  row: int) -> TheoremSuite:
-        suite = cls.__new__(cls)
-        suite.graph, suite._block, suite._row = graph, block, row
-        suite._spectrum = suite._records = None
-        return suite
-
-    def _place(self) -> tuple[_Block, int]:
-        """The block holding this suite's results, and its row there."""
-        if self._block is None:
-            self._block = _records_block(self._records)
-        return self._block, self._row
+    def __init__(self, graph: MixedGraph, block: _Block, row: int) -> None:
+        self.graph, self.block, self.row = graph, block, row
 
     @property
     def spectrum(self) -> Spectrum:
-        if self._spectrum is not None:
-            return self._spectrum
-        return Spectrum.from_sorted(self._block.eigenvalues[self._row])
+        return Spectrum.from_sorted(self.block.eigenvalues[self.row])
 
     @property
     def records(self) -> tuple[CheckRecord, ...]:
-        if self._records is not None:
-            return self._records
-        return self._block.records(self._row)
+        return self.block.records(self.row)
 
     @property
     def failures(self) -> tuple[CheckRecord, ...]:
@@ -854,14 +824,12 @@ def run_theorem_suites(graphs: Iterable[MixedGraph],
             done = _order_block([graphs[i] for i in block],
                                 include_interlacing)
             for row, i in enumerate(block):
-                suites[i] = TheoremSuite._of_block(graphs[i], done, row)
+                suites[i] = TheoremSuite(graphs[i], done, row)
     return suites
 
 
 def run_theorem_suite(g: MixedGraph,
                       include_interlacing: bool = True) -> TheoremSuite:
     """Evaluate every checker on one connected graph with all degrees >= 1:
-    the one-graph case of run_theorem_suites, with its records made once
-    and kept."""
-    suite = run_theorem_suites([g], include_interlacing)[0]
-    return TheoremSuite(g, suite.spectrum, suite.records)
+    the one-graph case of run_theorem_suites."""
+    return run_theorem_suites([g], include_interlacing)[0]

@@ -7,8 +7,7 @@ import random
 import numpy as np
 import pytest
 
-from mixedrandic import (ParseError, directed_cycle, path_graph, population,
-                         randic_spectrum)
+from mixedrandic import ParseError, directed_cycle, path_graph, population
 from mixedrandic.campaign import (
     CampaignConfig,
     CampaignResult,
@@ -196,7 +195,7 @@ def test_numpy_inputs_give_report_scalars():
                   rec.reason):
         json_scalar(value)
     g = directed_cycle(3)
-    suite = TheoremSuite(g, randic_spectrum(g), (rec,))
+    suite = TheoremSuite(g, theorems._records_block((rec,)), 0)
     result = CampaignResult(CampaignConfig(n_min=3, n_max=3),
                             (GraphResult(0, g, suite),))
     doc = json.loads(render_json(result))
@@ -211,7 +210,7 @@ def test_numpy_inputs_give_report_scalars():
             == '{"probe": {"lhs": 0.25, "rhs": 0.5, "slack": 0.25, '
                '"satisfied": true, "skipped": false, "reason": ""}}')
     bad = CheckRecord("probe", np.True_)
-    suite = TheoremSuite(g, randic_spectrum(g), (bad,))
+    suite = TheoremSuite(g, theorems._records_block((bad,)), 0)
     result = CampaignResult(CampaignConfig(n_min=3, n_max=3),
                             (GraphResult(0, g, suite),))
     for render in (render_csv, render_json):
@@ -246,7 +245,8 @@ def _awkward_result() -> CampaignResult:
     graphs = (directed_cycle(3), path_graph(2))
     return CampaignResult(
         CampaignConfig(n_min=2, n_max=3, sample_limit=2, seed=7),
-        tuple(GraphResult(i, g, TheoremSuite(g, randic_spectrum(g), records))
+        tuple(GraphResult(i, g,
+                          TheoremSuite(g, theorems._records_block(records), 0))
               for i, (g, records) in enumerate(zip(graphs, (first, second)))))
 
 
@@ -355,7 +355,7 @@ def awkward_floats_result():
         ])
         graphs = (directed_cycle(3), path_graph(2), path_graph(3),
                   directed_cycle(3), path_graph(2), path_graph(4))
-        results += [(g, TheoremSuite._of_block(g, block, i))
+        results += [(g, TheoremSuite(g, block, i))
                     for i, g in enumerate(graphs)]
     return CampaignResult(CampaignConfig(), tuple(
         GraphResult(i, g, suite) for i, (g, suite) in enumerate(results)))
@@ -386,7 +386,7 @@ def test_every_float_renders_as_its_own_text():
     # the records' own path renders the same bytes
     own = CampaignResult(result.config, tuple(
         GraphResult(r.index, r.graph, TheoremSuite(
-            r.graph, randic_spectrum(r.graph), r.suite.records))
+            r.graph, theorems._records_block(r.suite.records), 0))
         for r in result.results))
     for render in (render_csv, render_json, summary_text):
         assert render(result) == render(own)
@@ -399,7 +399,8 @@ def test_bare_carriage_return_is_quoted():
     g = path_graph(2)
     result = CampaignResult(
         CampaignConfig(n_min=2, n_max=2),
-        (GraphResult(0, g, TheoremSuite(g, randic_spectrum(g), records)),))
+        (GraphResult(0, g,
+                     TheoremSuite(g, theorems._records_block(records), 0)),))
     text = render_csv(result)
     assert text.endswith('0,2,1--2,plain,,,,true,false,"a\rb"\n'
                          '0,2,1--2,"x\ry",0.5,1,0.5,true,false,\n')
@@ -517,15 +518,17 @@ def shuffled(result, seed):
 
 
 def kept(result):
-    """The result with each suite replaced by one that keeps its records."""
+    """The result with each suite replaced by a block of one graph made
+    from its records."""
     return CampaignResult(result.config, tuple(
         GraphResult(r.index, r.graph,
-                    TheoremSuite(r.graph, r.suite.spectrum, r.suite.records))
+                    TheoremSuite(r.graph,
+                                 theorems._records_block(r.suite.records), 0))
         for r in result.results))
 
 
 def repeated_names_result():
-    """Kept records where a name repeats within a graph, so the last
+    """Records where a name repeats within a graph, so the last
     divergence record of a graph decides, and nan and -0.0 slacks."""
     nan = float("nan")
     note = "minus_one_vs_positive_bipartite"
@@ -538,7 +541,7 @@ def repeated_names_result():
          CheckRecord("probe:x", True, lhs=0.0, rhs=-0.0, slack=-0.0)),
     )
     return CampaignResult(CampaignConfig(), tuple(
-        GraphResult(i, g, TheoremSuite(g, randic_spectrum(g), recs))
+        GraphResult(i, g, TheoremSuite(g, theorems._records_block(recs), 0))
         for i, (g, recs) in enumerate(zip(graphs, records))))
 
 
@@ -551,7 +554,7 @@ def nan_columns_result():
     ])
     graphs = (directed_cycle(3), path_graph(2))
     return CampaignResult(CampaignConfig(), tuple(
-        GraphResult(i, g, TheoremSuite._of_block(g, block, i))
+        GraphResult(i, g, TheoremSuite(g, block, i))
         for i, g in enumerate(graphs)))
 
 
@@ -581,7 +584,7 @@ def test_campaign_tallies_equal_a_record_walk(make):
 
 def test_renders_read_the_columns_as_records_would_print():
     # block-backed suites in and out of block order render the same bytes
-    # as suites that keep the same records
+    # as one-graph blocks made from the same records
     result = run_campaign(CampaignConfig(n_min=3, n_max=5, sample_limit=200))
     for case in (result, shuffled(result, 5)):
         for render in (render_csv, render_json, summary_text):

@@ -1,5 +1,4 @@
 import math
-import random
 
 import numpy as np
 import pytest
@@ -12,7 +11,6 @@ from mixedrandic import (
     hermitian_adjacency,
     incidence_matrix,
     laplacian,
-    normalized_laplacian,
     parse_graph,
     path_graph,
     population,
@@ -27,7 +25,6 @@ from mixedrandic.matrices import (
     incidence_matrices,
     is_hermitian,
     laplacians,
-    quadratic_form,
     randic_matrices,
     randic_stack,
     randic_via_incidences,
@@ -245,15 +242,12 @@ def test_everything_is_hermitian():
         assert is_hermitian(hermitian_adjacency(g))
         assert is_hermitian(randic_matrix(g))
         assert is_hermitian(laplacian(g))
-        assert is_hermitian(normalized_laplacian(g))
 
 
 def test_isolated_vertex_is_rejected_by_normalized_forms():
     g = parse_graph("mixedgraph v1\nvertices 3\n1 -- 2")
     with pytest.raises(ValueError):
         randic_matrix(g)
-    with pytest.raises(ValueError):
-        normalized_laplacian(g)
     with pytest.raises(ValueError, match="vertex 3 is isolated"):
         randic_via_incidence(g)
     # the unnormalized laplacian is still fine
@@ -267,13 +261,6 @@ def test_laplacian_entries():
     np.testing.assert_allclose(
         laplacian(MixedGraph.build(2, arcs=[(1, 2)])), np.array([[1, -w], [-wbar, 1]])
     )
-
-
-def test_normalized_laplacian_complements_randic():
-    for g in population(3) + population(4)[:60]:
-        lhs = normalized_laplacian(g)
-        rhs = np.eye(g.n) - randic_matrix(g)
-        assert np.max(np.abs(lhs - rhs)) <= 1e-14
 
 
 def test_incidence_column_structure():
@@ -295,12 +282,3 @@ def test_incidence_factorization_small():
     for g in population(3):
         assert np.max(np.abs(randic_via_incidence(g) - randic_matrix(g))) <= 1e-12
 
-
-def test_quadratic_form_matches_matrix_product():
-    rng = random.Random(3)
-    for g in (path_graph(3), cycle_graph(4), directed_cycle(3)):
-        h = hermitian_adjacency(g)
-        for _ in range(5):
-            y = np.array([complex(rng.gauss(0, 1), rng.gauss(0, 1)) for _ in range(g.n)])
-            direct = (y.conj() @ h @ y).real
-            assert abs(quadratic_form(g, y) - direct) < 1e-12

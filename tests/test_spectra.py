@@ -46,16 +46,12 @@ def test_spectrum_of_triangle():
     assert abs(s.sigma - 0.5) < 1e-12
     assert s.negative_count == 2
     assert abs(s.determinant - 0.25) < 1e-12
-    assert not s.is_singular
     assert s.multiplicity(-0.5) == 2
-    assert s.contains(1.0)
-    assert not s.contains(0.3)
 
 
 def test_spectrum_of_path3():
     s = randic_spectrum(path_graph(3))
     np.testing.assert_allclose(s.eigenvalues, [-1.0, 0.0, 1.0], atol=1e-12)
-    assert s.is_singular
     assert s.sigma < 1e-12
     assert s.negative_count == 1
 
@@ -125,7 +121,6 @@ def test_row_reductions_match_single_spectra(graphs_with_deletions):
                 assert rows_of(rows)[i].tobytes() == np.float64(value).tobytes()
             assert type(one.negative_count) is int
             assert negative_counts(rows)[i] == one.negative_count
-            assert type(one.is_singular) is bool
             for value in (1.0, -1.0):
                 assert type(one.multiplicity(value)) is int
                 assert multiplicities(rows, value)[i] == one.multiplicity(value)
