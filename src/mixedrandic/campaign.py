@@ -456,12 +456,16 @@ def _block_rows(block: _Block, first: int, stop: int, style: _Style,
 
 
 def _result_rows(results: tuple[GraphResult, ...], style: _Style
-                 ) -> Iterator[tuple[GraphResult, list[str]]]:
-    """Each result with its record texts, a run of one block at a time."""
-    heads, shared = _Heads(style), {}
+                 ) -> Iterator[tuple[GraphResult, str, list[str]]]:
+    """Each result with its edge_list_label and its record texts, a run of
+    one block at a time.  Generated graphs share their edge records, and
+    each distinct record is labelled once."""
+    heads, shared, labels = _Heads(style), {}, {}
     for block, first, run in _runs(results):
-        yield from zip(run, _block_rows(block, first, first + len(run),
-                                        style, heads, shared))
+        for r, rows in zip(run, _block_rows(block, first, first + len(run),
+                                            style, heads, shared)):
+            yield r, " ".join([labels.get(id(e)) or labels.setdefault(
+                id(e), edge_label(e)) for e in r.graph.edges]), rows
 
 
 def json_checks(records) -> str:
@@ -489,11 +493,10 @@ def _config_items(config: CampaignConfig) -> list[tuple[str, str]]:
 def _json_graphs(results: tuple[GraphResult, ...]) -> Iterator[str]:
     """The entries of the report's "graphs" list, one line per graph."""
     last = len(results) - 1
-    for i, (r, rows) in enumerate(_result_rows(results, _JSON)):
+    for i, (r, label, rows) in enumerate(_result_rows(results, _JSON)):
         end = ",\n" if i < last else "\n"
-        yield (f'{{"index": {json_scalar(r.index)}, '
-               f'"n": {json_scalar(r.graph.n)}, '
-               f'"edges": {json_scalar(edge_list_label(r.graph))}, '
+        yield (f'{{"index": {r.index}, "n": {r.graph.n}, '
+               f'"edges": {json_scalar(label)}, '
                f'"checks": {{{", ".join(rows)}}}}}{end}')
 
 
@@ -543,11 +546,10 @@ _JSON = _style(json.dumps, json_scalar, tuple(
 
 def _csv_rows(results: tuple[GraphResult, ...]) -> Iterator[str]:
     """The report's rows after the header, one string per graph."""
-    for r, rows in _result_rows(results, _CSV):
+    for r, label, rows in _result_rows(results, _CSV):
         if not rows:
             continue
-        prefix = (f"{_csv_cell(r.index)},{_csv_cell(r.graph.n)},"
-                  f"{_csv_cell(edge_list_label(r.graph))},")
+        prefix = f"{r.index},{r.graph.n},{_csv_cell(label)},"
         yield prefix + prefix.join(rows)
 
 

@@ -25,7 +25,7 @@ from collections import deque
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Iterable
 
 
 class ParseError(ValueError):
@@ -211,17 +211,6 @@ class MixedGraph:
     def is_bipartite(self) -> bool:
         """True iff the underlying graph has no odd cycle."""
         return self.two_coloring() is not None
-
-
-def group_by_underlying(graphs: Sequence[MixedGraph]) -> list[list[int]]:
-    """Indices of the graphs grouped by underlying graph: the same order and
-    the same pairs in the same edge order.  Groups come in order of their
-    first member; facts of the underlying graph (degrees, connectivity,
-    cycles, bipartiteness) are the same across a group."""
-    groups: dict[tuple, list[int]] = {}
-    for i, g in enumerate(graphs):
-        groups.setdefault((g.n, tuple(g.underlying_pairs())), []).append(i)
-    return list(groups.values())
 
 
 def general_randic_index(g: MixedGraph, k: int) -> Fraction:

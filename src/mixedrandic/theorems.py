@@ -18,7 +18,8 @@ runs the whole suite that way and ``run_theorem_suite`` is its one-graph
 case.  The structural verdicts of a block (connected, bipartite, positive,
 antibalanced) come from one traversal of its edge rows, ``gains.balances``;
 the ``check_*`` functions take them from its one-graph case,
-``graph_balance``.
+``graph_balance``.  A matrix is keyed by its vertex pairs' states, and
+one call solves each key once per order.
 
 A block's results are columns, one per check: its name or names, float64
 lhs, rhs and slack arrays and an ok array, with the rows that need fields
@@ -51,7 +52,6 @@ from .graphs import (
     MixedGraph,
     edge_label,
     general_randic_index,
-    group_by_underlying,
 )
 from .matrices import (
     edge_table,
@@ -676,47 +676,72 @@ def _structural_columns(one: EigenvalueOneCheck, sym: SymmetryCheck,
     ]
 
 
-def _order_block(graphs: Sequence[MixedGraph],
-                 include_interlacing: bool) -> _Block:
+@functools.cache
+def _pair_codes(n: int) -> tuple[np.ndarray, np.ndarray, np.dtype]:
+    """Per vertex pair of order n, the int64 word of a pair-state key that
+    holds its state and its unit 4**k there ((n, n) tables: 31 pairs to a
+    word), and the dtype of a key as one scalar (raw bytes above one word)."""
+    a, b = np.triu_indices(n, 1)
+    pair = np.zeros((n, n), dtype=np.int64)
+    pair[a, b] = pair[b, a] = np.arange(len(a))
+    key = "i8" if len(a) <= 31 else f"V{8 * -(-len(a) // 31)}"
+    return pair // 31, 4 ** (pair % 31), np.dtype(key)
+
+
+def _order_block(graphs: Sequence[MixedGraph], include_interlacing: bool,
+                 solved: dict[int, tuple[np.ndarray, np.ndarray]]) -> _Block:
     """The suite on graphs of one order, each connected with every degree
     >= 1 (else ValueError), from one edge_table: one balance traversal,
     one stacked build and solve, the residuals and bounds as array
-    reductions over the graphs, the exact charpoly numerators, and the
-    facts of each underlying graph (its spectrum among them) once per
-    group of graphs sharing it."""
-    n = graphs[0].n
+    reductions over the graphs, the exact charpoly numerators, and r_inv
+    once per underlying graph.
+
+    A matrix is keyed by its pair states (0 absent, 1 un-oriented, 2 or 3
+    an arc from the smaller or the larger end), which fix its entries
+    1/sqrt(d_a d_b) times a gain.  ``solved[n]`` holds the sorted keys
+    solved before at order n and their rows, and takes the block's in.
+    R(g) is always solved; R of an underlying graph or of g - e only
+    under a new key."""
+    n, count = graphs[0].n, len(graphs)
     degrees, edges = edge_table(graphs)
     owner, u, v, arc = edges
-    balance = balances(len(graphs), n, owner, u, v, arc)
+    balance = balances(count, n, owner, u, v, arc)
     if not balance.connected.all():
         raise ValueError("graph is not connected")
     if not degrees.all():
         raise ValueError("isolated vertex: the normalized matrix is undefined")
-    r_inv = np.empty(len(graphs))
-    group_of = np.empty(len(graphs), dtype=np.intp)
-    first_member = np.zeros(len(graphs), dtype=bool)
-    groups = group_by_underlying(graphs)
-    for k, members in enumerate(groups):
-        r_inv[members] = randic_inverse(graphs[members[0]])
-        group_of[members] = k
-        first_member[members[0]] = True
-    # R(g), R(g - e) for every edge whose removal isolates no vertex, and R
-    # of group k's underlying graph: its first member's rows un-oriented,
-    # smaller end first, as graph len(graphs) + k (groups come in order of
-    # their first members, so the table stays ordered by graph)
     removable = ((degrees[owner, u] > 1) & (degrees[owner, v] > 1)
                  & include_interlacing)
     cuts = np.flatnonzero(removable)
-    plain = first_member[owner]
-    stacked = (np.concatenate((degrees, degrees[first_member])), (
-        np.concatenate((owner, len(graphs) + group_of[owner[plain]])),
+    # the keys of R(g), of R of g's underlying graph and of R(g - e) for
+    # each edge whose removal isolates no vertex: a code per row, summed
+    word, unit, dtype = _pair_codes(n)
+    word, unit = word[u, v], unit[u, v]
+    code = unit * (1 + arc + (arc & (u > v)))
+    keys = np.zeros((2 * count + len(cuts), dtype.itemsize // 8), dtype=np.int64)
+    np.add.at(keys, (np.concatenate((owner, owner + count)), np.tile(word, 2)),
+              np.concatenate((code, unit)))
+    keys[2 * count:] = keys[owner[cuts]]
+    keys[2 * count + np.arange(len(cuts)), word[cuts]] -= code[cuts]
+    known, known_rows = solved.get(n) or (np.empty(0, dtype), np.empty((0, n)))
+    held = len(known) + count
+    distinct, first, inverse = np.unique(
+        np.concatenate((known, keys.view(dtype)[:, 0])),
+        return_index=True, return_inverse=True)
+    new = np.sort(first[first >= held]) - held
+    fresh, new_cuts = new[new < count], cuts[new[new >= count] - count]
+    # the k-th new underlying graph is its graph's rows un-oriented,
+    # smaller end first, as graph count + k
+    plain = np.zeros(count, dtype=bool)
+    plain[fresh] = True
+    plain = plain[owner]
+    stacked = (np.concatenate((degrees, degrees[fresh])), (
+        np.concatenate((owner, count + np.searchsorted(fresh, owner[plain]))),
         np.concatenate((u, np.minimum(u, v)[plain])),
         np.concatenate((v, np.maximum(u, v)[plain])),
         np.concatenate((arc, np.zeros(plain.sum(), dtype=bool)))))
-    graph_of = np.concatenate((np.arange(len(graphs)), owner[cuts],
-                               len(graphs) + np.arange(len(groups))))
-    cut_of = np.concatenate((np.full(len(graphs), -1), cuts,
-                             np.full(len(groups), -1)))
+    graph_of = np.concatenate((np.arange(count + len(fresh)), owner[new_cuts]))
+    cut_of = np.concatenate((np.full(count + len(fresh), -1), new_cuts))
     numerators = None
     if n <= DEFAULT_COMBINATORIAL_CAP:
         numerators = elementary_weight_numerator_rows(degrees, edges)
@@ -724,9 +749,14 @@ def _order_block(graphs: Sequence[MixedGraph],
     # the solve is a block's peak of memory, which the table need not raise
     del stacked, graph_of, cut_of
     rows = eigenvalue_rows(stack)
-    vals, deletions, plain_vals = np.split(
-        rows, [len(graphs), len(graphs) + len(cuts)])
-    mats = stack[:len(graphs)]
+    vals, mats = rows[:count], stack[:count]
+    rows = np.concatenate((known_rows, rows))[
+        np.where(first < held, first, held + np.searchsorted(new, first - held))]
+    solved[n] = distinct, rows
+    group, deletions = inverse[held:held + count], rows[inverse[held + count:]]
+    inverses: dict[int, float] = {}
+    r_inv = np.array([inverses.get(k) or inverses.setdefault(k, randic_inverse(g))
+                      for k, g in zip(group.tolist(), graphs)])
 
     columns = [
         _inequality("unit_interval", spectral_radii(vals), 1.0),
@@ -785,7 +815,7 @@ def _order_block(graphs: Sequence[MixedGraph],
         _symmetry(_asymmetry(vals), balance.bipartite),
         _minus_one(multiplicities(vals, -1.0, TOL_EIG), positive,
                    balance.antibalanced, balance.bipartite),
-        _underlying(_distance(vals, plain_vals[group_of]), positive))
+        _underlying(_distance(vals, rows[group]), positive))
     columns += _entry_sum_columns(n, entry_sums(degrees, edges), vals)
     columns.append(_smallest_eigenvalue_column(n, r_inv, vals))
     columns += _energy_columns(n, r_inv, vals)
@@ -800,17 +830,17 @@ def run_theorem_suites(graphs: Iterable[MixedGraph],
 
     The graphs are taken one order at a time, in blocks of at most
     SUITE_BLOCK graphs, and each block is read once into one edge_table.
-    From it come one stack of R(g), R(g - e) for every edge whose removal
-    isolates no vertex and R of each underlying graph, solved by one
-    eigvalsh call; the exact characteristic polynomials, from one
-    path-counting programme and one cover-sum pass; and the entry sums.
-    The residuals and bounds are row reductions over the block's
-    eigenvalue array, kept as one column per check: no record is built
-    until one is read.  Connectivity, bipartiteness, positivity and
+    From it come one stack, solved by one eigvalsh call, of R(g) for each
+    graph and of each matrix the checks need besides whose pair states
+    were not solved before at that order in this call: R(g - e) for every
+    edge whose removal isolates no vertex, and R of each underlying graph.
+    The exact characteristic polynomials come from one path-counting
+    programme and one cover-sum pass, and r_inv once per underlying graph
+    of a block.  The residuals and bounds are row reductions over the
+    block's eigenvalue array, kept as one column per check: no record is
+    built until one is read.  Connectivity, bipartiteness, positivity and
     antibalance come from one traversal of the block's edge rows
-    (gains.balances).  Each block is grouped by underlying graph once, and
-    r_inv and the underlying spectrum are computed once per underlying
-    graph of a block.
+    (gains.balances).
     Raises ValueError on a disconnected graph or an isolated vertex.
     """
     graphs = list(graphs)
@@ -818,11 +848,12 @@ def run_theorem_suites(graphs: Iterable[MixedGraph],
     for i, g in enumerate(graphs):
         orders.setdefault(g.n, []).append(i)
     suites: list[TheoremSuite] = [None] * len(graphs)  # type: ignore[list-item]
+    solved: dict[int, tuple[np.ndarray, np.ndarray]] = {}
     for members in orders.values():
         for start in range(0, len(members), SUITE_BLOCK):
             block = members[start:start + SUITE_BLOCK]
             done = _order_block([graphs[i] for i in block],
-                                include_interlacing)
+                                include_interlacing, solved)
             for row, i in enumerate(block):
                 suites[i] = TheoremSuite(graphs[i], done, row)
     return suites

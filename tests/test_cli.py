@@ -6,6 +6,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from itertools import combinations
@@ -20,6 +21,40 @@ P4 = "mixedgraph v1\nvertices 4\n1 -- 4\n2 -- 3\n3 -- 4\n"
 SYMMETRIC_NON_BIPARTITE = (
     "mixedgraph v1\nvertices 4\n1 -> 2\n1 -> 3\n2 -- 3\n2 -> 4\n4 -> 1\n"
 )
+
+#: An n = 10 graph with 28 edges whose energy exceeds the exponential
+#: bound exp(sqrt(2 r_inv)).
+EXPONENTIAL_COUNTEREXAMPLE = """mixedgraph v1
+vertices 10
+8 -- 9
+6 -- 8
+8 -> 3
+2 -- 8
+1 -> 8
+5 -> 8
+6 -> 9
+9 -> 10
+4 -> 9
+3 -> 9
+9 -> 2
+9 -> 5
+6 -> 10
+4 -- 6
+6 -> 3
+1 -> 6
+5 -> 6
+10 -> 4
+7 -> 4
+3 -> 7
+7 -> 2
+4 -> 3
+1 -> 4
+2 -> 3
+1 -> 3
+3 -> 5
+2 -> 1
+1 -- 5
+"""
 
 
 @pytest.fixture
@@ -132,6 +167,32 @@ def test_check_reports_failures_with_exit_1(tmp_path, capsys):
     assert main(["check", str(path)]) == 1
     out = capsys.readouterr().out
     assert "FAIL bipartite_iff_symmetric" in out
+
+
+def test_exponential_energy_bound_fails_on_an_order_10_graph(tmp_path, capsys):
+    path = tmp_path / "w.txt"
+    path.write_text(EXPONENTIAL_COUNTEREXAMPLE)
+    energy, bound = 3.8226287268482615, 3.7597529963210627
+    # `bounds` reports and exits 0; `check` exits 1 on any failure
+    for command, code in (("check", 1), ("bounds", 0)):
+        assert main([command, str(path), "--format", "json"]) == code
+        record = json.loads(capsys.readouterr().out)["checks"][
+            "energy_upper_exponential"]
+        assert record["satisfied"] is False and record["skipped"] is False
+        assert (record["lhs"], record["rhs"]) == (energy, bound)
+        assert main([command, str(path)]) == code
+        assert (f"FAIL energy_upper_exponential lhs={energy!r} rhs={bound!r}"
+                in capsys.readouterr().out)
+    # the energy of R built and solved here, apart from the package
+    h = np.zeros((10, 10), dtype=complex)
+    for line in EXPONENTIAL_COUNTEREXAMPLE.splitlines()[2:]:
+        u, kind, v = line.split()
+        u, v = int(u) - 1, int(v) - 1
+        h[u, v] = 1.0 if kind == "--" else np.exp(1j * np.pi / 3)
+        h[v, u] = np.conj(h[u, v])
+    scale = 1.0 / np.sqrt((h != 0).sum(axis=1))
+    eigenvalues = np.linalg.eigvalsh(scale[:, None] * h * scale[None, :])
+    assert abs(np.abs(eigenvalues).sum() - energy) < 1e-12
 
 
 def test_single_graph_json_digests_are_pinned(c3_file, tmp_path, capsys):

@@ -30,8 +30,10 @@ from mixedrandic.enumeration import (
     elementary_weight_numerators,
 )
 from mixedrandic.gains import CycleClass, GainView, classify_cycle, gain_view
-from mixedrandic.graphs import EdgeKind, EdgeRecord, group_by_underlying
+from mixedrandic.graphs import EdgeKind, EdgeRecord
 from mixedrandic.matrices import edge_table
+
+from test_graphs import group_by_underlying
 
 
 # The reference for the elementary-subgraph sums: every elementary subgraph

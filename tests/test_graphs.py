@@ -15,7 +15,17 @@ from mixedrandic import (
     serialize_graph,
     undirected,
 )
-from mixedrandic.graphs import group_by_underlying
+
+
+def group_by_underlying(graphs):
+    """Indices of the graphs grouped by underlying graph: the same order and
+    the same pairs in the same edge order.  Groups come in order of their
+    first member; facts of the underlying graph (degrees, connectivity,
+    cycles, bipartiteness) are the same across a group."""
+    groups = {}
+    for i, g in enumerate(graphs):
+        groups.setdefault((g.n, tuple(g.underlying_pairs())), []).append(i)
+    return list(groups.values())
 
 
 def test_parse_smallest_graph():

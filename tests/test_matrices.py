@@ -18,7 +18,6 @@ from mixedrandic import (
     randic_via_incidence,
 )
 from mixedrandic.gains import OMEGA, W, W_BAR
-from mixedrandic.graphs import group_by_underlying
 from mixedrandic.matrices import (
     edge_table,
     hermitian_adjacencies,
@@ -29,6 +28,8 @@ from mixedrandic.matrices import (
     randic_stack,
     randic_via_incidences,
 )
+
+from test_graphs import group_by_underlying
 
 w = W.value
 wbar = W_BAR.value

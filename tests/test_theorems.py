@@ -26,7 +26,6 @@ from mixedrandic import (
     smallest_eigenvalue_bound,
 )
 from mixedrandic import theorems
-from mixedrandic.graphs import group_by_underlying
 from mixedrandic.matrices import edge_table
 from mixedrandic.theorems import (entry_sum, entry_sums, randic_inverse,
                                   run_theorem_suites)
@@ -294,30 +293,84 @@ def test_suites_reject_disconnected_and_isolated_graphs():
     assert run_theorem_suites([]) == []
 
 
-def test_suite_solves_each_underlying_graph_once(exhaustive_population,
-                                                 monkeypatch):
-    solve = theorems.eigenvalue_rows
-    solved = []
+def new_slices(block, solved):
+    """The underlying graphs (graph) and deletions (graph, table row) that
+    the suite solves for a block besides its graphs, in stack order, with
+    ``solved`` the pair states solved before it at its order; adds the
+    block's to ``solved``.  A pair-state vector is the frozenset of a
+    matrix's edges."""
+    solved.update(frozenset(g.edges) for g in block)
+    fresh, cuts, row = [], [], 0
+    for i, g in enumerate(block):
+        key = frozenset(g.underlying_graph().edges)
+        if key not in solved:
+            solved.add(key)
+            fresh.append(i)
+    for i, g in enumerate(block):
+        d = g.degrees()
+        for e in g.edges:
+            key = frozenset(g.edges) - {e}
+            if d[e.u - 1] > 1 and d[e.v - 1] > 1 and key not in solved:
+                solved.add(key)
+                cuts.append((i, row))
+            row += 1
+    return fresh, cuts
+
+
+def expected_solves(graphs):
+    """How many matrices the suite solves for graphs of one order each:
+    every graph, and each deletion or underlying matrix whose pair states
+    were not solved before at that order."""
+    solved, count = {}, 0
+    for n in dict.fromkeys(g.n for g in graphs):
+        order = [g for g in graphs if g.n == n]
+        for start in range(0, len(order), theorems.SUITE_BLOCK):
+            block = order[start:start + theorems.SUITE_BLOCK]
+            fresh, cuts = new_slices(block, solved.setdefault(n, set()))
+            count += len(block) + len(fresh) + len(cuts)
+    return count
+
+
+def counted_solves(monkeypatch):
+    """A list that gathers the size of every stack the suite solves."""
+    solve, solved = theorems.eigenvalue_rows, []
 
     def counted(stack):
         solved.append(len(stack))
         return solve(stack)
 
     monkeypatch.setattr(theorems, "eigenvalue_rows", counted)
+    return solved
+
+
+def test_suite_solves_each_underlying_graph_once(exhaustive_population,
+                                                 monkeypatch):
+    solved = counted_solves(monkeypatch)
     run_theorem_suites(exhaustive_population)
-    # per block: R(g) and R(g - e) for each removable edge e of each graph,
-    # then R of each distinct underlying graph
-    expected = 0
-    for n in (2, 3, 4):
-        graphs = [g for g in exhaustive_population if g.n == n]
-        for start in range(0, len(graphs), theorems.SUITE_BLOCK):
-            block = graphs[start:start + theorems.SUITE_BLOCK]
-            expected += len(group_by_underlying(block))
-            for g in block:
-                d = g.degrees()
-                expected += 1 + sum(d[e.u - 1] > 1 and d[e.v - 1] > 1
-                                    for e in g.edges)
-    assert sum(solved) == expected == 20_072
+    # the 3,891 graphs and 27 deletions that disconnect a graph: every other
+    # deletion and every underlying graph is a graph solved before it
+    assert sum(solved) == expected_solves(exhaustive_population) == 3_918
+
+
+def test_suite_keys_span_more_than_one_word(monkeypatch):
+    # keys of two int64 words: pairs {8, 9} of n = 9 and {10, 11} of n = 11
+    # sit in the second word
+    base = [(1, 2), (2, 3), (3, 4), (4, 5), (6, 7), (7, 8), (1, 9), (1, 5)]
+    nine = [MixedGraph.build(9, base + [(8, 9)], [(5, 6)]),
+            MixedGraph.build(9, base, [(5, 6), (8, 9)])]
+    base = [(1, 2), (2, 3), (3, 4), (4, 5), (5, 6), (7, 8), (8, 9), (9, 10),
+            (1, 11), (1, 6)]
+    eleven = [MixedGraph.build(11, base, [(6, 7), last])
+              for last in ((10, 11), (11, 10))]
+    graphs = [nine[0], eleven[0], nine[1], eleven[1]]
+    solved = counted_solves(monkeypatch)
+    suites = run_theorem_suites(graphs)
+    assert sum(solved) == expected_solves(graphs)
+    for g, suite in zip(graphs, suites):
+        single = run_theorem_suite(g)
+        assert [repr(r) for r in suite.records] == [repr(r) for r in single.records]
+    for a, b in (suites[0::2], suites[1::2]):
+        assert a.spectrum.eigenvalues.tobytes() != b.spectrum.eigenvalues.tobytes()
 
 
 def test_suite_builds_one_table_per_block_and_no_graph(monkeypatch):
@@ -344,20 +397,17 @@ def test_suite_builds_one_table_per_block_and_no_graph(monkeypatch):
     assert constructed == []
     assert list(map(len, blocks)) == [256, 256, 88, 40]
     assert len(stacks) == len(blocks)
+    solved = {}
     for block, (degrees, edges, graph_of, cut_of) in zip(blocks, stacks):
-        # the block's graphs, then the underlying graph of each group
-        underlying = [block[members[0]].underlying_graph()
-                      for members in group_by_underlying(block)]
+        # each graph; each underlying graph; each graph less each edge
+        # whose removal isolates no vertex, as a row of the table; the last
+        # two only when their pair states are new at the order
+        fresh, cuts = new_slices(block, solved.setdefault(block[0].n, set()))
+        underlying = [block[i].underlying_graph() for i in fresh]
         expected_degrees, expected_edges = edge_table([*block, *underlying])
         assert np.array_equal(degrees, expected_degrees)
         assert all(np.array_equal(a, b) for a, b in zip(edges, expected_edges))
-        # each graph; each graph less each edge whose removal isolates no
-        # vertex, as a row of the table; each underlying graph
-        rows = [(i, e, g.degrees()) for i, g in enumerate(block) for e in g.edges]
-        slices = [(i, -1) for i in range(len(block))]
-        slices += [(i, row) for row, (i, e, d) in enumerate(rows)
-                   if d[e.u - 1] > 1 and d[e.v - 1] > 1]
-        slices += [(len(block) + k, -1) for k in range(len(underlying))]
+        slices = [(i, -1) for i in range(len(block) + len(underlying))] + cuts
         assert list(zip(graph_of.tolist(), cut_of.tolist())) == slices
 
 
