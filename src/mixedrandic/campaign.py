@@ -16,7 +16,8 @@ RECORD_FIELDS order.  Each distinct float of a block's arrays (a constant
 rhs among them), keyed by its bit pattern so that -0.0 is not 0.0, is
 formatted once, through a table that lives for that block only: one for a
 whole render would hold every distinct text of the report at once.  Each
-name's text is made once per render.  A row with fields of its own goes
+name's text and each edge record's label (graphs share records) are made
+once per render.  A row with fields of its own goes
 through ``json_scalar``'s check, so a numpy float renders as a float and
 a numpy bool raises TypeError in both formats; one without numbers is
 formatted once per render and name.  ``json_checks`` takes the same path
