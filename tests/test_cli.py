@@ -12,7 +12,7 @@ import pytest
 from itertools import combinations
 
 from mixedrandic import (EdgeKind, EdgeRecord, MixedGraph, cli, cycle_graph,
-                         directed_cycle, serialize_graph)
+                         directed_cycle, parse_graph, serialize_graph)
 from mixedrandic.cli import main
 
 #: A path on which float noise in the interlacing checks yields numpy scalars.
@@ -217,6 +217,78 @@ def test_single_graph_json_digests_are_pinned(c3_file, tmp_path, capsys):
         "bounds c3 text": "aa3e789d6cfb30cf2742c2390442db1283faf834b80c0022593bc5333faa46bc",
         "check p4 text": "a39b6e975a99c6c0568d8f9e75c151673423b13044577e2270319e6884f9b5cc",
         "bounds p4 text": "48f55ee7d4fb56eec4bd37ddb19786e39c344a88363f1754d370549b517d6fd7",
+    }
+
+
+ONE_GRAPH_REQUESTS = (
+    ("spectrum", ["spectrum"]),
+    ("energy", ["energy"]),
+    ("charpoly numeric", ["charpoly", "--method", "numeric"]),
+    ("charpoly combinatorial", ["charpoly", "--method", "combinatorial"]),
+    ("charpoly both", ["charpoly", "--method", "both"]),
+)
+
+
+def test_one_graph_outputs_are_pinned(c3_file, tmp_path, capsys):
+    # spectrum, energy, charpoly by each method and interlace on every
+    # edge, on c3, p4 and the n = 10 literal; as above, any change to
+    # these bytes must be deliberate.  Each digest covers the exit code
+    # and stdout of every request under its key.
+    paths = {"c3": c3_file}
+    for name, text in (("p4", P4), ("n10", EXPONENTIAL_COUNTEREXAMPLE)):
+        paths[name] = str(tmp_path / f"{name}.txt")
+        Path(paths[name]).write_text(text)
+    digests = {}
+    for name, path in paths.items():
+        edges = parse_graph(Path(path).read_text()).edges
+        requests = [(key, [[command[0], path, *command[1:]]])
+                    for key, command in ONE_GRAPH_REQUESTS]
+        requests.append(("interlace", [["interlace", path, "--edge",
+                                        f"{e.u},{e.v}"] for e in edges]))
+        for key, argvs in requests:
+            for fmt, suffix in (("json", ""), ("text", " text")):
+                h = hashlib.sha256()
+                for argv in argvs:
+                    rc = main(argv + ["--format", fmt])
+                    h.update(f"{rc}\n{capsys.readouterr().out}".encode())
+                digests[f"{key} {name}{suffix}"] = h.hexdigest()
+    assert digests == {
+        "spectrum c3": "ae4935ac2ac52b42db5ba1028192476247b76a7cbd83ce1e909e3cff7e447642",
+        "spectrum c3 text": "fc365413980b8d57d5cb706c5041394728e8015be5b5eb252024f814faf720cd",
+        "energy c3": "e30e572a44ba5b9810f8f496767c51873d9adce35d855048e7e79d86c22eb3e5",
+        "energy c3 text": "a4a7a48f1375b4855385bf38f53d84186ac6493b4f69bdd87d618215a811529e",
+        "charpoly numeric c3": "568123e1692fa0a60f9ba8938205da498f345143bf37eaaf5c551072ccb487f6",
+        "charpoly numeric c3 text": "ccf5335199091012d5567df9dd36fd251b1fd47acacf260dfdbe995d95b2714f",
+        "charpoly combinatorial c3": "6fdf616645053b85d2b048d0e8ca1b2c28f0b4ab9af8f49ddeca258213fd85da",
+        "charpoly combinatorial c3 text": "02093f99cee906f1c2773bc670f626d2ceab3b842cea4a1f3324cabf5d4d7b65",
+        "charpoly both c3": "59af863c7aa8ef2cdbf79b3a89ebf70db0e8130bba81a753332ee08239bf88ae",
+        "charpoly both c3 text": "1fd3347a70f30dd335f1a8ffe732583a82c8984135afbafe3fbda52d264c8967",
+        "interlace c3": "95a068097bae5e0f0eca602dcd270386f501df34e8cfdfdebe2d8523c057d526",
+        "interlace c3 text": "985ddafe86ed738a1def7ef8aa046ec6519da7cc94b91190a31e059a804ec68d",
+        "spectrum p4": "a5d39195ba612f4caade1aa09b7d9abc7646fb9388d3375049f5f8ad1394e736",
+        "spectrum p4 text": "7bab4a75cdddbf0788a37b95c09345de9bbec42760f7c3e247e8bccf46bdfedb",
+        "energy p4": "0b6be8f5ce667b2c5c4deaa432b65d915ca9f0058740eabc772d053c7eceea46",
+        "energy p4 text": "b5604af8921f0a32250cbbd23b34b9a36013948aa3a86a9fff2f1059c50fe85c",
+        "charpoly numeric p4": "334d860545422f73f80e9cb48f10af7ad440c628a365b6cc97a64ee3baf2dfd3",
+        "charpoly numeric p4 text": "0cc5d50de5e60e458221292d42dfa875a148333c628a0a54b9d607aa12822119",
+        "charpoly combinatorial p4": "9c40fe34b96da90304fcaf454421265781af09bef15f28ce1c96b27bd7c4235c",
+        "charpoly combinatorial p4 text": "2764b1cbbba8dff7cfc131bfb50aa38135e91d048896b06a4d28311546eee5a4",
+        "charpoly both p4": "01f23ed0a6b9dadada773c0a4ce2cf373db7543e3005ad9fc53dda13a4a79cdd",
+        "charpoly both p4 text": "e58a53cf708949f03869738607c449d71a32b65f3ef368ef76f4ffab6fba3a69",
+        "interlace p4": "f9ed8a513dafefd86899dbdbdce9f247392ef712d63a60443f57f4c377d2f467",
+        "interlace p4 text": "ecc160b74f1e2d44cc32681a7a4221ef866f4d2c8ff0b267ecb3cd0838941e43",
+        "spectrum n10": "311a4e31d120a56645e1dfbfa55862de0f9824fe32ac650f764db51fadeb6e0e",
+        "spectrum n10 text": "4c3cc1d3f190afb8671293f057cce2b12adc78b50c31db05cc06a800e188f037",
+        "energy n10": "e657b6d23773970e18b2308980380d7c2fdd9386fba5f72b0cc845d681019855",
+        "energy n10 text": "54e3d4666adde1595de070af6235cef307e376fb647a08ef3538fa23d2c14001",
+        "charpoly numeric n10": "1c62dedd2cd7e2f251639b5dfc3c19020e436efa1d6762d23ea0d78eedbee6fd",
+        "charpoly numeric n10 text": "1a1913f740d10d021fa99e417d883dae81230e3e1b0b2f2670dd9250aaf261a2",
+        "charpoly combinatorial n10": "4cbd46bbddf7fd3dd8966261c50d8d402fb871d7f3f85da0f791971ec04bc6f3",
+        "charpoly combinatorial n10 text": "e291dc2406f3008298bfe868b92a7524868dfeacf2385e117f76513e71b1d16a",
+        "charpoly both n10": "b0d6218d3bde587ba5b9c120b6704c6d5c88b601af50a2490e2f850bf7127204",
+        "charpoly both n10 text": "0e73864e79c28ff33e58769b507d7440f0f2fce8172dffc64a6a2f7de4a092fa",
+        "interlace n10": "fe4bd725701d0d934a595e173b1fb276c29af4609e75578a350095a7cab74c98",
+        "interlace n10 text": "757c0858333a3cd27badcaddf2c33b212bbfb4fa03a61226aa7ba4675c2b1b77",
     }
 
 
