@@ -16,6 +16,7 @@ from mixedrandic import (
     parse_graph,
     randic_spectrum,
 )
+from mixedrandic.gains import graph_balance
 
 TEXT = """mixedgraph v1
 vertices 4
@@ -28,7 +29,7 @@ vertices 4
 
 g = parse_graph(TEXT)
 view = gain_view(g)
-print("bipartite:", g.is_bipartite())
+print("bipartite:", bool(graph_balance(g).bipartite[0]))
 for cycle in enumerate_cycles(g):
     print("cycle", cycle, "->", classify_cycle(view, cycle).name)
 print("coefficients:", [str(c) for c in char_poly_combinatorial(g).coefficients])

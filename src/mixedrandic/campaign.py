@@ -20,8 +20,8 @@ name's text and each edge record's label (graphs share records) are made
 once per render.  A row with fields of its own goes
 through ``json_scalar``'s check, so a numpy float renders as a float and
 a numpy bool raises TypeError in both formats; one without numbers is
-formatted once per render and name.  ``json_checks`` takes the same path
-as a block of one graph.  A render writes one graph's text at a time to a
+formatted once per render and name.  ``json_checks`` writes each record as
+such a row.  A render writes one graph's text at a time to a
 StringIO: not one list of every line (about 7 MB more at the n <= 4 peak),
 nor texts of many graphs, whose place around the final join decided
 whether a process running campaign after campaign stayed at its resident
@@ -49,7 +49,6 @@ from .theorems import (
     TheoremSuite,
     _Block,
     _Column,
-    _records_block,
     run_theorem_suites,
 )
 
@@ -470,10 +469,13 @@ def _result_rows(results: tuple[GraphResult, ...], style: _Style
 
 
 def json_checks(records) -> str:
-    """The JSON object mapping each record's name to its fields."""
-    rows, = _block_rows(_records_block(records), 0, 1, _JSON,
-                        _Heads(_JSON), {})
-    return "{" + ", ".join(rows) + "}"
+    """The JSON object mapping each record's name to its fields, each
+    record written as a row with fields of its own."""
+    heads = _Heads(_JSON)
+    return "{" + ", ".join(
+        _own_text(heads[r.name], (r.satisfied, r.skipped, r.lhs, r.rhs,
+                                  r.slack, r.reason), _JSON)
+        for r in records) + "}"
 
 
 def _config_items(config: CampaignConfig) -> list[tuple[str, str]]:

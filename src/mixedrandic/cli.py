@@ -13,7 +13,6 @@ from __future__ import annotations
 import argparse
 import functools
 import sys
-from fractions import Fraction
 from pathlib import Path
 
 from .campaign import (
@@ -28,16 +27,10 @@ from .campaign import (
     summary_text,
     with_overrides,
 )
-from .graphs import MixedGraph, ParseError, edge_label, parse_graph
-from .spectra import (
-    Spectrum,
-    char_poly_combinatorial,
-    char_poly_numeric,
-    randic_spectrum,
-)
+from .graphs import MixedGraph, ParseError, edge_label, is_label, parse_graph
+from .spectra import char_poly_combinatorial, char_poly_numeric, randic_spectrum
 from .matrices import randic_matrix
 from .theorems import (
-    BoundsReport,
     energy_bounds_report,
     entry_sum_bounds,
     interlacing_check,
@@ -82,31 +75,37 @@ def _json_list(values) -> str:
     return "[" + ", ".join(json_scalar(float(v)) for v in values) + "]"
 
 
+def _items_payload(items: list[tuple[str, object]], fmt: str,
+                   records=None) -> str:
+    """(key, value) pairs as "key: value" lines or as one JSON object.  A
+    value is an int or a float, written by json_scalar, or an array of
+    floats.  The check records, when given, follow as lines or as the
+    object's "checks"."""
+    def text(v) -> str:
+        if isinstance(v, (int, float)):
+            return json_scalar(v)
+        return _json_list(v) if fmt == "json" else _floats(v)
+
+    if fmt == "json":
+        pairs = [(k, text(v)) for k, v in items]
+        if records is not None:
+            pairs.append(("checks", json_checks(records)))
+        return json_object(pairs) + "\n"
+    lines = [f"{k}: {text(v)}" for k, v in items]
+    lines += [_record_line(rec) for rec in records or ()]
+    return "\n".join(lines) + "\n"
+
+
 def _cmd_spectrum(args: argparse.Namespace) -> int:
-    g = _load_graph(args.file)
-    s = randic_spectrum(g)
-    if args.format == "json":
-        payload = json_object([
-            ("eigenvalues", _json_list(s.eigenvalues)),
-            ("energy", json_scalar(s.energy)),
-            ("spectral_radius", json_scalar(s.rho)),
-            ("min_modulus", json_scalar(s.sigma)),
-            ("negative_count", json_scalar(s.negative_count)),
-        ]) + "\n"
-    else:
-        payload = (
-            f"eigenvalues: {_floats(s.eigenvalues)}\n"
-            f"energy: {format_float(s.energy)}\n"
-            f"spectral_radius: {format_float(s.rho)}\n"
-            f"min_modulus: {format_float(s.sigma)}\n"
-            f"negative_count: {s.negative_count}\n"
-        )
-    _write_payload(payload, args.output)
+    s = randic_spectrum(_load_graph(args.file))
+    _write_payload(_items_payload([
+        ("eigenvalues", s.eigenvalues),
+        ("energy", s.energy),
+        ("spectral_radius", s.rho),
+        ("min_modulus", s.sigma),
+        ("negative_count", s.negative_count),
+    ], args.format), args.output)
     return 0
-
-
-def _fraction_str(c) -> str:
-    return str(c) if isinstance(c, Fraction) else format_float(float(c))
 
 
 def _cmd_charpoly(args: argparse.Namespace) -> int:
@@ -119,7 +118,7 @@ def _cmd_charpoly(args: argparse.Namespace) -> int:
     if args.format == "json":
         items = []
         if combinatorial is not None:
-            coeffs = ", ".join(json_scalar(_fraction_str(c))
+            coeffs = ", ".join(json_scalar(str(c))
                                for c in combinatorial.coefficients)
             items.append(("combinatorial", "[" + coeffs + "]"))
         if numeric is not None:
@@ -132,7 +131,7 @@ def _cmd_charpoly(args: argparse.Namespace) -> int:
         lines = []
         if combinatorial is not None:
             lines.append("method combinatorial")
-            lines.extend(f"a_{k} {_fraction_str(c)}"
+            lines.extend(f"a_{k} {c}"
                          for k, c in enumerate(combinatorial.coefficients))
         if numeric is not None:
             lines.append("method numeric")
@@ -150,22 +149,14 @@ def _cmd_energy(args: argparse.Namespace) -> int:
     g = _load_graph(args.file)
     require_energy_domain(g)
     s = randic_spectrum(g)
-    pairs = [
+    _write_payload(_items_payload([
         ("energy", s.energy),
         ("randic_inverse", randic_inverse(g)),
         ("determinant", s.determinant),
         ("spectral_radius", s.rho),
         ("min_modulus", s.sigma),
-    ]
-    if args.format == "json":
-        items = [(k, json_scalar(v)) for k, v in pairs]
-        items.append(("negative_count", json_scalar(s.negative_count)))
-        payload = json_object(items) + "\n"
-    else:
-        lines = [f"{k}: {format_float(v)}" for k, v in pairs]
-        lines.append(f"negative_count: {s.negative_count}")
-        payload = "\n".join(lines) + "\n"
-    _write_payload(payload, args.output)
+        ("negative_count", s.negative_count),
+    ], args.format), args.output)
     return 0
 
 
@@ -183,12 +174,14 @@ def _record_line(rec) -> str:
     return f"pass {rec.name}{detail}{note}"
 
 
-def _bounds_payload(g: MixedGraph, spectrum: Spectrum, report: BoundsReport,
-                    fmt: str) -> str:
-    extra = list(entry_sum_bounds(g, spectrum).records)
-    extra.append(smallest_eigenvalue_bound(g, spectrum, report.randic_inverse))
-    records = extra + list(report.records)
-    meta = [
+def _cmd_bounds(args: argparse.Namespace) -> int:
+    g = _load_graph(args.file)
+    spectrum = randic_spectrum(g)
+    report = energy_bounds_report(g, spectrum)
+    records = list(entry_sum_bounds(g, spectrum).records)
+    records.append(smallest_eigenvalue_bound(g, spectrum, report.randic_inverse))
+    records += report.records
+    _write_payload(_items_payload([
         ("n", report.n),
         ("edges", report.m),
         ("randic_inverse", report.randic_inverse),
@@ -197,34 +190,18 @@ def _bounds_payload(g: MixedGraph, spectrum: Spectrum, report: BoundsReport,
         ("min_modulus", report.sigma),
         ("negative_count", report.negative_count),
         ("energy", report.energy),
-    ]
-    if fmt == "json":
-        items = [(k, json_scalar(v)) for k, v in meta]
-        items.append(("checks", json_checks(records)))
-        return json_object(items) + "\n"
-    lines = [f"{k}: {v if isinstance(v, int) else format_float(v)}"
-             for k, v in meta]
-    lines.extend(_record_line(rec) for rec in records)
-    return "\n".join(lines) + "\n"
-
-
-def _cmd_bounds(args: argparse.Namespace) -> int:
-    g = _load_graph(args.file)
-    spectrum = randic_spectrum(g)
-    report = energy_bounds_report(g, spectrum)
-    _write_payload(_bounds_payload(g, spectrum, report, args.format),
-                   args.output)
+    ], args.format, records), args.output)
     return 0
 
 
 def _parse_edge_flag(text: str) -> tuple[int, int]:
-    parts = text.split(",")
-    if len(parts) != 2:
-        raise ParseError(f"--edge wants 'u,v', got {text!r}")
-    try:
-        return int(parts[0]), int(parts[1])
-    except ValueError:
-        raise ParseError(f"--edge wants two integers, got {text!r}")
+    """The two vertex labels of --edge u,v: the graph format's labels,
+    each with any surrounding spaces."""
+    parts = [part.strip() for part in text.split(",")]
+    if len(parts) != 2 or not all(map(is_label, parts)):
+        raise ParseError(
+            f"--edge wants 'u,v' with ASCII-digit labels, got {text!r}")
+    return int(parts[0]), int(parts[1])
 
 
 def _cmd_interlace(args: argparse.Namespace) -> int:

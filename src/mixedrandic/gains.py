@@ -238,11 +238,11 @@ def apply_switching(view: GainView, zeta: Mapping[int, SixthRoot]) -> GainView:
 
 
 def switching_certificate_to_constant(
-    view: GainView, target: SixthRoot | int
+    view: GainView, target: SixthRoot
 ) -> dict[int, SixthRoot] | None:
     """A switching function taking every gain to the constant target, if any.
 
-    target must be 1 or -1.  The certificate is read off the labels of
+    target must be ONE or MINUS_ONE.  The certificate is read off the labels of
     ``balances`` on the view's edge rows: zeta(v) = omega**(z + 3p) for
     target -1 and omega**z for target 1, so zeta(1) = 1.  On a connected
     graph that switching function is the only one with zeta(1) = 1.
@@ -250,8 +250,6 @@ def switching_certificate_to_constant(
     that every cycle gain is (-1)**length.  The keys come in ascending
     vertex order.  Requires a connected underlying graph.
     """
-    if target in (1, -1):
-        target = ONE if target == 1 else MINUS_ONE
     if not isinstance(target, SixthRoot) or target.k not in (0, 3):
         raise ValueError("target gain must be 1 or -1")
     rows = np.array([(i - 1, j - 1, gain.k)

@@ -161,12 +161,6 @@ class MixedGraph:
         """Underlying-graph degree of each vertex; index i holds vertex i+1."""
         return self._degrees
 
-    def without_edge(self, e: EdgeRecord) -> "MixedGraph":
-        """A copy with the given edge removed (other edges keep their order)."""
-        if e not in self.edges:
-            raise ValueError(f"edge {e} not in graph")
-        return MixedGraph(self.n, tuple(x for x in self.edges if x != e))
-
     def underlying_graph(self) -> "MixedGraph":
         """The same graph with every arc replaced by an un-oriented edge."""
         return MixedGraph(
@@ -186,32 +180,6 @@ class MixedGraph:
                     queue.append(w)
         return len(seen) == self.n
 
-    def two_coloring(self) -> dict[int, int] | None:
-        """A proper 2-coloring of the underlying graph, or None if none exists.
-
-        Colors are 0/1; works per connected component.
-        """
-        adj = self.adjacency_sets()
-        color: dict[int, int] = {}
-        for start in self.vertices():
-            if start in color:
-                continue
-            color[start] = 0
-            queue = deque([start])
-            while queue:
-                v = queue.popleft()
-                for w in adj[v]:
-                    if w not in color:
-                        color[w] = 1 - color[v]
-                        queue.append(w)
-                    elif color[w] == color[v]:
-                        return None
-        return color
-
-    def is_bipartite(self) -> bool:
-        """True iff the underlying graph has no odd cycle."""
-        return self.two_coloring() is not None
-
 
 def general_randic_index(g: MixedGraph, k: int) -> Fraction:
     """Sum of (d_u * d_v)**k over the edges of the underlying graph, exact
@@ -227,6 +195,13 @@ def general_randic_index(g: MixedGraph, k: int) -> Fraction:
         return Fraction(sum(powers))
     common = math.lcm(*powers)
     return Fraction(sum(common // p for p in powers), common)
+
+
+def is_label(token: str) -> bool:
+    """Whether a token is a vertex label or count of the mixedgraph v1
+    format: ASCII decimal digits only, so no sign, '_' or other digit
+    that int() would take."""
+    return token.isascii() and token.isdigit()
 
 
 def parse_graph(text: str) -> MixedGraph:
@@ -252,8 +227,7 @@ def parse_graph(text: str) -> MixedGraph:
         raise ParseError("missing 'vertices <n>' line")
     no, line = content[1]
     tokens = line.split()
-    if (len(tokens) != 2 or tokens[0] != "vertices"
-            or not (tokens[1].isascii() and tokens[1].isdigit())):
+    if len(tokens) != 2 or tokens[0] != "vertices" or not is_label(tokens[1]):
         raise ParseError(f"line {no}: expected 'vertices <n>'")
     n = int(tokens[1])
     if n < 1:
@@ -266,7 +240,7 @@ def parse_graph(text: str) -> MixedGraph:
         if len(tokens) != 3 or tokens[1] not in ("--", "->"):
             raise ParseError(f"line {no}: expected '<u> -- <v>' or '<u> -> <v>'")
         a, b = tokens[0], tokens[2]
-        if not (a.isascii() and a.isdigit() and b.isascii() and b.isdigit()):
+        if not (is_label(a) and is_label(b)):
             raise ParseError(f"line {no}: vertex labels must be ASCII digits")
         u, v = int(a), int(b)
         if not (1 <= u <= n and 1 <= v <= n):

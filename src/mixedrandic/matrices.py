@@ -39,16 +39,16 @@ def _require_positive_degrees(d: tuple[int, ...]) -> None:
             )
 
 
-def is_hermitian(mat: np.ndarray, tol: float = 1e-12) -> bool:
+def is_hermitian(mat: np.ndarray) -> bool:
     """Whether a square matrix, or every matrix of a (k, n, n) stack, equals
-    its conjugate transpose to within tol times its own largest modulus
+    its conjugate transpose to within 1e-12 times its own largest modulus
     (at least 1)."""
     mat = np.asarray(mat)
     if mat.ndim not in (2, 3) or mat.shape[-1] != mat.shape[-2]:
         return False
     axes = (-2, -1)
     asym = abs(mat - mat.conj().swapaxes(-2, -1)).max(axis=axes)
-    return bool((asym <= tol * abs(mat).max(axis=axes, initial=1.0)).all())
+    return bool((asym <= 1e-12 * abs(mat).max(axis=axes, initial=1.0)).all())
 
 
 def edge_table(graphs: Sequence[MixedGraph]) -> tuple[np.ndarray, tuple]:

@@ -18,12 +18,16 @@ covers of each vertex set by disjoint edges and cycles.
 one-graph case, and k = n specializes to the exact rational determinant
 (-1)**n a_n.  The two routes
 are kept independent so each can check the other.
+
+The eigenvalue tolerances live here: ``TOL_ZERO`` decides which eigenvalues
+are zero, and ``TOL_EIG`` which equal a given value (``multiplicities``) or
+each other; ``theorems`` reads both.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -35,6 +39,11 @@ from .matrices import is_hermitian, randic_matrix
 #: Eigenvalues within this of zero count as zero (negative-eigenvalue count,
 #: minimal modulus and singularity decisions all use it).
 TOL_ZERO = 1e-9
+
+#: Eigenvalue membership and spectra comparison: an eigenvalue within this
+#: of a value counts as that value.  Looser than TOL_ZERO because it
+#: compares independently computed floating-point spectra.
+TOL_EIG = 1e-8
 
 #: Largest n the elementary-subgraph expansion will attempt.
 DEFAULT_COMBINATORIAL_CAP = 10
@@ -65,9 +74,9 @@ def determinants(vals: np.ndarray) -> np.ndarray:
     return vals.prod(axis=-1)
 
 
-def multiplicities(vals: np.ndarray, value: float, tol: float = 1e-8) -> np.ndarray:
-    """Per row of eigenvalues, how many lie within tol of value."""
-    return (np.abs(vals - value) <= tol).sum(axis=-1)
+def multiplicities(vals: np.ndarray, value: float) -> np.ndarray:
+    """Per row of eigenvalues, how many lie within TOL_EIG of value."""
+    return (np.abs(vals - value) <= TOL_EIG).sum(axis=-1)
 
 
 @dataclass(frozen=True)
@@ -121,8 +130,8 @@ class Spectrum:
         """Product of the eigenvalues."""
         return float(determinants(self.eigenvalues))
 
-    def multiplicity(self, value: float, tol: float = 1e-8) -> int:
-        return int(multiplicities(self.eigenvalues, value, tol))
+    def multiplicity(self, value: float) -> int:
+        return int(multiplicities(self.eigenvalues, value))
 
 
 def eigenvalue_rows(stack: np.ndarray) -> np.ndarray:
@@ -162,7 +171,6 @@ class CharPoly:
     """
 
     coefficients: tuple
-    exact: bool = field(default=False)
 
     @property
     def degree(self) -> int:
@@ -198,16 +206,10 @@ def expand_roots(roots: np.ndarray) -> np.ndarray:
     return coeffs
 
 
-def char_poly_numeric(mat: np.ndarray,
-                      spectrum: Spectrum | None = None) -> CharPoly:
-    """Characteristic polynomial expanded from the eigenvalues.
-
-    ``spectrum``, when given, must be the spectrum of ``mat``.
-    """
-    if spectrum is None:
-        spectrum = eigendecompose(mat)
-    coeffs = expand_roots(spectrum.eigenvalues[np.newaxis])[0]
-    return CharPoly(tuple(coeffs.tolist()), exact=False)
+def char_poly_numeric(mat: np.ndarray) -> CharPoly:
+    """Characteristic polynomial expanded from the eigenvalues of mat."""
+    coeffs = expand_roots(eigendecompose(mat).eigenvalues[np.newaxis])[0]
+    return CharPoly(tuple(coeffs.tolist()))
 
 
 def char_poly_combinatorial(g: MixedGraph) -> CharPoly:
@@ -228,7 +230,7 @@ def char_poly_combinatorial(g: MixedGraph) -> CharPoly:
     return CharPoly(tuple(
         Fraction(-total if k % 2 else total, denominator)
         for k, total in enumerate(elementary_weight_numerators(g))
-    ), exact=True)
+    ))
 
 
 def determinant_combinatorial(g: MixedGraph) -> Fraction:

@@ -4,10 +4,11 @@ Every checker is a pure function of the graph.  Optional keywords
 (``spectrum``, ``r_inv``) hand in per-graph facts the caller already holds;
 they must be the graph's own.  Numeric inequalities follow one convention: a
 claim lhs <= rhs is reported with slack = rhs - lhs and counts as satisfied
-when slack >= -tol * max(1, |rhs|), with tol = 1e-9 unless a check documents
-otherwise.  Membership tests (is 1 an eigenvalue, do two spectra agree) use
-the looser 1e-8 because they compare independently computed floating-point
-spectra.
+when slack >= -tol * max(1, |rhs|), with tol = TOL_INEQ = 1e-9 unless a
+check documents otherwise.  Membership tests (is 1 an eigenvalue, do two
+spectra agree) use the looser ``spectra.TOL_EIG`` = 1e-8, which lives
+beside ``TOL_ZERO`` in ``spectra``, because they compare independently
+computed floating-point spectra.
 
 The bounds are evaluated on a population of one order at a time, as
 arrays over its graphs; the one-graph functions (``entry_sum_bounds``,
@@ -62,6 +63,7 @@ from .matrices import (
 )
 from .spectra import (
     DEFAULT_COMBINATORIAL_CAP,
+    TOL_EIG,
     TOL_ZERO,
     Spectrum,
     determinants,
@@ -78,9 +80,6 @@ from .spectra import (
 
 #: One-sided tolerance for inequality slack, scaled by max(1, |rhs|).
 TOL_INEQ = 1e-9
-
-#: Tolerance for eigenvalue membership and spectra comparison.
-TOL_EIG = 1e-8
 
 #: Most graphs in one stacked build and solve: an order with more is taken
 #: in blocks of this many.  A whole order's stack and the arrays derived
@@ -248,16 +247,16 @@ def _worst(violations: np.ndarray) -> np.ndarray:
     return np.where(worst > 0.0, worst, 0.0)
 
 
-def interlacing_check(g: MixedGraph, pair: tuple[int, int],
-                      tol: float = TOL_INEQ) -> InterlacingResult:
-    """Bracketing of the edge-deleted spectrum by the original spectrum."""
+def interlacing_check(g: MixedGraph, pair: tuple[int, int]) -> InterlacingResult:
+    """Bracketing of the edge-deleted spectrum by the original spectrum: a
+    position holds when it lies at most TOL_INEQ outside its bracket."""
     edge = g.edge_between(*pair)
     if edge is None:
         raise ValueError(f"no edge between {pair[0]} and {pair[1]}")
     original, reduced = eigendecompose_stack(randic_matrices(g, (edge,)))
     violations = _interlacing_violations(original.eigenvalues[np.newaxis],
                                          reduced.eigenvalues[np.newaxis])
-    verdicts = tuple(x <= tol for x in violations[0].tolist())
+    verdicts = tuple(x <= TOL_INEQ for x in violations[0].tolist())
     return InterlacingResult(edge, original, reduced, verdicts,
                              float(_worst(violations)[0]))
 
@@ -278,7 +277,7 @@ def check_eigenvalue_one(g: MixedGraph,
     """
     balance = _connected_balance(g)
     s = randic_spectrum(g) if spectrum is None else spectrum
-    return _eigenvalue_one(s.multiplicity(1.0, TOL_EIG),
+    return _eigenvalue_one(s.multiplicity(1.0),
                            bool(balance.positive[0]))
 
 
@@ -323,7 +322,7 @@ def check_minus_one(g: MixedGraph,
     """
     balance = _connected_balance(g)
     s = randic_spectrum(g) if spectrum is None else spectrum
-    return _minus_one(s.multiplicity(-1.0, TOL_EIG),
+    return _minus_one(s.multiplicity(-1.0),
                       bool(balance.positive[0]), bool(balance.antibalanced[0]),
                       bool(balance.bipartite[0]))
 
@@ -371,23 +370,13 @@ def entry_sums(degrees: np.ndarray, edges: tuple[np.ndarray, ...]) -> np.ndarray
                        minlength=len(degrees))
 
 
-def entry_sum(g: MixedGraph) -> float:
-    """Sum of all entries of the Randic matrix: the one-graph case of
-    entry_sums."""
-    return float(entry_sums(*edge_table([g]))[0])
-
-
 @dataclass(frozen=True)
 class EntrySumBounds:
     """Pinching of the extreme eigenvalues by the matrix entry sum S:
     lambda_min <= -S/(n(n-1)) <= S/n <= lambda_max, plus the induced spread
-    bound lambda_max - lambda_min >= S/(n-1)."""
+    bound lambda_max - lambda_min >= S/(n-1).  Each record carries its two
+    sides as lhs and rhs."""
 
-    entry_total: float
-    lower_estimate: float
-    upper_estimate: float
-    lambda_min: float
-    lambda_max: float
     records: tuple[CheckRecord, ...]
 
 
@@ -412,14 +401,9 @@ def entry_sum_bounds(g: MixedGraph,
     if g.n < 2:
         raise ValueError("entry-sum bounds need at least two vertices")
     s = randic_spectrum(g) if spectrum is None else spectrum
-    total = entry_sums(*edge_table([g]))
-    columns = _entry_sum_columns(g.n, total, s.eigenvalues[np.newaxis])
-    # lambda_min <= lower, lower <= upper, upper <= lambda_max
-    lower, order, upper, _ = columns
-    return EntrySumBounds(float(total[0]), float(lower.rhs[0]),
-                          float(order.rhs[0]), float(lower.lhs[0]),
-                          float(upper.rhs[0]),
-                          _Block(None, columns).records(0))
+    columns = _entry_sum_columns(g.n, entry_sums(*edge_table([g])),
+                                 s.eigenvalues[np.newaxis])
+    return EntrySumBounds(_Block(None, columns).records(0))
 
 
 def _smallest_eigenvalue_column(n: int, r_inv: np.ndarray,
@@ -584,16 +568,6 @@ class _Block(NamedTuple):
                      for rec in column.records(*column.span(g, g + 1)))
 
 
-def _records_block(records: Sequence[CheckRecord]) -> _Block:
-    """A block of one graph with the given records: one column whose rows
-    all have their own fields."""
-    own = {i: (r.satisfied, r.skipped, r.lhs, r.rhs, r.slack, r.reason)
-           for i, r in enumerate(records)}
-    return _Block(None, [_Column([r.name for r in records], None, None, None,
-                                 np.ones(len(own), dtype=bool), own,
-                                 [0, len(own)])])
-
-
 class TheoremSuite:
     """All per-graph verdicts, in a fixed order for stable reports: row
     ``row`` of a suite block, whose spectrum and records are made anew on
@@ -617,15 +591,6 @@ class TheoremSuite:
     def failures(self) -> tuple[CheckRecord, ...]:
         return tuple(r for r in self.records
                      if not r.skipped and not r.satisfied)
-
-    @property
-    def skips(self) -> tuple[CheckRecord, ...]:
-        return tuple(r for r in self.records if r.skipped)
-
-    @property
-    def notes(self) -> tuple[CheckRecord, ...]:
-        return tuple(r for r in self.records
-                     if r.satisfied and not r.skipped and r.reason)
 
 
 def _structural_columns(one: EigenvalueOneCheck, sym: SymmetryCheck,
@@ -811,9 +776,9 @@ def _order_block(graphs: Sequence[MixedGraph], include_interlacing: bool,
 
     positive = balance.positive
     columns += _structural_columns(
-        _eigenvalue_one(multiplicities(vals, 1.0, TOL_EIG), positive),
+        _eigenvalue_one(multiplicities(vals, 1.0), positive),
         _symmetry(_asymmetry(vals), balance.bipartite),
-        _minus_one(multiplicities(vals, -1.0, TOL_EIG), positive,
+        _minus_one(multiplicities(vals, -1.0), positive,
                    balance.antibalanced, balance.bipartite),
         _underlying(_distance(vals, rows[group]), positive))
     columns += _entry_sum_columns(n, entry_sums(degrees, edges), vals)

@@ -27,6 +27,16 @@ from mixedrandic import theorems
 from mixedrandic.theorems import CheckRecord, TheoremSuite, _inequality
 
 
+def records_block(records):
+    """A suite block of one graph with the given records: one column whose
+    rows all have their own fields, as a campaign of kept records."""
+    own = {i: (r.satisfied, r.skipped, r.lhs, r.rhs, r.slack, r.reason)
+           for i, r in enumerate(records)}
+    return theorems._Block(None, [theorems._Column(
+        [r.name for r in records], None, None, None,
+        np.ones(len(own), dtype=bool), own, [0, len(own)])])
+
+
 def test_population_sizes():
     assert len(population(2)) == 3
     assert len(population(3)) == 54
@@ -195,7 +205,7 @@ def test_numpy_inputs_give_report_scalars():
                   rec.reason):
         json_scalar(value)
     g = directed_cycle(3)
-    suite = TheoremSuite(g, theorems._records_block((rec,)), 0)
+    suite = TheoremSuite(g, records_block((rec,)), 0)
     result = CampaignResult(CampaignConfig(n_min=3, n_max=3),
                             (GraphResult(0, g, suite),))
     doc = json.loads(render_json(result))
@@ -210,7 +220,7 @@ def test_numpy_inputs_give_report_scalars():
             == '{"probe": {"lhs": 0.25, "rhs": 0.5, "slack": 0.25, '
                '"satisfied": true, "skipped": false, "reason": ""}}')
     bad = CheckRecord("probe", np.True_)
-    suite = TheoremSuite(g, theorems._records_block((bad,)), 0)
+    suite = TheoremSuite(g, records_block((bad,)), 0)
     result = CampaignResult(CampaignConfig(n_min=3, n_max=3),
                             (GraphResult(0, g, suite),))
     for render in (render_csv, render_json):
@@ -246,7 +256,7 @@ def _awkward_result() -> CampaignResult:
     return CampaignResult(
         CampaignConfig(n_min=2, n_max=3, sample_limit=2, seed=7),
         tuple(GraphResult(i, g,
-                          TheoremSuite(g, theorems._records_block(records), 0))
+                          TheoremSuite(g, records_block(records), 0))
               for i, (g, records) in enumerate(zip(graphs, (first, second)))))
 
 
@@ -386,7 +396,7 @@ def test_every_float_renders_as_its_own_text():
     # the records' own path renders the same bytes
     own = CampaignResult(result.config, tuple(
         GraphResult(r.index, r.graph, TheoremSuite(
-            r.graph, theorems._records_block(r.suite.records), 0))
+            r.graph, records_block(r.suite.records), 0))
         for r in result.results))
     for render in (render_csv, render_json, summary_text):
         assert render(result) == render(own)
@@ -400,7 +410,7 @@ def test_bare_carriage_return_is_quoted():
     result = CampaignResult(
         CampaignConfig(n_min=2, n_max=2),
         (GraphResult(0, g,
-                     TheoremSuite(g, theorems._records_block(records), 0)),))
+                     TheoremSuite(g, records_block(records), 0)),))
     text = render_csv(result)
     assert text.endswith('0,2,1--2,plain,,,,true,false,"a\rb"\n'
                          '0,2,1--2,"x\ry",0.5,1,0.5,true,false,\n')
@@ -523,7 +533,7 @@ def kept(result):
     return CampaignResult(result.config, tuple(
         GraphResult(r.index, r.graph,
                     TheoremSuite(r.graph,
-                                 theorems._records_block(r.suite.records), 0))
+                                 records_block(r.suite.records), 0))
         for r in result.results))
 
 
@@ -541,7 +551,7 @@ def repeated_names_result():
          CheckRecord("probe:x", True, lhs=0.0, rhs=-0.0, slack=-0.0)),
     )
     return CampaignResult(CampaignConfig(), tuple(
-        GraphResult(i, g, TheoremSuite(g, theorems._records_block(recs), 0))
+        GraphResult(i, g, TheoremSuite(g, records_block(recs), 0))
         for i, (g, recs) in enumerate(zip(graphs, records))))
 
 

@@ -129,6 +129,28 @@ def test_interlace_rejects_bad_edge_flag(c3_file, capsys):
     assert "pass" not in captured.err
 
 
+@pytest.mark.parametrize("label", ["\u0661", "+1", "1_0"])
+def test_edge_flag_takes_only_the_graph_format_labels(label, c3_file, tmp_path,
+                                                      capsys):
+    # int() takes each of these labels; the graph format does not, and
+    # neither does --edge
+    path = tmp_path / "bad.txt"
+    path.write_text(f"mixedgraph v1\nvertices 10\n{label} -- 2\n")
+    assert main(["spectrum", str(path)]) == 2
+    assert main(["interlace", c3_file, "--edge", f"{label},2"]) == 2
+    assert main(["interlace", c3_file, "--edge", f"2,{label}"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("error: ") == 3
+
+
+def test_edge_flag_accepts_surrounding_spaces(c3_file, capsys):
+    assert main(["interlace", c3_file, "--edge", "1,2"]) == 0
+    plain = capsys.readouterr().out
+    assert main(["interlace", c3_file, "--edge", " 1, 2 "]) == 0
+    assert capsys.readouterr().out == plain
+
+
 def test_interlace_on_a_pendant_edge_is_a_precondition_error(tmp_path, capsys):
     path = tmp_path / "p3.txt"
     path.write_text("mixedgraph v1\nvertices 3\n1 -- 2\n2 -- 3\n")

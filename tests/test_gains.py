@@ -244,6 +244,13 @@ def test_balance_is_decided_per_component():
         assert (balance.positive[0], balance.antibalanced[0]) == verdicts
 
 
+def test_certificate_target_is_one_or_minus_one():
+    view = gain_view(cycle_graph(3))
+    for target in (1, -1, W, SixthRoot(2)):
+        with pytest.raises(ValueError, match="1 or -1"):
+            switching_certificate_to_constant(view, target)
+
+
 def test_certificate_requires_connected():
     g = MixedGraph.build(4, undirected_pairs=[(1, 2), (3, 4)])
     with pytest.raises(ValueError):

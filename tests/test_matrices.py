@@ -87,8 +87,9 @@ def test_randic_matrices_rows_are_the_edge_deleted_matrices(graphs_with_deletion
         assert same_bits(stack[0], loop_randic_matrix(g))
         assert same_bits(randic_matrix(g), loop_randic_matrix(g))
         for row, e in zip(stack[1:], deleted):
-            assert np.array_equal(row, randic_matrix(g.without_edge(e)))
-            assert same_bits(row, loop_randic_matrix(g.without_edge(e)))
+            smaller = MixedGraph(g.n, tuple(x for x in g.edges if x != e))
+            assert np.array_equal(row, randic_matrix(smaller))
+            assert same_bits(row, loop_randic_matrix(smaller))
 
 
 def removable_edges(g):
