@@ -242,9 +242,9 @@ def switching_certificate_to_constant(
 ) -> dict[int, SixthRoot] | None:
     """A switching function taking every gain to the constant target, if any.
 
-    target must be ONE or MINUS_ONE.  The certificate is read off the labels of
-    ``balances`` on the view's edge rows: zeta(v) = omega**(z + 3p) for
-    target -1 and omega**z for target 1, so zeta(1) = 1.  On a connected
+    target must be ONE or MINUS_ONE.  The certificate is read off the
+    labels of ``balances`` on the view's edge rows: zeta(v) is
+    omega**(z + 3p) for -1 and omega**z for 1, so zeta(1) = 1.  On a connected
     graph that switching function is the only one with zeta(1) = 1.
     Existence for target 1 means every cycle gain is 1, and for target -1
     that every cycle gain is (-1)**length.  The keys come in ascending

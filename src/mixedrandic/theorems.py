@@ -6,8 +6,8 @@ they must be the graph's own.  Numeric inequalities follow one convention: a
 claim lhs <= rhs is reported with slack = rhs - lhs and counts as satisfied
 when slack >= -tol * max(1, |rhs|), with tol = TOL_INEQ = 1e-9 unless a
 check documents otherwise.  Membership tests (is 1 an eigenvalue, do two
-spectra agree) use the looser ``spectra.TOL_EIG`` = 1e-8, which lives
-beside ``TOL_ZERO`` in ``spectra``, because they compare independently
+spectra agree) use the looser ``TOL_EIG`` = 1e-8, which lives in
+``spectra`` beside ``TOL_ZERO``, because they compare independently
 computed floating-point spectra.
 
 The bounds are evaluated on a population of one order at a time, as
