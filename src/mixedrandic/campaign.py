@@ -10,12 +10,13 @@ rendered with 17 significant digits (``format_float``'s ``.17g``), and
 records keep enumeration order.
 
 A campaign keeps the suite's block columns, not records, and the check
-count, the summary and both renders read them.  A block is formatted a
-column at a time: a row of a column's arrays is one f-string, fields in
-RECORD_FIELDS order.  Each distinct float of a block's arrays (a constant
-rhs among them), keyed by its bit pattern so that -0.0 is not 0.0, is
-formatted once, through a table that lives for that block only: one for a
-whole render would hold every distinct text of the report at once.  Each
+count, the summary and both renders read them a run (at most _RUN graphs
+of a block) at a time, formatted a column at a time: a row of a column's
+arrays is one f-string, fields in RECORD_FIELDS order.  Each distinct
+float of a run (a constant rhs among them), keyed by its bit pattern so
+that -0.0 is not 0.0, is formatted once, through a table that lives for
+that run only: one for a whole render would hold every distinct text of
+the report at once.  Each
 name's text and each edge record's label (graphs share records) are made
 once per render.  A row with fields of its own goes
 through ``json_scalar``'s check, so a numpy float renders as a float and
@@ -136,22 +137,29 @@ def edge_list_label(g: MixedGraph) -> str:
     return " ".join(map(edge_label, g.edges))
 
 
-@dataclass(frozen=True)
 class GraphResult:
-    index: int
-    graph: MixedGraph
-    suite: TheoremSuite
+    """One graph of a campaign: its report index, graph and suite."""
+
+    __slots__ = ("index", "graph", "suite")
+
+    def __init__(self, index: int, graph: MixedGraph,
+                 suite: TheoremSuite) -> None:
+        self.index, self.graph, self.suite = index, graph, suite
+
+
+#: Most results in one run, so a block of 1,024 graphs renders in four.
+_RUN = 256
 
 
 def _runs(results: Iterable[GraphResult]
           ) -> Iterator[tuple[_Block, int, list[GraphResult]]]:
-    """(block, first row, results) for each longest run of results whose
-    suites are consecutive rows of one block: a campaign's results are one
-    run per suite block."""
+    """(block, first row, results) for each longest run of at most _RUN
+    results whose suites are consecutive rows of one block."""
     block, first, run = None, 0, []
     for r in results:
         suite = r.suite
-        if suite.block is block and suite.row == first + len(run):
+        if (suite.block is block and suite.row == first + len(run)
+                and len(run) < _RUN):
             run.append(r)
             continue
         if run:
@@ -408,9 +416,9 @@ def _block_numbers(block: _Block, spans: list[tuple[int, int]]
                    ) -> list[list[list[str]] | None]:
     """Per column, the texts of the lhs, rhs and slack of its rows in
     ``spans`` (one rhs text when it is one float for every row), or None
-    for a column without numbers.  Each distinct float64 of the block is
+    for a column without numbers.  Each distinct float64 of those rows is
     formatted once, found by its bit pattern, so 0.0 and -0.0, or nans
-    of different payloads, stay apart; the table lives for this block
+    of different payloads, stay apart; the table lives for this call
     only."""
     arrays = []
     for column, (lo, hi) in zip(block.columns, spans):

@@ -269,12 +269,13 @@ def elementary_weight_numerators(g: MixedGraph) -> tuple[int, ...]:
     return tuple(elementary_weight_numerator_rows(*edge_table([g]))[0].tolist())
 
 
-def _passes(g: MixedGraph, connected_only: bool, min_degree: int) -> bool:
+def _passing_degrees(g: MixedGraph, connected_only: bool,
+                     min_degree: int) -> tuple[int, ...] | None:
     if min_degree > 0 and min(g.degrees()) < min_degree:
-        return False
+        return None
     if connected_only and not g.is_connected():
-        return False
-    return True
+        return None
+    return g.degrees()
 
 
 def _passing_graphs(n: int, state_vectors: Iterable[tuple[int, ...]],
@@ -285,24 +286,27 @@ def _passing_graphs(n: int, state_vectors: Iterable[tuple[int, ...]],
     ``combinations`` order: 0 absent, 1 u -- v, 2 u -> v, 3 v -> u.
     Degrees and connectivity depend only on which pairs are present, so the
     filter is decided once per presence mask, on the underlying graph,
-    before any graph is built; and the graphs share the 3 C(n, 2) edge
-    records.
+    before any graph is built.  That graph is the mask's one checked
+    graph: the others of its mask share its degrees and the 3 C(n, 2)
+    edge records, and skip the constructor's checks.
     """
     records = [(None, EdgeRecord(u, v, EdgeKind.UNDIRECTED),
                 EdgeRecord(u, v, EdgeKind.ARC), EdgeRecord(v, u, EdgeKind.ARC))
                for u, v in combinations(range(1, n + 1), 2)]
-    verdicts: dict[tuple[bool, ...], bool] = {}
+    degrees: dict[tuple[bool, ...], tuple[int, ...] | None] = {}
     for states in state_vectors:
         present = tuple(map(bool, states))
-        ok = verdicts.get(present)
-        if ok is None:
-            underlying = MixedGraph(n, tuple(
-                rec[1] for rec, there in zip(records, present) if there))
-            ok = verdicts[present] = _passes(underlying, connected_only,
-                                             min_degree)
-        if ok:
-            yield MixedGraph(n, tuple(
-                rec[state] for rec, state in zip(records, states) if state))
+        d = degrees.get(present, False)
+        if d is False:
+            d = degrees[present] = _passing_degrees(MixedGraph(n, tuple(
+                rec[1] for rec, there in zip(records, present) if there)),
+                connected_only, min_degree)
+        if d is not None:
+            g = object.__new__(MixedGraph)
+            g.__dict__.update(n=n, edges=tuple(
+                rec[state] for rec, state in zip(records, states) if state),
+                _degrees=d)
+            yield g
 
 
 def enumerate_mixed_graphs(

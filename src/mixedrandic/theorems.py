@@ -51,7 +51,6 @@ from .gains import Balance, balances, graph_balance
 from .graphs import (
     EdgeRecord,
     MixedGraph,
-    edge_label,
     general_randic_index,
 )
 from .matrices import (
@@ -81,10 +80,15 @@ from .spectra import (
 #: One-sided tolerance for inequality slack, scaled by max(1, |rhs|).
 TOL_INEQ = 1e-9
 
-#: Most graphs in one stacked build and solve: an order with more is taken
-#: in blocks of this many.  A whole order's stack and the arrays derived
-#: from it raise a campaign's peak memory with the population's size.
-SUITE_BLOCK = 256
+#: The work of one stacked build and solve: an order-n block holds at most
+#: SUITE_BLOCK // n**4 graphs, each with up to n**2 / 2 deletion slices of
+#: n**2 entries, so a campaign's peak memory does not grow with its size.
+SUITE_BLOCK = 1 << 18
+
+
+def _block_size(n: int) -> int:
+    """The most graphs of order n in one block (1,024 at n = 4)."""
+    return max(1, SUITE_BLOCK // n ** 4)
 
 
 @dataclass(frozen=True, slots=True)
@@ -653,6 +657,15 @@ def _pair_codes(n: int) -> tuple[np.ndarray, np.ndarray, np.dtype]:
     return pair // 31, 4 ** (pair % 31), np.dtype(key)
 
 
+@functools.cache
+def _interlacing_names(n: int) -> np.ndarray:
+    """The interlacing record names of order n, as an object array indexed
+    by an edge-table row's (u * n + v) * 2 + arc."""
+    return np.array([f"interlacing:{u}{kind}{v}" for u in range(1, n + 1)
+                     for v in range(1, n + 1) for kind in ("--", "->")],
+                    dtype=object)
+
+
 def _order_block(graphs: Sequence[MixedGraph], include_interlacing: bool,
                  solved: dict[int, tuple[np.ndarray, np.ndarray]]) -> _Block:
     """The suite on graphs of one order, each connected with every degree
@@ -664,7 +677,8 @@ def _order_block(graphs: Sequence[MixedGraph], include_interlacing: bool,
     A matrix is keyed by its pair states (0 absent, 1 un-oriented, 2 or 3
     an arc from the smaller or the larger end), which fix its entries
     1/sqrt(d_a d_b) times a gain.  ``solved[n]`` holds the sorted keys
-    solved before at order n and their rows, and takes the block's in.
+    solved before at order n and their rows; the block sorts only its own
+    keys and merges the new ones in by np.searchsorted.
     R(g) is always solved; R of an underlying graph or of g - e only
     under a new key."""
     n, count = graphs[0].n, len(graphs)
@@ -689,11 +703,13 @@ def _order_block(graphs: Sequence[MixedGraph], include_interlacing: bool,
     keys[2 * count:] = keys[owner[cuts]]
     keys[2 * count + np.arange(len(cuts)), word[cuts]] -= code[cuts]
     known, known_rows = solved.get(n) or (np.empty(0, dtype), np.empty((0, n)))
-    held = len(known) + count
-    distinct, first, inverse = np.unique(
-        np.concatenate((known, keys.view(dtype)[:, 0])),
-        return_index=True, return_inverse=True)
-    new = np.sort(first[first >= held]) - held
+    distinct, first, inverse = np.unique(keys.view(dtype)[:, 0],
+                                         return_index=True, return_inverse=True)
+    at = np.searchsorted(known, distinct)
+    hit = at < len(known)
+    hit[hit] = known[at[hit]] == distinct[hit]
+    miss = ~hit
+    new = np.sort(first[miss & (first >= count)]) - count
     fresh, new_cuts = new[new < count], cuts[new[new >= count] - count]
     # the k-th new underlying graph is its graph's rows un-oriented,
     # smaller end first, as graph count + k
@@ -715,10 +731,15 @@ def _order_block(graphs: Sequence[MixedGraph], include_interlacing: bool,
     del stacked, graph_of, cut_of
     rows = eigenvalue_rows(stack)
     vals, mats = rows[:count], stack[:count]
-    rows = np.concatenate((known_rows, rows))[
-        np.where(first < held, first, held + np.searchsorted(new, first - held))]
-    solved[n] = distinct, rows
-    group, deletions = inverse[held:held + count], rows[inverse[held + count:]]
+    # each key's row: the memo's, else its first graph's, else a new solve's
+    first = first[miss]
+    key_rows = np.empty((len(distinct), n))
+    key_rows[hit] = known_rows[at[hit]]
+    key_rows[miss] = rows[np.where(
+        first < count, first, count + np.searchsorted(new, first - count))]
+    solved[n] = (np.insert(known, at[miss], distinct[miss]),
+                 np.insert(known_rows, at[miss], key_rows[miss], axis=0))
+    group, deletions = inverse[count:2 * count], key_rows[inverse[2 * count:]]
     inverses: dict[int, float] = {}
     r_inv = np.array([inverses.get(k) or inverses.setdefault(k, randic_inverse(g))
                       for k, g in zip(group.tolist(), graphs)])
@@ -758,16 +779,11 @@ def _order_block(graphs: Sequence[MixedGraph], include_interlacing: bool,
 
     if include_interlacing:
         # one row per edge, graph by graph; the rows of edges whose removal
-        # isolates a vertex are skips.  Graphs often share edge records, and
-        # then share their names.
+        # isolates a vertex are skips
         worst = np.zeros(len(owner))
         worst[cuts] = _worst(_interlacing_violations(vals[owner[cuts]], deletions))
-        names: dict[int, str] = {}
         interlacing = _inequality(
-            [names.get(id(e)) or names.setdefault(
-                id(e), f"interlacing:{edge_label(e)}")
-             for g in graphs for e in g.edges],
-            worst, 0.0,
+            _interlacing_names(n)[(u * n + v) * 2 + arc].tolist(), worst, 0.0,
             bounds=np.searchsorted(owner, np.arange(len(graphs) + 1)).tolist())
         interlacing.own.update(dict.fromkeys(
             np.flatnonzero(~removable).tolist(),
@@ -780,7 +796,7 @@ def _order_block(graphs: Sequence[MixedGraph], include_interlacing: bool,
         _symmetry(_asymmetry(vals), balance.bipartite),
         _minus_one(multiplicities(vals, -1.0), positive,
                    balance.antibalanced, balance.bipartite),
-        _underlying(_distance(vals, rows[group]), positive))
+        _underlying(_distance(vals, key_rows[group]), positive))
     columns += _entry_sum_columns(n, entry_sums(degrees, edges), vals)
     columns.append(_smallest_eigenvalue_column(n, r_inv, vals))
     columns += _energy_columns(n, r_inv, vals)
@@ -793,8 +809,9 @@ def run_theorem_suites(graphs: Iterable[MixedGraph],
     """Evaluate every checker on each graph, each connected with all
     degrees >= 1; the suites come back in input order.
 
-    The graphs are taken one order at a time, in blocks of at most
-    SUITE_BLOCK graphs, and each block is read once into one edge_table.
+    The graphs are taken one order at a time, in blocks sized by their
+    work: at most SUITE_BLOCK // n**4 graphs of order n (1,024 at n = 4,
+    419 at n = 5), and each block is read once into one edge_table.
     From it come one stack, solved by one eigvalsh call, of R(g) for each
     graph and of each matrix the checks need besides whose pair states
     were not solved before at that order in this call: R(g - e) for every
@@ -815,8 +832,9 @@ def run_theorem_suites(graphs: Iterable[MixedGraph],
     suites: list[TheoremSuite] = [None] * len(graphs)  # type: ignore[list-item]
     solved: dict[int, tuple[np.ndarray, np.ndarray]] = {}
     for members in orders.values():
-        for start in range(0, len(members), SUITE_BLOCK):
-            block = members[start:start + SUITE_BLOCK]
+        size = _block_size(graphs[members[0]].n)
+        for start in range(0, len(members), size):
+            block = members[start:start + size]
             done = _order_block([graphs[i] for i in block],
                                 include_interlacing, solved)
             for row, i in enumerate(block):

@@ -568,6 +568,24 @@ def test_enumerated_graphs_share_edge_records():
     assert len({id(e) for g in sampled for e in g.edges}) <= 3 * 15
 
 
+def test_generated_graphs_equal_checked_graphs():
+    # the generator checks one graph per presence mask and builds its other
+    # graphs without the constructor's checks, from the mask's degrees
+    generated = [g for n in range(1, 5) for g in enumerate_mixed_graphs(n)]
+    generated += sample_mixed_graphs(5, 500, seed=1729)
+    generated += sample_mixed_graphs(6, 500, seed=1729)
+    for g in generated:
+        checked = MixedGraph(g.n, g.edges)
+        assert checked.edges == g.edges
+        assert checked.degrees() == g.degrees()
+    # a bad pair still raises through the checking constructor
+    first = g.edges[0]
+    with pytest.raises(ValueError, match="duplicate pair"):
+        MixedGraph(g.n, g.edges + (EdgeRecord(first.v, first.u, EdgeKind.ARC),))
+    with pytest.raises(ValueError, match="out of range"):
+        MixedGraph(g.n - 1, g.edges)
+
+
 def test_sampling_rejects_an_unreachable_min_degree():
     with pytest.raises(ValueError, match="min_degree"):
         sample_mixed_graphs(5, 1, seed=1, min_degree=5)

@@ -279,7 +279,7 @@ def test_suites_match_one_graph_suites(interlacing, graphs_with_deletions,
     graphs = [g for g, _ in graphs_with_deletions][::-1]
     graphs[40:40] = [path_graph(11), cycle_graph(11), graphs[3]]
     whole = run_theorem_suites(graphs, include_interlacing=interlacing)
-    monkeypatch.setattr(theorems, "SUITE_BLOCK", 7)
+    monkeypatch.setattr(theorems, "_block_size", lambda n: 7)
     blocked = run_theorem_suites(iter(graphs), include_interlacing=interlacing)
     assert len(whole) == len(blocked) == len(graphs)
     for g, a, b in zip(graphs, whole, blocked):
@@ -322,18 +322,39 @@ def new_slices(block, solved):
     return fresh, cuts
 
 
+def suite_blocks(graphs):
+    """The blocks the suite takes graphs in: one order at a time, in input
+    order, _block_size(n) graphs of order n to a block."""
+    for n in dict.fromkeys(g.n for g in graphs):
+        order = [g for g in graphs if g.n == n]
+        size = theorems._block_size(n)
+        for start in range(0, len(order), size):
+            yield order[start:start + size]
+
+
 def expected_solves(graphs):
     """How many matrices the suite solves for graphs of one order each:
     every graph, and each deletion or underlying matrix whose pair states
     were not solved before at that order."""
     solved, count = {}, 0
-    for n in dict.fromkeys(g.n for g in graphs):
-        order = [g for g in graphs if g.n == n]
-        for start in range(0, len(order), theorems.SUITE_BLOCK):
-            block = order[start:start + theorems.SUITE_BLOCK]
-            fresh, cuts = new_slices(block, solved.setdefault(n, set()))
-            count += len(block) + len(fresh) + len(cuts)
+    for block in suite_blocks(graphs):
+        fresh, cuts = new_slices(block, solved.setdefault(block[0].n, set()))
+        count += len(block) + len(fresh) + len(cuts)
     return count
+
+
+def test_suite_memo_merges_each_blocks_new_keys():
+    # blocks of 7 merge their new keys into the sorted memo; one block of
+    # all the graphs sorts them at once: the same keys and the same rows
+    graphs = population(4)[:300]
+    merged, whole = {}, {}
+    for start in range(0, len(graphs), 7):
+        theorems._order_block(graphs[start:start + 7], True, merged)
+    theorems._order_block(graphs, True, whole)
+    keys, rows = merged[4]
+    assert np.all(keys[1:] > keys[:-1])
+    assert np.array_equal(keys, whole[4][0])
+    assert rows.tobytes() == whole[4][1].tobytes()
 
 
 def counted_solves(monkeypatch):
@@ -379,7 +400,7 @@ def test_suite_keys_span_more_than_one_word(monkeypatch):
 
 
 def test_suite_builds_one_table_per_block_and_no_graph(monkeypatch):
-    graphs = population(4)[:600] + sample_mixed_graphs(5, 40, seed=5)
+    graphs = population(4)[:1200] + sample_mixed_graphs(5, 440, seed=5)
     build, stack = theorems.edge_table, theorems.randic_stack
     blocks, stacks, constructed = [], [], []
 
@@ -400,7 +421,9 @@ def test_suite_builds_one_table_per_block_and_no_graph(monkeypatch):
     run_theorem_suites(graphs)
     monkeypatch.undo()
     assert constructed == []
-    assert list(map(len, blocks)) == [256, 256, 88, 40]
+    # blocks of SUITE_BLOCK // n**4 graphs: 1,024 at n = 4, 419 at n = 5
+    assert list(map(len, blocks)) == [1024, 176, 419, 21]
+    assert blocks == list(suite_blocks(graphs))
     assert len(stacks) == len(blocks)
     solved = {}
     for block, (degrees, edges, graph_of, cut_of) in zip(blocks, stacks):
