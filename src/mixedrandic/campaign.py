@@ -16,18 +16,18 @@ arrays is one f-string, fields in RECORD_FIELDS order.  Each distinct
 float of a run (a constant rhs among them), keyed by its bit pattern so
 that -0.0 is not 0.0, is formatted once, through a table that lives for
 that run only: one for a whole render would hold every distinct text of
-the report at once.  Each
-name's text and each edge record's label (graphs share records) are made
-once per render.  A row with fields of its own goes
-through ``json_scalar``'s check, so a numpy float renders as a float and
-a numpy bool raises TypeError in both formats; one without numbers is
-formatted once per render and name.  ``json_checks`` writes each record as
-such a row.  A render writes one graph's text at a time to a
-StringIO: not one list of every line (about 7 MB more at the n <= 4 peak),
-nor texts of many graphs, whose place around the final join decided
-whether a process running campaign after campaign stayed at its resident
-peak (95.1-95.6 MB in 16 processes one graph at a time; 99.4-114 MB with
-512-graph chunks).
+the report at once.  Each name's text and each edge record's label
+(graphs share records) are made once per render.  A row with fields of
+its own goes through ``json_scalar``'s check, so a numpy float renders as
+a float and a numpy bool raises TypeError in both formats; one without
+numbers is formatted once per render and name.  Each column's rows of
+their own are sorted once per block and cut to a run by np.searchsorted.
+``json_checks`` writes each record as such a row.  A render writes one
+graph's text at a time to a StringIO: not one list of every line (about
+7 MB more at the n <= 4 peak), nor texts of many graphs, whose place
+around the final join decided whether a process running campaign after
+campaign stayed at its resident peak (95.1-95.6 MB in 16 processes one
+graph at a time; 99.4-114 MB with 512-graph chunks).
 The summary is read off the columns on first use and kept; the failing
 records are made when asked for.
 """
@@ -151,11 +151,13 @@ class GraphResult:
 _RUN = 256
 
 
-def _runs(results: Iterable[GraphResult]
-          ) -> Iterator[tuple[_Block, int, list[GraphResult]]]:
-    """(block, first row, results) for each longest run of at most _RUN
-    results whose suites are consecutive rows of one block."""
-    block, first, run = None, 0, []
+def _runs(results: Iterable[GraphResult], indexed: bool = False
+          ) -> Iterator[tuple[_Block, int, list[GraphResult], list | None]]:
+    """(block, first row, results, own rows) for each longest run of at
+    most _RUN results whose suites are consecutive rows of one block; own
+    rows, if ``indexed``, are each column's rows of ``own``, sorted once
+    per block."""
+    block, first, run, rows = None, 0, [], None
     for r in results:
         suite = r.suite
         if (suite.block is block and suite.row == first + len(run)
@@ -163,10 +165,18 @@ def _runs(results: Iterable[GraphResult]
             run.append(r)
             continue
         if run:
-            yield block, first, run
+            yield block, first, run, rows
+        if indexed and suite.block is not block:
+            rows = [np.sort(np.fromiter(c.own, np.intp, len(c.own)))
+                    for c in suite.block.columns]
         block, first, run = suite.block, suite.row, [r]
     if run:
-        yield block, first, run
+        yield block, first, run, rows
+
+
+def _own_in(rows: np.ndarray, lo: int, hi: int) -> list[int]:
+    """The rows in lo:hi of a column's sorted own rows."""
+    return rows[slice(*np.searchsorted(rows, (lo, hi)).tolist())].tolist()
 
 
 #: The record whose reason marks a divergence.
@@ -196,7 +206,7 @@ def _tally(results: tuple[GraphResult, ...]) -> _Tally:
             key = prefixes[name] = name.split(":", 1)[0]
         slack[key] = max(slack.get(key, 0.0), value)
 
-    for block, first, run in _runs(results):
+    for block, first, run, own_rows in _runs(results, indexed=True):
         found = []
         diverged = [False] * len(run)
         for c, column in enumerate(block.columns):
@@ -207,8 +217,8 @@ def _tally(results: tuple[GraphResult, ...]) -> _Tally:
             else:
                 graph_of = np.repeat(np.arange(len(run)), np.diff(
                     column.bounds[first:first + len(run) + 1])).tolist()
-            own = {row - lo: fields for row, fields in column.own.items()
-                   if lo <= row < hi}
+            own = {row - lo: column.own[row]
+                   for row in _own_in(own_rows[c], lo, hi)}
             for i in (~column.ok[lo:hi]).nonzero()[0].tolist():
                 if i not in own:
                     found.append((graph_of[i], c, lo + i))
@@ -252,7 +262,7 @@ class CampaignResult:
     checks: int = field(init=False, default=0)
 
     def __post_init__(self) -> None:
-        total = sum(hi - lo for block, first, run in _runs(self.results)
+        total = sum(hi - lo for block, first, run, _ in _runs(self.results)
                     for lo, hi in (column.span(first, first + len(run))
                                    for column in block.columns))
         object.__setattr__(self, "checks", total)
@@ -371,12 +381,14 @@ def _own_text(head: str, fields: tuple, style: _Style) -> str:
         zip((lhs, rhs, slack, satisfied, skipped, reason), style.after[1:]))
 
 
-def _column_texts(column: _Column, lo: int, hi: int, numbers: list | None,
-                  style: _Style, heads: _Heads, shared: dict) -> list[str]:
-    """The texts of rows lo:hi of a column, with ``numbers`` the texts of
-    their lhs, rhs and slack from _block_numbers.  A row of the arrays is
-    one f-string.  A row without numbers of its own is formatted once per
-    render and name, found again by the identity of its (shared) fields."""
+def _column_texts(column: _Column, lo: int, hi: int, own_rows: np.ndarray,
+                  numbers: list | None, style: _Style, heads: _Heads,
+                  shared: dict) -> list[str]:
+    """The texts of rows lo:hi of a column, with ``own_rows`` its sorted
+    rows of ``own`` and ``numbers`` the texts of their lhs, rhs and slack
+    from _block_numbers.  A row of the arrays is one f-string.  A row
+    without numbers of its own is formatted once per render and name,
+    found again by the identity of its (shared) fields."""
     names = column.name
     if isinstance(names, str):
         row_heads = repeat(heads[names])
@@ -398,17 +410,17 @@ def _column_texts(column: _Column, lo: int, hi: int, numbers: list | None,
             texts = [f"{head}{a}{to_rhs}{b}{to_slack}{c}{tails[o]}"
                      for head, a, b, c, o in zip(row_heads, lhs, rhs,
                                                  slack, ok)]
-    for row, fields in column.own.items():
-        if lo <= row < hi:
-            head = heads[names if isinstance(names, str) else names[row]]
-            if fields[2] is not None:
-                texts[row - lo] = _own_text(head, fields, style)
-                continue
-            key = (head, id(fields))
-            text = shared.get(key)
-            if text is None:
-                text = shared[key] = _own_text(head, fields, style)
-            texts[row - lo] = text
+    for row in _own_in(own_rows, lo, hi):
+        fields = column.own[row]
+        head = heads[names if isinstance(names, str) else names[row]]
+        if fields[2] is not None:
+            texts[row - lo] = _own_text(head, fields, style)
+            continue
+        key = (head, id(fields))
+        text = shared.get(key)
+        if text is None:
+            text = shared[key] = _own_text(head, fields, style)
+        texts[row - lo] = text
     return texts
 
 
@@ -439,16 +451,18 @@ def _block_numbers(block: _Block, spans: list[tuple[int, int]]
             for column in block.columns]
 
 
-def _block_rows(block: _Block, first: int, stop: int, style: _Style,
-                heads: _Heads, shared: dict) -> Iterator[list[str]]:
+def _block_rows(block: _Block, first: int, stop: int, own_rows: list,
+                style: _Style, heads: _Heads, shared: dict
+                ) -> Iterator[list[str]]:
     """Per graph first:stop of a block, its record texts in report order,
     formatted a column at a time."""
     spans = [column.span(first, stop) for column in block.columns]
     segments: list = []
     per_graph: list[list[str]] = []
-    for column, (lo, hi), numbers in zip(block.columns, spans,
-                                         _block_numbers(block, spans)):
-        texts = _column_texts(column, lo, hi, numbers, style, heads, shared)
+    for column, (lo, hi), rows, numbers in zip(
+            block.columns, spans, own_rows, _block_numbers(block, spans)):
+        texts = _column_texts(column, lo, hi, rows, numbers, style, heads,
+                              shared)
         if column.bounds is None:
             per_graph.append(texts)
             continue
@@ -469,9 +483,9 @@ def _result_rows(results: tuple[GraphResult, ...], style: _Style
     one block at a time.  Generated graphs share their edge records, and
     each distinct record is labelled once."""
     heads, shared, labels = _Heads(style), {}, {}
-    for block, first, run in _runs(results):
+    for block, first, run, own_rows in _runs(results, indexed=True):
         for r, rows in zip(run, _block_rows(block, first, first + len(run),
-                                            style, heads, shared)):
+                                            own_rows, style, heads, shared)):
             yield r, " ".join([labels.get(id(e)) or labels.setdefault(
                 id(e), edge_label(e)) for e in r.graph.edges]), rows
 

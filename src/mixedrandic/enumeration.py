@@ -23,6 +23,11 @@ numerator sums C[X] times the degrees of the vertices outside X;
 ``elementary_weight_numerators`` is its one-graph case.  ``enumerate_cycles``
 lists the cycles of one graph, for the demos and the tests.
 
+The generators filter (K, C(n, 2)) arrays of pair states a bounded batch
+at a time: the base-4 digits of consecutive codes, or the Mersenne Twister
+words that ``randrange(4)`` would read.  The graphs that pass share one set
+of 3 C(n, 2) edge records per order.
+
 Everything here is desk scale: the combinatorial routines take n <= 13
 (the suite n <= 10) and graph enumeration is capped (default 6) because the
 number of labeled mixed graphs grows as 4**C(n, 2).
@@ -32,8 +37,8 @@ from __future__ import annotations
 
 import functools
 import random
-from itertools import combinations, islice, product, repeat
-from typing import Iterable, Iterator
+from itertools import combinations, islice
+from typing import Iterator
 
 import numpy as np
 
@@ -269,44 +274,53 @@ def elementary_weight_numerators(g: MixedGraph) -> tuple[int, ...]:
     return tuple(elementary_weight_numerator_rows(*edge_table([g]))[0].tolist())
 
 
-def _passing_degrees(g: MixedGraph, connected_only: bool,
-                     min_degree: int) -> tuple[int, ...] | None:
-    if min_degree > 0 and min(g.degrees()) < min_degree:
-        return None
-    if connected_only and not g.is_connected():
-        return None
-    return g.degrees()
+#: Most pair-state vectors (or, to the sampler, words) a generator holds.
+_BATCH = 1 << 13
 
 
-def _passing_graphs(n: int, state_vectors: Iterable[tuple[int, ...]],
-                    connected_only: bool, min_degree: int) -> Iterator[MixedGraph]:
-    """The graphs of a stream of pair-state vectors that pass the filter.
+@functools.cache
+def _pair_table(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Per pair i of order n, its shared records ([i, s] in state s > 0), and
+    a float64 row adding 1 to its ends' degrees and each end's bit to the
+    other's neighbour mask (columns n..2n - 1)."""
+    records = np.array([(None, EdgeRecord(u, v, EdgeKind.UNDIRECTED),
+                         EdgeRecord(u, v, EdgeKind.ARC),
+                         EdgeRecord(v, u, EdgeKind.ARC))
+                        for u, v in combinations(range(1, n + 1), 2)],
+                       dtype=object).reshape(-1, 4)
+    a, b = np.triu_indices(n, 1)
+    at_a, at_b = np.eye(n)[a], np.eye(n)[b]
+    return records, np.hstack((at_a + at_b, at_a * 2.0 ** b[:, np.newaxis]
+                               + at_b * 2.0 ** a[:, np.newaxis]))
 
-    Entry i of a vector is the state of pair i = (u, v), u < v, in
-    ``combinations`` order: 0 absent, 1 u -- v, 2 u -> v, 3 v -> u.
-    Degrees and connectivity depend only on which pairs are present, so the
-    filter is decided once per presence mask, on the underlying graph,
-    before any graph is built.  That graph is the mask's one checked
-    graph: the others of its mask share its degrees and the 3 C(n, 2)
-    edge records, and skip the constructor's checks.
-    """
-    records = [(None, EdgeRecord(u, v, EdgeKind.UNDIRECTED),
-                EdgeRecord(u, v, EdgeKind.ARC), EdgeRecord(v, u, EdgeKind.ARC))
-               for u, v in combinations(range(1, n + 1), 2)]
-    degrees: dict[tuple[bool, ...], tuple[int, ...] | None] = {}
-    for states in state_vectors:
-        present = tuple(map(bool, states))
-        d = degrees.get(present, False)
-        if d is False:
-            d = degrees[present] = _passing_degrees(MixedGraph(n, tuple(
-                rec[1] for rec, there in zip(records, present) if there)),
-                connected_only, min_degree)
-        if d is not None:
-            g = object.__new__(MixedGraph)
-            g.__dict__.update(n=n, edges=tuple(
-                rec[state] for rec, state in zip(records, states) if state),
-                _degrees=d)
-            yield g
+
+def _passing_graphs(n: int, states: np.ndarray, connected_only: bool,
+                    min_degree: int) -> Iterator[MixedGraph]:
+    """The graphs of a (K, C(n, 2)) int8 batch of pair states (in
+    ``combinations`` order: 0 absent, 1 u -- v, 2 u -> v, 3 v -> u) that
+    pass the filter, in order, each built when read, with _pair_table's
+    records and without the constructor's checks.  Degrees and reach from
+    vertex 1 (a bit mask grown n - 1 times) are array operations."""
+    if not 1 <= n <= 52:  # a float64 neighbour mask holds n bits
+        raise ValueError(f"vertex count {n} outside 1..52")
+    records, weights = _pair_table(n)
+    # every entry a small integer, so the float product is exact
+    tally = ((states > 0) @ weights).astype(np.int64)
+    degrees, neighbours = tally[:, :n], tally[:, n:]
+    keep = (degrees >= min_degree).all(axis=1)
+    if connected_only:
+        reached = np.ones(len(states), dtype=np.int64)
+        for v in list(range(n)) * (n - 1):
+            reached |= neighbours[:, v] * (reached >> v & 1)
+        keep &= reached == (1 << n) - 1
+    states, degrees = states[keep], degrees[keep]
+    row, pair = np.nonzero(states)
+    edges = records[pair, states[row, pair]].tolist()
+    ends = np.cumsum(np.count_nonzero(states, axis=1)).tolist()
+    for first, end, d in zip([0] + ends, ends, map(tuple, degrees.tolist())):
+        g = object.__new__(MixedGraph)
+        g.__dict__.update(n=n, edges=tuple(edges[first:end]), _degrees=d)
+        yield g
 
 
 def enumerate_mixed_graphs(
@@ -325,9 +339,13 @@ def enumerate_mixed_graphs(
     if n > DEFAULT_GRAPH_CAP:
         raise ValueError(f"n = {n} above enumeration cap {DEFAULT_GRAPH_CAP}")
     pair_count = n * (n - 1) // 2
-    # lexicographic, the last pair's state changing fastest
-    yield from _passing_graphs(n, product(range(4), repeat=pair_count),
-                               connected_only, min_degree)
+    # the base-4 digits of each code, the first pair's most significant
+    shifts = 2 * np.arange(pair_count - 1, -1, -1)
+    for first in range(0, 4 ** pair_count, _BATCH):
+        codes = np.arange(first, min(first + _BATCH, 4 ** pair_count))
+        yield from _passing_graphs(
+            n, (codes[:, np.newaxis] >> shifts & 3).astype(np.int8),
+            connected_only, min_degree)
 
 
 def sample_mixed_graphs(
@@ -349,7 +367,18 @@ def sample_mixed_graphs(
         )
     rng = random.Random(seed)
     pair_count = n * (n - 1) // 2
-    draws = (tuple(rng.randrange(4) for _ in range(pair_count))
-             for _ in repeat(None))
-    return list(islice(
-        _passing_graphs(n, draws, connected_only, min_degree), count))
+    graphs: list[MixedGraph] = []
+    drawn = np.empty(0, dtype=np.int8)
+    while len(graphs) < count:
+        states = np.empty((count, 0), dtype=np.int8)
+        if pair_count:
+            # randrange(4) is getrandbits(3), the top 3 bits of a word, drawn
+            # again while >= 4; getrandbits(32 k) puts the first word lowest
+            words = np.frombuffer(rng.getrandbits(32 * _BATCH).to_bytes(
+                4 * _BATCH, "little"), dtype="<u4") >> 29
+            drawn = np.concatenate((drawn, words[words < 4].astype(np.int8)))
+            whole = len(drawn) - len(drawn) % pair_count
+            states, drawn = drawn[:whole].reshape(-1, pair_count), drawn[whole:]
+        graphs += islice(_passing_graphs(n, states, connected_only, min_degree),
+                         count - len(graphs))
+    return graphs

@@ -666,13 +666,30 @@ def _interlacing_names(n: int) -> np.ndarray:
                     dtype=object)
 
 
+def _inverse_degree_sums(degrees: np.ndarray,
+                         edges: tuple[np.ndarray, ...]) -> np.ndarray:
+    """r_inv of each graph of an edge_table (each with an edge), bit for bit
+    randic_inverse: its integer sum of shares L / (d_u d_v), L the lcm of
+    the products, at most m L, over L.  Exact float64 below 2**53, so the
+    one division is correctly rounded; from there on Python ints."""
+    owner, u, v, _ = edges
+    products, product_of = np.unique(degrees[owner, u] * degrees[owner, v],
+                                     return_inverse=True)
+    common = math.lcm(*products.tolist())
+    exact = common * int(np.bincount(owner).max()) < 2 ** 53
+    shares = np.array([common // p for p in products.tolist()],
+                      dtype=np.int64 if exact else object)[product_of]
+    return (np.add.reduceat(shares, np.searchsorted(
+        owner, np.arange(len(degrees)))) / common).astype(float)
+
+
 def _order_block(graphs: Sequence[MixedGraph], include_interlacing: bool,
                  solved: dict[int, tuple[np.ndarray, np.ndarray]]) -> _Block:
     """The suite on graphs of one order, each connected with every degree
     >= 1 (else ValueError), from one edge_table: one balance traversal,
     one stacked build and solve, the residuals and bounds as array
     reductions over the graphs, the exact charpoly numerators, and r_inv
-    once per underlying graph.
+    of every graph over one common denominator.
 
     A matrix is keyed by its pair states (0 absent, 1 un-oriented, 2 or 3
     an arc from the smaller or the larger end), which fix its entries
@@ -740,9 +757,7 @@ def _order_block(graphs: Sequence[MixedGraph], include_interlacing: bool,
     solved[n] = (np.insert(known, at[miss], distinct[miss]),
                  np.insert(known_rows, at[miss], key_rows[miss], axis=0))
     group, deletions = inverse[count:2 * count], key_rows[inverse[2 * count:]]
-    inverses: dict[int, float] = {}
-    r_inv = np.array([inverses.get(k) or inverses.setdefault(k, randic_inverse(g))
-                      for k, g in zip(group.tolist(), graphs)])
+    r_inv = _inverse_degree_sums(degrees, edges)
 
     columns = [
         _inequality("unit_interval", spectral_radii(vals), 1.0),
@@ -817,12 +832,12 @@ def run_theorem_suites(graphs: Iterable[MixedGraph],
     were not solved before at that order in this call: R(g - e) for every
     edge whose removal isolates no vertex, and R of each underlying graph.
     The exact characteristic polynomials come from one path-counting
-    programme and one cover-sum pass, and r_inv once per underlying graph
-    of a block.  The residuals and bounds are row reductions over the
-    block's eigenvalue array, kept as one column per check: no record is
-    built until one is read.  Connectivity, bipartiteness, positivity and
-    antibalance come from one traversal of the block's edge rows
-    (gains.balances).
+    programme and one cover-sum pass, and r_inv over one common
+    denominator per block.  The residuals and bounds are row reductions
+    over the block's eigenvalue array, kept as one column per check: no
+    record is built until one is read.  Connectivity, bipartiteness,
+    positivity and antibalance come from one traversal of the block's edge
+    rows (gains.balances).
     Raises ValueError on a disconnected graph or an isolated vertex.
     """
     graphs = list(graphs)

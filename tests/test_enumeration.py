@@ -3,7 +3,7 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations, groupby
+from itertools import combinations, groupby, islice
 
 import numpy as np
 import pytest
@@ -566,6 +566,58 @@ def test_enumerated_graphs_share_edge_records():
     assert len({id(e) for g in graphs for e in g.edges}) == 3 * 6
     sampled = sample_mixed_graphs(6, 50, seed=2)
     assert len({id(e) for g in sampled for e in g.edges}) <= 3 * 15
+
+
+def test_generators_on_one_vertex():
+    # no pairs: one empty vector per code or draw, and no word is read
+    for connected_only in (False, True):
+        got = list(enumerate_mixed_graphs(1, connected_only, 0))
+        assert _same_graphs(got, _reference_enumeration(1, connected_only, 0))
+        assert [(g.n, g.edges, g.degrees()) for g in got] == [(1, (), (0,))]
+        sampled = sample_mixed_graphs(1, 3, 5, connected_only, 0)
+        assert _same_graphs(sampled, _reference_sample(1, 3, 5, connected_only, 0))
+        assert [g.degrees() for g in sampled] == [(0,)] * 3
+
+
+@pytest.mark.parametrize("batch", [5, 37, 1 << 10])
+def test_sampling_across_batches(batch, monkeypatch):
+    # a batch of 5 words holds less than one n = 5 vector, so vectors are
+    # cut across batches; records stay shared across them
+    monkeypatch.setattr(enumeration, "_BATCH", batch)
+    for n, seed, count in [(5, 1729, 40), (6, 3, 25)]:
+        got = sample_mixed_graphs(n, count, seed)
+        assert _same_graphs(got, _reference_sample(n, count, seed, True, 1))
+        assert len({id(e) for g in got for e in g.edges}) <= 3 * n * (n - 1) // 2
+
+
+def test_sampling_reads_bounded_batches(monkeypatch):
+    # the sample needs several batches, and no read grows with its size
+    asked = []
+
+    class Recording(random.Random):
+        def getrandbits(self, k):
+            asked.append(k)
+            return super().getrandbits(k)
+
+    expected = _reference_sample(6, 2000, 1729, True, 1)
+    monkeypatch.setattr(enumeration.random, "Random", Recording)
+    assert _same_graphs(sample_mixed_graphs(6, 2000, 1729), expected)
+    assert len(asked) > 1 and max(asked) == 32 * enumeration._BATCH
+
+
+@pytest.mark.parametrize("batch", [1000, None])
+def test_enumeration_prefix_across_chunks(batch, monkeypatch):
+    # the n = 5 stream in order across chunk boundaries, filtered and not
+    if batch is not None:
+        monkeypatch.setattr(enumeration, "_BATCH", batch)
+    chunk = enumeration._BATCH
+    for connected_only, min_degree in [(False, 0), (True, 1)]:
+        expected = list(islice(_reference_enumeration(
+            5, connected_only, min_degree), 2 * chunk + 50))
+        got = list(islice(enumerate_mixed_graphs(5, connected_only, min_degree),
+                          len(expected)))
+        assert _same_graphs(got, expected)
+        assert len({id(e) for g in got for e in g.edges}) <= 3 * 10
 
 
 def test_generated_graphs_equal_checked_graphs():

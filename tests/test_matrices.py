@@ -232,6 +232,21 @@ def test_is_hermitian_on_stacks():
     assert not is_hermitian(np.zeros(3))
 
 
+def test_is_hermitian_keeps_its_tolerance_past_the_exact_test():
+    # not exactly Hermitian, so the 1e-12 relative tolerance decides
+    stack = randic_matrices(cycle_graph(4), cycle_graph(4).edges)
+    stack[1, 0, 1] += 5e-13
+    assert not np.array_equal(stack, stack.conj().swapaxes(-2, -1))
+    assert is_hermitian(stack)
+    stack[1, 0, 1] += 1e-12
+    assert not is_hermitian(stack)
+    scaled = 1e6 * randic_matrix(cycle_graph(3))
+    scaled[0, 1] += 1e-7
+    assert is_hermitian(scaled)
+    assert not is_hermitian(np.full((2, 2), np.nan))
+    assert is_hermitian(np.zeros((0, 3, 3)))
+
+
 def test_randic_matches_sandwich_product():
     for g in population(4)[:200]:
         d = np.diag(1 / np.sqrt(np.array(g.degrees(), dtype=float)))

@@ -29,6 +29,8 @@ from mixedrandic import theorems
 from mixedrandic.matrices import edge_table
 from mixedrandic.theorems import entry_sums, randic_inverse, run_theorem_suites
 
+from test_cli import EXPONENTIAL_COUNTEREXAMPLE, seeded_connected_graph
+
 # Non-bipartite mixed graph whose two triangles carry gains 1 and -1, so the
 # odd-order coefficients vanish and the spectrum is symmetric about zero.
 SYMMETRIC_NON_BIPARTITE = (
@@ -149,6 +151,26 @@ def test_randic_inverse_is_the_exact_sum_rounded_once(exhaustive_population,
             exact = general_randic_index(g, k)
             assert type(exact) is Fraction
             assert exact == fraction_randic_index(g, k), (g, k)
+
+
+def test_block_inverse_degree_sums_are_randic_inverse(exhaustive_population,
+                                                     sampled_population):
+    # one common denominator per block, one division per graph; in the
+    # order-20 block the denominator times m passes 2**53, so the shares
+    # and the division are Python ints
+    pins = [seeded_connected_graph(n, m, seed) for n, m, seed in
+            ((10, 14, 1), (10, 20, 2), (10, 27, 3), (11, 22, 4))]
+    pins.append(parse_graph(EXPONENTIAL_COUNTEREXAMPLE))
+    wide = sample_mixed_graphs(20, 30, seed=5)
+    degrees, (owner, u, v, _) = edge_table(wide)
+    products = (degrees[owner, u] * degrees[owner, v]).tolist()
+    assert math.lcm(*products) * max(g.m for g in wide) >= 2 ** 53
+    graphs = [*exhaustive_population, *sampled_population, *pins, *wide]
+    for n in sorted({g.n for g in graphs}):
+        block = [g for g in graphs if g.n == n]
+        got = theorems._inverse_degree_sums(*edge_table(block))
+        assert [x.hex() for x in got.tolist()] == [
+            float(general_randic_index(g, -1)).hex() for g in block]
 
 
 def test_entry_sum_values():
