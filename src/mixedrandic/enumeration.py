@@ -317,9 +317,12 @@ def _passing_graphs(n: int, states: np.ndarray, connected_only: bool,
     row, pair = np.nonzero(states)
     edges = records[pair, states[row, pair]].tolist()
     ends = np.cumsum(np.count_nonzero(states, axis=1)).tolist()
-    for first, end, d in zip([0] + ends, ends, map(tuple, degrees.tolist())):
+    # graphs of equal degrees share one tuple, as they would one record
+    shared: dict[tuple[int, ...], tuple[int, ...]] = {}
+    for first, end, d in zip([0] + ends, ends, zip(*degrees.T.tolist())):
         g = object.__new__(MixedGraph)
-        g.__dict__.update(n=n, edges=tuple(edges[first:end]), _degrees=d)
+        g.__dict__.update(n=n, edges=tuple(edges[first:end]),
+                          _degrees=shared.setdefault(d, d))
         yield g
 
 
@@ -359,8 +362,11 @@ def sample_mixed_graphs(
 
     Draws edge-state vectors uniformly and keeps those passing the filter
     until count graphs are collected; deterministic for a fixed seed.
-    Raises if min_degree exceeds n - 1, which no graph on n vertices meets.
+    Raises if count is negative, or if min_degree exceeds n - 1, which no
+    graph on n vertices meets.
     """
+    if count < 0:
+        raise ValueError(f"count {count} is negative")
     if min_degree > n - 1:
         raise ValueError(
             f"min_degree {min_degree} above n - 1 = {n - 1}: no graph passes"
@@ -370,7 +376,6 @@ def sample_mixed_graphs(
     graphs: list[MixedGraph] = []
     drawn = np.empty(0, dtype=np.int8)
     while len(graphs) < count:
-        states = np.empty((count, 0), dtype=np.int8)
         if pair_count:
             # randrange(4) is getrandbits(3), the top 3 bits of a word, drawn
             # again while >= 4; getrandbits(32 k) puts the first word lowest
@@ -379,6 +384,8 @@ def sample_mixed_graphs(
             drawn = np.concatenate((drawn, words[words < 4].astype(np.int8)))
             whole = len(drawn) - len(drawn) % pair_count
             states, drawn = drawn[:whole].reshape(-1, pair_count), drawn[whole:]
+        else:
+            states = np.empty((count, 0), dtype=np.int8)
         graphs += islice(_passing_graphs(n, states, connected_only, min_degree),
                          count - len(graphs))
     return graphs

@@ -564,6 +564,9 @@ def test_enumerated_graphs_share_edge_records():
     graphs = list(enumerate_mixed_graphs(4, connected_only=True, min_degree=1))
     # three records (u -- v, u -> v, v -> u) per vertex pair
     assert len({id(e) for g in graphs for e in g.edges}) == 3 * 6
+    # and, within a batch, one degree tuple per distinct degree sequence
+    assert (len({id(g.degrees()) for g in graphs})
+            == len({g.degrees() for g in graphs}))
     sampled = sample_mixed_graphs(6, 50, seed=2)
     assert len({id(e) for g in sampled for e in g.edges}) <= 3 * 15
 
@@ -641,6 +644,8 @@ def test_generated_graphs_equal_checked_graphs():
 def test_sampling_rejects_an_unreachable_min_degree():
     with pytest.raises(ValueError, match="min_degree"):
         sample_mixed_graphs(5, 1, seed=1, min_degree=5)
+    with pytest.raises(ValueError, match="negative"):
+        sample_mixed_graphs(5, -1, seed=1)
     # n - 1 is reachable: only complete underlying graphs pass
     for g in sample_mixed_graphs(4, 5, seed=1, min_degree=3):
         assert g.degrees() == (3, 3, 3, 3)
