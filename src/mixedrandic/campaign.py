@@ -9,6 +9,11 @@ Reports are byte-deterministic for a fixed configuration: all floats are
 rendered with 17 significant digits (``format_float``'s ``.17g``), and
 records keep enumeration order.
 
+A campaign builds no graph: the suite reads each order's (states,
+degrees) arrays from the generator, a result keeps its row and builds its
+``graph`` when read, and the renders label edges from a per-order
+(pair, state) text table.
+
 A campaign keeps the suite's block columns, not records, and the check
 count, the summary and both renders read them a run (at most _RUN graphs
 of a block) at a time, formatted a column at a time: a row of a column's
@@ -16,18 +21,15 @@ arrays is one f-string, fields in RECORD_FIELDS order.  Each distinct
 float of a run (a constant rhs among them), keyed by its bit pattern so
 that -0.0 is not 0.0, is formatted once, through a table that lives for
 that run only: one for a whole render would hold every distinct text of
-the report at once.  Each name's text and each edge record's label
-(graphs share records) are made once per render.  A row with fields of
-its own goes through ``json_scalar``'s check, so a numpy float renders as
-a float and a numpy bool raises TypeError in both formats; one without
-numbers is formatted once per render and name.  Each column's rows of
-their own are sorted once per block and cut to a run by np.searchsorted.
+the report at once.  Each name's text is made once per render.  A row
+with fields of its own goes through ``json_scalar``'s check, so a numpy
+float renders as a float and a numpy bool raises TypeError in both
+formats; one without numbers is formatted once per render and name.
+Each column's rows of their own are sorted once per block and cut to a
+run by np.searchsorted.
 ``json_checks`` writes each record as such a row.  A render writes one
-graph's text at a time to a StringIO: not one list of every line (about
-7 MB more at the n <= 4 peak), nor texts of many graphs, whose place
-around the final join decided whether a process running campaign after
-campaign stayed at its resident peak (95.1-95.6 MB in 16 processes one
-graph at a time; 99.4-114 MB with 512-graph chunks).
+graph's text at a time to a StringIO: a list of every line, or texts of
+many graphs around the final join, raise the resident peak.
 The summary is read off the columns on first use and kept; the failing
 records are made when asked for.
 """
@@ -43,14 +45,21 @@ from typing import Callable, Iterable, Iterator, NamedTuple
 
 import numpy as np
 
-from .enumeration import enumerate_mixed_graphs, sample_mixed_graphs
+from .enumeration import (
+    _enumerated_states,
+    _graphs,
+    _pair_table,
+    _row_entries,
+    _sampled_states,
+)
 from .graphs import MixedGraph, ParseError, edge_label
+from .matrices import _state_table
 from .theorems import (
     CheckRecord,
     TheoremSuite,
     _Block,
     _Column,
-    run_theorem_suites,
+    _suite_blocks,
 )
 
 #: Largest n enumerated exhaustively; larger sizes are sampled.
@@ -60,18 +69,22 @@ DEFAULT_SAMPLE = 500
 DEFAULT_SEED = 1729
 
 
+def _order_states(n: int, min_degree: int, sample_limit: int | None,
+                  seed: int) -> tuple[np.ndarray, np.ndarray]:
+    """population(n, ...) as its (states, degrees) arrays."""
+    if n <= EXHAUSTIVE_LIMIT:
+        states, degrees = map(np.concatenate, zip(*_enumerated_states(
+            n, connected_only=True, min_degree=min_degree)))
+        return states[:sample_limit], degrees[:sample_limit]
+    count = DEFAULT_SAMPLE if sample_limit is None else sample_limit
+    return _sampled_states(n, count, seed, connected_only=True,
+                           min_degree=min_degree)
+
+
 def population(n: int, min_degree: int = 1, sample_limit: int | None = None,
                seed: int = DEFAULT_SEED) -> list[MixedGraph]:
     """The connected graphs of one order, sampled above EXHAUSTIVE_LIMIT."""
-    if n <= EXHAUSTIVE_LIMIT:
-        graphs = list(enumerate_mixed_graphs(
-            n, connected_only=True, min_degree=min_degree))
-        if sample_limit is not None:
-            graphs = graphs[:sample_limit]
-        return graphs
-    count = DEFAULT_SAMPLE if sample_limit is None else sample_limit
-    return sample_mixed_graphs(n, count, seed, connected_only=True,
-                               min_degree=min_degree)
+    return list(_graphs(*_order_states(n, min_degree, sample_limit, seed)))
 
 
 @dataclass(frozen=True)
@@ -138,13 +151,24 @@ def edge_list_label(g: MixedGraph) -> str:
 
 
 class GraphResult:
-    """One graph of a campaign: its report index, graph and suite."""
+    """One graph of a campaign: its report index, graph and suite, or in
+    place of the graph its order's (states, degrees) and its row there."""
 
-    __slots__ = ("index", "graph", "suite")
+    __slots__ = ("index", "suite", "_graph", "_order", "_row")
 
-    def __init__(self, index: int, graph: MixedGraph,
-                 suite: TheoremSuite) -> None:
-        self.index, self.graph, self.suite = index, graph, suite
+    def __init__(self, index: int, graph: MixedGraph | None,
+                 suite: TheoremSuite, order: tuple | None = None,
+                 row: int = 0) -> None:
+        self.index, self._graph, self.suite = index, graph, suite
+        self._order, self._row = order, row
+
+    @property
+    def graph(self) -> MixedGraph:
+        if self._order is None:
+            return self._graph
+        states, degrees = self._order
+        row = slice(self._row, self._row + 1)
+        return next(_graphs(states[row], degrees[row]))
 
 
 #: Most results in one run, so a block of 1,024 graphs renders in four.
@@ -295,14 +319,20 @@ class CampaignResult:
 
 
 def run_campaign(config: CampaignConfig) -> CampaignResult:
-    graphs: list[MixedGraph] = []
+    """The suite on each order's population, straight from its pair-state
+    arrays: no graph is built."""
+    results: list[GraphResult] = []
     for n in range(config.n_min, config.n_max + 1):
-        graphs.extend(population(
-            n, min_degree=config.min_degree, sample_limit=config.sample_limit,
-            seed=config.seed))
-    results = tuple(GraphResult(i, g, suite) for i, (g, suite)
-                    in enumerate(zip(graphs, run_theorem_suites(graphs))))
-    return CampaignResult(config, results)
+        order = states, degrees = _order_states(
+            n, config.min_degree, config.sample_limit, config.seed)
+        first = len(results)
+        for rows, block in _suite_blocks(
+                n, len(states), lambda start, stop: _state_table(
+                    states[start:stop], degrees[start:stop])):
+            results += [GraphResult(first + row, None,
+                                    TheoremSuite(block, row - rows.start),
+                                    order, row) for row in rows]
+    return CampaignResult(config, tuple(results))
 
 
 def format_float(x: float) -> str:
@@ -477,17 +507,38 @@ def _block_rows(block: _Block, first: int, stop: int, own_rows: list,
         yield [text for part in parts for text in part]
 
 
+@functools.cache
+def _pair_labels(n: int) -> np.ndarray:
+    """The edge_label of each vertex pair of order n in each state, as an
+    object array indexed [pair, state]."""
+    return np.array([[e and edge_label(e) for e in records]
+                     for records in _pair_table(n)[0].tolist()], dtype=object)
+
+
+def _run_labels(run: list[GraphResult]) -> tuple[Iterable[int], list[str]]:
+    """The order and edge_list_label of each result of a run, read off
+    its order's pair states when every result holds a row of one order."""
+    order = run[0]._order
+    if order is None or any(r._order is not order for r in run):
+        graphs = [r.graph for r in run]
+        return [g.n for g in graphs], list(map(edge_list_label, graphs))
+    states, degrees = order
+    n = degrees.shape[1]
+    return repeat(n), list(map(" ".join, _row_entries(
+        _pair_labels(n), states[[r._row for r in run]])))
+
+
 def _result_rows(results: tuple[GraphResult, ...], style: _Style
-                 ) -> Iterator[tuple[GraphResult, str, list[str]]]:
-    """Each result with its edge_list_label and its record texts, a run of
-    one block at a time.  Generated graphs share their edge records, and
-    each distinct record is labelled once."""
-    heads, shared, labels = _Heads(style), {}, {}
+                 ) -> Iterator[tuple[int, int, str, list[str]]]:
+    """Each result's index, order, edge_list_label and record texts, a run
+    of one block at a time."""
+    heads, shared = _Heads(style), {}
     for block, first, run, own_rows in _runs(results, indexed=True):
-        for r, rows in zip(run, _block_rows(block, first, first + len(run),
-                                            own_rows, style, heads, shared)):
-            yield r, " ".join([labels.get(id(e)) or labels.setdefault(
-                id(e), edge_label(e)) for e in r.graph.edges]), rows
+        orders, labels = _run_labels(run)
+        for r, n, label, rows in zip(run, orders, labels, _block_rows(
+                block, first, first + len(run), own_rows, style, heads,
+                shared)):
+            yield r.index, n, label, rows
 
 
 def json_checks(records) -> str:
@@ -518,9 +569,9 @@ def _config_items(config: CampaignConfig) -> list[tuple[str, str]]:
 def _json_graphs(results: tuple[GraphResult, ...]) -> Iterator[str]:
     """The entries of the report's "graphs" list, one line per graph."""
     last = len(results) - 1
-    for i, (r, label, rows) in enumerate(_result_rows(results, _JSON)):
+    for i, (index, n, label, rows) in enumerate(_result_rows(results, _JSON)):
         end = ",\n" if i < last else "\n"
-        yield (f'{{"index": {r.index}, "n": {r.graph.n}, '
+        yield (f'{{"index": {index}, "n": {n}, '
                f'"edges": {json_scalar(label)}, '
                f'"checks": {{{", ".join(rows)}}}}}{end}')
 
@@ -571,10 +622,10 @@ _JSON = _style(json.dumps, json_scalar, tuple(
 
 def _csv_rows(results: tuple[GraphResult, ...]) -> Iterator[str]:
     """The report's rows after the header, one string per graph."""
-    for r, label, rows in _result_rows(results, _CSV):
+    for index, n, label, rows in _result_rows(results, _CSV):
         if not rows:
             continue
-        prefix = f"{r.index},{r.graph.n},{_csv_cell(label)},"
+        prefix = f"{index},{n},{_csv_cell(label)},"
         yield prefix + prefix.join(rows)
 
 

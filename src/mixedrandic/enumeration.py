@@ -25,8 +25,9 @@ lists the cycles of one graph, for the demos and the tests.
 
 The generators filter (K, C(n, 2)) arrays of pair states a bounded batch
 at a time: the base-4 digits of consecutive codes, or the Mersenne Twister
-words that ``randrange(4)`` would read.  The graphs that pass share one set
-of 3 C(n, 2) edge records per order.
+words that ``randrange(4)`` would read, and keep the rows that pass with
+their degrees.  A campaign takes those arrays as they are; the graphs
+built from them share one set of 3 C(n, 2) edge records per order.
 
 Everything here is desk scale: the combinatorial routines take n <= 13
 (the suite n <= 10) and graph enumeration is capped (default 6) because the
@@ -37,7 +38,7 @@ from __future__ import annotations
 
 import functools
 import random
-from itertools import combinations, islice
+from itertools import combinations
 from typing import Iterator
 
 import numpy as np
@@ -294,18 +295,17 @@ def _pair_table(n: int) -> tuple[np.ndarray, np.ndarray]:
                                + at_b * 2.0 ** a[:, np.newaxis]))
 
 
-def _passing_graphs(n: int, states: np.ndarray, connected_only: bool,
-                    min_degree: int) -> Iterator[MixedGraph]:
-    """The graphs of a (K, C(n, 2)) int8 batch of pair states (in
+def _kept_states(n: int, states: np.ndarray, connected_only: bool,
+                 min_degree: int) -> tuple[np.ndarray, np.ndarray]:
+    """The rows of a (K, C(n, 2)) int8 batch of pair states (in
     ``combinations`` order: 0 absent, 1 u -- v, 2 u -> v, 3 v -> u) that
-    pass the filter, in order, each built when read, with _pair_table's
-    records and without the constructor's checks.  Degrees and reach from
-    vertex 1 (a bit mask grown n - 1 times) are array operations."""
+    pass the filter, in order, and their (K', n) int64 degrees.  Degrees
+    and reach from vertex 1 (a bit mask grown n - 1 times) are array
+    operations."""
     if not 1 <= n <= 52:  # a float64 neighbour mask holds n bits
         raise ValueError(f"vertex count {n} outside 1..52")
-    records, weights = _pair_table(n)
     # every entry a small integer, so the float product is exact
-    tally = ((states > 0) @ weights).astype(np.int64)
+    tally = ((states > 0) @ _pair_table(n)[1]).astype(np.int64)
     degrees, neighbours = tally[:, :n], tally[:, n:]
     keep = (degrees >= min_degree).all(axis=1)
     if connected_only:
@@ -313,24 +313,51 @@ def _passing_graphs(n: int, states: np.ndarray, connected_only: bool,
         for v in list(range(n)) * (n - 1):
             reached |= neighbours[:, v] * (reached >> v & 1)
         keep &= reached == (1 << n) - 1
-    states, degrees = states[keep], degrees[keep]
+    return states[keep], degrees[keep]
+
+
+def _row_entries(table: np.ndarray, states: np.ndarray) -> Iterator[list]:
+    """Per row of pair states, table[pair, state] of each present pair, in
+    pair order."""
     row, pair = np.nonzero(states)
-    edges = records[pair, states[row, pair]].tolist()
+    entries = table[pair, states[row, pair]].tolist()
     ends = np.cumsum(np.count_nonzero(states, axis=1)).tolist()
+    return (entries[first:end] for first, end in zip([0] + ends, ends))
+
+
+def _graphs(states: np.ndarray, degrees: np.ndarray) -> Iterator[MixedGraph]:
+    """The graph of each row of pair states and degrees, in order, each
+    built when read, with _pair_table's records and without the
+    constructor's checks."""
+    n = degrees.shape[1]
     # graphs of equal degrees share one tuple, as they would one record
     shared: dict[tuple[int, ...], tuple[int, ...]] = {}
-    for first, end, d in zip([0] + ends, ends, zip(*degrees.T.tolist())):
+    for edges, d in zip(_row_entries(_pair_table(n)[0], states),
+                        zip(*degrees.T.tolist())):
         g = object.__new__(MixedGraph)
-        g.__dict__.update(n=n, edges=tuple(edges[first:end]),
+        g.__dict__.update(n=n, edges=tuple(edges),
                           _degrees=shared.setdefault(d, d))
         yield g
 
 
-def enumerate_mixed_graphs(
-    n: int,
-    connected_only: bool = False,
-    min_degree: int = 0,
-) -> Iterator[MixedGraph]:
+def _enumerated_states(n: int, connected_only: bool, min_degree: int
+                       ) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """enumerate_mixed_graphs as (states, degrees) arrays, a batch at a
+    time."""
+    if n > DEFAULT_GRAPH_CAP:
+        raise ValueError(f"n = {n} above enumeration cap {DEFAULT_GRAPH_CAP}")
+    pair_count = n * (n - 1) // 2
+    # the base-4 digits of each code, the first pair's most significant
+    shifts = 2 * np.arange(pair_count - 1, -1, -1)
+    for first in range(0, 4 ** pair_count, _BATCH):
+        codes = np.arange(first, min(first + _BATCH, 4 ** pair_count))
+        yield _kept_states(
+            n, (codes[:, np.newaxis] >> shifts & 3).astype(np.int8),
+            connected_only, min_degree)
+
+
+def enumerate_mixed_graphs(n: int, connected_only: bool = False,
+                           min_degree: int = 0) -> Iterator[MixedGraph]:
     """Stream every labeled mixed graph on n vertices matching the filter.
 
     Each of the C(n, 2) vertex pairs independently takes one of four states
@@ -339,32 +366,13 @@ def enumerate_mixed_graphs(
     isomorphism reduction.  The full stream has 4**C(n, 2) members, hence
     the cap (exhausting n = 6 is already around 10**9 graphs).
     """
-    if n > DEFAULT_GRAPH_CAP:
-        raise ValueError(f"n = {n} above enumeration cap {DEFAULT_GRAPH_CAP}")
-    pair_count = n * (n - 1) // 2
-    # the base-4 digits of each code, the first pair's most significant
-    shifts = 2 * np.arange(pair_count - 1, -1, -1)
-    for first in range(0, 4 ** pair_count, _BATCH):
-        codes = np.arange(first, min(first + _BATCH, 4 ** pair_count))
-        yield from _passing_graphs(
-            n, (codes[:, np.newaxis] >> shifts & 3).astype(np.int8),
-            connected_only, min_degree)
+    for states, degrees in _enumerated_states(n, connected_only, min_degree):
+        yield from _graphs(states, degrees)
 
 
-def sample_mixed_graphs(
-    n: int,
-    count: int,
-    seed: int,
-    connected_only: bool = True,
-    min_degree: int = 1,
-) -> list[MixedGraph]:
-    """Seeded uniform sample of labeled mixed graphs (with rejection).
-
-    Draws edge-state vectors uniformly and keeps those passing the filter
-    until count graphs are collected; deterministic for a fixed seed.
-    Raises if count is negative, or if min_degree exceeds n - 1, which no
-    graph on n vertices meets.
-    """
+def _sampled_states(n: int, count: int, seed: int, connected_only: bool,
+                    min_degree: int) -> tuple[np.ndarray, np.ndarray]:
+    """sample_mixed_graphs as (states, degrees) arrays."""
     if count < 0:
         raise ValueError(f"count {count} is negative")
     if min_degree > n - 1:
@@ -373,9 +381,11 @@ def sample_mixed_graphs(
         )
     rng = random.Random(seed)
     pair_count = n * (n - 1) // 2
-    graphs: list[MixedGraph] = []
+    kept = [(np.empty((0, pair_count), dtype=np.int8),
+             np.empty((0, n), dtype=np.int64))]
+    total = 0
     drawn = np.empty(0, dtype=np.int8)
-    while len(graphs) < count:
+    while total < count:
         if pair_count:
             # randrange(4) is getrandbits(3), the top 3 bits of a word, drawn
             # again while >= 4; getrandbits(32 k) puts the first word lowest
@@ -386,6 +396,21 @@ def sample_mixed_graphs(
             states, drawn = drawn[:whole].reshape(-1, pair_count), drawn[whole:]
         else:
             states = np.empty((count, 0), dtype=np.int8)
-        graphs += islice(_passing_graphs(n, states, connected_only, min_degree),
-                         count - len(graphs))
-    return graphs
+        kept.append(_kept_states(n, states, connected_only, min_degree))
+        total += len(kept[-1][0])
+    states, degrees = map(np.concatenate, zip(*kept))
+    return states[:count], degrees[:count]
+
+
+def sample_mixed_graphs(n: int, count: int, seed: int,
+                        connected_only: bool = True,
+                        min_degree: int = 1) -> list[MixedGraph]:
+    """Seeded uniform sample of labeled mixed graphs (with rejection).
+
+    Draws edge-state vectors uniformly and keeps those passing the filter
+    until count graphs are collected; deterministic for a fixed seed.
+    Raises if count is negative, or if min_degree exceeds n - 1, which no
+    graph on n vertices meets.
+    """
+    return list(_graphs(*_sampled_states(n, count, seed, connected_only,
+                                         min_degree)))

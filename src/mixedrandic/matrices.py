@@ -66,6 +66,18 @@ def edge_table(graphs: Sequence[MixedGraph]) -> tuple[np.ndarray, tuple]:
     return degrees, (rows[:, 0], rows[:, 1], rows[:, 2], rows[:, 3].astype(bool))
 
 
+def _state_table(states: np.ndarray, degrees: np.ndarray) -> tuple[np.ndarray, tuple]:
+    """The edge_table of the graphs given as rows of (G, C(n, 2)) pair
+    states (``combinations`` order: 0 absent, 1 u -- v, 2 u -> v,
+    3 v -> u) and their (G, n) int64 degrees, edges in pair order."""
+    a, b = np.triu_indices(degrees.shape[1], 1)
+    owner, pair = np.nonzero(states)
+    state = states[owner, pair]
+    back = state == 3
+    return degrees, (owner, np.where(back, b[pair], a[pair]),
+                     np.where(back, a[pair], b[pair]), state > 1)
+
+
 def _filled(count: int, n: int, where: np.ndarray, u: np.ndarray,
             v: np.ndarray, upper: np.ndarray) -> np.ndarray:
     """A (count, n, n) stack, zero but for upper[j] at [where[j], u[j], v[j]]

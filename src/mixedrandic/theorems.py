@@ -20,7 +20,9 @@ case.  The structural verdicts of a block (connected, bipartite, positive,
 antibalanced) come from one traversal of its edge rows, ``gains.balances``;
 the ``check_*`` functions take them from its one-graph case,
 ``graph_balance``.  A matrix is keyed by its vertex pairs' states, and
-one call solves each key once per order.
+one call solves each key once per order.  A block is one edge table,
+from graphs (``edge_table``) or from a campaign's pair-state rows
+(``matrices._state_table``), and both take one path, ``_order_block``.
 
 A block's results are columns, one per check: its name or names, float64
 lhs, rhs and slack arrays and an ok array, with the rows that need fields
@@ -42,7 +44,7 @@ import functools
 import math
 from dataclasses import dataclass
 from itertools import repeat
-from typing import Iterable, NamedTuple, Sequence
+from typing import Callable, Iterable, Iterator, NamedTuple
 
 import numpy as np
 
@@ -578,10 +580,10 @@ class TheoremSuite:
     each read and not kept.  The campaign reads the block's columns
     directly."""
 
-    __slots__ = ("graph", "block", "row")
+    __slots__ = ("block", "row")
 
-    def __init__(self, graph: MixedGraph, block: _Block, row: int) -> None:
-        self.graph, self.block, self.row = graph, block, row
+    def __init__(self, block: _Block, row: int) -> None:
+        self.block, self.row = block, row
 
     @property
     def spectrum(self) -> Spectrum:
@@ -683,10 +685,11 @@ def _inverse_degree_sums(degrees: np.ndarray,
         owner, np.arange(len(degrees)))) / common).astype(float)
 
 
-def _order_block(graphs: Sequence[MixedGraph], include_interlacing: bool,
+def _order_block(degrees: np.ndarray, edges: tuple[np.ndarray, ...],
+                 include_interlacing: bool,
                  solved: dict[int, tuple[np.ndarray, np.ndarray]]) -> _Block:
-    """The suite on graphs of one order, each connected with every degree
-    >= 1 (else ValueError), from one edge_table: one balance traversal,
+    """The suite on graphs of one order given as one edge_table, each
+    connected with every degree >= 1 (else ValueError): one balance traversal,
     one stacked build and solve, the residuals and bounds as array
     reductions over the graphs, the exact charpoly numerators, and r_inv
     of every graph over one common denominator.
@@ -698,8 +701,7 @@ def _order_block(graphs: Sequence[MixedGraph], include_interlacing: bool,
     keys and merges the new ones in by np.searchsorted.
     R(g) is always solved; R of an underlying graph or of g - e only
     under a new key."""
-    n, count = graphs[0].n, len(graphs)
-    degrees, edges = edge_table(graphs)
+    count, n = degrees.shape
     owner, u, v, arc = edges
     balance = balances(count, n, owner, u, v, arc)
     if not balance.connected.all():
@@ -789,8 +791,8 @@ def _order_block(graphs: Sequence[MixedGraph], include_interlacing: bool,
             np.abs((-1) ** n * exact[:, -1] - determinants(vals)), 0.0))
     else:
         reason = f"n = {n} above cap {DEFAULT_COMBINATORIAL_CAP}"
-        columns.append(_skipped("charpoly_agreement", len(graphs), reason))
-        columns.append(_skipped("determinant_identity", len(graphs), reason))
+        columns.append(_skipped("charpoly_agreement", count, reason))
+        columns.append(_skipped("determinant_identity", count, reason))
 
     if include_interlacing:
         # one row per edge, graph by graph; the rows of edges whose removal
@@ -799,7 +801,7 @@ def _order_block(graphs: Sequence[MixedGraph], include_interlacing: bool,
         worst[cuts] = _worst(_interlacing_violations(vals[owner[cuts]], deletions))
         interlacing = _inequality(
             _interlacing_names(n)[(u * n + v) * 2 + arc].tolist(), worst, 0.0,
-            bounds=np.searchsorted(owner, np.arange(len(graphs) + 1)).tolist())
+            bounds=np.searchsorted(owner, np.arange(count + 1)).tolist())
         interlacing.own.update(dict.fromkeys(
             np.flatnonzero(~removable).tolist(),
             _skip("removal isolates a vertex")))
@@ -819,6 +821,20 @@ def _order_block(graphs: Sequence[MixedGraph], include_interlacing: bool,
     return _Block(vals, columns)
 
 
+def _suite_blocks(n: int, count: int, table: Callable[[int, int], tuple],
+                  include_interlacing: bool = True
+                  ) -> Iterator[tuple[range, _Block]]:
+    """The suite on count graphs of order n, a block of _block_size(n) at
+    a time, as (the block's graphs, block): table(start, stop) is the
+    edge_table of graphs start:stop, and one memo of solved keys serves
+    every block."""
+    size, solved = _block_size(n), {}
+    for start in range(0, count, size):
+        rows = range(start, min(start + size, count))
+        yield rows, _order_block(*table(rows.start, rows.stop),
+                                 include_interlacing, solved)
+
+
 def run_theorem_suites(graphs: Iterable[MixedGraph],
                        include_interlacing: bool = True) -> list[TheoremSuite]:
     """Evaluate every checker on each graph, each connected with all
@@ -826,7 +842,8 @@ def run_theorem_suites(graphs: Iterable[MixedGraph],
 
     The graphs are taken one order at a time, in blocks sized by their
     work: at most SUITE_BLOCK // n**4 graphs of order n (1,024 at n = 4,
-    419 at n = 5), and each block is read once into one edge_table.
+    419 at n = 5), and each block is read once into one edge_table, its
+    rows in each graph's edge order.
     From it come one stack, solved by one eigvalsh call, of R(g) for each
     graph and of each matrix the checks need besides whose pair states
     were not solved before at that order in this call: R(g - e) for every
@@ -845,15 +862,13 @@ def run_theorem_suites(graphs: Iterable[MixedGraph],
     for i, g in enumerate(graphs):
         orders.setdefault(g.n, []).append(i)
     suites: list[TheoremSuite] = [None] * len(graphs)  # type: ignore[list-item]
-    solved: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-    for members in orders.values():
-        size = _block_size(graphs[members[0]].n)
-        for start in range(0, len(members), size):
-            block = members[start:start + size]
-            done = _order_block([graphs[i] for i in block],
-                                include_interlacing, solved)
-            for row, i in enumerate(block):
-                suites[i] = TheoremSuite(graphs[i], done, row)
+    for n, members in orders.items():
+        for rows, block in _suite_blocks(
+                n, len(members), lambda start, stop: edge_table(
+                    [graphs[i] for i in members[start:stop]]),
+                include_interlacing):
+            for row, i in enumerate(members[rows.start:rows.stop]):
+                suites[i] = TheoremSuite(block, row)
     return suites
 
 

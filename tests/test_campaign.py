@@ -23,7 +23,9 @@ from mixedrandic.campaign import (
     summary_text,
     with_overrides,
 )
-from mixedrandic import theorems
+from mixedrandic import campaign, theorems
+from mixedrandic.campaign import DEFAULT_SEED
+from mixedrandic.matrices import _state_table, edge_table
 from mixedrandic.theorems import CheckRecord, TheoremSuite, _inequality
 
 
@@ -56,6 +58,52 @@ def test_population_is_deterministic():
 
 def test_population_truncation():
     assert len(population(3, sample_limit=10)) == 10
+    # the state array is cut before any graph is built: the same graphs,
+    # edges in the same order
+    cut, whole = population(4, sample_limit=10), population(4)[:10]
+    assert cut == whole
+    assert [(g.n, g.edges, g.degrees()) for g in cut] == [
+        (g.n, g.edges, g.degrees()) for g in whole]
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+def test_state_table_is_the_edge_table_of_the_population(n):
+    # every n <= 4 graph and the seed-1729 n = 5, 6 samples
+    states, degrees = campaign._order_states(n, 1, None, DEFAULT_SEED)
+    graphs = population(n)
+    got, expected = _state_table(states, degrees), edge_table(graphs)
+    assert got[0].dtype == expected[0].dtype
+    assert np.array_equal(got[0], expected[0])
+    for a, b in zip(got[1], expected[1]):
+        assert a.dtype == b.dtype and np.array_equal(a, b)
+
+
+def test_campaign_results_build_the_population_graphs():
+    result = run_campaign(CampaignConfig(n_min=2, n_max=6))
+    graphs = [g for n in range(2, 7) for g in population(n)]
+    assert len(result.results) == len(graphs) == 4891
+    for r, g in zip(result.results, graphs):
+        built = r.graph
+        assert built == g
+        assert (built.n, built.edges, built.degrees()) == (
+            g.n, g.edges, g.degrees())
+
+
+def test_campaign_path_stays_on_arrays(monkeypatch):
+    def refuse(*_):
+        raise AssertionError("the campaign path built a graph or walked one")
+
+    monkeypatch.setattr(theorems, "edge_table", refuse)
+    monkeypatch.setattr(campaign, "_graphs", refuse)
+    monkeypatch.setattr(GraphResult, "graph", property(refuse))
+    result = run_campaign(CampaignConfig(n_min=2, n_max=3))
+    digests = {fmt: hashlib.sha256(render(result).encode()).hexdigest()
+               for fmt, render in (("csv", render_csv), ("json", render_json))}
+    # the pins of test_report_digests_are_pinned
+    assert digests == {
+        "csv": "f5688f5d19637e63e504b975c1674ed34ab83c2d010792bea04d48ca50a2c3f0",
+        "json": "f494142b5881cb845ef88f5e2a0a74e30c1a4f52ba2712d1f7c72db070a0de61",
+    }
 
 
 def test_parse_campaign_config():
@@ -205,7 +253,7 @@ def test_numpy_inputs_give_report_scalars():
                   rec.reason):
         json_scalar(value)
     g = directed_cycle(3)
-    suite = TheoremSuite(g, records_block((rec,)), 0)
+    suite = TheoremSuite(records_block((rec,)), 0)
     result = CampaignResult(CampaignConfig(n_min=3, n_max=3),
                             (GraphResult(0, g, suite),))
     doc = json.loads(render_json(result))
@@ -220,7 +268,7 @@ def test_numpy_inputs_give_report_scalars():
             == '{"probe": {"lhs": 0.25, "rhs": 0.5, "slack": 0.25, '
                '"satisfied": true, "skipped": false, "reason": ""}}')
     bad = CheckRecord("probe", np.True_)
-    suite = TheoremSuite(g, records_block((bad,)), 0)
+    suite = TheoremSuite(records_block((bad,)), 0)
     result = CampaignResult(CampaignConfig(n_min=3, n_max=3),
                             (GraphResult(0, g, suite),))
     for render in (render_csv, render_json):
@@ -256,7 +304,7 @@ def _awkward_result() -> CampaignResult:
     return CampaignResult(
         CampaignConfig(n_min=2, n_max=3, sample_limit=2, seed=7),
         tuple(GraphResult(i, g,
-                          TheoremSuite(g, records_block(records), 0))
+                          TheoremSuite(records_block(records), 0))
               for i, (g, records) in enumerate(zip(graphs, (first, second)))))
 
 
@@ -365,7 +413,7 @@ def awkward_floats_result():
         ])
         graphs = (directed_cycle(3), path_graph(2), path_graph(3),
                   directed_cycle(3), path_graph(2), path_graph(4))
-        results += [(g, TheoremSuite(g, block, i))
+        results += [(g, TheoremSuite(block, i))
                     for i, g in enumerate(graphs)]
     return CampaignResult(CampaignConfig(), tuple(
         GraphResult(i, g, suite) for i, (g, suite) in enumerate(results)))
@@ -395,8 +443,8 @@ def test_every_float_renders_as_its_own_text():
         assert f'"checks": {{{", ".join(checks)}}}}}' in line
     # the records' own path renders the same bytes
     own = CampaignResult(result.config, tuple(
-        GraphResult(r.index, r.graph, TheoremSuite(
-            r.graph, records_block(r.suite.records), 0))
+        GraphResult(r.index, r.graph,
+                    TheoremSuite(records_block(r.suite.records), 0))
         for r in result.results))
     for render in (render_csv, render_json, summary_text):
         assert render(result) == render(own)
@@ -410,7 +458,7 @@ def test_bare_carriage_return_is_quoted():
     result = CampaignResult(
         CampaignConfig(n_min=2, n_max=2),
         (GraphResult(0, g,
-                     TheoremSuite(g, records_block(records), 0)),))
+                     TheoremSuite(records_block(records), 0)),))
     text = render_csv(result)
     assert text.endswith('0,2,1--2,plain,,,,true,false,"a\rb"\n'
                          '0,2,1--2,"x\ry",0.5,1,0.5,true,false,\n')
@@ -532,8 +580,7 @@ def kept(result):
     from its records."""
     return CampaignResult(result.config, tuple(
         GraphResult(r.index, r.graph,
-                    TheoremSuite(r.graph,
-                                 records_block(r.suite.records), 0))
+                    TheoremSuite(records_block(r.suite.records), 0))
         for r in result.results))
 
 
@@ -551,7 +598,7 @@ def repeated_names_result():
          CheckRecord("probe:x", True, lhs=0.0, rhs=-0.0, slack=-0.0)),
     )
     return CampaignResult(CampaignConfig(), tuple(
-        GraphResult(i, g, TheoremSuite(g, records_block(recs), 0))
+        GraphResult(i, g, TheoremSuite(records_block(recs), 0))
         for i, (g, recs) in enumerate(zip(graphs, records))))
 
 
@@ -564,7 +611,7 @@ def nan_columns_result():
     ])
     graphs = (directed_cycle(3), path_graph(2))
     return CampaignResult(CampaignConfig(), tuple(
-        GraphResult(i, g, TheoremSuite(g, block, i))
+        GraphResult(i, g, TheoremSuite(block, i))
         for i, g in enumerate(graphs)))
 
 
