@@ -12,7 +12,7 @@ records keep enumeration order.
 A campaign builds no graph: the suite reads each order's (states,
 degrees) arrays from the generator, a result keeps its row and builds its
 ``graph`` when read, and the renders label edges from a per-order
-(pair, state) text table.
+(pair, state) text table made once per render.
 
 A campaign keeps the suite's block columns, not records, and the check
 count, the summary and both renders read them a run (at most _RUN graphs
@@ -507,15 +507,19 @@ def _block_rows(block: _Block, first: int, stop: int, own_rows: list,
         yield [text for part in parts for text in part]
 
 
-@functools.cache
-def _pair_labels(n: int) -> np.ndarray:
-    """The edge_label of each vertex pair of order n in each state, as an
-    object array indexed [pair, state]."""
-    return np.array([[e and edge_label(e) for e in records]
-                     for records in _pair_table(n)[0].tolist()], dtype=object)
+class _Labels(dict):
+    """Per order n, the edge_label of each vertex pair in each state, as an
+    object array indexed [pair, state], made once per render."""
+
+    def __missing__(self, n: int) -> np.ndarray:
+        table = self[n] = np.array(
+            [[e and edge_label(e) for e in records]
+             for records in _pair_table(n)[0].tolist()], dtype=object)
+        return table
 
 
-def _run_labels(run: list[GraphResult]) -> tuple[Iterable[int], list[str]]:
+def _run_labels(run: list[GraphResult], labels: _Labels
+                ) -> tuple[Iterable[int], list[str]]:
     """The order and edge_list_label of each result of a run, read off
     its order's pair states when every result holds a row of one order."""
     order = run[0]._order
@@ -525,16 +529,16 @@ def _run_labels(run: list[GraphResult]) -> tuple[Iterable[int], list[str]]:
     states, degrees = order
     n = degrees.shape[1]
     return repeat(n), list(map(" ".join, _row_entries(
-        _pair_labels(n), states[[r._row for r in run]])))
+        labels[n], states[[r._row for r in run]])))
 
 
 def _result_rows(results: tuple[GraphResult, ...], style: _Style
                  ) -> Iterator[tuple[int, int, str, list[str]]]:
     """Each result's index, order, edge_list_label and record texts, a run
     of one block at a time."""
-    heads, shared = _Heads(style), {}
+    heads, shared, tables = _Heads(style), {}, _Labels()
     for block, first, run, own_rows in _runs(results, indexed=True):
-        orders, labels = _run_labels(run)
+        orders, labels = _run_labels(run, tables)
         for r, n, label, rows in zip(run, orders, labels, _block_rows(
                 block, first, first + len(run), own_rows, style, heads,
                 shared)):
