@@ -66,7 +66,8 @@ def edge_table(graphs: Sequence[MixedGraph]) -> tuple[np.ndarray, tuple]:
     return degrees, (rows[:, 0], rows[:, 1], rows[:, 2], rows[:, 3].astype(bool))
 
 
-def _state_table(states: np.ndarray, degrees: np.ndarray) -> tuple[np.ndarray, tuple]:
+def _state_table(states: np.ndarray,
+                 degrees: np.ndarray) -> tuple[np.ndarray, tuple]:
     """The edge_table of the graphs given as rows of (G, C(n, 2)) pair
     states (``combinations`` order: 0 absent, 1 u -- v, 2 u -> v,
     3 v -> u) and their (G, n) int64 degrees, edges in pair order."""

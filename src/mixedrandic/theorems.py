@@ -689,10 +689,10 @@ def _order_block(degrees: np.ndarray, edges: tuple[np.ndarray, ...],
                  include_interlacing: bool,
                  solved: dict[int, tuple[np.ndarray, np.ndarray]]) -> _Block:
     """The suite on graphs of one order given as one edge_table, each
-    connected with every degree >= 1 (else ValueError): one balance traversal,
-    one stacked build and solve, the residuals and bounds as array
-    reductions over the graphs, the exact charpoly numerators, and r_inv
-    of every graph over one common denominator.
+    connected with every degree >= 1 (else ValueError): one balance
+    traversal, one stacked build and solve, the residuals and bounds as
+    array reductions over the graphs, the exact charpoly numerators, and
+    r_inv of every graph over one common denominator.
 
     A matrix is keyed by its pair states (0 absent, 1 un-oriented, 2 or 3
     an arc from the smaller or the larger end), which fix its entries
