@@ -28,8 +28,11 @@ formats; one without numbers is formatted once per render and name.
 Each column's rows of their own are sorted once per block and cut to a
 run by np.searchsorted.
 ``json_checks`` writes each record as such a row.  A render writes one
-graph's text at a time to a StringIO: a list of every line, or texts of
-many graphs around the final join, raise the resident peak.
+graph's text at a time to a StringIO: not one list of every line (about
+7 MB more at the n <= 4 peak), nor texts of many graphs, whose place
+around the final join decided whether a process running campaign after
+campaign stayed at its resident peak (95.1-95.6 MB in 16 processes one
+graph at a time; 99.4-114 MB with 512-graph chunks).
 The summary is read off the columns on first use and kept; the failing
 records are made when asked for.
 """

@@ -356,8 +356,11 @@ def _enumerated_states(n: int, connected_only: bool, min_degree: int
             connected_only, min_degree)
 
 
-def enumerate_mixed_graphs(n: int, connected_only: bool = False,
-                           min_degree: int = 0) -> Iterator[MixedGraph]:
+def enumerate_mixed_graphs(
+    n: int,
+    connected_only: bool = False,
+    min_degree: int = 0,
+) -> Iterator[MixedGraph]:
     """Stream every labeled mixed graph on n vertices matching the filter.
 
     Each of the C(n, 2) vertex pairs independently takes one of four states
@@ -402,9 +405,13 @@ def _sampled_states(n: int, count: int, seed: int, connected_only: bool,
     return states[:count], degrees[:count]
 
 
-def sample_mixed_graphs(n: int, count: int, seed: int,
-                        connected_only: bool = True,
-                        min_degree: int = 1) -> list[MixedGraph]:
+def sample_mixed_graphs(
+    n: int,
+    count: int,
+    seed: int,
+    connected_only: bool = True,
+    min_degree: int = 1,
+) -> list[MixedGraph]:
     """Seeded uniform sample of labeled mixed graphs (with rejection).
 
     Draws edge-state vectors uniformly and keeps those passing the filter
