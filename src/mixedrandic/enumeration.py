@@ -15,7 +15,8 @@ Q = prod_{uncovered} d_i / prod_all d_i.  It lists no cycle.  A dynamic
 programme over vertex subsets counts, for every graph of the block at once,
 the paths from min U over exactly the vertex set U to each end vertex, by
 gain exponent mod 6; a step back to min U closes a cycle, whose class the
-exponent gives.  The counts are int32, since a path count is at most
+exponent gives.  Each layer is np.take gathers and sums over contiguous
+slabs (see _path_template).  The counts are int32: a path count is at most
 (n - 2)! <= 11! at the n <= 13 the numerators admit.  The cover sums C[X],
 over the covers of each vertex set X by disjoint edges and cycles, then
 take one array step per vertex for the whole block, and each order's
@@ -97,13 +98,12 @@ def _path_template(n: int) -> tuple[list[tuple[np.ndarray, ...]], int]:
     most steps into one layer.
 
     A state of layer k is a vertex set U of size k and an end vertex v: the
-    one vertex of U when k = 1, else any vertex of U but min U.  States are
-    numbered by U, then v.  Per layer k = 2..n the template holds: the sets
-    U of size k, ascending; per state (U, v), the ordered pair
-    v * n + min U of the step that closes it; and per step into a state,
-    ordered by that state, the state of layer k - 1 it leaves and its
-    ordered pair v * n + w.  Each state of layer k has max(1, k - 2) steps
-    into it.
+    one vertex of U when k = 1 (state v), else any vertex of U but min U,
+    numbered slot-major: s * len(sets) + the index of U, v U's s-th end.  A
+    state has m = max(1, k - 2) steps in, one from each end w of U - v; the
+    i-th into state x is step i * states + x.  Per layer k = 2..n: the sets
+    U, ascending; per state, the pair v * n + min U closing it and 7 x; per
+    step, 7 times the state of layer k - 1 it leaves and its pair w * n + v.
     """
     masks = np.arange(1 << n)
     bits = ((masks[:, np.newaxis] >> np.arange(n)) & 1).astype(bool)
@@ -117,15 +117,16 @@ def _path_template(n: int) -> tuple[list[tuple[np.ndarray, ...]], int]:
     state[1 << np.arange(n), np.arange(n)] = np.arange(n)
     layers = []
     for k in range(2, n + 1):
-        sets = masks[sizes == k]
-        row, end = np.nonzero(ends[sets])
-        into = sets[row]
+        sets, m = masks[sizes == k], max(1, k - 2)
+        into = np.tile(sets, k - 1)
+        end = np.nonzero(ends[sets])[1].reshape(-1, k - 1).T.ravel()
         state[into, end] = np.arange(len(into))
         before = into & ~(1 << end)
-        step, tail = np.nonzero(ends[before])
-        layers.append((sets, end * n + lowest[into],
-                       state[before[step], tail], tail * n + end[step]))
-    return layers, max((len(layer[2]) for layer in layers), default=1)
+        tail = np.nonzero(ends[before])[1].reshape(-1, m).T.ravel()
+        layers.append((sets, end * n + lowest[into], np.arange(len(into)) * 7,
+                       state[np.tile(before, m), tail] * 7,
+                       tail * n + np.tile(end, m)))
+    return layers, max((len(layer[3]) for layer in layers), default=1)
 
 
 #: _SOURCE_SLOT[x, e]: the exponent a path had before a step of gain
@@ -141,14 +142,14 @@ _PATH_CELLS = 1 << 16
 
 def _stepped(paths: np.ndarray, slots: np.ndarray, source: np.ndarray,
              pair: np.ndarray) -> np.ndarray:
-    """Entry [j, t, e]: the paths of graph j in state source[t] that the
-    step over ordered pair pair[t] leaves at exponent e (0 where graph j
+    """Entry [j, t, e]: the paths of graph j in state source[t] // 7 that
+    the step over ordered pair pair[t] leaves at exponent e (0 where graph j
     lacks the pair).  paths is (G, states, 7), slots[j] _SOURCE_SLOT of
-    graph j's step exponents."""
-    cells = slots[:, pair]
-    cells += ((np.arange(len(paths))[:, np.newaxis] * paths.shape[1]
-               + source) * 7)[:, :, np.newaxis]
-    return paths.ravel()[cells]
+    graph j's step exponents: np.take of each step's slots, then of cells."""
+    cells = np.take(slots, pair, axis=1)
+    cells += source[:, np.newaxis]
+    cells += (np.arange(len(paths)) * paths[0].size)[:, np.newaxis, np.newaxis]
+    return np.take(paths, cells)
 
 
 def _component_weights(degrees: np.ndarray,
@@ -161,16 +162,13 @@ def _component_weights(degrees: np.ndarray,
     _CYCLE_FACTOR of its gain exponent.  No cycle is listed:
     paths[j, (U, v), e] counts the paths of graph j from min U to v over
     exactly the vertex set U with gain exponent e mod 6 (Bellman, J. ACM 9
-    (1962); Held & Karp, J. SIAM 10 (1962)).  Each layer is one gather over
-    the steps of _path_template(n), shifted by each step's exponent in
-    graph j, and one sum per state over its steps.  A step from v back to
-    min U closes each cycle twice, with exponents e and -e of one class,
-    so W[U, j] is half the sum over the closing steps of
-    (-1)**(|U| - 1) * _CYCLE_FACTOR[e] * paths.  At |U| = 2 the closed
-    path is an edge there and back, exponent 0, and weighs -2 / 2 = -1.
-
-    A state counts at most (n - 2)! paths: int32 holds them at the
-    n <= 13 that elementary_weight_numerator_rows admits.
+    (1962); Held & Karp, J. SIAM 10 (1962)).  Each layer gathers the steps
+    of _path_template(n), shifted by their exponents in graph j, and sums
+    its m slabs.  A step from v back to min U closes each cycle twice, with
+    exponents e and -e of one class, so W[U, j] is half the sum over U's
+    k - 1 end slots of (-1)**(|U| - 1) * _CYCLE_FACTOR[e] * paths.  At
+    |U| = 2 the closed path is an edge there and back, exponent 0, and
+    weighs -2 / 2 = -1.
     """
     n = degrees.shape[1]
     owner, u, v, arc = edges
@@ -187,14 +185,14 @@ def _component_weights(degrees: np.ndarray,
         # layer 1: one path of exponent 0 at each vertex
         paths = np.zeros((count, n, 7), dtype=np.int32)
         paths[:, :, 0] = 1
-        for k, (sets, close, source, pair) in enumerate(layers, start=2):
+        for k, (sets, close, own, source, pair) in enumerate(layers, start=2):
             grown = _stepped(paths, slots, source, pair)
             paths = np.zeros((count, len(close), 7), dtype=np.int32)
-            paths[:, :, :6] = grown.reshape(count, len(close), -1, 6).sum(
-                axis=2, dtype=np.int32)
-            closed = _stepped(paths, slots, np.arange(len(close)), close)
-            cycles = closed.reshape(count, len(sets), k - 1, 6).sum(
-                axis=2, dtype=np.int64) @ _CYCLE_FACTOR
+            grown.reshape(count, -1, len(close), 6).sum(
+                axis=1, dtype=np.int32, out=paths[:, :, :6])
+            closed = _stepped(paths, slots, own, close)
+            cycles = closed.reshape(count, k - 1, len(sets), 6).sum(
+                axis=1, dtype=np.int64) @ _CYCLE_FACTOR
             weights[sets, first:first + count] = (-1) ** (k - 1) * cycles.T // 2
     return weights
 

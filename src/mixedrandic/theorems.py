@@ -712,13 +712,15 @@ def _order_block(degrees: np.ndarray, edges: tuple[np.ndarray, ...],
                  & include_interlacing)
     cuts = np.flatnonzero(removable)
     # the keys of R(g), of R of g's underlying graph and of R(g - e) for
-    # each edge whose removal isolates no vertex: a code per row, summed
+    # each edge whose removal isolates no vertex: row codes summed by graph
     word, unit, dtype = _pair_codes(n)
     word, unit = word[u, v], unit[u, v]
     code = unit * (1 + arc + (arc & (u > v)))
-    keys = np.zeros((2 * count + len(cuts), dtype.itemsize // 8), dtype=np.int64)
-    np.add.at(keys, (np.concatenate((owner, owner + count)), np.tile(word, 2)),
-              np.concatenate((code, unit)))
+    starts = np.searchsorted(owner, np.arange(count))
+    keys = np.empty((2 * count + len(cuts), dtype.itemsize // 8), dtype=np.int64)
+    for w in range(keys.shape[1]):
+        keys[:count, w] = np.add.reduceat(code * (word == w), starts)
+        keys[count:2 * count, w] = np.add.reduceat(unit * (word == w), starts)
     keys[2 * count:] = keys[owner[cuts]]
     keys[2 * count + np.arange(len(cuts)), word[cuts]] -= code[cuts]
     known, known_rows = solved.get(n) or (np.empty(0, dtype), np.empty((0, n)))

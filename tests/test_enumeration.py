@@ -372,6 +372,67 @@ def test_block_rows_across_path_programme_chunks():
     assert_rows_match(block, by_subgraphs=False)
 
 
+def slot_major_states(n, k):
+    """The states (U, v) of layer k of the path programme, numbered as
+    _path_template numbers them: layer 1 by v; from k = 2 on, for each
+    end slot s, the vertex sets of size k ascending, each with the s-th of
+    its vertices above min U."""
+    if k == 1:
+        return [(1 << v, v) for v in range(n)]
+    sets = [sum(1 << v for v in c) for c in combinations(range(n), k)]
+    return [(mask, path_ends(mask)[s]) for s in range(k - 1)
+            for mask in sorted(sets)]
+
+
+def path_ends(mask):
+    """The vertices a path from min U over the set U may end at."""
+    members = [v for v in range(mask.bit_length()) if mask >> v & 1]
+    return members if len(members) == 1 else members[1:]
+
+
+@pytest.mark.parametrize("n", range(2, 8))
+def test_path_template_is_slot_major(n):
+    layers, widest = _path_template(n)
+    assert len(layers) == n - 1
+    assert widest == max(len(layer[3]) for layer in layers)
+    for k, (sets, close, own, source, pair) in enumerate(layers, start=2):
+        states = slot_major_states(n, k)
+        before = slot_major_states(n, k - 1)
+        assert sets.tolist() == sorted({mask for mask, _ in states})
+        assert close.tolist() == [v * n + (mask & -mask).bit_length() - 1
+                                  for mask, v in states]
+        assert own.tolist() == [7 * x for x in range(len(states))]
+        slabs = max(1, k - 2)
+        assert len(source) == len(pair) == slabs * len(states)
+        assert not (source % 7).any()
+        tails = [[] for _ in states]
+        for t, (cell, step) in enumerate(zip(source.tolist(), pair.tolist())):
+            # slab t // len(states) enters every state in order
+            mask, v = states[t % len(states)]
+            tail, head = divmod(step, n)
+            assert head == v
+            assert before[cell // 7] == (mask & ~(1 << v), tail)
+            tails[t % len(states)].append(tail)
+        # one step from each end of U - v, in slab order
+        assert tails == [path_ends(mask & ~(1 << v)) for mask, v in states]
+
+
+def test_path_programme_chunks_take_one_path(monkeypatch):
+    # one graph per chunk, then three: the same W, the listed cycles' W,
+    # and each graph's column as its own one-graph block gives it
+    block = sample_mixed_graphs(6, 7, seed=61) + [complete_graph(6)]
+    table = edge_table(block)
+    widest = _path_template(6)[1]
+    runs = []
+    for per_chunk in (1, 3):
+        monkeypatch.setattr(enumeration, "_PATH_CELLS", per_chunk * 6 * widest)
+        runs.append(_component_weights(*table))
+        alone = [_component_weights(*edge_table([g]))[:, 0] for g in block]
+        assert np.array_equal(np.stack(alone, axis=1), runs[-1])
+    assert np.array_equal(runs[0], runs[1])
+    assert np.array_equal(runs[0], cycle_component_weights(block))
+
+
 def dense_order_10_graph():
     """A connected mixed graph with 10 vertices and 28 edges, its pairs and
     the generator that oriented them."""
