@@ -716,11 +716,11 @@ def _order_block(degrees: np.ndarray, edges: tuple[np.ndarray, ...],
     word, unit, dtype = _pair_codes(n)
     word, unit = word[u, v], unit[u, v]
     code = unit * (1 + arc + (arc & (u > v)))
-    starts = np.searchsorted(owner, np.arange(count))
+    starts = np.searchsorted(owner, np.arange(count + 1))
     keys = np.empty((2 * count + len(cuts), dtype.itemsize // 8), dtype=np.int64)
     for w in range(keys.shape[1]):
-        keys[:count, w] = np.add.reduceat(code * (word == w), starts)
-        keys[count:2 * count, w] = np.add.reduceat(unit * (word == w), starts)
+        keys[:count, w] = np.add.reduceat(code * (word == w), starts[:-1])
+        keys[count:2 * count, w] = np.add.reduceat(unit * (word == w), starts[:-1])
     keys[2 * count:] = keys[owner[cuts]]
     keys[2 * count + np.arange(len(cuts)), word[cuts]] -= code[cuts]
     known, known_rows = solved.get(n) or (np.empty(0, dtype), np.empty((0, n)))
@@ -803,7 +803,7 @@ def _order_block(degrees: np.ndarray, edges: tuple[np.ndarray, ...],
         worst[cuts] = _worst(_interlacing_violations(vals[owner[cuts]], deletions))
         interlacing = _inequality(
             _interlacing_names(n)[(u * n + v) * 2 + arc].tolist(), worst, 0.0,
-            bounds=np.searchsorted(owner, np.arange(count + 1)).tolist())
+            bounds=starts.tolist())
         interlacing.own.update(dict.fromkeys(
             np.flatnonzero(~removable).tolist(),
             _skip("removal isolates a vertex")))
