@@ -18,13 +18,14 @@ A campaign keeps the suite's block columns, not records, and the check
 count, the summary and both renders read them a run (at most _RUN graphs
 of a block) at a time, formatted a column at a time: a row of a column's
 arrays is one f-string, fields in RECORD_FIELDS order.  Each distinct
-float of a run (a constant rhs among them), keyed by its bit pattern so
-that -0.0 is not 0.0, is formatted once, through a table that lives for
-that run only: one for a whole render would hold every distinct text of
-the report at once.  Each name's text is made once per render.  A row
-with fields of its own goes through ``json_scalar``'s check, so a numpy
-float renders as a float and a numpy bool raises TypeError in both
-formats; one without numbers is formatted once per render and name.
+float of a render, keyed by its bit pattern so that -0.0 is not 0.0, is
+formatted once, into one table that each run merges its new floats into
+(5,299 texts at n <= 4, where tables of one run formatted 30,740; 25,039
+at n = 5-6, which raise a process's resident peak by about 1 MB).  Each
+name's text is made once per render.  A row with fields of its own goes
+through ``json_scalar``'s check, so a numpy float renders as a float and
+a numpy bool raises TypeError in both formats; one without numbers is
+formatted once per render and name.
 Each column's rows of their own are sorted once per block and cut to a
 run by np.searchsorted.
 ``json_checks`` writes each record as such a row.  A render writes one
@@ -340,7 +341,7 @@ def run_campaign(config: CampaignConfig) -> CampaignResult:
 
 def format_float(x: float) -> str:
     """17 significant digits; the one float rendering used in reports."""
-    return format(float(x), ".17g")
+    return f"{float(x):.17g}"
 
 
 def json_scalar(v) -> str:
@@ -373,15 +374,15 @@ _BOOLS = ("false", "true")
 class _Style(NamedTuple):
     """How one report format writes a record: each name's text, any
     report scalar's text (TypeError for anything else), the text after
-    the name and after each of RECORD_FIELDS, the three missing numbers,
-    and per verdict the text from satisfied on of a row that is neither
-    skipped nor has a reason."""
+    the name and after each of RECORD_FIELDS, and per verdict the text
+    from satisfied on of a row that is neither skipped nor has a reason,
+    with and without the three missing numbers before it."""
 
     name: Callable[[str], str]
     scalar: Callable[[object], str]
     after: tuple[str, ...]
-    nulls: str
     tails: tuple[str, str]
+    blanks: tuple[str, str]
 
 
 def _style(name: Callable[[str], str], scalar: Callable[[object], str],
@@ -389,7 +390,7 @@ def _style(name: Callable[[str], str], scalar: Callable[[object], str],
     nulls = f"{null}{after[1]}{null}{after[2]}{null}"
     tails = tuple(f"{after[3]}{ok}{after[4]}false{after[5]}{scalar('')}"
                   f"{after[6]}" for ok in _BOOLS)
-    return _Style(name, scalar, after, nulls, tails)
+    return _Style(name, scalar, after, tails, tuple(nulls + t for t in tails))
 
 
 class _Heads(dict):
@@ -419,9 +420,9 @@ def _column_texts(column: _Column, lo: int, hi: int, own_rows: np.ndarray,
                   shared: dict) -> list[str]:
     """The texts of rows lo:hi of a column, with ``own_rows`` its sorted
     rows of ``own`` and ``numbers`` the texts of their lhs, rhs and slack
-    from _block_numbers.  A row of the arrays is one f-string.  A row
-    without numbers of its own is formatted once per render and name,
-    found again by the identity of its (shared) fields."""
+    from the render's float table.  A row of the arrays is one f-string,
+    or without numbers its name's text for its ok; one without numbers of
+    its own is made once per render and name, found by its fields' id."""
     names = column.name
     if isinstance(names, str):
         row_heads = repeat(heads[names])
@@ -429,9 +430,11 @@ def _column_texts(column: _Column, lo: int, hi: int, own_rows: np.ndarray,
         row_heads = [heads[name] for name in names[lo:hi]]
     ok = column.ok[lo:hi].tolist()
     tails = style.tails
-    if numbers is None:
-        nulls = style.nulls
-        texts = [f"{head}{nulls}{tails[o]}" for head, o in zip(row_heads, ok)]
+    if numbers is None and isinstance(names, str):
+        texts = list(map([heads[names] + b for b in style.blanks].__getitem__,
+                         ok))
+    elif numbers is None:
+        texts = [head + style.blanks[o] for head, o in zip(row_heads, ok)]
     else:
         lhs, rhs, slack = numbers
         if isinstance(column.rhs, float):
@@ -457,14 +460,32 @@ def _column_texts(column: _Column, lo: int, hi: int, own_rows: np.ndarray,
     return texts
 
 
-def _block_numbers(block: _Block, spans: list[tuple[int, int]]
-                   ) -> list[list[list[str]] | None]:
+class _Floats:
+    """Each distinct float64 of one render's numbers and its format_float
+    text, keyed by its bit pattern, so 0.0 and -0.0, or nans of different
+    payloads, stay apart: sorted int64 keys and an object array of texts,
+    each run's new keys formatted and merged in by np.searchsorted."""
+
+    def __init__(self) -> None:
+        self.keys, self.texts = np.empty(0, np.int64), np.empty(0, object)
+
+    def __call__(self, bits: np.ndarray) -> list[str]:
+        distinct, inverse = np.unique(bits, return_inverse=True)
+        at = np.searchsorted(self.keys, distinct)
+        hit = at < len(self.keys)
+        hit[hit] = self.keys[at[hit]] == distinct[hit]
+        miss = ~hit
+        self.keys = np.insert(self.keys, at[miss], distinct[miss])
+        self.texts = np.insert(self.texts, at[miss], list(map(
+            format_float, distinct[miss].view(np.float64).tolist())))
+        return self.texts[(at + np.cumsum(miss) - miss)[inverse]].tolist()
+
+
+def _block_numbers(block: _Block, spans: list[tuple[int, int]],
+                   floats: _Floats) -> list[list[list[str]] | None]:
     """Per column, the texts of the lhs, rhs and slack of its rows in
     ``spans`` (one rhs text when it is one float for every row), or None
-    for a column without numbers.  Each distinct float64 of those rows is
-    formatted once, found by its bit pattern, so 0.0 and -0.0, or nans
-    of different payloads, stay apart; the table lives for this call
-    only."""
+    for a column without numbers; ``floats`` is the render's one table."""
     arrays = []
     for column, (lo, hi) in zip(block.columns, spans):
         if column.lhs is not None:
@@ -474,10 +495,7 @@ def _block_numbers(block: _Block, spans: list[tuple[int, int]]
                        column.slack[lo:hi]]
     if not arrays:
         return [None] * len(spans)
-    distinct, inverse = np.unique(np.concatenate(arrays).view(np.int64),
-                                  return_inverse=True)
-    texts = np.array([f"{x:.17g}" for x in distinct.view(np.float64).tolist()],
-                     dtype=object)[inverse].tolist()
+    texts = floats(np.concatenate(arrays).view(np.int64))
     ends = np.cumsum([len(a) for a in arrays]).tolist()
     parts = iter([texts[a:b] for a, b in zip([0] + ends, ends)])
     return [None if column.lhs is None else [next(parts) for _ in range(3)]
@@ -485,7 +503,7 @@ def _block_numbers(block: _Block, spans: list[tuple[int, int]]
 
 
 def _block_rows(block: _Block, first: int, stop: int, own_rows: list,
-                style: _Style, heads: _Heads, shared: dict
+                style: _Style, heads: _Heads, shared: dict, floats: _Floats
                 ) -> Iterator[list[str]]:
     """Per graph first:stop of a block, its record texts in report order,
     formatted a column at a time."""
@@ -493,7 +511,8 @@ def _block_rows(block: _Block, first: int, stop: int, own_rows: list,
     segments: list = []
     per_graph: list[list[str]] = []
     for column, (lo, hi), rows, numbers in zip(
-            block.columns, spans, own_rows, _block_numbers(block, spans)):
+            block.columns, spans, own_rows,
+            _block_numbers(block, spans, floats)):
         texts = _column_texts(column, lo, hi, rows, numbers, style, heads,
                               shared)
         if column.bounds is None:
@@ -539,12 +558,12 @@ def _result_rows(results: tuple[GraphResult, ...], style: _Style
                  ) -> Iterator[tuple[int, int, str, list[str]]]:
     """Each result's index, order, edge_list_label and record texts, a run
     of one block at a time."""
-    heads, shared, tables = _Heads(style), {}, _Labels()
+    heads, shared, tables, floats = _Heads(style), {}, _Labels(), _Floats()
     for block, first, run, own_rows in _runs(results, indexed=True):
         orders, labels = _run_labels(run, tables)
         for r, n, label, rows in zip(run, orders, labels, _block_rows(
                 block, first, first + len(run), own_rows, style, heads,
-                shared)):
+                shared, floats)):
             yield r.index, n, label, rows
 
 
@@ -615,7 +634,7 @@ def _csv_cell(v) -> str:
     if v is None:
         return ""
     if isinstance(v, str):
-        if any(c in v for c in ',"\n\r'):
+        if "," in v or '"' in v or "\n" in v or "\r" in v:
             return '"' + v.replace('"', '""') + '"'
         return str(v)
     return json_scalar(v)

@@ -450,6 +450,26 @@ def test_every_float_renders_as_its_own_text():
         assert render(result) == render(own)
 
 
+def test_each_float_is_formatted_once_per_render(monkeypatch):
+    result = awkward_floats_result()
+    expected = {render: render(result) for render in (render_csv, render_json)}
+    bits = np.array([(rec.lhs, rec.rhs, rec.slack) for r in result.results
+                     for rec in r.suite.records]).view(np.int64)
+    distinct = len(np.unique(bits))
+    assert distinct < bits.size
+    calls = []
+    formatter = campaign.format_float
+    monkeypatch.setattr(campaign, "_RUN", 1)
+    monkeypatch.setattr(campaign, "format_float",
+                        lambda x: calls.append(x) or formatter(x))
+    # the JSON summary formats each max_abs_slack value besides
+    for render, summary in ((render_csv, 0),
+                            (render_json, len(result.max_abs_slack()))):
+        calls.clear()
+        assert render(result) == expected[render]
+        assert len(calls) == distinct + summary
+
+
 def test_bare_carriage_return_is_quoted():
     # no comma, quote or newline: only the carriage return needs quoting
     records = (CheckRecord("plain", True, reason="a\rb"),
