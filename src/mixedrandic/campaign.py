@@ -17,15 +17,13 @@ degrees) arrays from the generator, a result keeps its row and builds its
 A campaign keeps the suite's block columns, not records, and the check
 count, the summary and both renders read them a run (at most _RUN graphs
 of a block) at a time, formatted a column at a time: a row of a column's
-arrays is one f-string, fields in RECORD_FIELDS order.  Each distinct
-float of a render, keyed by its bit pattern so that -0.0 is not 0.0, is
-formatted once, into one table that each run merges its new floats into
-(5,299 texts at n <= 4, where tables of one run formatted 30,740; 25,039
-at n = 5-6, which raise a process's resident peak by about 1 MB).  Each
-name's text is made once per render.  A row with fields of its own goes
-through ``json_scalar``'s check, so a numpy float renders as a float and
-a numpy bool raises TypeError in both formats; one without numbers is
-formatted once per render and name.
+arrays is one f-string, fields in RECORD_FIELDS order.  Each float,
+keyed by its bit pattern so that -0.0 is not 0.0, is formatted once per
+render while runs repeat floats (``_Floats``: 5,315 at n <= 4, 30,740
+with a table per run), and each name once.  A row with fields of its
+own goes through ``json_scalar``'s check, so a numpy float renders as a
+float and a numpy bool raises TypeError in both formats; one without
+numbers is formatted once per render and name.
 Each column's rows of their own are sorted once per block and cut to a
 run by np.searchsorted.
 ``json_checks`` writes each record as such a row.  A render writes one
@@ -344,6 +342,11 @@ def format_float(x: float) -> str:
     return f"{float(x):.17g}"
 
 
+def _format_floats(xs: list[float]) -> list[str]:
+    """format_float of each Python float of ``xs``, without a call each."""
+    return [f"{x:.17g}" for x in xs]
+
+
 def json_scalar(v) -> str:
     """A report scalar (None, bool, int, float or str) as JSON text; any
     other value, a numpy bool or integer included, raises TypeError."""
@@ -419,21 +422,15 @@ def _column_texts(column: _Column, lo: int, hi: int, own_rows: np.ndarray,
                   numbers: list | None, style: _Style, heads: _Heads,
                   shared: dict) -> list[str]:
     """The texts of rows lo:hi of a column, with ``own_rows`` its sorted
-    rows of ``own`` and ``numbers`` the texts of their lhs, rhs and slack
-    from the render's float table.  A row of the arrays is one f-string,
-    or without numbers its name's text for its ok; one without numbers of
-    its own is made once per render and name, found by its fields' id."""
+    rows of ``own`` and ``numbers`` its lhs, rhs and slack texts.  A row of
+    the arrays is one f-string, or without numbers its name's text for its
+    ok; one without numbers of its own is made once per render and name."""
     names = column.name
-    if isinstance(names, str):
-        row_heads = repeat(heads[names])
-    else:
-        row_heads = [heads[name] for name in names[lo:hi]]
+    row_heads = (repeat(heads[names]) if isinstance(names, str)
+                 else [heads[name] for name in names[lo:hi]])
     ok = column.ok[lo:hi].tolist()
     tails = style.tails
-    if numbers is None and isinstance(names, str):
-        texts = list(map([heads[names] + b for b in style.blanks].__getitem__,
-                         ok))
-    elif numbers is None:
+    if numbers is None:
         texts = [head + style.blanks[o] for head, o in zip(row_heads, ok)]
     else:
         lhs, rhs, slack = numbers
@@ -461,24 +458,28 @@ def _column_texts(column: _Column, lo: int, hi: int, own_rows: np.ndarray,
 
 
 class _Floats:
-    """Each distinct float64 of one render's numbers and its format_float
-    text, keyed by its bit pattern, so 0.0 and -0.0, or nans of different
-    payloads, stay apart: sorted int64 keys and an object array of texts,
-    each run's new keys formatted and merged in by np.searchsorted."""
+    """format_float texts of a render's float64s by bit pattern, in sorted
+    int64 keys and an object array.  A run formats its distinct floats not
+    found and merges them in; if fewer than a third were found, the table
+    first keeps only those, so it costs what a table per run would."""
 
-    def __init__(self) -> None:
-        self.keys, self.texts = np.empty(0, np.int64), np.empty(0, object)
+    keys, texts = np.empty(0, np.int64), np.empty(0, object)
 
     def __call__(self, bits: np.ndarray) -> list[str]:
         distinct, inverse = np.unique(bits, return_inverse=True)
         at = np.searchsorted(self.keys, distinct)
         hit = at < len(self.keys)
         hit[hit] = self.keys[at[hit]] == distinct[hit]
+        texts = np.empty(len(distinct), object)
+        texts[hit] = self.texts[at[hit]]
+        if 3 * np.count_nonzero(hit) < len(distinct):
+            self.keys, self.texts = distinct[hit], texts[hit]
+            at = np.cumsum(hit) - hit
         miss = ~hit
+        texts[miss] = _format_floats(distinct[miss].view(np.float64).tolist())
         self.keys = np.insert(self.keys, at[miss], distinct[miss])
-        self.texts = np.insert(self.texts, at[miss], list(map(
-            format_float, distinct[miss].view(np.float64).tolist())))
-        return self.texts[(at + np.cumsum(miss) - miss)[inverse]].tolist()
+        self.texts = np.insert(self.texts, at[miss], texts[miss])
+        return texts[inverse].tolist()
 
 
 def _block_numbers(block: _Block, spans: list[tuple[int, int]],

@@ -453,21 +453,34 @@ def test_every_float_renders_as_its_own_text():
 def test_each_float_is_formatted_once_per_render(monkeypatch):
     result = awkward_floats_result()
     expected = {render: render(result) for render in (render_csv, render_json)}
-    bits = np.array([(rec.lhs, rec.rhs, rec.slack) for r in result.results
-                     for rec in r.suite.records]).view(np.int64)
-    distinct = len(np.unique(bits))
-    assert distinct < bits.size
+    values = [x for r in result.results for rec in r.suite.records
+              for x in (rec.lhs, rec.rhs, rec.slack)]
+    distinct = len(np.unique(np.array(values).view(np.int64)))
+    assert distinct < len(values)
+    assert campaign._format_floats(values) == list(map(format_float, values))
     calls = []
-    formatter = campaign.format_float
+    formatter = campaign._format_floats
     monkeypatch.setattr(campaign, "_RUN", 1)
-    monkeypatch.setattr(campaign, "format_float",
-                        lambda x: calls.append(x) or formatter(x))
-    # the JSON summary formats each max_abs_slack value besides
-    for render, summary in ((render_csv, 0),
-                            (render_json, len(result.max_abs_slack()))):
+    monkeypatch.setattr(campaign, "_format_floats",
+                        lambda xs: calls.extend(xs) or formatter(xs))
+    for render in (render_csv, render_json):
         calls.clear()
         assert render(result) == expected[render]
-        assert len(calls) == distinct + summary
+        assert len(calls) == distinct
+
+
+def test_float_table_keeps_one_run_when_floats_rarely_repeat():
+    floats = campaign._Floats()
+    runs = [np.arange(k, k + 6, dtype=np.float64) for k in (0, 4, 8, 20)]
+    kept = []
+    for run in runs:
+        bits = np.concatenate([run, run[::-1]]).view(np.int64)
+        assert floats(bits) == list(map(format_float, run)) + list(
+            map(format_float, run[::-1]))
+        kept.append(floats.keys.view(np.float64).tolist())
+    # two of six floats were kept: merged; none: the run's own table
+    assert kept == [runs[0].tolist(), list(range(10)), list(range(14)),
+                    runs[3].tolist()]
 
 
 def test_bare_carriage_return_is_quoted():
