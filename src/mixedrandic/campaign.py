@@ -17,13 +17,12 @@ degrees) arrays from the generator, a result keeps its row and builds its
 A campaign keeps the suite's block columns, not records, and the check
 count, the summary and both renders read them a run (at most _RUN graphs
 of a block) at a time, formatted a column at a time: a row of a column's
-arrays is one f-string, fields in RECORD_FIELDS order.  Each float,
-keyed by its bit pattern so that -0.0 is not 0.0, is formatted once per
-render while runs repeat floats (``_Floats``: 5,315 at n <= 4, 30,740
-with a table per run), and each name once.  A row with fields of its
-own goes through ``json_scalar``'s check, so a numpy float renders as a
-float and a numpy bool raises TypeError in both formats; one without
-numbers is formatted once per render and name.
+arrays is one f-string, fields in RECORD_FIELDS order.  Each name's
+text and, while runs repeat floats, each float's (by bit pattern, so
+-0.0 is not 0.0) is made once per render (``_Floats``).  A row with
+fields of its own goes through ``json_scalar``'s check, so a numpy float
+renders as a float and a numpy bool raises TypeError in both formats;
+one without numbers is formatted once per render and name.
 Each column's rows of their own are sorted once per block and cut to a
 run by np.searchsorted.
 ``json_checks`` writes each record as such a row.  A render writes one
@@ -458,10 +457,9 @@ def _column_texts(column: _Column, lo: int, hi: int, own_rows: np.ndarray,
 
 
 class _Floats:
-    """format_float texts of a render's float64s by bit pattern, in sorted
-    int64 keys and an object array.  A run formats its distinct floats not
-    found and merges them in; if fewer than a third were found, the table
-    first keeps only those, so it costs what a table per run would."""
+    """A render's format_float texts by float64 bit pattern, in sorted
+    int64 keys and an object array.  A run formats the floats not found and
+    merges them in, or, if under a third were found, keeps only its own."""
 
     keys, texts = np.empty(0, np.int64), np.empty(0, object)
 
@@ -470,15 +468,16 @@ class _Floats:
         at = np.searchsorted(self.keys, distinct)
         hit = at < len(self.keys)
         hit[hit] = self.keys[at[hit]] == distinct[hit]
+        miss = ~hit
         texts = np.empty(len(distinct), object)
         texts[hit] = self.texts[at[hit]]
-        if 3 * np.count_nonzero(hit) < len(distinct):
-            self.keys, self.texts = distinct[hit], texts[hit]
-            at = np.cumsum(hit) - hit
-        miss = ~hit
+        merge = 3 * np.count_nonzero(hit) >= len(distinct)
+        if not merge:  # free the old texts before making new ones
+            self.keys, self.texts = distinct, texts
         texts[miss] = _format_floats(distinct[miss].view(np.float64).tolist())
-        self.keys = np.insert(self.keys, at[miss], distinct[miss])
-        self.texts = np.insert(self.texts, at[miss], texts[miss])
+        if merge:
+            self.keys = np.insert(self.keys, at[miss], distinct[miss])
+            self.texts = np.insert(self.texts, at[miss], texts[miss])
         return texts[inverse].tolist()
 
 
