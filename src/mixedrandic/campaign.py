@@ -39,7 +39,6 @@ from __future__ import annotations
 
 import functools
 import json
-from dataclasses import dataclass, field, replace
 from io import StringIO
 from itertools import repeat
 from typing import Callable, Iterable, Iterator, NamedTuple
@@ -53,7 +52,7 @@ from .enumeration import (
     _row_entries,
     _sampled_states,
 )
-from .graphs import MixedGraph, ParseError, edge_label
+from .graphs import MixedGraph, ParseError, _Record, _set, edge_label
 from .matrices import _state_table
 from .theorems import (
     CheckRecord,
@@ -88,25 +87,28 @@ def population(n: int, min_degree: int = 1, sample_limit: int | None = None,
     return list(_graphs(*_order_states(n, min_degree, sample_limit, seed)))
 
 
-@dataclass(frozen=True)
-class CampaignConfig:
-    n_min: int = 2
-    n_max: int = 4
-    min_degree: int = 1
-    sample_limit: int | None = None
-    seed: int = DEFAULT_SEED
-    format: str = "json"
-    output: str | None = None
+class CampaignConfig(_Record):
+    __slots__ = _fields = ("n_min", "n_max", "min_degree", "sample_limit",
+                           "seed", "format", "output")
 
-    def __post_init__(self) -> None:
-        if self.n_min < 2 or self.n_max < self.n_min:
-            raise ValueError(f"bad vertex range {self.n_min}..{self.n_max}")
-        if self.format not in ("json", "csv"):
-            raise ValueError(f"unknown report format {self.format!r}")
-        if not 0 <= self.min_degree <= self.n_min - 1:
-            raise ValueError(f"min_degree must be in 0..n_min - 1 = {self.n_min - 1}")
-        if self.sample_limit is not None and self.sample_limit < 0:
+    def __init__(self, n_min: int = 2, n_max: int = 4, min_degree: int = 1,
+                 sample_limit: int | None = None, seed: int = DEFAULT_SEED,
+                 format: str = "json", output: str | None = None) -> None:
+        if n_min < 2 or n_max < n_min:
+            raise ValueError(f"bad vertex range {n_min}..{n_max}")
+        if format not in ("json", "csv"):
+            raise ValueError(f"unknown report format {format!r}")
+        if not 0 <= min_degree <= n_min - 1:
+            raise ValueError(f"min_degree must be in 0..n_min - 1 = {n_min - 1}")
+        if sample_limit is not None and sample_limit < 0:
             raise ValueError("sample_limit must be >= 0")
+        _set(self, "n_min", n_min)
+        _set(self, "n_max", n_max)
+        _set(self, "min_degree", min_degree)
+        _set(self, "sample_limit", sample_limit)
+        _set(self, "seed", seed)
+        _set(self, "format", format)
+        _set(self, "output", output)
 
 
 _CONFIG_KEYS = {
@@ -280,17 +282,20 @@ def _tally(results: tuple[GraphResult, ...]) -> _Tally:
     return _Tally(failures, skips, divergences, slack)
 
 
-@dataclass(frozen=True)
-class CampaignResult:
-    config: CampaignConfig
-    results: tuple[GraphResult, ...]
-    checks: int = field(init=False, default=0)
+class CampaignResult(_Record):
+    """A campaign's config, its results and their number of checks.  It
+    keeps a ``__dict__`` for the cached tally."""
 
-    def __post_init__(self) -> None:
-        total = sum(hi - lo for block, first, run, _ in _runs(self.results)
-                    for lo, hi in (column.span(first, first + len(run))
-                                   for column in block.columns))
-        object.__setattr__(self, "checks", total)
+    _fields = ("config", "results", "checks")
+
+    def __init__(self, config: CampaignConfig,
+                 results: tuple[GraphResult, ...]) -> None:
+        _set(self, "config", config)
+        _set(self, "results", results)
+        _set(self, "checks", sum(
+            hi - lo for block, first, run, _ in _runs(results)
+            for lo, hi in (column.span(first, first + len(run))
+                           for column in block.columns)))
 
     @functools.cached_property
     def _tally(self) -> _Tally:
@@ -683,4 +688,7 @@ def summary_text(result: CampaignResult) -> str:
 
 def with_overrides(config: CampaignConfig, **overrides) -> CampaignConfig:
     supplied = {k: v for k, v in overrides.items() if v is not None}
-    return replace(config, **supplied) if supplied else config
+    if not supplied:
+        return config
+    fields = {name: getattr(config, name) for name in config._fields}
+    return CampaignConfig(**fields | supplied)

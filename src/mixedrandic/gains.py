@@ -23,25 +23,23 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
 from enum import Enum
 from typing import Mapping, NamedTuple
 
 import numpy as np
 
-from .graphs import EdgeKind, MixedGraph
+from .graphs import EdgeKind, MixedGraph, _Record, _set
 
 OMEGA = complex(0.5, math.sqrt(3.0) / 2.0)
 
 
-@dataclass(frozen=True)
-class SixthRoot:
+class SixthRoot(_Record):
     """omega**k with the exponent kept mod 6; exact under *, / and conjugation."""
 
-    k: int
+    __slots__ = _fields = ("k",)
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "k", self.k % 6)
+    def __init__(self, k: int) -> None:
+        _set(self, "k", k % 6)
 
     def __mul__(self, other: "SixthRoot") -> "SixthRoot":
         return SixthRoot(self.k + other.k)
@@ -86,16 +84,22 @@ _CLASS_BY_EXPONENT = {
 }
 
 
-@dataclass(frozen=True)
-class GainView:
+class GainView(_Record):
     """Gains on every oriented edge of a graph's underlying graph.
 
     ``gains`` maps each ordered adjacent pair (i, j) to the gain of the
     traversal i -> j; the reverse direction always holds the inverse.
+    Views compare and hash by identity, as ``gains`` has no hash.
     """
 
-    base: MixedGraph
-    gains: Mapping[tuple[int, int], SixthRoot]
+    __slots__ = _fields = ("base", "gains")
+    __eq__ = object.__eq__
+    __hash__ = object.__hash__
+
+    def __init__(self, base: MixedGraph,
+                 gains: Mapping[tuple[int, int], SixthRoot]) -> None:
+        _set(self, "base", base)
+        _set(self, "gains", gains)
 
     def gain(self, i: int, j: int) -> SixthRoot:
         try:

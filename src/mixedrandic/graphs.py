@@ -22,7 +22,6 @@ from __future__ import annotations
 import math
 import operator
 from collections import deque
-from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
 from typing import Iterable
@@ -37,25 +36,62 @@ class EdgeKind(Enum):
     ARC = "->"
 
 
-@dataclass(frozen=True)
-class EdgeRecord:
+#: Sets a field of a _Record past its __setattr__, in the constructors.
+_set = object.__setattr__
+
+
+class _Record:
+    """Base of the package's immutable records.
+
+    A record names its fields in ``_fields``, in constructor order and
+    usually as its ``__slots__`` too, and its ``__init__`` sets them with
+    ``_set``.  Equality, hashing and the ``Name(field=value, ...)`` repr
+    read those fields; assigning or deleting an attribute raises
+    AttributeError.
+    """
+
+    __slots__ = ()
+    _fields: tuple[str, ...] = ()
+
+    def _values(self) -> tuple:
+        return tuple([getattr(self, name) for name in self._fields])
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        shown = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__qualname__}({shown})"
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class EdgeRecord(_Record):
     """One edge of a mixed graph.
 
     For ``UNDIRECTED`` the endpoints are stored with ``u < v``; for ``ARC``
     the edge is oriented ``u -> v``.
     """
 
-    u: int
-    v: int
-    kind: EdgeKind
+    __slots__ = _fields = ("u", "v", "kind")
 
-    def __post_init__(self) -> None:
-        if self.u == self.v:
-            raise ValueError(f"self-loop at vertex {self.u}")
-        if self.kind is EdgeKind.UNDIRECTED and self.u > self.v:
-            u, v = self.u, self.v
-            object.__setattr__(self, "u", v)
-            object.__setattr__(self, "v", u)
+    def __init__(self, u: int, v: int, kind: EdgeKind) -> None:
+        if u == v:
+            raise ValueError(f"self-loop at vertex {u}")
+        if kind is EdgeKind.UNDIRECTED and u > v:
+            u, v = v, u
+        _set(self, "u", u)
+        _set(self, "v", v)
+        _set(self, "kind", kind)
 
     @property
     def pair(self) -> tuple[int, int]:
@@ -81,35 +117,35 @@ def edge_label(e: EdgeRecord) -> str:
     return f"{e.u}{e.kind.value}{e.v}"
 
 
-@dataclass(frozen=True, eq=False)
-class MixedGraph:
+class MixedGraph(_Record):
     """Immutable mixed graph on vertices 1..n.
 
     ``edges`` keeps construction order (matrix builders index edge columns by
     it); equality and hashing ignore the order.  The degrees are counted
-    once, on construction.
+    once, on construction.  A graph keeps its fields in a ``__dict__``,
+    which enumeration fills directly for graphs it knows to be valid.
     """
 
-    n: int
-    edges: tuple[EdgeRecord, ...]
-    _degrees: tuple[int, ...] = field(init=False, repr=False)
+    _fields = ("n", "edges")
 
-    def __post_init__(self) -> None:
-        if self.n < 1:
+    def __init__(self, n: int, edges: tuple[EdgeRecord, ...]) -> None:
+        if n < 1:
             raise ValueError("vertex count must be at least 1")
-        object.__setattr__(self, "edges", tuple(self.edges))
+        edges = tuple(edges)
         seen: set[tuple[int, int]] = set()
-        d = [0] * self.n
-        for e in self.edges:
-            if not (1 <= e.u <= self.n and 1 <= e.v <= self.n):
-                raise ValueError(f"edge {e} out of range 1..{self.n}")
+        d = [0] * n
+        for e in edges:
+            if not (1 <= e.u <= n and 1 <= e.v <= n):
+                raise ValueError(f"edge {e} out of range 1..{n}")
             pair = e.pair
             if pair in seen:
                 raise ValueError(f"duplicate pair {{{pair[0]}, {pair[1]}}}")
             seen.add(pair)
             d[e.u - 1] += 1
             d[e.v - 1] += 1
-        object.__setattr__(self, "_degrees", tuple(d))
+        _set(self, "n", n)
+        _set(self, "edges", edges)
+        _set(self, "_degrees", tuple(d))
 
     @classmethod
     def build(

@@ -27,13 +27,12 @@ each other; ``theorems`` reads both.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
 from .enumeration import elementary_weight_numerators
-from .graphs import MixedGraph
+from .graphs import MixedGraph, _Record, _set
 from .matrices import is_hermitian, randic_matrix
 
 #: Eigenvalues within this of zero count as zero (negative-eigenvalue count,
@@ -79,26 +78,27 @@ def multiplicities(vals: np.ndarray, value: float) -> np.ndarray:
     return (np.abs(vals - value) <= TOL_EIG).sum(axis=-1)
 
 
-@dataclass(frozen=True)
-class Spectrum:
+class Spectrum(_Record):
     """Sorted real eigenvalues of a Hermitian matrix plus derived scalars.
 
     Each scalar is the one-row case of the row reduction above it, which
     the theorem suite runs on a whole population's eigenvalue array.
+    Spectra compare and hash by identity, as an array has no truth value.
     """
 
-    eigenvalues: np.ndarray
+    __slots__ = _fields = ("eigenvalues",)
+    __eq__ = object.__eq__
+    __hash__ = object.__hash__
 
-    def __post_init__(self) -> None:
-        vals = np.asarray(self.eigenvalues, dtype=float)
-        object.__setattr__(self, "eigenvalues", np.sort(vals))
+    def __init__(self, eigenvalues: np.ndarray) -> None:
+        _set(self, "eigenvalues", np.sort(np.asarray(eigenvalues, dtype=float)))
 
     @classmethod
     def from_sorted(cls, vals: np.ndarray) -> Spectrum:
         """The spectrum of float eigenvalues already in ascending order,
         such as a row of eigenvalue_rows, kept as given, not sorted again."""
         spectrum = object.__new__(cls)
-        object.__setattr__(spectrum, "eigenvalues", vals)
+        _set(spectrum, "eigenvalues", vals)
         return spectrum
 
     @property
@@ -162,15 +162,17 @@ def randic_spectrum(g: MixedGraph) -> Spectrum:
     return eigendecompose(randic_matrix(g))
 
 
-@dataclass(frozen=True)
-class CharPoly:
+class CharPoly(_Record):
     """Monic characteristic polynomial x**n + a_1 x**(n-1) + ... + a_n.
 
     ``coefficients`` lists a_0 = 1 through a_n, ascending index; entries are
     Fractions on the exact route and floats on the numeric one.
     """
 
-    coefficients: tuple
+    __slots__ = _fields = ("coefficients",)
+
+    def __init__(self, coefficients: tuple) -> None:
+        _set(self, "coefficients", coefficients)
 
     @property
     def degree(self) -> int:

@@ -42,7 +42,6 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
 from itertools import repeat
 from typing import Callable, Iterable, Iterator, NamedTuple
 
@@ -53,6 +52,8 @@ from .gains import Balance, balances, graph_balance
 from .graphs import (
     EdgeRecord,
     MixedGraph,
+    _Record,
+    _set,
     general_randic_index,
 )
 from .matrices import (
@@ -93,21 +94,26 @@ def _block_size(n: int) -> int:
     return max(1, SUITE_BLOCK // n ** 4)
 
 
-@dataclass(frozen=True, slots=True)
-class CheckRecord:
+class CheckRecord(_Record):
     """Outcome of a single named check.
 
     lhs, rhs and slack are None for purely structural checks; reason carries
     skip explanations and informational notes.
     """
 
-    name: str
-    satisfied: bool
-    skipped: bool = False
-    lhs: float | None = None
-    rhs: float | None = None
-    slack: float | None = None
-    reason: str = ""
+    __slots__ = _fields = ("name", "satisfied", "skipped", "lhs", "rhs",
+                           "slack", "reason")
+
+    def __init__(self, name: str, satisfied: bool, skipped: bool = False,
+                 lhs: float | None = None, rhs: float | None = None,
+                 slack: float | None = None, reason: str = "") -> None:
+        _set(self, "name", name)
+        _set(self, "satisfied", satisfied)
+        _set(self, "skipped", skipped)
+        _set(self, "lhs", lhs)
+        _set(self, "rhs", rhs)
+        _set(self, "slack", slack)
+        _set(self, "reason", reason)
 
 
 class _Column(NamedTuple):
@@ -218,18 +224,26 @@ def randic_inverse(g: MixedGraph) -> float:
     return float(general_randic_index(g, -1))
 
 
-@dataclass(frozen=True)
-class InterlacingResult:
+class InterlacingResult(_Record):
     """Spectra of a graph and of the graph minus one edge, with the
     per-position verdicts of the deleted spectrum being bracketed by the
     original one (positions 1..n against neighbours k-1 and k+1, where
-    position 0 counts as -1 and position n+1 as 1)."""
+    position 0 counts as -1 and position n+1 as 1).  Results compare and
+    hash by identity, as their spectra do."""
 
-    edge: EdgeRecord
-    original: Spectrum
-    reduced: Spectrum
-    verdicts: tuple[bool, ...]
-    worst_violation: float
+    __slots__ = _fields = ("edge", "original", "reduced", "verdicts",
+                           "worst_violation")
+    __eq__ = object.__eq__
+    __hash__ = object.__hash__
+
+    def __init__(self, edge: EdgeRecord, original: Spectrum,
+                 reduced: Spectrum, verdicts: tuple[bool, ...],
+                 worst_violation: float) -> None:
+        _set(self, "edge", edge)
+        _set(self, "original", original)
+        _set(self, "reduced", reduced)
+        _set(self, "verdicts", verdicts)
+        _set(self, "worst_violation", worst_violation)
 
     @property
     def holds(self) -> bool:
@@ -267,11 +281,14 @@ def interlacing_check(g: MixedGraph, pair: tuple[int, int]) -> InterlacingResult
                              float(_worst(violations)[0]))
 
 
-@dataclass(frozen=True)
-class EigenvalueOneCheck:
-    has_one: bool
-    multiplicity: int
-    graph_positive: bool
+class EigenvalueOneCheck(_Record):
+    __slots__ = _fields = ("has_one", "multiplicity", "graph_positive")
+
+    def __init__(self, has_one: bool, multiplicity: int,
+                 graph_positive: bool) -> None:
+        _set(self, "has_one", has_one)
+        _set(self, "multiplicity", multiplicity)
+        _set(self, "graph_positive", graph_positive)
 
 
 def check_eigenvalue_one(g: MixedGraph,
@@ -291,11 +308,14 @@ def _eigenvalue_one(multiplicity: int, positive: bool) -> EigenvalueOneCheck:
     return EigenvalueOneCheck(multiplicity > 0, multiplicity, positive)
 
 
-@dataclass(frozen=True)
-class SymmetryCheck:
-    symmetric: bool
-    bipartite: bool
-    max_asymmetry: float
+class SymmetryCheck(_Record):
+    __slots__ = _fields = ("symmetric", "bipartite", "max_asymmetry")
+
+    def __init__(self, symmetric: bool, bipartite: bool,
+                 max_asymmetry: float) -> None:
+        _set(self, "symmetric", symmetric)
+        _set(self, "bipartite", bipartite)
+        _set(self, "max_asymmetry", max_asymmetry)
 
 
 def check_spectral_symmetry(g: MixedGraph,
@@ -311,11 +331,14 @@ def _symmetry(max_asymmetry: float, bipartite: bool) -> SymmetryCheck:
     return SymmetryCheck(max_asymmetry <= TOL_EIG, bipartite, max_asymmetry)
 
 
-@dataclass(frozen=True)
-class MinusOneCheck:
-    has_minus_one: bool
-    positive_bipartite: bool
-    antibalanced: bool
+class MinusOneCheck(_Record):
+    __slots__ = _fields = ("has_minus_one", "positive_bipartite", "antibalanced")
+
+    def __init__(self, has_minus_one: bool, positive_bipartite: bool,
+                 antibalanced: bool) -> None:
+        _set(self, "has_minus_one", has_minus_one)
+        _set(self, "positive_bipartite", positive_bipartite)
+        _set(self, "antibalanced", antibalanced)
 
 
 def check_minus_one(g: MixedGraph,
@@ -338,11 +361,15 @@ def _minus_one(multiplicity: int, positive: bool, antibalanced: bool,
     return MinusOneCheck(multiplicity > 0, positive & bipartite, antibalanced)
 
 
-@dataclass(frozen=True)
-class UnderlyingSpectrumCheck:
-    spectra_equal: bool
-    switch_equiv_allones: bool
-    max_difference: float
+class UnderlyingSpectrumCheck(_Record):
+    __slots__ = _fields = ("spectra_equal", "switch_equiv_allones",
+                           "max_difference")
+
+    def __init__(self, spectra_equal: bool, switch_equiv_allones: bool,
+                 max_difference: float) -> None:
+        _set(self, "spectra_equal", spectra_equal)
+        _set(self, "switch_equiv_allones", switch_equiv_allones)
+        _set(self, "max_difference", max_difference)
 
 
 def check_spectrum_equals_underlying(
@@ -376,14 +403,16 @@ def entry_sums(degrees: np.ndarray, edges: tuple[np.ndarray, ...]) -> np.ndarray
                        minlength=len(degrees))
 
 
-@dataclass(frozen=True)
-class EntrySumBounds:
+class EntrySumBounds(_Record):
     """Pinching of the extreme eigenvalues by the matrix entry sum S:
     lambda_min <= -S/(n(n-1)) <= S/n <= lambda_max, plus the induced spread
     bound lambda_max - lambda_min >= S/(n-1).  Each record carries its two
     sides as lhs and rhs."""
 
-    records: tuple[CheckRecord, ...]
+    __slots__ = _fields = ("records",)
+
+    def __init__(self, records: tuple[CheckRecord, ...]) -> None:
+        _set(self, "records", records)
 
 
 def _entry_sum_columns(n: int, total: np.ndarray,
@@ -436,19 +465,25 @@ def smallest_eigenvalue_bound(g: MixedGraph,
                                        s.eigenvalues[np.newaxis]).records(0, 1)[0]
 
 
-@dataclass(frozen=True)
-class BoundsReport:
+class BoundsReport(_Record):
     """The energy inequalities for one graph, plus the scalars they consume."""
 
-    n: int
-    m: int
-    randic_inverse: float
-    determinant: float
-    rho: float
-    sigma: float
-    negative_count: int
-    energy: float
-    records: tuple[CheckRecord, ...]
+    __slots__ = _fields = ("n", "m", "randic_inverse", "determinant", "rho",
+                           "sigma", "negative_count", "energy", "records")
+
+    def __init__(self, n: int, m: int, randic_inverse: float,
+                 determinant: float, rho: float, sigma: float,
+                 negative_count: int, energy: float,
+                 records: tuple[CheckRecord, ...]) -> None:
+        _set(self, "n", n)
+        _set(self, "m", m)
+        _set(self, "randic_inverse", randic_inverse)
+        _set(self, "determinant", determinant)
+        _set(self, "rho", rho)
+        _set(self, "sigma", sigma)
+        _set(self, "negative_count", negative_count)
+        _set(self, "energy", energy)
+        _set(self, "records", records)
 
     def record(self, name: str) -> CheckRecord:
         for r in self.records:

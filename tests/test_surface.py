@@ -67,3 +67,21 @@ def test_read_names_ignores_definitions_locals_and_docstrings():
     source = ('"""orphan"""\nfrom m import used, unused\n'
               'def orphan(arc):\n    arc = 1\n    return used(arc).attr\n')
     assert read_names(source) == {"used", "attr"}
+
+
+def test_no_module_imports_dataclasses():
+    # every command pays for the package's class definitions at import, and
+    # a dataclass decorator costs about 0.6 ms of that where a record costs
+    # tens of microseconds
+    importers = []
+    for path in sorted((ROOT / "src" / "mixedrandic").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                modules = [node.module or ""]
+            else:
+                continue
+            if any(m.split(".")[0] == "dataclasses" for m in modules):
+                importers.append(f"{path.name}:{node.lineno}")
+    assert not importers, f"dataclasses imported at {', '.join(importers)}"
