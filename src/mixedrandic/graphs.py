@@ -53,16 +53,19 @@ class _Record:
     __slots__ = ()
     _fields: tuple[str, ...] = ()
 
-    def _values(self) -> tuple:
-        return tuple([getattr(self, name) for name in self._fields])
+    def __init_subclass__(cls) -> None:
+        # the fields' values in one C call, which equality and hashing
+        # compare: `tuple.index` over a graph's edges makes an __eq__ call
+        # per edge; a record of one field yields the value itself
+        cls._values = operator.attrgetter(*cls._fields)
 
     def __eq__(self, other: object) -> bool:
         if other.__class__ is not self.__class__:
             return NotImplemented
-        return self._values() == other._values()
+        return self._values(self) == self._values(other)
 
     def __hash__(self) -> int:
-        return hash(self._values())
+        return hash(self._values(self))
 
     def __repr__(self) -> str:
         shown = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
