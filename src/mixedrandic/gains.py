@@ -96,11 +96,6 @@ class GainView(_Record):
     __eq__ = object.__eq__
     __hash__ = object.__hash__
 
-    def __init__(self, base: MixedGraph,
-                 gains: Mapping[tuple[int, int], SixthRoot]) -> None:
-        _set(self, "base", base)
-        _set(self, "gains", gains)
-
     def gain(self, i: int, j: int) -> SixthRoot:
         try:
             return self.gains[(i, j)]

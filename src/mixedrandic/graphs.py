@@ -44,20 +44,50 @@ class _Record:
     """Base of the package's immutable records.
 
     A record names its fields in ``_fields``, in constructor order and
-    usually as its ``__slots__`` too, and its ``__init__`` sets them with
-    ``_set``.  Equality, hashing and the ``Name(field=value, ...)`` repr
-    read those fields; assigning or deleting an attribute raises
-    AttributeError.
+    usually as its ``__slots__`` too.  The shared constructor binds its
+    positional and keyword arguments to those fields as the signature
+    ``(field_0, field_1, ...)`` would, taking an omitted field from
+    ``_defaults``; a record whose constructor applies rules has its own
+    ``__init__``, which sets the fields with ``_set``.  Equality, hashing
+    and the ``Name(field=value, ...)`` repr read the fields; assigning or
+    deleting an attribute raises AttributeError.
     """
 
     __slots__ = ()
     _fields: tuple[str, ...] = ()
+    _defaults: dict[str, object] = {}
 
     def __init_subclass__(cls) -> None:
         # the fields' values in one C call, which equality and hashing
         # compare: `tuple.index` over a graph's edges makes an __eq__ call
         # per edge; a record of one field yields the value itself
         cls._values = operator.attrgetter(*cls._fields)
+        if cls.__init__ is _Record.__init__:
+            # the fields' slot setters: a call each, no name lookup
+            cls._stores = tuple(getattr(cls, name).__set__ for name in cls._fields)
+
+    def __init__(self, *args: object, **kwargs: object) -> None:
+        fields = self._fields
+        given = len(args)
+        if given > len(fields):
+            raise TypeError(f"{type(self).__qualname__}() takes {len(fields)} "
+                            f"positional arguments but {given} were given")
+        for store, value in zip(self._stores, args):
+            store(self, value)
+        if given == len(fields) and not kwargs:
+            return
+        rest = fields[given:]
+        for name in kwargs:
+            if name not in rest:
+                problem = ("multiple values for argument" if name in fields
+                           else "an unexpected keyword argument")
+                raise TypeError(f"{type(self).__qualname__}() got {problem} {name!r}")
+        values = {**self._defaults, **kwargs}
+        for name, store in zip(rest, self._stores[given:]):
+            if name not in values:
+                raise TypeError(f"{type(self).__qualname__}() missing "
+                                f"required argument {name!r}")
+            store(self, values[name])
 
     def __eq__(self, other: object) -> bool:
         if other.__class__ is not self.__class__:

@@ -171,9 +171,6 @@ class CharPoly(_Record):
 
     __slots__ = _fields = ("coefficients",)
 
-    def __init__(self, coefficients: tuple) -> None:
-        _set(self, "coefficients", coefficients)
-
     @property
     def degree(self) -> int:
         return len(self.coefficients) - 1

@@ -50,10 +50,8 @@ import numpy as np
 from .enumeration import elementary_weight_numerator_rows
 from .gains import Balance, balances, graph_balance
 from .graphs import (
-    EdgeRecord,
     MixedGraph,
     _Record,
-    _set,
     general_randic_index,
 )
 from .matrices import (
@@ -103,17 +101,7 @@ class CheckRecord(_Record):
 
     __slots__ = _fields = ("name", "satisfied", "skipped", "lhs", "rhs",
                            "slack", "reason")
-
-    def __init__(self, name: str, satisfied: bool, skipped: bool = False,
-                 lhs: float | None = None, rhs: float | None = None,
-                 slack: float | None = None, reason: str = "") -> None:
-        _set(self, "name", name)
-        _set(self, "satisfied", satisfied)
-        _set(self, "skipped", skipped)
-        _set(self, "lhs", lhs)
-        _set(self, "rhs", rhs)
-        _set(self, "slack", slack)
-        _set(self, "reason", reason)
+    _defaults = dict(skipped=False, lhs=None, rhs=None, slack=None, reason="")
 
 
 class _Column(NamedTuple):
@@ -158,7 +146,7 @@ class _Column(NamedTuple):
             slack = self.slack[lo:hi].tolist()
         own = self.own
         return [CheckRecord(name, *own[row]) if row in own else
-                CheckRecord(name, ok, lhs=a, rhs=b, slack=c)
+                CheckRecord(name, ok, False, a, b, c, "")
                 for row, name, a, b, c, ok in zip(
                     range(lo, hi), names, lhs, rhs, slack,
                     self.ok[lo:hi].tolist())]
@@ -236,15 +224,6 @@ class InterlacingResult(_Record):
     __eq__ = object.__eq__
     __hash__ = object.__hash__
 
-    def __init__(self, edge: EdgeRecord, original: Spectrum,
-                 reduced: Spectrum, verdicts: tuple[bool, ...],
-                 worst_violation: float) -> None:
-        _set(self, "edge", edge)
-        _set(self, "original", original)
-        _set(self, "reduced", reduced)
-        _set(self, "verdicts", verdicts)
-        _set(self, "worst_violation", worst_violation)
-
     @property
     def holds(self) -> bool:
         return all(self.verdicts)
@@ -284,12 +263,6 @@ def interlacing_check(g: MixedGraph, pair: tuple[int, int]) -> InterlacingResult
 class EigenvalueOneCheck(_Record):
     __slots__ = _fields = ("has_one", "multiplicity", "graph_positive")
 
-    def __init__(self, has_one: bool, multiplicity: int,
-                 graph_positive: bool) -> None:
-        _set(self, "has_one", has_one)
-        _set(self, "multiplicity", multiplicity)
-        _set(self, "graph_positive", graph_positive)
-
 
 def check_eigenvalue_one(g: MixedGraph,
                          spectrum: Spectrum | None = None) -> EigenvalueOneCheck:
@@ -311,12 +284,6 @@ def _eigenvalue_one(multiplicity: int, positive: bool) -> EigenvalueOneCheck:
 class SymmetryCheck(_Record):
     __slots__ = _fields = ("symmetric", "bipartite", "max_asymmetry")
 
-    def __init__(self, symmetric: bool, bipartite: bool,
-                 max_asymmetry: float) -> None:
-        _set(self, "symmetric", symmetric)
-        _set(self, "bipartite", bipartite)
-        _set(self, "max_asymmetry", max_asymmetry)
-
 
 def check_spectral_symmetry(g: MixedGraph,
                             spectrum: Spectrum | None = None) -> SymmetryCheck:
@@ -333,12 +300,6 @@ def _symmetry(max_asymmetry: float, bipartite: bool) -> SymmetryCheck:
 
 class MinusOneCheck(_Record):
     __slots__ = _fields = ("has_minus_one", "positive_bipartite", "antibalanced")
-
-    def __init__(self, has_minus_one: bool, positive_bipartite: bool,
-                 antibalanced: bool) -> None:
-        _set(self, "has_minus_one", has_minus_one)
-        _set(self, "positive_bipartite", positive_bipartite)
-        _set(self, "antibalanced", antibalanced)
 
 
 def check_minus_one(g: MixedGraph,
@@ -364,12 +325,6 @@ def _minus_one(multiplicity: int, positive: bool, antibalanced: bool,
 class UnderlyingSpectrumCheck(_Record):
     __slots__ = _fields = ("spectra_equal", "switch_equiv_allones",
                            "max_difference")
-
-    def __init__(self, spectra_equal: bool, switch_equiv_allones: bool,
-                 max_difference: float) -> None:
-        _set(self, "spectra_equal", spectra_equal)
-        _set(self, "switch_equiv_allones", switch_equiv_allones)
-        _set(self, "max_difference", max_difference)
 
 
 def check_spectrum_equals_underlying(
@@ -410,9 +365,6 @@ class EntrySumBounds(_Record):
     sides as lhs and rhs."""
 
     __slots__ = _fields = ("records",)
-
-    def __init__(self, records: tuple[CheckRecord, ...]) -> None:
-        _set(self, "records", records)
 
 
 def _entry_sum_columns(n: int, total: np.ndarray,
@@ -470,20 +422,6 @@ class BoundsReport(_Record):
 
     __slots__ = _fields = ("n", "m", "randic_inverse", "determinant", "rho",
                            "sigma", "negative_count", "energy", "records")
-
-    def __init__(self, n: int, m: int, randic_inverse: float,
-                 determinant: float, rho: float, sigma: float,
-                 negative_count: int, energy: float,
-                 records: tuple[CheckRecord, ...]) -> None:
-        _set(self, "n", n)
-        _set(self, "m", m)
-        _set(self, "randic_inverse", randic_inverse)
-        _set(self, "determinant", determinant)
-        _set(self, "rho", rho)
-        _set(self, "sigma", sigma)
-        _set(self, "negative_count", negative_count)
-        _set(self, "energy", energy)
-        _set(self, "records", records)
 
     def record(self, name: str) -> CheckRecord:
         for r in self.records:

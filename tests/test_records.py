@@ -146,3 +146,23 @@ def test_record_class(cls, fields, defaults, derived, by_value, rules):
         # arrays and dicts have no truth value or hash: identity decides
         assert (a == b) is False and (a != b) is True and a == a
         assert hash(a) == hash(a) and len({a, b, a}) == 2
+
+
+@pytest.mark.parametrize("cls, fields, defaults", [case[:3] for case in CASES],
+                         ids=[case[0].__name__ for case in CASES])
+def test_record_constructor_binds_as_a_signature(cls, fields, defaults):
+    values = list(fields.values())
+    first, *rest = fields
+    mixed = cls(values[0], **{name: fields[name] for name in rest})
+    assert all(same(getattr(mixed, name), value) for name, value in fields.items())
+
+    with pytest.raises(TypeError, match="positional argument"):
+        cls(*values, None)
+    with pytest.raises(TypeError, match="unexpected keyword argument 'bogus'"):
+        cls(**fields, bogus=None)
+    with pytest.raises(TypeError, match=f"multiple values for argument '{first}'"):
+        cls(*values, **{first: fields[first]})
+    for missing in (name for name in fields if name not in defaults):
+        with pytest.raises(TypeError, match=f"missing .*'{missing}'"):
+            cls(**{name: value for name, value in fields.items()
+                   if name != missing})

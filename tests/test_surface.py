@@ -85,3 +85,60 @@ def test_no_module_imports_dataclasses():
             if any(m.split(".")[0] == "dataclasses" for m in modules):
                 importers.append(f"{path.name}:{node.lineno}")
     assert not importers, f"dataclasses imported at {', '.join(importers)}"
+
+
+def store_only_inits(source: str) -> list[str]:
+    """The record classes of a source whose ``__init__`` only stores each
+    of its parameters into the field of the same name, with ``_set`` or by
+    assignment: the shared constructor does that."""
+    classes = [node for node in ast.walk(ast.parse(source))
+               if isinstance(node, ast.ClassDef)]
+    records = {"_Record"}
+    for _ in classes:
+        records |= {c.name for c in classes
+                    if any(getattr(b, "id", None) in records for b in c.bases)}
+    found = []
+    for c in classes:
+        for init in c.body:
+            if (c.name in records and isinstance(init, ast.FunctionDef)
+                    and init.name == "__init__"):
+                params = [a.arg for a in init.args.args[1:] + init.args.kwonlyargs]
+                stored = [stored_parameter(s) for s in init.body]
+                if None not in stored and sorted(stored) == sorted(params):
+                    found.append(c.name)
+    return found
+
+
+def stored_parameter(statement: ast.stmt) -> str | None:
+    """The name p of a statement ``_set(self, "p", p)`` or ``self.p = p``."""
+    match statement:
+        case ast.Expr(value=ast.Call(args=[_, ast.Constant(value=field),
+                                           ast.Name(id=value)])):
+            pass
+        case ast.Assign(targets=[ast.Attribute(attr=field)],
+                        value=ast.Name(id=value)):
+            pass
+        case _:
+            return None
+    return field if field == value else None
+
+
+def test_store_only_inits_finds_boilerplate():
+    source = (
+        "class A(_Record):\n"
+        "    def __init__(self, x, y=0):\n        _set(self, 'x', x)\n"
+        "        _set(self, 'y', y)\n"
+        "class B(A):\n    def __init__(self, x):\n        self.x = x\n"
+        "class C(_Record):\n    def __init__(self, x):\n        _set(self, 'x', x % 6)\n"
+        "class D(_Record):\n    def __init__(self, x, y):\n        _set(self, 'x', x)\n"
+        "class E:\n    def __init__(self, x):\n        self.x = x\n")
+    assert store_only_inits(source) == ["A", "B"]
+
+
+def test_no_record_class_defines_a_store_only_init():
+    # a record whose constructor only stores its arguments takes the shared
+    # constructor of _Record
+    found = [f"{path.name}:{name}"
+             for path in sorted((ROOT / "src" / "mixedrandic").glob("*.py"))
+             for name in store_only_inits(path.read_text(encoding="utf-8"))]
+    assert not found, f"store-only __init__ in {', '.join(found)}"
