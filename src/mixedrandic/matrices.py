@@ -140,11 +140,13 @@ def randic_matrices(g: MixedGraph,
     """
     d = g.degrees()
     cut_of = [-1]
+    # the graph's own edge is found by identity; an equal edge from
+    # elsewhere by value, at an __eq__ call per earlier edge
+    own = {id(f): i for i, f in enumerate(g.edges)}
     for e in deleted:
-        try:
-            cut_of.append(g.edges.index(e))
-        except ValueError:
-            raise ValueError(f"edge {e} not in graph") from None
+        if id(e) not in own and e not in g.edges:
+            raise ValueError(f"edge {e} not in graph")
+        cut_of.append(own[id(e)] if id(e) in own else g.edges.index(e))
         if 0 in d or d[e.u - 1] == 1 or d[e.v - 1] == 1:
             reduced = list(d)
             reduced[e.u - 1] -= 1

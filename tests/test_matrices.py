@@ -10,6 +10,7 @@ from mixedrandic import (
     directed_cycle,
     hermitian_adjacency,
     incidence_matrix,
+    interlacing_check,
     laplacian,
     parse_graph,
     path_graph,
@@ -18,6 +19,7 @@ from mixedrandic import (
     randic_via_incidence,
 )
 from mixedrandic.gains import OMEGA, W, W_BAR
+from mixedrandic.graphs import EdgeRecord
 from mixedrandic.matrices import (
     edge_table,
     hermitian_adjacencies,
@@ -222,6 +224,22 @@ def test_randic_matrices_guards():
     iso = parse_graph("mixedgraph v1\nvertices 3\n1 -- 2")
     with pytest.raises(ValueError, match="vertex 3 is isolated"):
         randic_matrices(iso)
+
+
+def test_deleting_the_graphs_own_edge_compares_no_edges(monkeypatch):
+    # the deleted edge is the graph's own object, from edge_between: it is
+    # found without an __eq__ call per earlier edge
+    calls = []
+    eq = EdgeRecord.__eq__
+
+    def counted(self, other):
+        calls.append(other)
+        return eq(self, other)
+
+    g = cycle_graph(10)
+    monkeypatch.setattr(EdgeRecord, "__eq__", counted)
+    assert interlacing_check(g, g.edges[-1].pair).edge is g.edges[-1]
+    assert calls == []
 
 
 def test_is_hermitian_on_stacks():
