@@ -21,7 +21,6 @@ switching certificates are read off the potentials it labels.
 
 from __future__ import annotations
 
-import cmath
 import math
 from enum import Enum
 from typing import Mapping, NamedTuple
@@ -47,12 +46,12 @@ class SixthRoot(_Record):
     def inverse(self) -> "SixthRoot":
         return SixthRoot(-self.k)
 
-    def conjugate(self) -> "SixthRoot":
-        return SixthRoot(-self.k)
+    conjugate = inverse
 
     @property
     def value(self) -> complex:
-        return cmath.exp(1j * math.pi * self.k / 3.0)
+        t = math.pi * self.k / 3.0
+        return complex(math.cos(t), math.sin(t))
 
     def __str__(self) -> str:
         names = {0: "1", 1: "w", 2: "-w̄", 3: "-1", 4: "-w", 5: "w̄"}

@@ -1,3 +1,5 @@
+import cmath
+import math
 import random
 from itertools import combinations
 
@@ -89,6 +91,14 @@ def test_sixth_root_arithmetic():
     assert abs(W.value - (0.5 + 0.8660254037844386j)) < 1e-15
     for root in ROOTS:
         assert abs(root.value * root.conjugate().value - 1) < 1e-15
+
+
+def test_root_values_are_the_complex_exponentials_bit_for_bit():
+    for k, root in enumerate(ROOTS):
+        want = cmath.exp(1j * math.pi * k / 3.0)
+        assert ((root.value.real.hex(), root.value.imag.hex())
+                == (want.real.hex(), want.imag.hex()))
+    assert SixthRoot.conjugate is SixthRoot.inverse
 
 
 def test_cycle_gain():
