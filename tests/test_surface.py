@@ -94,7 +94,7 @@ def store_only_inits(source: str) -> list[str]:
     classes = [node for node in ast.walk(ast.parse(source))
                if isinstance(node, ast.ClassDef)]
     records = {"_Record"}
-    for _ in classes:
+    for _ in classes:  # subclasses of records, to any depth
         records |= {c.name for c in classes
                     if any(getattr(b, "id", None) in records for b in c.bases)}
     found = []
