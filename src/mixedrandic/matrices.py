@@ -140,13 +140,13 @@ def randic_matrices(g: MixedGraph,
     """
     d = g.degrees()
     cut_of = [-1]
-    # the graph's own edge is found by identity; an equal edge from
-    # elsewhere by value, at an __eq__ call per earlier edge
-    own = {id(f): i for i, f in enumerate(g.edges)}
     for e in deleted:
-        if id(e) not in own and e not in g.edges:
+        # the graph's own edge is found by identity; an equal edge from
+        # elsewhere by value, at an __eq__ call per earlier edge
+        ids = list(map(id, g.edges))
+        if id(e) not in ids and e not in g.edges:
             raise ValueError(f"edge {e} not in graph")
-        cut_of.append(own[id(e)] if id(e) in own else g.edges.index(e))
+        cut_of.append(ids.index(id(e)) if id(e) in ids else g.edges.index(e))
         if 0 in d or d[e.u - 1] == 1 or d[e.v - 1] == 1:
             reduced = list(d)
             reduced[e.u - 1] -= 1
