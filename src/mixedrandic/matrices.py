@@ -141,12 +141,12 @@ def randic_matrices(g: MixedGraph,
     d = g.degrees()
     cut_of = [-1]
     for e in deleted:
-        # the graph's own edge is found by identity; an equal edge from
-        # elsewhere by value, at an __eq__ call per earlier edge
-        ids = list(map(id, g.edges))
-        if id(e) not in ids and e not in g.edges:
-            raise ValueError(f"edge {e} not in graph")
-        cut_of.append(ids.index(id(e)) if id(e) in ids else g.edges.index(e))
+        # matched on its fields as tuples: no EdgeRecord.__eq__ call per edge
+        try:
+            cut_of.append([(f.u, f.v, f.kind) for f in g.edges]
+                          .index((e.u, e.v, e.kind)))
+        except ValueError:
+            raise ValueError(f"edge {e} not in graph") from None
         if 0 in d or d[e.u - 1] == 1 or d[e.v - 1] == 1:
             reduced = list(d)
             reduced[e.u - 1] -= 1

@@ -227,8 +227,8 @@ def test_randic_matrices_guards():
 
 
 def test_deleting_the_graphs_own_edge_compares_no_edges(monkeypatch):
-    # the deleted edge is the graph's own object, from edge_between: it is
-    # found without an __eq__ call per earlier edge
+    # the deleted edge, the graph's own object from edge_between, is found
+    # without an __eq__ call per earlier edge
     calls = []
     eq = EdgeRecord.__eq__
 
