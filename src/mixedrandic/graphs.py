@@ -62,18 +62,16 @@ class _Record:
         # compare: `tuple.index` over a graph's edges makes an __eq__ call
         # per edge; a record of one field yields the value itself
         cls._values = operator.attrgetter(*cls._fields)
-        if cls.__init__ is _Record.__init__:
-            # the fields' slot setters: a call each, no name lookup
-            cls._stores = tuple(getattr(cls, name).__set__ for name in cls._fields)
 
     def __init__(self, *args: object, **kwargs: object) -> None:
         fields = self._fields
         given = len(args)
         if given > len(fields):
-            raise TypeError(f"{type(self).__qualname__}() takes {len(fields)} "
-                            f"positional arguments but {given} were given")
-        for store, value in zip(self._stores, args):
-            store(self, value)
+            # counted with self, as Python counts for a def
+            raise TypeError(f"{type(self).__qualname__}() takes {len(fields) + 1} "
+                            f"positional arguments but {given + 1} were given")
+        for name, value in zip(fields, args):
+            _set(self, name, value)
         if given == len(fields) and not kwargs:
             return
         rest = fields[given:]
@@ -83,11 +81,11 @@ class _Record:
                            else "an unexpected keyword argument")
                 raise TypeError(f"{type(self).__qualname__}() got {problem} {name!r}")
         values = {**self._defaults, **kwargs}
-        for name, store in zip(rest, self._stores[given:]):
+        for name in rest:
             if name not in values:
                 raise TypeError(f"{type(self).__qualname__}() missing "
                                 f"required argument {name!r}")
-            store(self, values[name])
+            _set(self, name, values[name])
 
     def __eq__(self, other: object) -> bool:
         if other.__class__ is not self.__class__:
