@@ -145,8 +145,12 @@ class _Column(NamedTuple):
             rhs = repeat(rhs) if isinstance(rhs, float) else rhs[lo:hi].tolist()
             slack = self.slack[lo:hi].tolist()
         own = self.own
+        # a row not in own is not skipped and has no reason: by position,
+        # CheckRecord's defaults of those fields
+        defaults = CheckRecord._defaults
+        skipped, reason = defaults["skipped"], defaults["reason"]
         return [CheckRecord(name, *own[row]) if row in own else
-                CheckRecord(name, ok, False, a, b, c, "")
+                CheckRecord(name, ok, skipped, a, b, c, reason)
                 for row, name, a, b, c, ok in zip(
                     range(lo, hi), names, lhs, rhs, slack,
                     self.ok[lo:hi].tolist())]
