@@ -663,7 +663,6 @@ def _inverse_degree_sums(degrees: np.ndarray,
 
 
 def _order_block(degrees: np.ndarray, edges: tuple[np.ndarray, ...],
-                 include_interlacing: bool,
                  solved: dict[int, tuple[np.ndarray, np.ndarray]]) -> _Block:
     """The suite on graphs of one order given as one edge_table, each
     connected with every degree >= 1 (else ValueError): one balance
@@ -685,8 +684,7 @@ def _order_block(degrees: np.ndarray, edges: tuple[np.ndarray, ...],
         raise ValueError("graph is not connected")
     if not degrees.all():
         raise ValueError("isolated vertex: the normalized matrix is undefined")
-    removable = ((degrees[owner, u] > 1) & (degrees[owner, v] > 1)
-                 & include_interlacing)
+    removable = (degrees[owner, u] > 1) & (degrees[owner, v] > 1)
     cuts = np.flatnonzero(removable)
     # the keys of R(g), of R of g's underlying graph and of R(g - e) for
     # each edge whose removal isolates no vertex: row codes summed by graph
@@ -773,18 +771,17 @@ def _order_block(degrees: np.ndarray, edges: tuple[np.ndarray, ...],
         columns.append(_skipped("charpoly_agreement", count, reason))
         columns.append(_skipped("determinant_identity", count, reason))
 
-    if include_interlacing:
-        # one row per edge, graph by graph; the rows of edges whose removal
-        # isolates a vertex are skips
-        worst = np.zeros(len(owner))
-        worst[cuts] = _worst(_interlacing_violations(vals[owner[cuts]], deletions))
-        interlacing = _inequality(
-            _interlacing_names(n)[(u * n + v) * 2 + arc].tolist(), worst, 0.0,
-            bounds=starts.tolist())
-        interlacing.own.update(dict.fromkeys(
-            np.flatnonzero(~removable).tolist(),
-            _skip("removal isolates a vertex")))
-        columns.append(interlacing)
+    # one row per edge, graph by graph; the rows of edges whose removal
+    # isolates a vertex are skips
+    worst = np.zeros(len(owner))
+    worst[cuts] = _worst(_interlacing_violations(vals[owner[cuts]], deletions))
+    interlacing = _inequality(
+        _interlacing_names(n)[(u * n + v) * 2 + arc].tolist(), worst, 0.0,
+        bounds=starts.tolist())
+    interlacing.own.update(dict.fromkeys(
+        np.flatnonzero(~removable).tolist(),
+        _skip("removal isolates a vertex")))
+    columns.append(interlacing)
 
     positive = balance.positive
     columns += _structural_columns(
@@ -800,8 +797,7 @@ def _order_block(degrees: np.ndarray, edges: tuple[np.ndarray, ...],
     return _Block(vals, columns)
 
 
-def _suite_blocks(n: int, count: int, table: Callable[[int, int], tuple],
-                  include_interlacing: bool = True
+def _suite_blocks(n: int, count: int, table: Callable[[int, int], tuple]
                   ) -> Iterator[tuple[range, _Block]]:
     """The suite on count graphs of order n, a block of _block_size(n) at
     a time, as (the block's graphs, block): table(start, stop) is the
@@ -810,12 +806,10 @@ def _suite_blocks(n: int, count: int, table: Callable[[int, int], tuple],
     size, solved = _block_size(n), {}
     for start in range(0, count, size):
         rows = range(start, min(start + size, count))
-        yield rows, _order_block(*table(rows.start, rows.stop),
-                                 include_interlacing, solved)
+        yield rows, _order_block(*table(rows.start, rows.stop), solved)
 
 
-def run_theorem_suites(graphs: Iterable[MixedGraph],
-                       include_interlacing: bool = True) -> list[TheoremSuite]:
+def run_theorem_suites(graphs: Iterable[MixedGraph]) -> list[TheoremSuite]:
     """Evaluate every checker on each graph, each connected with all
     degrees >= 1; the suites come back in input order.
 
@@ -844,15 +838,13 @@ def run_theorem_suites(graphs: Iterable[MixedGraph],
     for n, members in orders.items():
         for rows, block in _suite_blocks(
                 n, len(members), lambda start, stop: edge_table(
-                    [graphs[i] for i in members[start:stop]]),
-                include_interlacing):
+                    [graphs[i] for i in members[start:stop]])):
             for row, i in enumerate(members[rows.start:rows.stop]):
                 suites[i] = TheoremSuite(block, row)
     return suites
 
 
-def run_theorem_suite(g: MixedGraph,
-                      include_interlacing: bool = True) -> TheoremSuite:
+def run_theorem_suite(g: MixedGraph) -> TheoremSuite:
     """Evaluate every checker on one connected graph with all degrees >= 1:
     the one-graph case of run_theorem_suites."""
-    return run_theorem_suites([g], include_interlacing)[0]
+    return run_theorem_suites([g])[0]

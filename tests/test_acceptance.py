@@ -156,7 +156,7 @@ def test_structural_biconditionals_across_population(full_population):
             claims["eigenvalue -1 iff antibalanced"].append(label)
         notes = [
             record
-            for record in run_theorem_suite(g, include_interlacing=False).records
+            for record in run_theorem_suite(g).records
             if record.name == "minus_one_vs_positive_bipartite"
         ]
         assert len(notes) == 1, label

@@ -294,18 +294,16 @@ def fields(suite):
     return [repr(record) for record in suite.records]
 
 
-@pytest.mark.parametrize("interlacing", [True, False])
-def test_suites_match_one_graph_suites(interlacing, graphs_with_deletions,
-                                       monkeypatch):
+def test_suites_match_one_graph_suites(graphs_with_deletions, monkeypatch):
     # mixed orders, out of order, across the charpoly cap and a repeat
     graphs = [g for g, _ in graphs_with_deletions][::-1]
     graphs[40:40] = [path_graph(11), cycle_graph(11), graphs[3]]
-    whole = run_theorem_suites(graphs, include_interlacing=interlacing)
+    whole = run_theorem_suites(graphs)
     monkeypatch.setattr(theorems, "_block_size", lambda n: 7)
-    blocked = run_theorem_suites(iter(graphs), include_interlacing=interlacing)
+    blocked = run_theorem_suites(iter(graphs))
     assert len(whole) == len(blocked) == len(graphs)
     for g, a, b in zip(graphs, whole, blocked):
-        single = run_theorem_suite(g, include_interlacing=interlacing)
+        single = run_theorem_suite(g)
         assert fields(a) == fields(b) == fields(single)
         assert a.spectrum.eigenvalues.tobytes() == single.spectrum.eigenvalues.tobytes()
         assert a.spectrum.eigenvalues.tobytes() == randic_spectrum(g).eigenvalues.tobytes()
@@ -370,9 +368,8 @@ def test_suite_memo_merges_each_blocks_new_keys():
     graphs = population(4)[:300]
     merged, whole = {}, {}
     for start in range(0, len(graphs), 7):
-        theorems._order_block(*edge_table(graphs[start:start + 7]), True,
-                              merged)
-    theorems._order_block(*edge_table(graphs), True, whole)
+        theorems._order_block(*edge_table(graphs[start:start + 7]), merged)
+    theorems._order_block(*edge_table(graphs), whole)
     keys, rows = merged[4]
     assert np.all(keys[1:] > keys[:-1])
     assert np.array_equal(keys, whole[4][0])
@@ -462,7 +459,7 @@ def test_suite_builds_one_table_per_block_and_no_graph(monkeypatch):
 
 
 def test_suite_structural_records_are_the_check_results(exhaustive_population):
-    suites = run_theorem_suites(exhaustive_population, include_interlacing=False)
+    suites = run_theorem_suites(exhaustive_population)
     structural = {
         "one_implies_positive_simple", "positive_implies_one",
         "bipartite_iff_symmetric", "minus_one_iff_antibalanced",
