@@ -667,12 +667,6 @@ def render_csv(result: CampaignResult) -> str:
     return out.getvalue()
 
 
-def render_report(result: CampaignResult) -> str:
-    if result.config.format == "csv":
-        return render_csv(result)
-    return render_json(result)
-
-
 def summary_text(result: CampaignResult) -> str:
     lines = [
         f"graphs {len(result.results)}",

@@ -22,7 +22,8 @@ from .campaign import (
     json_object,
     json_scalar,
     parse_campaign_config,
-    render_report,
+    render_csv,
+    render_json,
     run_campaign,
     summary_text,
     with_overrides,
@@ -51,10 +52,6 @@ def _read_text(path: str) -> str:
     except UnicodeDecodeError as exc:
         raise ParseError(f"{path}: not UTF-8 text ({exc.reason} at byte "
                          f"{exc.start})") from None
-
-
-def _load_graph(path: str) -> MixedGraph:
-    return parse_graph(_read_text(path))
 
 
 def _write_payload(text: str, path: str | None) -> None:
@@ -96,20 +93,18 @@ def _items_payload(items: list[tuple[str, object]], fmt: str,
     return "\n".join(lines) + "\n"
 
 
-def _cmd_spectrum(args: argparse.Namespace) -> int:
-    s = randic_spectrum(_load_graph(args.file))
-    _write_payload(_items_payload([
+def _cmd_spectrum(g: MixedGraph, args) -> tuple[str, int]:
+    s = randic_spectrum(g)
+    return _items_payload([
         ("eigenvalues", s.eigenvalues),
         ("energy", s.energy),
         ("spectral_radius", s.rho),
         ("min_modulus", s.sigma),
         ("negative_count", s.negative_count),
-    ], args.format), args.output)
-    return 0
+    ], args.format), 0
 
 
-def _cmd_charpoly(args: argparse.Namespace) -> int:
-    g = _load_graph(args.file)
+def _cmd_charpoly(g: MixedGraph, args) -> tuple[str, int]:
     combinatorial = numeric = None
     if args.method in ("combinatorial", "both"):
         combinatorial = char_poly_combinatorial(g)
@@ -141,23 +136,20 @@ def _cmd_charpoly(args: argparse.Namespace) -> int:
             diff = combinatorial.max_difference(numeric)
             lines.append(f"max_difference {format_float(diff)}")
         payload = "\n".join(lines) + "\n"
-    _write_payload(payload, args.output)
-    return 0
+    return payload, 0
 
 
-def _cmd_energy(args: argparse.Namespace) -> int:
-    g = _load_graph(args.file)
+def _cmd_energy(g: MixedGraph, args) -> tuple[str, int]:
     require_energy_domain(g)
     s = randic_spectrum(g)
-    _write_payload(_items_payload([
+    return _items_payload([
         ("energy", s.energy),
         ("randic_inverse", randic_inverse(g)),
         ("determinant", s.determinant),
         ("spectral_radius", s.rho),
         ("min_modulus", s.sigma),
         ("negative_count", s.negative_count),
-    ], args.format), args.output)
-    return 0
+    ], args.format), 0
 
 
 def _record_line(rec) -> str:
@@ -174,14 +166,13 @@ def _record_line(rec) -> str:
     return f"pass {rec.name}{detail}{note}"
 
 
-def _cmd_bounds(args: argparse.Namespace) -> int:
-    g = _load_graph(args.file)
+def _cmd_bounds(g: MixedGraph, args) -> tuple[str, int]:
     spectrum = randic_spectrum(g)
     report = energy_bounds_report(g, spectrum)
     records = list(entry_sum_bounds(g, spectrum).records)
     records.append(smallest_eigenvalue_bound(g, spectrum, report.randic_inverse))
     records += report.records
-    _write_payload(_items_payload([
+    return _items_payload([
         ("n", report.n),
         ("edges", report.m),
         ("randic_inverse", report.randic_inverse),
@@ -190,8 +181,7 @@ def _cmd_bounds(args: argparse.Namespace) -> int:
         ("min_modulus", report.sigma),
         ("negative_count", report.negative_count),
         ("energy", report.energy),
-    ], args.format, records), args.output)
-    return 0
+    ], args.format, records), 0
 
 
 def _parse_edge_flag(text: str) -> tuple[int, int]:
@@ -204,8 +194,7 @@ def _parse_edge_flag(text: str) -> tuple[int, int]:
     return int(parts[0]), int(parts[1])
 
 
-def _cmd_interlace(args: argparse.Namespace) -> int:
-    g = _load_graph(args.file)
+def _cmd_interlace(g: MixedGraph, args) -> tuple[str, int]:
     pair = _parse_edge_flag(args.edge)
     result = interlacing_check(g, pair)
     if args.format == "json":
@@ -228,12 +217,10 @@ def _cmd_interlace(args: argparse.Namespace) -> int:
             f"worst_violation: {format_float(result.worst_violation)}\n"
             f"holds: {'true' if result.holds else 'false'}\n"
         )
-    _write_payload(payload, args.output)
-    return 0
+    return payload, 0
 
 
-def _cmd_check(args: argparse.Namespace) -> int:
-    g = _load_graph(args.file)
+def _cmd_check(g: MixedGraph, args) -> tuple[str, int]:
     records = run_theorem_suite(g).records
     failures = sum(not r.skipped and not r.satisfied for r in records)
     skips = sum(r.skipped for r in records)
@@ -250,8 +237,7 @@ def _cmd_check(args: argparse.Namespace) -> int:
         lines = [_record_line(rec) for rec in records]
         lines.append(f"failures: {failures} skips: {skips} notes: {notes}")
         payload = "\n".join(lines) + "\n"
-    _write_payload(payload, args.output)
-    return 1 if failures else 0
+    return payload, 1 if failures else 0
 
 
 def _cmd_enumerate(args: argparse.Namespace) -> int:
@@ -266,7 +252,8 @@ def _cmd_enumerate(args: argparse.Namespace) -> int:
         output=args.output,
     )
     result = run_campaign(config)
-    report = render_report(result)
+    render = render_csv if config.format == "csv" else render_json
+    report = render(result)
     summary = summary_text(result)
     if config.output is None:
         sys.stdout.write(report)
@@ -289,39 +276,26 @@ def build_parser() -> argparse.ArgumentParser:
                         help="write the payload to PATH instead of stdout")
 
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("spectrum", parents=[common],
-                       help="eigenvalues and spectrum-derived scalars")
-    p.add_argument("file")
-    p.set_defaults(func=_cmd_spectrum)
-
-    p = sub.add_parser("charpoly", parents=[common],
-                       help="characteristic polynomial coefficients")
-    p.add_argument("file")
-    p.add_argument("--method", choices=("numeric", "combinatorial", "both"),
-                   default="both")
-    p.set_defaults(func=_cmd_charpoly)
-
-    p = sub.add_parser("energy", parents=[common],
-                       help="energy and the scalars the bounds consume")
-    p.add_argument("file")
-    p.set_defaults(func=_cmd_energy)
-
-    p = sub.add_parser("bounds", parents=[common],
-                       help="every inequality check for one graph")
-    p.add_argument("file")
-    p.set_defaults(func=_cmd_bounds)
-
-    p = sub.add_parser("interlace", parents=[common],
-                       help="edge-deletion interlacing for one edge")
-    p.add_argument("file")
-    p.add_argument("--edge", required=True, metavar="u,v")
-    p.set_defaults(func=_cmd_interlace)
-
-    p = sub.add_parser("check", parents=[common],
-                       help="run the full checker suite; exit 1 on failures")
-    p.add_argument("file")
-    p.set_defaults(func=_cmd_check)
+    for name, command, text in (
+            ("spectrum", _cmd_spectrum,
+             "eigenvalues and spectrum-derived scalars"),
+            ("charpoly", _cmd_charpoly,
+             "characteristic polynomial coefficients"),
+            ("energy", _cmd_energy,
+             "energy and the scalars the bounds consume"),
+            ("bounds", _cmd_bounds, "every inequality check for one graph"),
+            ("interlace", _cmd_interlace,
+             "edge-deletion interlacing for one edge"),
+            ("check", _cmd_check,
+             "run the full checker suite; exit 1 on failures")):
+        p = sub.add_parser(name, parents=[common], help=text)
+        p.add_argument("file")
+        p.set_defaults(func=command)
+    sub.choices["charpoly"].add_argument(
+        "--method", choices=("numeric", "combinatorial", "both"),
+        default="both")
+    sub.choices["interlace"].add_argument("--edge", required=True,
+                                          metavar="u,v")
 
     p = sub.add_parser("enumerate",
                        help="checker suite over all small graphs, to a report")
@@ -334,7 +308,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int)
     p.add_argument("--format", choices=("json", "csv"))
     p.add_argument("--output", metavar="PATH")
-    p.set_defaults(func=_cmd_enumerate, config=None)
 
     return parser
 
@@ -349,7 +322,13 @@ def _parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = _parser().parse_args(argv)
     try:
-        return args.func(args)
+        if args.command == "enumerate":
+            return _cmd_enumerate(args)
+        # the graph is read before a command checks its flags (interlace's
+        # --edge), so an unreadable file exits 2 first
+        payload, code = args.func(parse_graph(_read_text(args.file)), args)
+        _write_payload(payload, args.output)
+        return code
     except _WriteError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 4
