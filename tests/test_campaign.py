@@ -120,6 +120,7 @@ def test_parse_campaign_config():
 CONFIG_ERRORS = {
     "bogus 3\n": "unknown key 'bogus'",
     "n_min two\n": "n_min must be an integer",
+    "n_min\n": "expected 'key value', got 'n_min'",
     # every population is connected: the key is gone, like jobs
     "connected_only maybe\n": "unknown key 'connected_only'",
     "connected_only true\n": "unknown key 'connected_only'",

@@ -22,6 +22,9 @@ SYMMETRIC_NON_BIPARTITE = (
     "mixedgraph v1\nvertices 4\n1 -> 2\n1 -> 3\n2 -- 3\n2 -> 4\n4 -> 1\n"
 )
 
+#: Two components, each with every degree 1.
+DISCONNECTED = "mixedgraph v1\nvertices 4\n1 -- 2\n3 -> 4\n"
+
 #: An n = 10 graph with 28 edges whose energy exceeds the exponential
 #: bound exp(sqrt(2 r_inv)).
 EXPONENTIAL_COUNTEREXAMPLE = """mixedgraph v1
@@ -362,6 +365,13 @@ def test_missing_and_malformed_files(tmp_path, capsys):
     assert str(binary) in capsys.readouterr().err
     assert main(["enumerate", "--config", str(binary)]) == 2
     assert str(binary) in capsys.readouterr().err
+    for text, message in (
+            ("mixedgraph v1\nvertices 0\n",
+             "line 2: vertex count must be at least 1"),
+            ("mixedgraph v1\n", "missing 'vertices <n>' line")):
+        bad.write_text(text)
+        assert main(["spectrum", str(bad)]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
 
 
 def test_enumerate_with_unreachable_min_degree_exits_promptly(tmp_path):
@@ -399,6 +409,19 @@ def test_isolated_vertex_is_a_precondition_error(tmp_path, capsys):
     path.write_text("mixedgraph v1\nvertices 2\n")
     assert main(["spectrum", str(path)]) == 3
     capsys.readouterr()
+
+
+def test_disconnected_and_one_vertex_graphs_are_precondition_errors(
+        tmp_path, capsys):
+    path = tmp_path / "g.txt"
+    path.write_text(DISCONNECTED)
+    for command in ("energy", "bounds", "check"):
+        assert main([command, str(path)]) == 3
+        assert capsys.readouterr().err == "error: graph is not connected\n"
+    path.write_text("mixedgraph v1\nvertices 1\n")
+    assert main(["energy", str(path)]) == 3
+    assert (capsys.readouterr().err
+            == "error: energy bounds need at least two vertices\n")
 
 
 def test_output_flag_matches_stdout(c3_file, tmp_path, capsys):

@@ -91,6 +91,7 @@ def test_sixth_root_arithmetic():
     assert abs(W.value - (0.5 + 0.8660254037844386j)) < 1e-15
     for root in ROOTS:
         assert abs(root.value * root.conjugate().value - 1) < 1e-15
+    assert [str(root) for root in ROOTS] == ["1", "w", "-w̄", "-1", "-w", "w̄"]
 
 
 def test_root_values_are_the_complex_exponentials_bit_for_bit():

@@ -29,7 +29,8 @@ from mixedrandic import theorems
 from mixedrandic.matrices import edge_table
 from mixedrandic.theorems import entry_sums, randic_inverse, run_theorem_suites
 
-from test_cli import EXPONENTIAL_COUNTEREXAMPLE, seeded_connected_graph
+from test_cli import (DISCONNECTED, EXPONENTIAL_COUNTEREXAMPLE,
+                      seeded_connected_graph)
 
 # Non-bipartite mixed graph whose two triangles carry gains 1 and -1, so the
 # odd-order coefficients vanish and the spectrum is symmetric about zero.
@@ -233,6 +234,15 @@ def test_energy_report_on_triangle():
         record = report.record(name)
         assert not record.skipped
         assert abs(record.slack) < 1e-9
+    with pytest.raises(KeyError):
+        report.record("nope")
+
+
+def test_one_graph_bounds_need_two_vertices():
+    with pytest.raises(ValueError, match="at least two vertices"):
+        entry_sum_bounds(MixedGraph(1, ()))
+    with pytest.raises(ValueError, match="at least two vertices"):
+        smallest_eigenvalue_bound(MixedGraph(1, ()))
 
 
 def test_energy_report_tight_on_single_edge():
@@ -315,6 +325,10 @@ def test_suites_reject_disconnected_and_isolated_graphs():
     with pytest.raises(ValueError, match="isolated vertex"):
         run_theorem_suites([cycle_graph(3), MixedGraph(1, ())])
     assert run_theorem_suites([]) == []
+    for check in (check_eigenvalue_one, check_spectral_symmetry,
+                  check_minus_one, check_spectrum_equals_underlying):
+        with pytest.raises(ValueError, match="not connected"):
+            check(parse_graph(DISCONNECTED))
 
 
 def new_slices(block, solved):
