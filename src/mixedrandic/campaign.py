@@ -9,22 +9,25 @@ Reports are byte-deterministic for a fixed configuration: all floats are
 rendered with 17 significant digits (``format_float``'s ``.17g``), and
 records keep enumeration order.
 
-A campaign builds no graph: the suite reads each order's (states,
-degrees) arrays from the generator, a result keeps its row and builds its
-``graph`` when read, and the renders label edges from a per-order
-(pair, state) text table made once per render.
+A campaign builds no graph and no per-graph object: the suite reads each
+order's (states, degrees) arrays from the generator, and the campaign
+keeps each suite block with the report index of its first graph and its
+rows of those arrays.  The renders label edges from a per-order (pair,
+state) text table made once per render.  ``results``, one GraphResult per
+graph, is made on its first read, and a result builds its ``graph`` when
+read.
 
-A campaign keeps the suite's block columns, not records, and the check
-count, the summary and both renders read them a run (at most _RUN graphs
-of a block) at a time, formatted a column at a time: a row of a column's
-arrays is one f-string, fields in RECORD_FIELDS order.  Each name's
-text and, while runs repeat floats, each float's (by bit pattern, so
--0.0 is not 0.0) is made once per render (``_Floats``).  A row with
-fields of its own goes through ``json_scalar``'s check, so a numpy float
-renders as a float and a numpy bool raises TypeError in both formats;
-one without numbers is formatted once per render and name.
-Each column's rows of their own are sorted once per block and cut to a
-run by np.searchsorted.
+A campaign keeps the suite's block columns, not records.  The check
+count and the summary read them a block at a time, and both renders a
+run (at most _RUN graphs of a block) at a time, formatted a column at a
+time: a row of a column's arrays is one f-string, fields in
+RECORD_FIELDS order.  Each name's text and, while runs repeat floats,
+each float's (by bit pattern, so -0.0 is not 0.0) is made once per
+render (``_Floats``).  A row with fields of its own goes through
+``json_scalar``'s check, so a numpy float renders as a float and a numpy
+bool raises TypeError in both formats; one without numbers is formatted
+once per render and name.  Each column's rows of their own are sorted
+once per block and cut to a run by np.searchsorted.
 ``json_checks`` writes each record as such a row.  A render writes one
 graph's text at a time to a StringIO: not one list of every line (about
 7 MB more at the n <= 4 peak), nor texts of many graphs, whose place
@@ -41,7 +44,7 @@ import functools
 import json
 from io import StringIO
 from itertools import repeat
-from typing import Callable, Iterable, Iterator, NamedTuple
+from typing import Callable, Iterator, NamedTuple
 
 import numpy as np
 
@@ -154,51 +157,36 @@ def edge_list_label(g: MixedGraph) -> str:
 
 
 class GraphResult:
-    """One graph of a campaign: its report index, graph and suite, or in
-    place of the graph its order's (states, degrees) and its row there."""
+    """One graph of a campaign: its report index, its suite, and its rows
+    of its order's pair states and degrees, from which ``graph`` is built
+    when read."""
 
-    __slots__ = ("index", "suite", "_graph", "_order", "_row")
+    __slots__ = ("index", "suite", "states", "degrees")
 
-    def __init__(self, index: int, graph: MixedGraph | None,
-                 suite: TheoremSuite, order: tuple | None = None,
-                 row: int = 0) -> None:
-        self.index, self._graph, self.suite = index, graph, suite
-        self._order, self._row = order, row
+    def __init__(self, index: int, suite: TheoremSuite, states: np.ndarray,
+                 degrees: np.ndarray) -> None:
+        self.index, self.suite = index, suite
+        self.states, self.degrees = states, degrees
 
     @property
     def graph(self) -> MixedGraph:
-        if self._order is None:
-            return self._graph
-        states, degrees = self._order
-        row = slice(self._row, self._row + 1)
-        return next(_graphs(states[row], degrees[row]))
+        return next(_graphs(self.states[np.newaxis],
+                            self.degrees[np.newaxis]))
 
 
-#: Most results in one run, so a block of 1,024 graphs renders in four.
+class _Part(NamedTuple):
+    """One suite block of a campaign: the report index of its first graph,
+    its graphs' rows of their order's pair states and degrees (views, not
+    copies), and the block."""
+
+    first: int
+    states: np.ndarray
+    degrees: np.ndarray
+    block: _Block
+
+
+#: Most graphs in one run of a render, so a block of 1,024 renders in four.
 _RUN = 256
-
-
-def _runs(results: Iterable[GraphResult], indexed: bool = False
-          ) -> Iterator[tuple[_Block, int, list[GraphResult], list | None]]:
-    """(block, first row, results, own rows) for each longest run of at
-    most _RUN results whose suites are consecutive rows of one block; own
-    rows, if ``indexed``, are each column's rows of ``own``, sorted once
-    per block."""
-    block, first, run, rows = None, 0, [], None
-    for r in results:
-        suite = r.suite
-        if (suite.block is block and suite.row == first + len(run)
-                and len(run) < _RUN):
-            run.append(r)
-            continue
-        if run:
-            yield block, first, run, rows
-        if indexed and suite.block is not block:
-            rows = [np.sort(np.fromiter(c.own, np.intp, len(c.own)))
-                    for c in suite.block.columns]
-        block, first, run = suite.block, suite.row, [r]
-    if run:
-        yield block, first, run, rows
 
 
 def _own_in(rows: np.ndarray, lo: int, hi: int) -> list[int]:
@@ -217,11 +205,12 @@ class _Tally(NamedTuple):
     max_abs_slack: dict[str, float]
 
 
-def _tally(results: tuple[GraphResult, ...]) -> _Tally:
-    """Failures (result index, column, row, in record order), skips,
+def _tally(parts: tuple[_Part, ...]) -> _Tally:
+    """Failures (graph index, column, row, in record order), skips,
     divergences and the largest |slack| per check name (the part before
-    any ':'), read off the columns.  A row of its own counts by its own
-    fields; a nan slack counts as 0."""
+    any ':'), read off the columns a block at a time.  A row of its own
+    counts by its own fields; a nan slack counts as 0.  Each graph has one
+    divergence row, in a column of that one name."""
     failures: list[tuple[int, _Column, int]] = []
     skips = divergences = 0
     slack: dict[str, float] = {}
@@ -233,80 +222,81 @@ def _tally(results: tuple[GraphResult, ...]) -> _Tally:
             key = prefixes[name] = name.split(":", 1)[0]
         slack[key] = max(slack.get(key, 0.0), value)
 
-    for block, first, run, own_rows in _runs(results, indexed=True):
+    for first, states, _, block in parts:
         found = []
-        diverged = [False] * len(run)
         for c, column in enumerate(block.columns):
-            lo, hi = column.span(first, first + len(run))
-            names = column.name
+            names, own = column.name, column.own
             if column.bounds is None:
-                graph_of = range(lo - first, hi - first)
+                graph_of = range(len(states))
             else:
-                graph_of = np.repeat(np.arange(len(run)), np.diff(
-                    column.bounds[first:first + len(run) + 1])).tolist()
-            own = {row - lo: column.own[row]
-                   for row in _own_in(own_rows[c], lo, hi)}
-            for i in (~column.ok[lo:hi]).nonzero()[0].tolist():
-                if i not in own:
-                    found.append((graph_of[i], c, lo + i))
+                graph_of = np.repeat(np.arange(len(states)),
+                                     np.diff(column.bounds)).tolist()
+            found += [(graph_of[i], c, i) for i in
+                      (~column.ok).nonzero()[0].tolist() if i not in own]
             for i, (satisfied, skipped, _, _, value, _) in own.items():
                 if skipped:
                     skips += 1
                     continue
                 if not satisfied:
-                    found.append((graph_of[i], c, lo + i))
+                    found.append((graph_of[i], c, i))
                 if value is not None:
-                    note(names if isinstance(names, str) else names[lo + i],
+                    note(names if isinstance(names, str) else names[i],
                          abs(value))
             if column.slack is not None:
-                plain = np.ones(hi - lo, dtype=bool)
+                plain = np.ones(len(column.ok), dtype=bool)
                 plain[list(own)] = False
-                values = np.abs(column.slack[lo:hi][plain])
+                values = np.abs(column.slack[plain])
                 if len(values):
                     # the names of a column with numbers share their prefix
                     note(names if isinstance(names, str)
-                         else names[lo + int(plain.argmax())],
+                         else names[int(plain.argmax())],
                          float(np.fmax.reduce(values)))
-            if isinstance(names, str):
-                hits = range(hi - lo) if names == _DIVERGENCE else ()
-            else:
-                hits = [i for i, name in enumerate(names[lo:hi])
-                        if name == _DIVERGENCE]
-            for i in hits:
-                fields = own.get(i)
-                diverged[graph_of[i]] = bool(fields and fields[5])
+            if names == _DIVERGENCE:
+                divergences += sum(bool(fields[5]) for fields in own.values())
         found.sort()
-        failures += [(run[g].index, block.columns[c], row)
+        failures += [(first + g, block.columns[c], row)
                      for g, c, row in found]
-        divergences += sum(diverged)
     return _Tally(failures, skips, divergences, slack)
 
 
 class CampaignResult(_Record):
-    """A campaign's config, its results and their number of checks.  It
-    keeps a ``__dict__`` for the cached tally."""
+    """A campaign's config, its suite blocks and their number of checks.
+    It compares and hashes by identity, as its blocks hold arrays, and
+    keeps a ``__dict__`` for the cached tally and results."""
 
-    _fields = ("config", "results", "checks")
+    _fields = ("config", "blocks", "checks")
+    __eq__ = object.__eq__
+    __hash__ = object.__hash__
 
     def __init__(self, config: CampaignConfig,
-                 results: tuple[GraphResult, ...]) -> None:
+                 blocks: tuple[_Part, ...]) -> None:
         _set(self, "config", config)
-        _set(self, "results", results)
-        _set(self, "checks", sum(
-            hi - lo for block, first, run, _ in _runs(results)
-            for lo, hi in (column.span(first, first + len(run))
-                           for column in block.columns)))
+        _set(self, "blocks", blocks)
+        _set(self, "checks", sum(len(column.ok) for part in blocks
+                                 for column in part.block.columns))
+
+    @property
+    def graphs(self) -> int:
+        return sum(len(part.states) for part in self.blocks)
+
+    @functools.cached_property
+    def results(self) -> tuple[GraphResult, ...]:
+        """One result per graph, in report order, made on first read."""
+        return tuple(GraphResult(first + row, TheoremSuite(block, row),
+                                 states[row], degrees[row])
+                     for first, states, degrees, block in self.blocks
+                     for row in range(len(states)))
 
     @functools.cached_property
     def _tally(self) -> _Tally:
         """The summary, read off the columns on first use (not in
         run_campaign, whose time should be the checks alone)."""
-        return _tally(self.results)
+        return _tally(self.blocks)
 
     @property
     def failures(self) -> list[tuple[int, CheckRecord]]:
-        """(result index, record) per failing record; the records are
-        made on each call."""
+        """(graph index, record) per failing record; the records are made
+        on each call."""
         return [(i, column.records(row, row + 1)[0])
                 for i, column, row in self._tally.failures]
 
@@ -326,19 +316,17 @@ class CampaignResult(_Record):
 
 def run_campaign(config: CampaignConfig) -> CampaignResult:
     """The suite on each order's population, straight from its pair-state
-    arrays: no graph is built."""
-    results: list[GraphResult] = []
+    arrays, kept as its blocks: no graph or per-graph result is built."""
+    parts: list[_Part] = []
     for n in range(config.n_min, config.n_max + 1):
-        order = states, degrees = _order_states(
+        first = sum(len(part.states) for part in parts)
+        states, degrees = _order_states(
             n, config.min_degree, config.sample_limit, config.seed)
-        first = len(results)
-        for rows, block in _suite_blocks(
-                n, len(states), lambda start, stop: _state_table(
-                    states[start:stop], degrees[start:stop])):
-            results += [GraphResult(first + row, None,
-                                    TheoremSuite(block, row - rows.start),
-                                    order, row) for row in rows]
-    return CampaignResult(config, tuple(results))
+        parts += [_Part(first + rows.start, states[rows], degrees[rows], block)
+                  for rows, block in _suite_blocks(
+                      n, len(states), lambda start, stop: _state_table(
+                          states[start:stop], degrees[start:stop]))]
+    return CampaignResult(config, tuple(parts))
 
 
 def format_float(x: float) -> str:
@@ -545,31 +533,23 @@ class _Labels(dict):
         return table
 
 
-def _run_labels(run: list[GraphResult], labels: _Labels
-                ) -> tuple[Iterable[int], list[str]]:
-    """The order and edge_list_label of each result of a run, read off
-    its order's pair states when every result holds a row of one order."""
-    order = run[0]._order
-    if order is None or any(r._order is not order for r in run):
-        graphs = [r.graph for r in run]
-        return [g.n for g in graphs], list(map(edge_list_label, graphs))
-    states, degrees = order
-    n = degrees.shape[1]
-    return repeat(n), list(map(" ".join, _row_entries(
-        labels[n], states[[r._row for r in run]])))
-
-
-def _result_rows(results: tuple[GraphResult, ...], style: _Style
+def _result_rows(parts: tuple[_Part, ...], style: _Style
                  ) -> Iterator[tuple[int, int, str, list[str]]]:
-    """Each result's index, order, edge_list_label and record texts, a run
-    of one block at a time."""
+    """Each graph's index, order, edge_list_label and record texts, a run
+    of at most _RUN graphs of a block at a time."""
     heads, shared, tables, floats = _Heads(style), {}, _Labels(), _Floats()
-    for block, first, run, own_rows in _runs(results, indexed=True):
-        orders, labels = _run_labels(run, tables)
-        for r, n, label, rows in zip(run, orders, labels, _block_rows(
-                block, first, first + len(run), own_rows, style, heads,
-                shared, floats)):
-            yield r.index, n, label, rows
+    for first, states, degrees, block in parts:
+        n = degrees.shape[1]
+        own_rows = [np.sort(np.fromiter(c.own, np.intp, len(c.own)))
+                    for c in block.columns]
+        for lo in range(0, len(states), _RUN):
+            hi = min(lo + _RUN, len(states))
+            for index, label, rows in zip(
+                    range(first + lo, first + hi),
+                    map(" ".join, _row_entries(tables[n], states[lo:hi])),
+                    _block_rows(block, lo, hi, own_rows, style, heads,
+                                shared, floats)):
+                yield index, n, label, rows
 
 
 def json_checks(records) -> str:
@@ -597,11 +577,11 @@ def _config_items(config: CampaignConfig) -> list[tuple[str, str]]:
     ]
 
 
-def _json_graphs(results: tuple[GraphResult, ...]) -> Iterator[str]:
+def _json_graphs(result: CampaignResult) -> Iterator[str]:
     """The entries of the report's "graphs" list, one line per graph."""
-    last = len(results) - 1
-    for i, (index, n, label, rows) in enumerate(_result_rows(results, _JSON)):
-        end = ",\n" if i < last else "\n"
+    last = result.graphs - 1
+    for index, n, label, rows in _result_rows(result.blocks, _JSON):
+        end = ",\n" if index < last else "\n"
         yield (f'{{"index": {index}, "n": {n}, '
                f'"edges": {json_scalar(label)}, '
                f'"checks": {{{", ".join(rows)}}}}}{end}')
@@ -612,12 +592,12 @@ def render_json(result: CampaignResult) -> str:
     out.write("{\n")
     out.write(f'"config": {json_object(_config_items(result.config))},\n')
     out.write('"graphs": [\n')
-    out.writelines(_json_graphs(result.results))
+    out.writelines(_json_graphs(result))
     out.write("],\n")
     slack_items = [(k, format_float(v))
                    for k, v in sorted(result.max_abs_slack().items())]
     summary = json_object([
-        ("graphs", json_scalar(len(result.results))),
+        ("graphs", json_scalar(result.graphs)),
         ("checks", json_scalar(result.checks)),
         ("failures", json_scalar(len(result._tally.failures))),
         ("skips", json_scalar(result.skip_count)),
@@ -651,9 +631,9 @@ _JSON = _style(json.dumps, json_scalar, tuple(
     for i, k in enumerate(RECORD_FIELDS)) + ("}",), "null")
 
 
-def _csv_rows(results: tuple[GraphResult, ...]) -> Iterator[str]:
+def _csv_rows(parts: tuple[_Part, ...]) -> Iterator[str]:
     """The report's rows after the header, one string per graph."""
-    for index, n, label, rows in _result_rows(results, _CSV):
+    for index, n, label, rows in _result_rows(parts, _CSV):
         if not rows:
             continue
         prefix = f"{index},{n},{_csv_cell(label)},"
@@ -663,13 +643,13 @@ def _csv_rows(results: tuple[GraphResult, ...]) -> Iterator[str]:
 def render_csv(result: CampaignResult) -> str:
     out = StringIO()
     out.write(_CSV_HEADER)
-    out.writelines(_csv_rows(result.results))
+    out.writelines(_csv_rows(result.blocks))
     return out.getvalue()
 
 
 def summary_text(result: CampaignResult) -> str:
     lines = [
-        f"graphs {len(result.results)}",
+        f"graphs {result.graphs}",
         f"checks {result.checks}",
         f"failures {len(result._tally.failures)}",
         f"skips {result.skip_count}",

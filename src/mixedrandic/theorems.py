@@ -798,14 +798,14 @@ def _order_block(degrees: np.ndarray, edges: tuple[np.ndarray, ...],
 
 
 def _suite_blocks(n: int, count: int, table: Callable[[int, int], tuple]
-                  ) -> Iterator[tuple[range, _Block]]:
+                  ) -> Iterator[tuple[slice, _Block]]:
     """The suite on count graphs of order n, a block of _block_size(n) at
-    a time, as (the block's graphs, block): table(start, stop) is the
-    edge_table of graphs start:stop, and one memo of solved keys serves
-    every block."""
+    a time, as (the slice of the block's graphs, block): table(start,
+    stop) is the edge_table of graphs start:stop, and one memo of solved
+    keys serves every block."""
     size, solved = _block_size(n), {}
     for start in range(0, count, size):
-        rows = range(start, min(start + size, count))
+        rows = slice(start, min(start + size, count))
         yield rows, _order_block(*table(rows.start, rows.stop), solved)
 
 
@@ -839,7 +839,7 @@ def run_theorem_suites(graphs: Iterable[MixedGraph]) -> list[TheoremSuite]:
         for rows, block in _suite_blocks(
                 n, len(members), lambda start, stop: edge_table(
                     [graphs[i] for i in members[start:stop]])):
-            for row, i in enumerate(members[rows.start:rows.stop]):
+            for row, i in enumerate(members[rows]):
                 suites[i] = TheoremSuite(block, row)
     return suites
 

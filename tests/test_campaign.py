@@ -3,6 +3,7 @@ import hashlib
 import io
 import json
 import random
+from itertools import combinations
 
 import numpy as np
 import pytest
@@ -25,18 +26,41 @@ from mixedrandic.campaign import (
 )
 from mixedrandic import campaign, theorems
 from mixedrandic.campaign import DEFAULT_SEED
+from mixedrandic.graphs import EdgeKind
 from mixedrandic.matrices import _state_table, edge_table
 from mixedrandic.theorems import CheckRecord, TheoremSuite, _inequality
 
 
 def records_block(records):
-    """A suite block of one graph with the given records: one column whose
-    rows all have their own fields, as a campaign of kept records."""
-    own = {i: (r.satisfied, r.skipped, r.lhs, r.rhs, r.slack, r.reason)
-           for i, r in enumerate(records)}
+    """A suite block of one graph with the given records: one column of one
+    row per record, the row with its own fields, as a campaign of kept
+    records."""
     return theorems._Block(None, [theorems._Column(
-        [r.name for r in records], None, None, None,
-        np.ones(len(own), dtype=bool), own, [0, len(own)])])
+        r.name, None, None, None, np.ones(1, dtype=bool),
+        {0: (r.satisfied, r.skipped, r.lhs, r.rhs, r.slack, r.reason)})
+        for r in records])
+
+
+def pair_states(g):
+    """g's row of pair states (pairs in ``combinations`` order: 0 absent,
+    1 u -- v, 2 u -> v, 3 v -> u) and its degrees."""
+    pairs = {p: i for i, p in enumerate(combinations(range(1, g.n + 1), 2))}
+    row = np.zeros(len(pairs), dtype=np.int8)
+    for e in g.edges:
+        row[pairs[min(e.u, e.v), max(e.u, e.v)]] = (
+            1 if e.kind is EdgeKind.UNDIRECTED else 2 if e.u < e.v else 3)
+    return row, np.array(g.degrees())
+
+
+def hand_result(config, blocks):
+    """A campaign result of the given (graphs of one order, suite block)
+    pairs, each graph written as its pair-state row."""
+    parts, first = [], 0
+    for graphs, block in blocks:
+        states, degrees = map(np.array, zip(*map(pair_states, graphs)))
+        parts.append(campaign._Part(first, states, degrees, block))
+        first += len(graphs)
+    return CampaignResult(config, tuple(parts))
 
 
 def test_population_sizes():
@@ -91,14 +115,19 @@ def test_campaign_results_build_the_population_graphs():
 
 def test_campaign_path_stays_on_arrays(monkeypatch):
     def refuse(*_):
-        raise AssertionError("the campaign path built a graph or walked one")
+        raise AssertionError("the campaign path built a graph, walked one "
+                             "or made a per-graph object")
 
     monkeypatch.setattr(theorems, "edge_table", refuse)
     monkeypatch.setattr(campaign, "_graphs", refuse)
     monkeypatch.setattr(GraphResult, "graph", property(refuse))
+    # nor a result or suite per graph
+    monkeypatch.setattr(GraphResult, "__init__", refuse)
+    monkeypatch.setattr(TheoremSuite, "__init__", refuse)
     result = run_campaign(CampaignConfig(n_min=2, n_max=3))
     digests = {fmt: hashlib.sha256(render(result).encode()).hexdigest()
                for fmt, render in (("csv", render_csv), ("json", render_json))}
+    assert summary_text(result).startswith("graphs 57\nchecks 1677\n")
     # the pins of test_report_digests_are_pinned
     assert digests == {
         "csv": "f5688f5d19637e63e504b975c1674ed34ab83c2d010792bea04d48ca50a2c3f0",
@@ -254,9 +283,8 @@ def test_numpy_inputs_give_report_scalars():
                   rec.reason):
         json_scalar(value)
     g = directed_cycle(3)
-    suite = TheoremSuite(records_block((rec,)), 0)
-    result = CampaignResult(CampaignConfig(n_min=3, n_max=3),
-                            (GraphResult(0, g, suite),))
+    result = hand_result(CampaignConfig(n_min=3, n_max=3),
+                         [((g,), records_block((rec,)))])
     doc = json.loads(render_json(result))
     assert doc["graphs"][0]["checks"]["probe"] == {
         "lhs": 0.25, "rhs": 0.5, "slack": 0.25, "satisfied": True,
@@ -269,9 +297,8 @@ def test_numpy_inputs_give_report_scalars():
             == '{"probe": {"lhs": 0.25, "rhs": 0.5, "slack": 0.25, '
                '"satisfied": true, "skipped": false, "reason": ""}}')
     bad = CheckRecord("probe", np.True_)
-    suite = TheoremSuite(records_block((bad,)), 0)
-    result = CampaignResult(CampaignConfig(n_min=3, n_max=3),
-                            (GraphResult(0, g, suite),))
+    result = hand_result(CampaignConfig(n_min=3, n_max=3),
+                         [((g,), records_block((bad,)))])
     for render in (render_csv, render_json):
         with pytest.raises(TypeError, match="not a report scalar"):
             render(result)
@@ -301,23 +328,21 @@ def _awkward_result() -> CampaignResult:
                     reason='divergence: "x"\r\ny'),
         CheckRecord("interlacing:1->2", True, lhs=2.0, rhs=1.0, slack=-1.0),
     )
-    graphs = (directed_cycle(3), path_graph(2))
-    return CampaignResult(
+    return hand_result(
         CampaignConfig(n_min=2, n_max=3, sample_limit=2, seed=7),
-        tuple(GraphResult(i, g,
-                          TheoremSuite(records_block(records), 0))
-              for i, (g, records) in enumerate(zip(graphs, (first, second)))))
+        [((directed_cycle(3),), records_block(first)),
+         ((path_graph(2),), records_block(second))])
 
 
 # The bytes below were rendered by the per-cell renderers that the one-step
 # record formatters replaced.
 _AWKWARD_CSV = (
     'index,n,edges,check,lhs,rhs,slack,satisfied,skipped,reason\n'
-    '0,3,1->2 2->3 3->1,"comma, ""quote""\nnewline é",0.25,0.5,0.25,true,false,\n'
-    '0,3,1->2 2->3 3->1,"skip, ""me""",,,,true,true,"no ""edge"", here\nλ"\n'
-    '0,3,1->2 2->3 3->1,λ ≤ 1,1.5,1,-0.5,false,false,"fails, by ½"\n'
-    '0,3,1->2 2->3 3->1,plain,,,,true,false,\n'
-    '0,3,1->2 2->3 3->1,interlacing:1->2,-0,1e-300,1e-300,true,false,\n'
+    '0,3,1->2 3->1 2->3,"comma, ""quote""\nnewline é",0.25,0.5,0.25,true,false,\n'
+    '0,3,1->2 3->1 2->3,"skip, ""me""",,,,true,true,"no ""edge"", here\nλ"\n'
+    '0,3,1->2 3->1 2->3,λ ≤ 1,1.5,1,-0.5,false,false,"fails, by ½"\n'
+    '0,3,1->2 3->1 2->3,plain,,,,true,false,\n'
+    '0,3,1->2 3->1 2->3,interlacing:1->2,-0,1e-300,1e-300,true,false,\n'
     '1,2,1--2,"skip, ""me""",,,,true,true,"no ""edge"", here\nλ"\n'
     '1,2,1--2,minus_one_vs_positive_bipartite,,,,true,false,'
     '"divergence: ""x""\r\ny"\n'
@@ -328,7 +353,7 @@ _AWKWARD_JSON = (
     '{\n"config": {"n_min": 2, "n_max": 3, "connected_only": true, '
     '"min_degree": 1, "sample_limit": 2, "seed": 7, "format": "json"},\n'
     '"graphs": [\n'
-    '{"index": 0, "n": 3, "edges": "1->2 2->3 3->1", "checks": {'
+    '{"index": 0, "n": 3, "edges": "1->2 3->1 2->3", "checks": {'
     '"comma, \\"quote\\"\\nnewline \\u00e9": {"lhs": 0.25, "rhs": 0.5, '
     '"slack": 0.25, "satisfied": true, "skipped": false, "reason": ""}, '
     '"skip, \\"me\\"": {"lhs": null, "rhs": null, "slack": null, '
@@ -394,13 +419,14 @@ def test_awkward_reports_round_trip():
 
 
 def awkward_floats_result():
-    """Two blocks whose columns hold 0.0, -0.0, two nan payloads, +-inf and
-    subnormals, repeated within each column and across the blocks."""
+    """Two blocks of six n = 3 graphs whose columns hold 0.0, -0.0, two nan
+    payloads, +-inf and subnormals, repeated within each column and across
+    the blocks."""
     nans = np.array([0x7FF8000000000001, 0xFFF8000000000000],
                     dtype=np.uint64).view(np.float64)
     values = np.array([0.0, -0.0, *nans, np.inf, -np.inf, 5e-324,
                        2.5e-310, 0.1, 1 / 3, -0.0, 0.1, 0.0, nans[1]])
-    results = []
+    blocks = []
     for b in range(2):
         rows = np.roll(values, 3 * b)[:12]
         block = theorems._Block(None, [
@@ -412,12 +438,8 @@ def awkward_floats_result():
                 [f"interlacing:{i}" for i in range(6)], rows[6:], rows[:6],
                 rows[3:9], np.ones(6, dtype=bool), {}, [0, 1, 3, 3, 5, 6, 6]),
         ])
-        graphs = (directed_cycle(3), path_graph(2), path_graph(3),
-                  directed_cycle(3), path_graph(2), path_graph(4))
-        results += [(g, TheoremSuite(block, i))
-                    for i, g in enumerate(graphs)]
-    return CampaignResult(CampaignConfig(), tuple(
-        GraphResult(i, g, suite) for i, (g, suite) in enumerate(results)))
+        blocks.append(((directed_cycle(3), path_graph(3)) * 3, block))
+    return hand_result(CampaignConfig(), blocks)
 
 
 def test_every_float_renders_as_its_own_text():
@@ -443,10 +465,7 @@ def test_every_float_renders_as_its_own_text():
                   (next(expected) for _ in r.suite.records)]
         assert f'"checks": {{{", ".join(checks)}}}}}' in line
     # the records' own path renders the same bytes
-    own = CampaignResult(result.config, tuple(
-        GraphResult(r.index, r.graph,
-                    TheoremSuite(records_block(r.suite.records), 0))
-        for r in result.results))
+    own = kept(result)
     for render in (render_csv, render_json, summary_text):
         assert render(result) == render(own)
 
@@ -488,11 +507,8 @@ def test_bare_carriage_return_is_quoted():
     # no comma, quote or newline: only the carriage return needs quoting
     records = (CheckRecord("plain", True, reason="a\rb"),
                CheckRecord("x\ry", True, lhs=0.5, rhs=1.0, slack=0.5))
-    g = path_graph(2)
-    result = CampaignResult(
-        CampaignConfig(n_min=2, n_max=2),
-        (GraphResult(0, g,
-                     TheoremSuite(records_block(records), 0)),))
+    result = hand_result(CampaignConfig(n_min=2, n_max=2),
+                         [((path_graph(2),), records_block(records))])
     text = render_csv(result)
     assert text.endswith('0,2,1--2,plain,,,,true,false,"a\rb"\n'
                          '0,2,1--2,"x\ry",0.5,1,0.5,true,false,\n')
@@ -600,64 +616,50 @@ def tallies(result):
             result.divergence_count, result.max_abs_slack())
 
 
-def shuffled(result, seed):
-    """The result's graphs in another order, renumbered: its suites are no
-    longer consecutive rows of their blocks."""
-    results = list(result.results)
-    random.Random(seed).shuffle(results)
-    return CampaignResult(result.config, tuple(
-        GraphResult(i, r.graph, r.suite) for i, r in enumerate(results)))
-
-
 def kept(result):
     """The result with each suite replaced by a block of one graph made
     from its records."""
-    return CampaignResult(result.config, tuple(
-        GraphResult(r.index, r.graph,
-                    TheoremSuite(records_block(r.suite.records), 0))
-        for r in result.results))
+    return hand_result(result.config, [
+        ((r.graph,), records_block(r.suite.records)) for r in result.results])
 
 
 def repeated_names_result():
-    """Records where a name repeats within a graph, so the last
-    divergence record of a graph decides, and nan and -0.0 slacks."""
+    """Records where a name repeats within a graph, one divergence record
+    per graph, and nan and -0.0 slacks."""
     nan = float("nan")
     note = "minus_one_vs_positive_bipartite"
-    graphs = (directed_cycle(3), path_graph(2))
     records = (
-        (CheckRecord(note, True, reason="divergence"), CheckRecord(note, True),
+        (CheckRecord(note, True),
          CheckRecord("probe", True, lhs=nan, rhs=1.0, slack=nan),
          CheckRecord("probe", False, lhs=1.5, rhs=1.0, slack=-0.5)),
-        (CheckRecord(note, True), CheckRecord(note, True, reason="divergence"),
+        (CheckRecord(note, True, reason="divergence"),
          CheckRecord("probe:x", True, lhs=0.0, rhs=-0.0, slack=-0.0)),
     )
-    return CampaignResult(CampaignConfig(), tuple(
-        GraphResult(i, g, TheoremSuite(records_block(recs), 0))
-        for i, (g, recs) in enumerate(zip(graphs, records))))
+    return hand_result(CampaignConfig(), [
+        ((directed_cycle(3),), records_block(records[0])),
+        ((path_graph(2),), records_block(records[1]))])
 
 
 def nan_columns_result():
-    """Block-backed suites whose columns hold nan slacks."""
+    """A block of two n = 3 graphs whose columns hold nan slacks."""
     nan = float("nan")
     block = theorems._Block(None, [
         theorems._inequality("probe", [nan, 0.25], 1.0),
         theorems._inequality("probe:x", [0.5, nan], [nan, 2.0]),
     ])
-    graphs = (directed_cycle(3), path_graph(2))
-    return CampaignResult(CampaignConfig(), tuple(
-        GraphResult(i, g, TheoremSuite(block, i))
-        for i, g in enumerate(graphs)))
+    return hand_result(CampaignConfig(),
+                       [((directed_cycle(3), path_graph(3)), block)])
 
 
 @pytest.mark.parametrize("make", [
     lambda: run_campaign(CampaignConfig(n_min=4, n_max=4)),
     lambda: run_campaign(CampaignConfig(n_min=5, n_max=6, seed=1729)),
-    lambda: shuffled(run_campaign(CampaignConfig(n_min=2, n_max=4,
-                                                 sample_limit=300)), 3),
+    lambda: kept(run_campaign(CampaignConfig(n_min=2, n_max=4,
+                                             sample_limit=300))),
     _awkward_result,
     repeated_names_result,
     nan_columns_result,
-], ids=["population-4", "sample-5-6", "shuffled", "awkward", "repeated",
+], ids=["population-4", "sample-5-6", "kept", "awkward", "repeated",
         "nan"])
 def test_campaign_tallies_equal_a_record_walk(make):
     result = make()
@@ -674,12 +676,11 @@ def test_campaign_tallies_equal_a_record_walk(make):
 
 
 def test_renders_read_the_columns_as_records_would_print():
-    # block-backed suites in and out of block order render the same bytes
-    # as one-graph blocks made from the same records
+    # a campaign's blocks render the same bytes as one-graph blocks made
+    # from the same records
     result = run_campaign(CampaignConfig(n_min=3, n_max=5, sample_limit=200))
-    for case in (result, shuffled(result, 5)):
-        for render in (render_csv, render_json, summary_text):
-            assert render(case) == render(kept(case))
+    for render in (render_csv, render_json, summary_text):
+        assert render(result) == render(kept(result))
 
 
 def test_campaign_and_renders_build_no_check_record(monkeypatch):

@@ -105,8 +105,8 @@ CASES = [
                           seed=5, format="csv", output="out.csv"),
      dict(n_min=2, n_max=4, min_degree=1, sample_limit=None, seed=1729,
           format="json", output=None), {}, True, config_rules),
-    (CampaignResult, dict(config=CONFIG, results=()), {}, dict(checks=0),
-     True, None),
+    (CampaignResult, dict(config=CONFIG, blocks=()), {}, dict(checks=0),
+     False, None),
 ]
 
 
