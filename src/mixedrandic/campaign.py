@@ -157,21 +157,19 @@ def edge_list_label(g: MixedGraph) -> str:
 
 
 class GraphResult:
-    """One graph of a campaign: its report index, its suite, and its rows
-    of its order's pair states and degrees, from which ``graph`` is built
-    when read."""
+    """One graph of a campaign: its report index and its suite, row
+    ``suite.row`` of a campaign block, whose pair-state and degree rows
+    build ``graph`` when read (no array is kept per graph)."""
 
-    __slots__ = ("index", "suite", "states", "degrees")
+    __slots__ = ("index", "suite", "_part")
 
-    def __init__(self, index: int, suite: TheoremSuite, states: np.ndarray,
-                 degrees: np.ndarray) -> None:
-        self.index, self.suite = index, suite
-        self.states, self.degrees = states, degrees
+    def __init__(self, index: int, suite: TheoremSuite, part: _Part) -> None:
+        self.index, self.suite, self._part = index, suite, part
 
     @property
     def graph(self) -> MixedGraph:
-        return next(_graphs(self.states[np.newaxis],
-                            self.degrees[np.newaxis]))
+        row = slice(self.suite.row, self.suite.row + 1)
+        return next(_graphs(self._part.states[row], self._part.degrees[row]))
 
 
 class _Part(NamedTuple):
@@ -282,10 +280,10 @@ class CampaignResult(_Record):
     @functools.cached_property
     def results(self) -> tuple[GraphResult, ...]:
         """One result per graph, in report order, made on first read."""
-        return tuple(GraphResult(first + row, TheoremSuite(block, row),
-                                 states[row], degrees[row])
-                     for first, states, degrees, block in self.blocks
-                     for row in range(len(states)))
+        return tuple(GraphResult(part.first + row,
+                                 TheoremSuite(part.block, row), part)
+                     for part in self.blocks
+                     for row in range(len(part.states)))
 
     @functools.cached_property
     def _tally(self) -> _Tally:
