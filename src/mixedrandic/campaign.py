@@ -522,7 +522,7 @@ def _block_rows(block: _Block, first: int, stop: int, own_rows: list,
 
 class _Labels(dict):
     """Per order n, the edge_label of each vertex pair in each state, as an
-    object array indexed [pair, state], made once per render."""
+    object array read at [pair, state], made once per render."""
 
     def __missing__(self, n: int) -> np.ndarray:
         table = self[n] = np.array(
