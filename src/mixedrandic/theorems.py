@@ -19,8 +19,10 @@ runs the whole suite that way and ``run_theorem_suite`` is its one-graph
 case.  The structural verdicts of a block (connected, bipartite, positive,
 antibalanced) come from one traversal of its edge rows, ``gains.balances``;
 the ``check_*`` functions take them from its one-graph case,
-``graph_balance``.  A matrix is keyed by its vertex pairs' states, and
-one call solves each key once per order.  A block is one edge table,
+``graph_balance``.  A matrix is keyed by its vertex pairs' states, the
+same for a matrix and its conjugate (every arc reversed), and one call
+solves each key once per order and counts each graph key's exact
+numerators once.  A block is one edge table,
 from graphs (``edge_table``) or from a campaign's pair-state rows
 (``matrices._state_table``), and both take one path, ``_order_block``.
 
@@ -662,21 +664,47 @@ def _inverse_degree_sums(degrees: np.ndarray,
         owner, np.arange(len(degrees)))) / common).astype(float)
 
 
+def _find(known: np.ndarray, keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per key of the sorted distinct ``keys``, its place in the sorted
+    memo keys ``known`` and whether it is there."""
+    at = np.searchsorted(known, keys)
+    hit = at < len(known)
+    hit[hit] = known[at[hit]] == keys[hit]
+    return at, hit
+
+
+def _table_graphs(degrees: np.ndarray, edges: tuple[np.ndarray, ...],
+                  graphs: np.ndarray) -> tuple[np.ndarray, tuple]:
+    """The edge_table of the sorted graph indices ``graphs`` of a table."""
+    owner = edges[0]
+    member = np.zeros(len(degrees), dtype=bool)
+    member[graphs] = True
+    rows = member[owner]
+    return degrees[graphs], (np.searchsorted(graphs, owner[rows]),
+                             *(column[rows] for column in edges[1:]))
+
+
 def _order_block(degrees: np.ndarray, edges: tuple[np.ndarray, ...],
-                 solved: dict[int, tuple[np.ndarray, np.ndarray]]) -> _Block:
+                 solved: dict[int, tuple[np.ndarray, ...]]) -> _Block:
     """The suite on graphs of one order given as one edge_table, each
     connected with every degree >= 1 (else ValueError): one balance
-    traversal, one stacked build and solve, the residuals and bounds as
-    array reductions over the graphs, the exact charpoly numerators, and
-    r_inv of every graph over one common denominator.
+    traversal, one stacked build, the solves and exact charpoly numerators
+    of the keys not met before, the residuals and bounds as array
+    reductions over the graphs, and r_inv of every graph over one common
+    denominator.
 
     A matrix is keyed by its pair states (0 absent, 1 un-oriented, 2 or 3
     an arc from the smaller or the larger end), which fix its entries
-    1/sqrt(d_a d_b) times a gain.  ``solved[n]`` holds the sorted keys
-    solved before at order n and their rows; the block sorts only its own
-    keys and merges the new ones in by np.searchsorted.
-    R(g) is always solved; R of an underlying graph or of g - e only
-    under a new key."""
+    1/sqrt(d_a d_b) times a gain.  Reversing every arc swaps states 2 and
+    3 and conjugates the matrix, which keeps its eigenvalues and its
+    charpoly, so a matrix and its twin share the smaller of their two keys
+    (compared at their first differing word).  ``solved[n]`` holds the
+    sorted keys solved before at order n and their rows, and the sorted
+    keys of the graphs met before and their numerator rows; the block
+    sorts only its own keys and merges the new ones in by np.searchsorted.
+    The stack holds R(g) of every graph, for the residuals, and R of each
+    new underlying graph and of each new g - e; only the matrices under a
+    new key are solved, and only the graphs under a new key counted."""
     count, n = degrees.shape
     owner, u, v, arc = edges
     balance = balances(count, n, owner, u, v, arc)
@@ -687,26 +715,61 @@ def _order_block(degrees: np.ndarray, edges: tuple[np.ndarray, ...],
     removable = (degrees[owner, u] > 1) & (degrees[owner, v] > 1)
     cuts = np.flatnonzero(removable)
     # the keys of R(g), of R of g's underlying graph and of R(g - e) for
-    # each edge whose removal isolates no vertex: row codes summed by graph
+    # each edge whose removal isolates no vertex, and of their twins: row
+    # codes summed by graph
     word, unit, dtype = _pair_codes(n)
     word, unit = word[u, v], unit[u, v]
     code = unit * (1 + arc + (arc & (u > v)))
+    # reversing an arc swaps states 2 and 3: what that adds to its code
+    turn = np.where(u < v, unit, -unit) * arc
     starts = np.searchsorted(owner, np.arange(count + 1))
-    keys = np.empty((2 * count + len(cuts), dtype.itemsize // 8), dtype=np.int64)
-    for w in range(keys.shape[1]):
-        keys[:count, w] = np.add.reduceat(code * (word == w), starts[:-1])
-        keys[count:2 * count, w] = np.add.reduceat(unit * (word == w), starts[:-1])
-    keys[2 * count:] = keys[owner[cuts]]
-    keys[2 * count + np.arange(len(cuts)), word[cuts]] -= code[cuts]
-    known, known_rows = solved.get(n) or (np.empty(0, dtype), np.empty((0, n)))
+    keys = np.zeros((2, 2 * count + len(cuts), dtype.itemsize // 8),
+                    dtype=np.int64)
+    for w in range(keys.shape[2]):
+        here = word == w
+        keys[0, :count, w] = np.add.reduceat(code * here, starts[:-1])
+        keys[0, count:2 * count, w] = np.add.reduceat(unit * here, starts[:-1])
+        keys[1, :count, w] = np.add.reduceat(turn * here, starts[:-1])
+    keys[:, 2 * count:] = keys[:, owner[cuts]]
+    keys[:, 2 * count + np.arange(len(cuts)), word[cuts]] -= (code[cuts],
+                                                              turn[cuts])
+    # the twin's key is keys + turns: take it where it is the smaller, at
+    # the first word where the two differ
+    keys, turns = keys
+    turns *= turns[np.arange(len(turns)),
+                   (turns != 0).argmax(axis=1)][:, np.newaxis] < 0
+    keys += turns
+    empty = np.empty(0, dtype)
+    known, known_rows, counted, counted_rows = solved.get(n) or (
+        empty, np.empty((0, n)), empty, np.empty((0, n + 1), dtype=np.int64))
     distinct, first, inverse = np.unique(keys.view(dtype)[:, 0],
                                          return_index=True, return_inverse=True)
-    at = np.searchsorted(known, distinct)
-    hit = at < len(known)
-    hit[hit] = known[at[hit]] == distinct[hit]
+    at, hit = _find(known, distinct)
     miss = ~hit
-    new = np.sort(first[miss & (first >= count)]) - count
-    fresh, new_cuts = new[new < count], cuts[new[new >= count] - count]
+    numerators = None
+    if n <= DEFAULT_COMBINATORIAL_CAP:
+        # each graph key's numerator row: the memo's, else its first
+        # graph's, counted on a table of the new keys' first graphs
+        own = np.zeros(len(distinct), dtype=bool)
+        own[inverse[:count]] = True
+        own = np.flatnonzero(own)
+        at_own, had = _find(counted, distinct[own])
+        key_numerators = np.empty((len(distinct), n + 1), dtype=np.int64)
+        key_numerators[own[had]] = counted_rows[at_own[had]]
+        new_own = own[~had]
+        if len(new_own):
+            firsts = np.sort(first[new_own])
+            key_numerators[inverse[firsts]] = elementary_weight_numerator_rows(
+                *(_table_graphs(degrees, edges, firsts) if len(firsts) < count
+                  else (degrees, edges)))
+        counted = np.insert(counted, at_own[~had], distinct[new_own])
+        counted_rows = np.insert(counted_rows, at_own[~had],
+                                 key_numerators[new_own], axis=0)
+        numerators = key_numerators[inverse[:count]]
+    # each new key's first matrix: a graph, an underlying graph or a cut
+    new = np.sort(first[miss])
+    mine, rest = new[new < count], new[new >= count] - count
+    fresh, new_cuts = rest[rest < count], cuts[rest[rest >= count] - count]
     # the k-th new underlying graph is its graph's rows un-oriented,
     # smaller end first, as graph count + k
     plain = np.zeros(count, dtype=bool)
@@ -719,22 +782,21 @@ def _order_block(degrees: np.ndarray, edges: tuple[np.ndarray, ...],
         np.concatenate((arc, np.zeros(plain.sum(), dtype=bool)))))
     graph_of = np.concatenate((np.arange(count + len(fresh)), owner[new_cuts]))
     cut_of = np.concatenate((np.full(count + len(fresh), -1), new_cuts))
-    numerators = None
-    if n <= DEFAULT_COMBINATORIAL_CAP:
-        numerators = elementary_weight_numerator_rows(degrees, edges)
     stack = randic_stack(*stacked, graph_of, cut_of)
     # the solve is a block's peak of memory, which the table need not raise
     del stacked, graph_of, cut_of
-    rows = eigenvalue_rows(stack)
-    vals, mats = rows[:count], stack[:count]
-    # each key's row: the memo's, else its first graph's, else a new solve's
-    first = first[miss]
+    mats = stack[:count]
+    # each key's row: the memo's, else its first matrix's solve (row k is
+    # new[k]'s)
     key_rows = np.empty((len(distinct), n))
     key_rows[hit] = known_rows[at[hit]]
-    key_rows[miss] = rows[np.where(
-        first < count, first, count + np.searchsorted(new, first - count))]
+    key_rows[miss] = np.concatenate((
+        eigenvalue_rows(mats[mine]), eigenvalue_rows(stack[count:]))
+    )[np.searchsorted(new, first[miss])]
+    vals = key_rows[inverse[:count]]
     solved[n] = (np.insert(known, at[miss], distinct[miss]),
-                 np.insert(known_rows, at[miss], key_rows[miss], axis=0))
+                 np.insert(known_rows, at[miss], key_rows[miss], axis=0),
+                 counted, counted_rows)
     group, deletions = inverse[count:2 * count], key_rows[inverse[2 * count:]]
     r_inv = _inverse_degree_sums(degrees, edges)
 
@@ -802,7 +864,7 @@ def _suite_blocks(n: int, count: int, table: Callable[[int, int], tuple]
     """The suite on count graphs of order n, a block of _block_size(n) at
     a time, as (the slice of the block's graphs, block): table(start,
     stop) is the edge_table of graphs start:stop, and one memo of solved
-    keys serves every block."""
+    keys and counted graph keys serves every block."""
     size, solved = _block_size(n), {}
     for start in range(0, count, size):
         rows = slice(start, min(start + size, count))
@@ -817,13 +879,16 @@ def run_theorem_suites(graphs: Iterable[MixedGraph]) -> list[TheoremSuite]:
     work: at most SUITE_BLOCK // n**4 graphs of order n (1,024 at n = 4,
     419 at n = 5), and each block is read once into one edge_table, its
     rows in each graph's edge order.
-    From it come one stack, solved by one eigvalsh call, of R(g) for each
-    graph and of each matrix the checks need besides whose pair states
-    were not solved before at that order in this call: R(g - e) for every
-    edge whose removal isolates no vertex, and R of each underlying graph.
-    The exact characteristic polynomials come from one path-counting
-    programme and one cover-sum pass, and r_inv over one common
-    denominator per block.  The residuals and bounds are row reductions
+    From it comes one stack of R(g) for each graph, R(g - e) for every
+    edge whose removal isolates no vertex and R of each underlying graph,
+    the last two only under new keys.  A matrix is keyed by its pair
+    states, and a matrix and its arc-reversed twin, its conjugate, share
+    one key; a key is solved once per order in this call, so an
+    exhaustive order solves one graph of each pair of twins.  The exact
+    characteristic polynomials come from one path-counting programme and
+    one cover-sum pass over the graphs whose key was not counted before at
+    that order in this call, and r_inv over one common denominator per
+    block.  The residuals and bounds are row reductions
     over the block's eigenvalue array, kept as one column per check: no
     record is built until one is read.  Connectivity, bipartiteness,
     positivity and antibalance come from one traversal of the block's edge

@@ -3,7 +3,9 @@ campaign and its renders plus one request per one-graph command call each
 public function of the package equally often.  A cache that lives from one
 pass to the next, or a first-use step beyond the CLI parser, breaks this.
 A memo that fills on the warm-up and serves both passes keeps them equal,
-so each pass must also solve every suite block of its campaign anew."""
+so each pass must also solve every suite block of its campaign anew: it
+solves as many matrices and counts as many numerator rows as a pass that
+gives every block a new memo."""
 
 import functools
 import importlib
@@ -47,6 +49,19 @@ def count_public_calls(monkeypatch) -> Counter:
     return calls
 
 
+def count_work(monkeypatch) -> Counter:
+    """Add up the matrices the suite solves and the graphs it counts the
+    numerator rows of, by the rows each call returns."""
+    work = Counter()
+    for name in ("eigenvalue_rows", "elementary_weight_numerator_rows"):
+        def sized(*args, fn=getattr(theorems, name), name=name):
+            rows = fn(*args)
+            work[name] += len(rows)
+            return rows
+        monkeypatch.setattr(theorems, name, sized)
+    return work
+
+
 def one_pass(path) -> None:
     # through the module attributes, which hold the counting wrappers
     result = campaign.run_campaign(campaign.CampaignConfig(n_max=3))
@@ -61,13 +76,23 @@ def test_passes_make_the_same_public_calls(monkeypatch, tmp_path, capsys):
     path = tmp_path / "g.txt"
     path.write_text(GRAPH)
     calls = count_public_calls(monkeypatch)
+    work = count_work(monkeypatch)
     one_pass(path)
-    passes = []
+    passes, works = [], []
     for _ in range(2):
         calls.clear()
+        work.clear()
         one_pass(path)
         passes.append(calls.copy())
+        works.append(work.copy())
+    block = theorems._order_block
+    monkeypatch.setattr(theorems, "_order_block",
+                        lambda degrees, edges, solved: block(degrees, edges, {}))
+    work.clear()
+    one_pass(path)
     capsys.readouterr()
+    assert works[0] == works[1] == work
+    assert work["eigenvalue_rows"] > 0 and work["elementary_weight_numerator_rows"] > 0
     assert passes[0]["cli.main"] == 6
     assert passes[0]["campaign.run_campaign"] == 1
     assert passes[0]["graphs.parse_graph"] == 6

@@ -7,6 +7,7 @@ import pytest
 from mixedrandic import (
     EdgeKind,
     MixedGraph,
+    arc,
     check_eigenvalue_one,
     check_minus_one,
     check_spectral_symmetry,
@@ -26,7 +27,9 @@ from mixedrandic import (
     smallest_eigenvalue_bound,
 )
 from mixedrandic import theorems
-from mixedrandic.matrices import edge_table
+from mixedrandic.enumeration import elementary_weight_numerator_rows
+from mixedrandic.matrices import edge_table, randic_stack
+from mixedrandic.spectra import eigenvalue_rows
 from mixedrandic.theorems import entry_sums, randic_inverse, run_theorem_suites
 
 from test_cli import (DISCONNECTED, EXPONENTIAL_COUNTEREXAMPLE,
@@ -331,28 +334,42 @@ def test_suites_reject_disconnected_and_isolated_graphs():
             check(parse_graph(DISCONNECTED))
 
 
+def twin_key(edges):
+    """A matrix's pair states up to reversing every arc, which conjugates
+    it: the frozenset of its edge set and of that set with every arc
+    reversed."""
+    edges = frozenset(edges)
+    return frozenset((edges, frozenset(
+        arc(e.v, e.u) if e.kind is EdgeKind.ARC else e for e in edges)))
+
+
 def new_slices(block, solved):
-    """The underlying graphs (graph) and deletions (graph, table row) that
-    the suite solves for a block besides its graphs, in stack order, with
-    ``solved`` the pair states solved before it at its order; adds the
-    block's to ``solved``.  A pair-state vector is the frozenset of a
-    matrix's edges."""
-    solved.update(frozenset(g.edges) for g in block)
-    fresh, cuts, row = [], [], 0
+    """The graphs, underlying graphs (graph) and deletions (graph, table
+    row) that the suite solves for a block, in stack order, with
+    ``solved`` the twin keys of the matrices solved before it at its
+    order; adds the block's to ``solved``.  A matrix is solved under a new
+    key only: a graph's own, then the underlying graphs', then the
+    deletions'."""
+    mine, fresh, cuts, row = [], [], [], 0
     for i, g in enumerate(block):
-        key = frozenset(g.underlying_graph().edges)
+        key = twin_key(g.edges)
+        if key not in solved:
+            solved.add(key)
+            mine.append(i)
+    for i, g in enumerate(block):
+        key = twin_key(g.underlying_graph().edges)
         if key not in solved:
             solved.add(key)
             fresh.append(i)
     for i, g in enumerate(block):
         d = g.degrees()
         for e in g.edges:
-            key = frozenset(g.edges) - {e}
+            key = twin_key(frozenset(g.edges) - {e})
             if d[e.u - 1] > 1 and d[e.v - 1] > 1 and key not in solved:
                 solved.add(key)
                 cuts.append((i, row))
             row += 1
-    return fresh, cuts
+    return mine, fresh, cuts
 
 
 def suite_blocks(graphs):
@@ -367,12 +384,12 @@ def suite_blocks(graphs):
 
 def expected_solves(graphs):
     """How many matrices the suite solves for graphs of one order each:
-    every graph, and each deletion or underlying matrix whose pair states
-    were not solved before at that order."""
+    each graph, underlying graph and deletion whose twin key was not
+    solved before at that order."""
     solved, count = {}, 0
     for block in suite_blocks(graphs):
-        fresh, cuts = new_slices(block, solved.setdefault(block[0].n, set()))
-        count += len(block) + len(fresh) + len(cuts)
+        count += sum(map(len, new_slices(
+            block, solved.setdefault(block[0].n, set()))))
     return count
 
 
@@ -384,10 +401,13 @@ def test_suite_memo_merges_each_blocks_new_keys():
     for start in range(0, len(graphs), 7):
         theorems._order_block(*edge_table(graphs[start:start + 7]), merged)
     theorems._order_block(*edge_table(graphs), whole)
-    keys, rows = merged[4]
-    assert np.all(keys[1:] > keys[:-1])
-    assert np.array_equal(keys, whole[4][0])
-    assert rows.tobytes() == whole[4][1].tobytes()
+    for keys, rows, whole_keys, whole_rows in zip(
+            merged[4][::2], merged[4][1::2], whole[4][::2], whole[4][1::2]):
+        # the solved keys with their eigenvalue rows, then the graph keys
+        # with their numerator rows
+        assert np.all(keys[1:] > keys[:-1])
+        assert np.array_equal(keys, whole_keys)
+        assert rows.tobytes() == whole_rows.tobytes()
 
 
 def counted_solves(monkeypatch):
@@ -402,13 +422,49 @@ def counted_solves(monkeypatch):
     return solved
 
 
+def counted_numerators(monkeypatch):
+    """A list that gathers the number of graphs of every table the suite
+    counts the exact numerator rows of."""
+    count, counted = theorems.elementary_weight_numerator_rows, []
+
+    def counting(degrees, edges):
+        counted.append(len(degrees))
+        return count(degrees, edges)
+
+    monkeypatch.setattr(theorems, "elementary_weight_numerator_rows", counting)
+    return counted
+
+
 def test_suite_solves_each_underlying_graph_once(exhaustive_population,
                                                  monkeypatch):
     solved = counted_solves(monkeypatch)
+    counted = counted_numerators(monkeypatch)
     run_theorem_suites(exhaustive_population)
-    # the 3,891 graphs and 27 deletions that disconnect a graph: every other
-    # deletion and every underlying graph is a graph solved before it
-    assert sum(solved) == expected_solves(exhaustive_population) == 3_918
+    # the 43 graphs without an arc, one of each of the 1,924 pairs of
+    # arc-reversed twins and 15 deletions that disconnect a graph: every
+    # other deletion and every underlying graph is a graph solved before it
+    assert sum(solved) == expected_solves(exhaustive_population) == 1_982
+    # the 43 graphs without an arc and one of each pair of twins
+    assert sum(counted) == len({twin_key(g.edges)
+                                for g in exhaustive_population}) == 1_967
+
+
+def test_twins_have_bit_equal_rows(exhaustive_population):
+    # reversing every arc conjugates R: the suite shares a row between
+    # twins only while the solver gives R and its conjugate the same bits,
+    # and the numerator rows of twins are equal
+    for n in (2, 3, 4):
+        degrees, edges = edge_table([g for g in exhaustive_population
+                                     if g.n == n])
+        owner, u, v, is_arc = edges
+        twins = (owner, np.where(is_arc, v, u), np.where(is_arc, u, v), is_arc)
+        slices = np.arange(len(degrees)), np.full(len(degrees), -1)
+        stack = randic_stack(degrees, edges, *slices)
+        assert np.array_equal(randic_stack(degrees, twins, *slices), stack.conj())
+        assert (eigenvalue_rows(stack).tobytes()
+                == eigenvalue_rows(stack.conj()).tobytes())
+        assert np.array_equal(elementary_weight_numerator_rows(degrees, twins),
+                              elementary_weight_numerator_rows(degrees, edges))
 
 
 def test_suite_keys_span_more_than_one_word(monkeypatch):
@@ -424,7 +480,8 @@ def test_suite_keys_span_more_than_one_word(monkeypatch):
     graphs = [nine[0], eleven[0], nine[1], eleven[1]]
     solved = counted_solves(monkeypatch)
     suites = run_theorem_suites(graphs)
-    assert sum(solved) == expected_solves(graphs)
+    # the two n = 11 graphs less arc (6, 7) are twins
+    assert sum(solved) == expected_solves(graphs) == 47
     for g, suite in zip(graphs, suites):
         single = run_theorem_suite(g)
         assert [repr(r) for r in suite.records] == [repr(r) for r in single.records]
@@ -435,7 +492,8 @@ def test_suite_keys_span_more_than_one_word(monkeypatch):
 def test_suite_builds_one_table_per_block_and_no_graph(monkeypatch):
     graphs = population(4)[:1200] + sample_mixed_graphs(5, 440, seed=5)
     build, stack = theorems.edge_table, theorems.randic_stack
-    blocks, stacks, constructed = [], [], []
+    solve = theorems.eigenvalue_rows
+    blocks, stacks, built, solves, constructed = [], [], [], [], []
 
     def counted_table(block):
         blocks.append(list(block))
@@ -443,13 +501,19 @@ def test_suite_builds_one_table_per_block_and_no_graph(monkeypatch):
 
     def recorded_stack(*table_and_slices):
         stacks.append(table_and_slices)
-        return stack(*table_and_slices)
+        built.append(stack(*table_and_slices))
+        return built[-1]
+
+    def recorded_solve(matrices):
+        solves.append(matrices)
+        return solve(matrices)
 
     def counted_graph(self, *args, **kwargs):
         constructed.append(self)
 
     monkeypatch.setattr(theorems, "edge_table", counted_table)
     monkeypatch.setattr(theorems, "randic_stack", recorded_stack)
+    monkeypatch.setattr(theorems, "eigenvalue_rows", recorded_solve)
     monkeypatch.setattr(MixedGraph, "__init__", counted_graph)
     run_theorem_suites(graphs)
     monkeypatch.undo()
@@ -457,13 +521,18 @@ def test_suite_builds_one_table_per_block_and_no_graph(monkeypatch):
     # blocks of SUITE_BLOCK // n**4 graphs: 1,024 at n = 4, 419 at n = 5
     assert list(map(len, blocks)) == [1024, 176, 419, 21]
     assert blocks == list(suite_blocks(graphs))
-    assert len(stacks) == len(blocks)
+    assert len(stacks) == len(built) == len(blocks) == len(solves) // 2
     solved = {}
-    for block, (degrees, edges, graph_of, cut_of) in zip(blocks, stacks):
+    for block, (degrees, edges, graph_of, cut_of), matrices, (mats, rest) in zip(
+            blocks, stacks, built, zip(solves[::2], solves[1::2])):
         # each graph; each underlying graph; each graph less each edge
         # whose removal isolates no vertex, as a row of the table; the last
-        # two only when their pair states are new at the order
-        fresh, cuts = new_slices(block, solved.setdefault(block[0].n, set()))
+        # two only when their twin keys are new at the order
+        mine, fresh, cuts = new_slices(block, solved.setdefault(block[0].n, set()))
+        # solved: the graphs under a new key, then the rest of the stack,
+        # which is not copied
+        assert np.array_equal(mats, matrices[mine])
+        assert rest.base is matrices and len(rest) == len(fresh) + len(cuts)
         underlying = [block[i].underlying_graph() for i in fresh]
         expected_degrees, expected_edges = edge_table([*block, *underlying])
         assert np.array_equal(degrees, expected_degrees)
