@@ -259,8 +259,9 @@ def _tally(parts: tuple[_Part, ...]) -> _Tally:
 
 class CampaignResult(_Record):
     """A campaign's config, its suite blocks and their number of checks.
-    It compares and hashes by identity, as its blocks hold arrays, and
-    keeps a ``__dict__`` for the cached tally and results."""
+    It compares and hashes by identity, as its blocks hold arrays, keeps a
+    ``__dict__`` for the cached tally and results, and its repr shows the
+    config and the counts, not the blocks."""
 
     _fields = ("config", "blocks", "checks")
     __eq__ = object.__eq__
@@ -272,6 +273,10 @@ class CampaignResult(_Record):
         _set(self, "blocks", blocks)
         _set(self, "checks", sum(len(column.ok) for part in blocks
                                  for column in part.block.columns))
+
+    def __repr__(self) -> str:
+        return (f"CampaignResult(config={self.config!r}, graphs={self.graphs!r}, "
+                f"checks={self.checks!r})")
 
     @property
     def graphs(self) -> int:
