@@ -749,10 +749,10 @@ def _order_block(degrees: np.ndarray, edges: tuple[np.ndarray, ...],
     numerators = None
     if n <= DEFAULT_COMBINATORIAL_CAP:
         # each graph key's numerator row: the memo's, else its first
-        # graph's, counted on a table of the new keys' first graphs
-        own = np.zeros(len(distinct), dtype=bool)
-        own[inverse[:count]] = True
-        own = np.flatnonzero(own)
+        # graph's, counted on a table of the new keys' first graphs; the
+        # graphs come first among the keys, so a graph key is one whose
+        # first matrix is a graph
+        own = np.flatnonzero(first < count)
         at_own, had = _find(counted, distinct[own])
         key_numerators = np.empty((len(distinct), n + 1), dtype=np.int64)
         key_numerators[own[had]] = counted_rows[at_own[had]]
