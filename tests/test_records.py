@@ -4,7 +4,8 @@ and the rules their constructors apply."""
 import numpy as np
 import pytest
 
-from mixedrandic.campaign import CampaignConfig, CampaignResult, with_overrides
+from mixedrandic.campaign import (CampaignConfig, CampaignResult, run_campaign,
+                                  with_overrides)
 from mixedrandic.gains import ONE, GainView, SixthRoot
 from mixedrandic.graphs import EdgeKind, EdgeRecord, MixedGraph, arc, undirected
 from mixedrandic.spectra import CharPoly, Spectrum
@@ -151,6 +152,12 @@ def test_record_class(cls, fields, defaults, derived, by_value, rules):
         # arrays and dicts have no truth value or hash: identity decides
         assert (a == b) is False and (a != b) is True and a == a
         assert hash(a) == hash(a) and len({a, b, a}) == 2
+
+
+def test_campaign_result_repr_leaves_out_its_blocks():
+    result = run_campaign(CampaignConfig(n_max=3))
+    assert repr(result) == (f"CampaignResult(config={CampaignConfig(n_max=3)!r}, "
+                            "graphs=57, checks=1677)")
 
 
 @pytest.mark.parametrize("cls, fields, defaults", [case[:3] for case in CASES],
