@@ -442,7 +442,8 @@ def test_suite_solves_each_underlying_graph_once(exhaustive_population,
     run_theorem_suites(exhaustive_population)
     # the 43 graphs without an arc, one of each of the 1,924 pairs of
     # arc-reversed twins and 15 deletions that disconnect a graph: every
-    # other deletion and every underlying graph is a graph solved before it
+    # other deletion and every underlying graph shares the key of a graph
+    # solved before it
     assert sum(solved) == expected_solves(exhaustive_population) == 1_982
     # the 43 graphs without an arc and one of each pair of twins
     assert sum(counted) == len({twin_key(g.edges)
