@@ -760,8 +760,7 @@ def _order_block(degrees: np.ndarray, edges: tuple[np.ndarray, ...],
         if len(new_own):
             firsts = np.sort(first[new_own])
             key_numerators[inverse[firsts]] = elementary_weight_numerator_rows(
-                *(_table_graphs(degrees, edges, firsts) if len(firsts) < count
-                  else (degrees, edges)))
+                *_table_graphs(degrees, edges, firsts))
         counted = np.insert(counted, at_own[~had], distinct[new_own])
         counted_rows = np.insert(counted_rows, at_own[~had],
                                  key_numerators[new_own], axis=0)

@@ -450,16 +450,40 @@ def test_suite_solves_each_underlying_graph_once(exhaustive_population,
                                 for g in exhaustive_population}) == 1_967
 
 
+def two_word_graphs():
+    """Two n = 9 and two n = 11 graphs whose keys span two int64 words:
+    pairs {8, 9} of n = 9 and {10, 11} of n = 11 sit in the second word,
+    and the two n = 11 graphs less arc (6, 7) are twins."""
+    base = [(1, 2), (2, 3), (3, 4), (4, 5), (6, 7), (7, 8), (1, 9), (1, 5)]
+    nine = [MixedGraph.build(9, base + [(8, 9)], [(5, 6)]),
+            MixedGraph.build(9, base, [(5, 6), (8, 9)])]
+    base = [(1, 2), (2, 3), (3, 4), (4, 5), (5, 6), (7, 8), (8, 9), (9, 10),
+            (1, 11), (1, 6)]
+    eleven = [MixedGraph.build(11, base, [(6, 7), last])
+              for last in ((10, 11), (11, 10))]
+    return [nine[0], eleven[0], nine[1], eleven[1]]
+
+
 def test_twins_have_bit_equal_rows(exhaustive_population):
-    # reversing every arc conjugates R: the suite shares a row between
-    # twins only while the solver gives R and its conjugate the same bits,
-    # and the numerator rows of twins are equal
-    for n in (2, 3, 4):
-        degrees, edges = edge_table([g for g in exhaustive_population
-                                     if g.n == n])
+    # reversing every arc conjugates R(g) and each R(g - e): the suite
+    # shares a row between twins at every order only while the solver
+    # gives R and its conjugate the same bits, and the numerator rows of
+    # twins are equal.  Every n <= 4 graph, the seeded n = 5, 6 samples,
+    # the n = 10, 11 graphs of the check pins and the two-word graphs, each
+    # with every deletion the suite makes
+    tables = [[g for g in exhaustive_population if g.n == n] for n in (2, 3, 4)]
+    tables += [population(n, seed=1729) for n in (5, 6)]
+    tables += [[seeded_connected_graph(n, m, seed)] for n, m, seed in (
+        (10, 14, 1), (10, 20, 2), (10, 27, 3), (11, 22, 4))]
+    tables += [[parse_graph(EXPONENTIAL_COUNTEREXAMPLE)]]
+    tables += [[g] for g in two_word_graphs()]
+    for graphs in tables:
+        degrees, edges = edge_table(graphs)
         owner, u, v, is_arc = edges
         twins = (owner, np.where(is_arc, v, u), np.where(is_arc, u, v), is_arc)
-        slices = np.arange(len(degrees)), np.full(len(degrees), -1)
+        cuts = np.flatnonzero((degrees[owner, u] > 1) & (degrees[owner, v] > 1))
+        slices = (np.concatenate((np.arange(len(degrees)), owner[cuts])),
+                  np.concatenate((np.full(len(degrees), -1), cuts)))
         stack = randic_stack(degrees, edges, *slices)
         assert np.array_equal(randic_stack(degrees, twins, *slices), stack.conj())
         assert (eigenvalue_rows(stack).tobytes()
@@ -469,16 +493,7 @@ def test_twins_have_bit_equal_rows(exhaustive_population):
 
 
 def test_suite_keys_span_more_than_one_word(monkeypatch):
-    # keys of two int64 words: pairs {8, 9} of n = 9 and {10, 11} of n = 11
-    # sit in the second word
-    base = [(1, 2), (2, 3), (3, 4), (4, 5), (6, 7), (7, 8), (1, 9), (1, 5)]
-    nine = [MixedGraph.build(9, base + [(8, 9)], [(5, 6)]),
-            MixedGraph.build(9, base, [(5, 6), (8, 9)])]
-    base = [(1, 2), (2, 3), (3, 4), (4, 5), (5, 6), (7, 8), (8, 9), (9, 10),
-            (1, 11), (1, 6)]
-    eleven = [MixedGraph.build(11, base, [(6, 7), last])
-              for last in ((10, 11), (11, 10))]
-    graphs = [nine[0], eleven[0], nine[1], eleven[1]]
+    graphs = two_word_graphs()
     solved = counted_solves(monkeypatch)
     suites = run_theorem_suites(graphs)
     # the two n = 11 graphs less arc (6, 7) are twins
