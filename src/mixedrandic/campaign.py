@@ -637,8 +637,6 @@ _JSON = _style(json.dumps, json_scalar, tuple(
 def _csv_rows(parts: tuple[_Part, ...]) -> Iterator[str]:
     """The report's rows after the header, one string per graph."""
     for index, n, label, rows in _result_rows(parts, _CSV):
-        if not rows:
-            continue
         prefix = f"{index},{n},{_csv_cell(label)},"
         yield prefix + prefix.join(rows)
 

@@ -20,11 +20,11 @@ case.  The structural verdicts of a block (connected, bipartite, positive,
 antibalanced) come from one traversal of its edge rows, ``gains.balances``;
 the ``check_*`` functions take them from its one-graph case,
 ``graph_balance``.  A matrix is keyed by its vertex pairs' states, the
-same for a matrix and its conjugate (every arc reversed), and one call
-solves each key once per order and counts each graph key's exact
-numerators once.  A block is one edge table,
-from graphs (``edge_table``) or from a campaign's pair-state rows
-(``matrices._state_table``), and both take one path, ``_order_block``.
+same for a matrix and its conjugate (every arc reversed).  A block is one
+edge table, from graphs (``edge_table``) or from a campaign's pair-state
+rows (``matrices._state_table``); both take one path, ``_order_block``,
+which returns the memo its order's next block takes, so one call solves
+each key once per order and counts each graph key's numerators once.
 
 A block's results are columns, one per check: its name or names, float64
 lhs, rhs and slack arrays and an ok array, with the rows that need fields
@@ -664,15 +664,6 @@ def _inverse_degree_sums(degrees: np.ndarray,
         owner, np.arange(len(degrees)))) / common).astype(float)
 
 
-def _find(known: np.ndarray, keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Per key of the sorted distinct ``keys``, its place in the sorted
-    memo keys ``known`` and whether it is there."""
-    at = np.searchsorted(known, keys)
-    hit = at < len(known)
-    hit[hit] = known[at[hit]] == keys[hit]
-    return at, hit
-
-
 def _table_graphs(degrees: np.ndarray, edges: tuple[np.ndarray, ...],
                   graphs: np.ndarray) -> tuple[np.ndarray, tuple]:
     """The edge_table of the sorted graph indices ``graphs`` of a table."""
@@ -685,26 +676,28 @@ def _table_graphs(degrees: np.ndarray, edges: tuple[np.ndarray, ...],
 
 
 def _order_block(degrees: np.ndarray, edges: tuple[np.ndarray, ...],
-                 solved: dict[int, tuple[np.ndarray, ...]]) -> _Block:
+                 memo: tuple[np.ndarray, ...] | None
+                 ) -> tuple[_Block, tuple[np.ndarray, ...]]:
     """The suite on graphs of one order given as one edge_table, each
     connected with every degree >= 1 (else ValueError): one balance
     traversal, one stacked build, the solves and exact charpoly numerators
     of the keys not met before, the residuals and bounds as array
     reductions over the graphs, and r_inv of every graph over one common
-    denominator.
+    denominator.  Returns the block and its order's memo.
 
     A matrix is keyed by its pair states (0 absent, 1 un-oriented, 2 or 3
     an arc from the smaller or the larger end), which fix its entries
     1/sqrt(d_a d_b) times a gain.  Reversing every arc swaps states 2 and
     3 and conjugates the matrix, which keeps its eigenvalues and its
     charpoly, so a matrix and its twin share the smaller of their two keys
-    (compared at their first differing word).  ``solved[n]`` holds the
-    sorted keys solved before at order n and their rows, and the sorted
-    keys of the graphs met before and their numerator rows; the block
-    sorts only its own keys and merges the new ones in by np.searchsorted.
-    The stack holds R(g) of every graph, for the residuals, and R of each
-    new underlying graph and of each new g - e; only the matrices under a
-    new key are solved, and only the graphs under a new key counted."""
+    (compared at their first differing word).  ``memo`` is None or what
+    the order's block before returned: the sorted keys met before with
+    their eigenvalue and numerator rows (0 until a graph under the key is
+    counted; a count's entry 0 is prod d_i >= 1), which one np.unique
+    merges, unchanged, with the block's keys.  The stack holds R(g) of
+    every graph, for the residuals, and R of each new underlying graph and
+    of each new g - e; only the matrices under a new key are solved, and
+    only the first graph under an uncounted key counted."""
     count, n = degrees.shape
     owner, u, v, arc = edges
     balance = balances(count, n, owner, u, v, arc)
@@ -739,34 +732,16 @@ def _order_block(degrees: np.ndarray, edges: tuple[np.ndarray, ...],
     turns *= turns[np.arange(len(turns)),
                    (turns != 0).argmax(axis=1)][:, np.newaxis] < 0
     keys += turns
-    empty = np.empty(0, dtype)
-    known, known_rows, counted, counted_rows = solved.get(n) or (
-        empty, np.empty((0, n)), empty, np.empty((0, n + 1), dtype=np.int64))
-    distinct, first, inverse = np.unique(keys.view(dtype)[:, 0],
-                                         return_index=True, return_inverse=True)
-    at, hit = _find(known, distinct)
-    miss = ~hit
-    numerators = None
-    if n <= DEFAULT_COMBINATORIAL_CAP:
-        # each graph key's numerator row: the memo's, else its first
-        # graph's, counted on a table of the new keys' first graphs; the
-        # graphs come first among the keys, so a graph key is one whose
-        # first matrix is a graph
-        own = np.flatnonzero(first < count)
-        at_own, had = _find(counted, distinct[own])
-        key_numerators = np.empty((len(distinct), n + 1), dtype=np.int64)
-        key_numerators[own[had]] = counted_rows[at_own[had]]
-        new_own = own[~had]
-        if len(new_own):
-            firsts = np.sort(first[new_own])
-            key_numerators[inverse[firsts]] = elementary_weight_numerator_rows(
-                *_table_graphs(degrees, edges, firsts))
-        counted = np.insert(counted, at_own[~had], distinct[new_own])
-        counted_rows = np.insert(counted_rows, at_own[~had],
-                                 key_numerators[new_own], axis=0)
-        numerators = key_numerators[inverse[:count]]
-    # each new key's first matrix: a graph, an underlying graph or a cut
-    new = np.sort(first[miss])
+    known, known_rows, known_numerators = memo or (
+        np.empty(0, dtype), np.empty((0, n)), np.empty((0, n + 1), np.int64))
+    distinct, first, inverse = np.unique(
+        np.concatenate((known, keys.view(dtype)[:, 0])),
+        return_index=True, return_inverse=True)
+    inverse = inverse[len(known):]
+    # each key's first matrix in the block: a graph, an underlying graph
+    # or a cut; below 0 for a memo key
+    first -= len(known)
+    new = np.sort(first[first >= 0])
     mine, rest = new[new < count], new[new >= count] - count
     fresh, new_cuts = rest[rest < count], cuts[rest[rest >= count] - count]
     # the k-th new underlying graph is its graph's rows un-oriented,
@@ -785,17 +760,15 @@ def _order_block(degrees: np.ndarray, edges: tuple[np.ndarray, ...],
     # the solve is a block's peak of memory, which the table need not raise
     del stacked, graph_of, cut_of
     mats = stack[:count]
-    # each key's row: the memo's, else its first matrix's solve (row k is
-    # new[k]'s)
-    key_rows = np.empty((len(distinct), n))
-    key_rows[hit] = known_rows[at[hit]]
-    key_rows[miss] = np.concatenate((
-        eigenvalue_rows(mats[mine]), eigenvalue_rows(stack[count:]))
-    )[np.searchsorted(new, first[miss])]
+    # each key's rows: a new key's first matrix's solve (row k is
+    # new[k]'s), or a memo key's, counted from the end, where the memo's
+    # rows follow the block's
+    at = np.where(first < 0, first, np.searchsorted(new, first))
+    key_rows = np.concatenate((eigenvalue_rows(mats[mine]),
+                               eigenvalue_rows(stack[count:]), known_rows))[at]
+    numerators = np.concatenate((np.zeros((len(new), n + 1), np.int64),
+                                 known_numerators))[at]
     vals = key_rows[inverse[:count]]
-    solved[n] = (np.insert(known, at[miss], distinct[miss]),
-                 np.insert(known_rows, at[miss], key_rows[miss], axis=0),
-                 counted, counted_rows)
     group, deletions = inverse[count:2 * count], key_rows[inverse[2 * count:]]
     r_inv = _inverse_degree_sums(degrees, edges)
 
@@ -814,13 +787,21 @@ def _order_block(degrees: np.ndarray, edges: tuple[np.ndarray, ...],
     columns.append(_inequality("laplacian_complement",
                                _largest_entries(np.eye(n) - triple - mats),
                                0.0, tol=1e-14))
-    if numerators is not None:
+    if n <= DEFAULT_COMBINATORIAL_CAP:
+        # count each graph key whose row is still 0 on its first graph;
+        # the graphs come first among the keys
+        firsts = np.unique(inverse[:count], return_index=True)[1]
+        firsts = np.sort(firsts[numerators[inverse[firsts], 0] == 0])
+        if len(firsts):
+            numerators[inverse[firsts]] = elementary_weight_numerator_rows(
+                *_table_graphs(degrees, edges, firsts))
         # a_k = (-1)**k * numerator_k / prod d_i.  Every numerator and the
         # denominator are below 2**53 at n <= 10 (see
         # elementary_weight_numerator_rows), so each is exact in float64 and
         # the one division is rounded as float(Fraction(numerator, prod d_i))
-        numerators[:, 1::2] *= -1
-        exact = numerators / np.prod(degrees, axis=1, keepdims=True)
+        signed = numerators[inverse[:count]]
+        signed[:, 1::2] *= -1
+        exact = signed / np.prod(degrees, axis=1, keepdims=True)
         columns.append(_inequality("charpoly_agreement",
                                    _distance(exact, expand_roots(vals)),
                                    0.0, tol=TOL_EIG))
@@ -855,19 +836,20 @@ def _order_block(degrees: np.ndarray, edges: tuple[np.ndarray, ...],
     columns.append(_smallest_eigenvalue_column(n, r_inv, vals))
     columns += _energy_columns(n, r_inv, vals)
     vals.flags.writeable = False
-    return _Block(vals, columns)
+    return _Block(vals, columns), (distinct, key_rows, numerators)
 
 
 def _suite_blocks(n: int, count: int, table: Callable[[int, int], tuple]
                   ) -> Iterator[tuple[slice, _Block]]:
     """The suite on count graphs of order n, a block of _block_size(n) at
     a time, as (the slice of the block's graphs, block): table(start,
-    stop) is the edge_table of graphs start:stop, and one memo of solved
-    keys and counted graph keys serves every block."""
-    size, solved = _block_size(n), {}
+    stop) is the edge_table of graphs start:stop, and each block takes
+    the memo the block before returned."""
+    size, memo = _block_size(n), None
     for start in range(0, count, size):
         rows = slice(start, min(start + size, count))
-        yield rows, _order_block(*table(rows.start, rows.stop), solved)
+        block, memo = _order_block(*table(rows.start, rows.stop), memo)
+        yield rows, block
 
 
 def run_theorem_suites(graphs: Iterable[MixedGraph]) -> list[TheoremSuite]:
@@ -882,12 +864,12 @@ def run_theorem_suites(graphs: Iterable[MixedGraph]) -> list[TheoremSuite]:
     edge whose removal isolates no vertex and R of each underlying graph,
     the last two only under new keys.  A matrix is keyed by its pair
     states, and a matrix and its arc-reversed twin, its conjugate, share
-    one key; a key is solved once per order in this call, so an
-    exhaustive order solves one graph of each pair of twins.  The exact
-    characteristic polynomials come from one path-counting programme and
-    one cover-sum pass over the graphs whose key was not counted before at
-    that order in this call, and r_inv over one common denominator per
-    block.  The residuals and bounds are row reductions
+    one key; each block hands the next its order's memo, so a key is
+    solved once per order in this call and an exhaustive order solves one
+    graph of each pair of twins.  The exact characteristic polynomials
+    come from one path-counting programme and one cover-sum pass over the
+    graphs under a key not counted before, and r_inv over one common
+    denominator per block.  The residuals and bounds are row reductions
     over the block's eigenvalue array, kept as one column per check: no
     record is built until one is read.  Connectivity, bipartiteness,
     positivity and antibalance come from one traversal of the block's edge

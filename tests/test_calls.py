@@ -87,7 +87,7 @@ def test_passes_make_the_same_public_calls(monkeypatch, tmp_path, capsys):
         works.append(work.copy())
     block = theorems._order_block
     monkeypatch.setattr(theorems, "_order_block",
-                        lambda degrees, edges, solved: block(degrees, edges, {}))
+                        lambda degrees, edges, memo: block(degrees, edges, None))
     work.clear()
     one_pass(path)
     capsys.readouterr()

@@ -707,6 +707,8 @@ def test_sampling_rejects_an_unreachable_min_degree():
         sample_mixed_graphs(5, 1, seed=1, min_degree=5)
     with pytest.raises(ValueError, match="negative"):
         sample_mixed_graphs(5, -1, seed=1)
+    with pytest.raises(ValueError, match=r"vertex count 53 outside 1\.\.52"):
+        sample_mixed_graphs(53, 1, seed=0)
     # n - 1 is reachable: only complete underlying graphs pass
     for g in sample_mixed_graphs(4, 5, seed=1, min_degree=3):
         assert g.degrees() == (3, 3, 3, 3)

@@ -138,6 +138,8 @@ def test_cycle_gain_rejects_non_cycles():
         cycle_gain(v, (1, 2, 3))  # 1 and 3 are not adjacent
     with pytest.raises(ValueError):
         cycle_gain(v, (1, 2))
+    with pytest.raises(ValueError, match="no edge between 1 and 3"):
+        v.gain(1, 3)
 
 
 def test_classify_cycle():
@@ -279,6 +281,8 @@ def test_switching_equivalence():
 def test_switching_equivalence_needs_same_underlying_graph():
     with pytest.raises(ValueError):
         are_switching_equivalent(gain_view(cycle_graph(3)), gain_view(path_graph(3)))
+    with pytest.raises(ValueError, match=r"undefined on vertices \[2, 3\]"):
+        apply_switching(gain_view(cycle_graph(3)), {1: ONE})
 
 
 def balance_by_dicts(view):

@@ -168,3 +168,6 @@ def test_builders():
     assert path_graph(4).edges == (undirected(1, 2), undirected(2, 3), undirected(3, 4))
     assert set(cycle_graph(4).underlying_pairs()) == {(1, 2), (2, 3), (3, 4), (1, 4)}
     assert directed_cycle(4).edges == (arc(1, 2), arc(2, 3), arc(3, 4), arc(4, 1))
+    for builder in (cycle_graph, directed_cycle):
+        with pytest.raises(ValueError, match="a cycle needs at least 3 vertices"):
+            builder(2)

@@ -209,6 +209,11 @@ def test_combinatorial_route_guards():
         char_poly_combinatorial(path_graph(11))  # above the default order cap
     with pytest.raises(ValueError):
         char_poly_combinatorial(parse_graph_with_isolated())
+    with pytest.raises(ValueError, match="isolated vertex: Randic matrix undefined"):
+        determinant_combinatorial(parse_graph_with_isolated())
+    with pytest.raises(ValueError, match="polynomials of different degree"):
+        char_poly_combinatorial(path_graph(2)).max_difference(
+            char_poly_combinatorial(path_graph(3)))
 
 
 def parse_graph_with_isolated():

@@ -1,5 +1,6 @@
 import math
 from fractions import Fraction
+from itertools import combinations
 
 import numpy as np
 import pytest
@@ -27,6 +28,7 @@ from mixedrandic import (
     smallest_eigenvalue_bound,
 )
 from mixedrandic import theorems
+from mixedrandic.campaign import CampaignConfig, run_campaign
 from mixedrandic.enumeration import elementary_weight_numerator_rows
 from mixedrandic.matrices import edge_table, randic_stack
 from mixedrandic.spectra import eigenvalue_rows
@@ -393,21 +395,44 @@ def expected_solves(graphs):
     return count
 
 
+def memo_key(g):
+    """g's key in an order's memo, for n <= 8 (one int64 word): vertex
+    pair k (in combinations order) holds its state as base-4 digit k, 1
+    for u -- v and 2 or 3 for an arc from the smaller or the larger end;
+    the smaller of g's key and its arc-reversed twin's."""
+    pair = {p: k for k, p in enumerate(combinations(range(1, g.n + 1), 2))}
+    key = twin = 0
+    for e in g.edges:
+        unit = 4 ** pair[min(e.u, e.v), max(e.u, e.v)]
+        state = 1 if e.kind is EdgeKind.UNDIRECTED else 2 + (e.u > e.v)
+        key += unit * state
+        twin += unit * (5 - state if state > 1 else 1)
+    return min(key, twin)
+
+
 def test_suite_memo_merges_each_blocks_new_keys():
-    # blocks of 7 merge their new keys into the sorted memo; one block of
-    # all the graphs sorts them at once: the same keys and the same rows
+    # blocks of 7 merge their new keys into the memo each returns, which
+    # the next takes and leaves as it is; one block of all the graphs
+    # sorts them at once: the same keys and the same rows
     graphs = population(4)[:300]
-    merged, whole = {}, {}
+    merged = None
     for start in range(0, len(graphs), 7):
-        theorems._order_block(*edge_table(graphs[start:start + 7]), merged)
-    theorems._order_block(*edge_table(graphs), whole)
-    for keys, rows, whole_keys, whole_rows in zip(
-            merged[4][::2], merged[4][1::2], whole[4][::2], whole[4][1::2]):
-        # the solved keys with their eigenvalue rows, then the graph keys
-        # with their numerator rows
-        assert np.all(keys[1:] > keys[:-1])
-        assert np.array_equal(keys, whole_keys)
-        assert rows.tobytes() == whole_rows.tobytes()
+        given = merged and [a.tobytes() for a in merged]
+        memo = theorems._order_block(*edge_table(graphs[start:start + 7]),
+                                     merged)[1]
+        assert given == (merged and [a.tobytes() for a in merged])
+        merged = memo
+    whole = theorems._order_block(*edge_table(graphs), None)[1]
+    assert [a.tobytes() for a in merged] == [a.tobytes() for a in whole]
+    keys, rows, numerators = whole
+    assert np.all(keys[1:] > keys[:-1])
+    assert rows.shape == (len(keys), 4) and numerators.shape == (len(keys), 5)
+    # the keys of the graphs, and only those, carry a numerator row, whose
+    # entry 0 is the graph's prod d_i
+    counted = numerators[:, 0] != 0
+    assert dict(zip(keys[counted].tolist(), numerators[counted, 0].tolist())) \
+        == {memo_key(g): math.prod(g.degrees()) for g in graphs}
+    assert not numerators[~counted].any()
 
 
 def counted_solves(monkeypatch):
@@ -448,6 +473,14 @@ def test_suite_solves_each_underlying_graph_once(exhaustive_population,
     # the 43 graphs without an arc and one of each pair of twins
     assert sum(counted) == len({twin_key(g.edges)
                                 for g in exhaustive_population}) == 1_967
+    # the seeded n = 5, 6 campaign takes 2 and 3 blocks, each given the
+    # memo of the block before: its graphs are distinct and no two twins
+    solved.clear()
+    counted.clear()
+    run_campaign(CampaignConfig(n_min=5, n_max=6, seed=1729))
+    graphs = population(5, seed=1729) + population(6, seed=1729)
+    assert sum(solved) == expected_solves(graphs) == 10_912
+    assert sum(counted) == len({twin_key(g.edges) for g in graphs}) == 1_000
 
 
 def two_word_graphs():
